@@ -32,7 +32,7 @@ int main() {
     }
   }
 
-  const auto grouped = vpapi::collect(machine, events, acts, 1);
+  const auto grouped = vpapi::collect(machine, events, acts);
   const auto muxed = vpapi::collect_multiplexed(machine, events, acts, 1);
 
   std::cout << "Grouped runs per repetition: " << grouped.runs_per_repetition

@@ -48,9 +48,11 @@ int main() {
     const faults::FaultPlan plan = scaled_mid_rate(mult);
     core::PipelineResult result;
     try {
-      result = core::run_pipeline_resilient(
-          machine, bench, signatures, options,
-          plan.enabled() ? &plan : nullptr, {});
+      core::CampaignOptions campaign;
+      campaign.pipeline = options;
+      campaign.fault_plan = plan.enabled() ? &plan : nullptr;
+      result =
+          core::run_campaign(machine, bench, signatures, campaign).result;
     } catch (const std::runtime_error& e) {
       // The documented floor: every event quarantined -> typed abort
       // instead of a vacuous analysis.

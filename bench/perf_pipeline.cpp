@@ -32,7 +32,9 @@ void BM_MultiplexedCollection(benchmark::State& state) {
   const pmu::Machine machine = pmu::saphira_cpu();
   const auto acts = cat::cpu_flops_benchmark().single_thread_activities();
   for (auto _ : state) {
-    auto res = vpapi::collect_all(machine, acts, 2);
+    vpapi::CollectionPlan plan;
+    plan.repetitions = 2;
+    auto res = vpapi::collect(machine, machine.event_names(), acts, plan);
     benchmark::DoNotOptimize(res.repetitions.data());
   }
 }
@@ -43,7 +45,10 @@ void BM_CollectionThreads(benchmark::State& state) {
   const auto acts = cat::cpu_flops_benchmark().single_thread_activities();
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto res = vpapi::collect_all(machine, acts, 4, threads);
+    vpapi::CollectionPlan plan;
+    plan.repetitions = 4;
+    plan.threads = threads;
+    auto res = vpapi::collect(machine, machine.event_names(), acts, plan);
     benchmark::DoNotOptimize(res.repetitions.data());
   }
 }

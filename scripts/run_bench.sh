@@ -122,22 +122,12 @@ else
   printf 'null' > "$manifest_json"
 fi
 
-for name in pipeline linalg; do
-  bin="$build_dir/bench/perf_$name"
-  if [ ! -x "$bin" ]; then
-    echo "error: $bin not built (configure with -DCATALYST_BUILD_BENCH=ON \
-and run: cmake --build $build_dir)" >&2
-    exit 1
-  fi
-  out="$repo_root/BENCH_$name$out_suffix.json"
-  tmp_out="$(mktemp)"
-  echo "== perf_$name -> $out"
-  "$bin" --benchmark_out="$tmp_out" --benchmark_out_format=json \
-         ${extra_args[@]+"${extra_args[@]}"}
-
+# stamp_provenance RESULT OUT: writes the JSON document RESULT to OUT with a
+# `catalyst_provenance` object added, then removes RESULT.
+stamp_provenance() {
   GIT_SHA="$git_sha" TIMESTAMP_UTC="$timestamp_utc" \
   BUILD_TYPE="$build_type" COMPILER="$compiler" \
-  python3 - "$tmp_out" "$manifest_json" "$out" <<'PY'
+  python3 - "$1" "$manifest_json" "$2" <<'PY'
 import json, os, sys
 
 bench_path, manifest_path, out_path = sys.argv[1:4]
@@ -156,7 +146,23 @@ with open(out_path, "w", encoding="utf-8") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
 PY
-  rm -f "$tmp_out"
+  rm -f "$1"
+}
+
+for name in pipeline linalg; do
+  bin="$build_dir/bench/perf_$name"
+  if [ ! -x "$bin" ]; then
+    echo "error: $bin not built (configure with -DCATALYST_BUILD_BENCH=ON \
+and run: cmake --build $build_dir)" >&2
+    exit 1
+  fi
+  out="$repo_root/BENCH_$name$out_suffix.json"
+  tmp_out="$(mktemp)"
+  echo "== perf_$name -> $out"
+  "$bin" --benchmark_out="$tmp_out" --benchmark_out_format=json \
+         ${extra_args[@]+"${extra_args[@]}"}
+
+  stamp_provenance "$tmp_out" "$out"
 done
 
 # service_load is not a google-benchmark binary: it writes its own result
@@ -172,25 +178,4 @@ tmp_out="$(mktemp)"
 echo "== service_load -> $out"
 "$bin" --json-out "$tmp_out"
 
-GIT_SHA="$git_sha" TIMESTAMP_UTC="$timestamp_utc" \
-BUILD_TYPE="$build_type" COMPILER="$compiler" \
-python3 - "$tmp_out" "$manifest_json" "$out" <<'PY'
-import json, os, sys
-
-bench_path, manifest_path, out_path = sys.argv[1:4]
-with open(bench_path, encoding="utf-8") as f:
-    doc = json.load(f)
-with open(manifest_path, encoding="utf-8") as f:
-    manifest = json.load(f)
-doc["catalyst_provenance"] = {
-    "git_sha": os.environ["GIT_SHA"],
-    "timestamp_utc": os.environ["TIMESTAMP_UTC"],
-    "build_type": os.environ["BUILD_TYPE"],
-    "compiler": os.environ["COMPILER"],
-    "run_manifest": manifest,
-}
-with open(out_path, "w", encoding="utf-8") as f:
-    json.dump(doc, f, indent=1)
-    f.write("\n")
-PY
-rm -f "$tmp_out"
+stamp_provenance "$tmp_out" "$out"

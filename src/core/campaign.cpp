@@ -4,10 +4,10 @@
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "core/contract.hpp"
+#include "core/io.hpp"
 #include "core/json.hpp"
 #include "core/noise.hpp"
 #include "obs/names.hpp"
@@ -151,14 +151,16 @@ std::string campaign_config_key(const pmu::Machine& machine,
 
 namespace {
 
-/// One completed batch: repetition r's thread-median, normalized readings
-/// for the events that survived it.
+/// One completed batch: repetition r's thread-median, normalized readings.
 struct Batch {
-  std::vector<std::string> events;  ///< Kept events, machine order.
-  /// measurements[e][k]: thread-median, normalized reading.
+  /// Machine-order positions of the events every benchmark thread kept,
+  /// ascending; the others were quarantined in this batch.
+  std::vector<std::size_t> kept;
+  /// measurements[i][k]: thread-median, normalized reading of kept[i].
   std::vector<std::vector<double>> measurements;
-  std::vector<std::string> quarantined;  ///< This batch's casualties.
-  vpapi::CollectionReport report;        ///< Merged across benchmark threads.
+  /// One entry per machine event, merged across benchmark threads; empty
+  /// unless the campaign reports.
+  vpapi::CollectionReport report;
   /// Sampling/strobed modes only: the per-run sample traces behind this
   /// batch's measurements, benchmark-thread order.  Never checkpointed
   /// (checkpointing is counting-only).
@@ -171,32 +173,85 @@ std::string checkpoint_path(const std::string& directory, std::size_t batch) {
   return os.str();
 }
 
-/// Additively folds `src` (possibly sparse, e.g. loaded from JSON) into the
-/// per-name accumulator map.  Dispositions are resolved later, from the
-/// campaign-wide quarantine union.
-void merge_report_into(
-    std::unordered_map<std::string, vpapi::EventReport>& by_name,
-    const vpapi::CollectionReport& src) {
-  for (const auto& e : src.events) {
-    vpapi::EventReport& acc = by_name[e.name];
-    acc.name = e.name;
-    acc.read_attempts += e.read_attempts;
-    acc.retries += e.retries;
-    acc.wraps_corrected += e.wraps_corrected;
-    for (std::size_t i = 0; i < acc.faults.size(); ++i) {
-      acc.faults[i] += e.faults[i];
+/// Position in `all` of each of `names`, which must list a subsequence of
+/// `all` in order -- the order every collection, report and checkpoint
+/// keeps.  Throws std::invalid_argument otherwise.
+std::vector<std::size_t> positions_in(const std::vector<std::string>& all,
+                                      const std::vector<std::string>& names) {
+  std::vector<std::size_t> positions;
+  positions.reserve(names.size());
+  std::size_t i = 0;
+  for (const auto& name : names) {
+    while (i < all.size() && all[i] != name) ++i;
+    if (i == all.size()) {
+      throw std::invalid_argument("event '" + name +
+                                  "' is out of the machine's event order");
+    }
+    positions.push_back(i++);
+  }
+  return positions;
+}
+
+/// dropped[e] != 0 for every position 0..n-1 missing from ascending `kept`.
+std::vector<char> dropped_mask(const std::vector<std::size_t>& kept,
+                               std::size_t n) {
+  std::vector<char> dropped(n, 1);
+  for (const std::size_t e : kept) dropped[e] = 0;
+  return dropped;
+}
+
+/// Adds `src`'s tallies into `acc`; both hold one entry per machine event.
+void add_report(vpapi::CollectionReport& acc,
+                const vpapi::CollectionReport& src) {
+  for (std::size_t e = 0; e < acc.events.size(); ++e) {
+    vpapi::EventReport& a = acc.events[e];
+    const vpapi::EventReport& b = src.events[e];
+    a.read_attempts += b.read_attempts;
+    a.retries += b.retries;
+    a.wraps_corrected += b.wraps_corrected;
+    for (std::size_t f = 0; f < a.faults.size(); ++f) {
+      a.faults[f] += b.faults[f];
+    }
+  }
+  acc.total_retries += src.total_retries;
+  acc.start_retries += src.start_retries;
+}
+
+/// Sets every event's disposition and the quarantined list from `dropped`.
+void resolve_dispositions(vpapi::CollectionReport& report,
+                          const std::vector<char>& dropped) {
+  report.quarantined.clear();
+  for (std::size_t e = 0; e < report.events.size(); ++e) {
+    vpapi::EventReport& er = report.events[e];
+    if (dropped[e] != 0) {
+      er.disposition = vpapi::EventDisposition::quarantined;
+      report.quarantined.push_back(er.name);
+    } else if (er.total_faults() != 0 || er.retries != 0 ||
+               er.wraps_corrected != 0) {
+      er.disposition = vpapi::EventDisposition::recovered;
+    } else {
+      er.disposition = vpapi::EventDisposition::clean;
     }
   }
 }
 
-json::Value batch_to_json(const Batch& batch, const std::string& config_key,
-                          std::size_t index) {
+/// An all-clean report with one entry per event of `all`.
+vpapi::CollectionReport empty_report(const std::vector<std::string>& all) {
+  vpapi::CollectionReport report;
+  report.events.resize(all.size());
+  for (std::size_t e = 0; e < all.size(); ++e) report.events[e].name = all[e];
+  return report;
+}
+
+json::Value batch_to_json(const Batch& batch,
+                          const std::vector<std::string>& all_events,
+                          const std::string& config_key, std::size_t index) {
   json::Value root = json::Value::object();
   root["format"] = kCheckpointFormat;
   root["config"] = config_key;
   root["batch"] = static_cast<double>(index);
   json::Value events = json::Value::array();
-  for (const auto& n : batch.events) events.push_back(n);
+  for (const std::size_t e : batch.kept) events.push_back(all_events[e]);
   root["events"] = std::move(events);
   json::Value meas = json::Value::array();
   for (const auto& per_event : batch.measurements) {
@@ -206,7 +261,7 @@ json::Value batch_to_json(const Batch& batch, const std::string& config_key,
   }
   root["measurements"] = std::move(meas);
   json::Value q = json::Value::array();
-  for (const auto& n : batch.quarantined) q.push_back(n);
+  for (const auto& n : batch.report.quarantined) q.push_back(n);
   root["quarantined"] = std::move(q);
   root["report"] = collection_report_to_json(batch.report);
   return root;
@@ -216,7 +271,9 @@ json::Value batch_to_json(const Batch& batch, const std::string& config_key,
 /// std::invalid_argument) on anything suspicious; the caller treats every
 /// throw as "batch not done" and re-collects.
 Batch batch_from_json(const std::string& text, const std::string& config_key,
-                      std::size_t index, std::size_t n_slots) {
+                      std::size_t index,
+                      const std::vector<std::string>& all_events,
+                      std::size_t n_slots) {
   const json::Value root = json::parse(text);
   if (root.at("format").as_string() != kCheckpointFormat) {
     throw std::invalid_argument("checkpoint: unsupported format");
@@ -228,11 +285,13 @@ Batch batch_from_json(const std::string& text, const std::string& config_key,
     throw std::invalid_argument("checkpoint: batch index mismatch");
   }
   Batch b;
+  std::vector<std::string> names;
   for (const auto& n : root.at("events").as_array()) {
-    b.events.push_back(n.as_string());
+    names.push_back(n.as_string());
   }
+  b.kept = positions_in(all_events, names);
   const auto& meas = root.at("measurements").as_array();
-  if (meas.size() != b.events.size()) {
+  if (meas.size() != b.kept.size()) {
     throw std::invalid_argument("checkpoint: measurements/events mismatch");
   }
   for (const auto& row : meas) {
@@ -243,108 +302,85 @@ Batch batch_from_json(const std::string& text, const std::string& config_key,
     }
     b.measurements.push_back(std::move(vec));
   }
-  for (const auto& n : root.at("quarantined").as_array()) {
-    b.quarantined.push_back(n.as_string());
+  // The stored report lists only eventful events; spread it back out to one
+  // entry per machine event.
+  const vpapi::CollectionReport stored =
+      collection_report_from_json(root.at("report"));
+  std::vector<std::string> stored_names;
+  for (const auto& e : stored.events) stored_names.push_back(e.name);
+  const std::vector<std::size_t> at = positions_in(all_events, stored_names);
+  b.report = empty_report(all_events);
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    b.report.events[at[i]] = stored.events[i];
   }
-  b.report = collection_report_from_json(root.at("report"));
+  b.report.total_retries = stored.total_retries;
+  b.report.start_retries = stored.start_retries;
+  resolve_dispositions(b.report, dropped_mask(b.kept, all_events.size()));
   return b;
 }
 
-/// Collects batch `r` live: one resilient collection per benchmark thread
-/// at the repetition offsets the uninterrupted campaign would use, then the
-/// thread-median + normalization of run_pipeline stages 2-3.
-Batch collect_batch(const pmu::Machine& machine,
-                    const cat::Benchmark& benchmark,
+/// Stages 2-3 of one live batch: the median across benchmark threads of
+/// each (event, slot) reading, normalized per slot.  `data[t]` is thread t's
+/// one-repetition collection; rows are addressed by position and moved,
+/// never looked up by name or copied.
+Batch thread_median(std::vector<vpapi::CollectionResult> data,
                     const std::vector<std::string>& all_events,
-                    const std::vector<std::vector<pmu::Activity>>& thread_acts,
-                    const std::vector<double>& inv_normalizer, std::size_t r,
-                    const CampaignOptions& options) {
-  const std::size_t n_threads = thread_acts.size();
-  const std::size_t n_slots = benchmark.slots.size();
-  const bool sampled =
-      options.collection_mode != vpapi::CollectionMode::counting;
+                    const std::vector<double>& inv_normalizer,
+                    bool reporting) {
+  const std::size_t n_threads = data.size();
+  const std::size_t n_events = all_events.size();
+  const std::size_t n_slots = inv_normalizer.size();
+
+  // Row of each machine event in each thread's data; a thread that
+  // quarantined nothing holds every event in machine order.
+  constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  std::vector<std::vector<std::size_t>> row_of(n_threads);
+  std::vector<char> dropped(n_events, 0);
+  for (std::size_t t = 0; t < n_threads; ++t) {
+    if (data[t].event_names.size() == n_events) continue;
+    row_of[t].assign(n_events, kAbsent);
+    const std::vector<std::size_t> at =
+        positions_in(all_events, data[t].event_names);
+    for (std::size_t row = 0; row < at.size(); ++row) row_of[t][at[row]] = row;
+    for (std::size_t e = 0; e < n_events; ++e) {
+      if (row_of[t][e] == kAbsent) dropped[e] = 1;
+    }
+  }
+  const auto row = [&row_of](std::size_t t, std::size_t e) {
+    return row_of[t].empty() ? e : row_of[t][e];
+  };
 
   Batch batch;
-  std::vector<vpapi::CollectionResult> thread_data(n_threads);
-  std::vector<vpapi::CollectionReport> thread_reports;
-  std::unordered_set<std::string> quarantined_set;
-  for (std::size_t t = 0; t < n_threads; ++t) {
-    if (sampled) {
-      vpapi::SampledCollectionResult sr = vpapi::collect_sampled(
-          machine, all_events, thread_acts[t], /*repetitions=*/1,
-          options.collection_mode, options.sample_schedule,
-          options.resilience.threads, options.sample_clock,
-          /*repetition_offset=*/r * n_threads + t);
-      thread_data[t] = std::move(sr.data);
-      for (auto& run : sr.trace.runs) batch.traces.push_back(std::move(run));
-    } else {
-      vpapi::ResilientCollectionResult rr = vpapi::collect_resilient(
-          machine, all_events, thread_acts[t], /*repetitions=*/1,
-          options.fault_plan, options.resilience,
-          /*repetition_offset=*/r * n_threads + t);
-      for (const auto& q : rr.report.quarantined) {
-        quarantined_set.insert(q);
-      }
-      thread_data[t] = std::move(rr.data);
-      thread_reports.push_back(std::move(rr.report));
-    }
+  for (std::size_t e = 0; e < n_events; ++e) {
+    if (dropped[e] == 0) batch.kept.push_back(e);
   }
-
-  for (const auto& name : all_events) {
-    if (quarantined_set.count(name) == 0) {
-      batch.events.push_back(name);
-    } else {
-      batch.quarantined.push_back(name);
-    }
-  }
-
-  // Per-thread row index of every kept event (rows of quarantined events
-  // are absent from a thread's data, shifting the ones after them).
-  std::vector<std::unordered_map<std::string, std::size_t>> row_of(n_threads);
-  for (std::size_t t = 0; t < n_threads; ++t) {
-    const auto& names = thread_data[t].event_names;
-    for (std::size_t e = 0; e < names.size(); ++e) row_of[t][names[e]] = e;
-  }
-
-  batch.measurements.assign(batch.events.size(),
-                            std::vector<double>(n_slots, 0.0));
+  batch.measurements.resize(batch.kept.size());
   std::vector<double> thread_vals(n_threads);
-  for (std::size_t e = 0; e < batch.events.size(); ++e) {
+  for (std::size_t i = 0; i < batch.kept.size(); ++i) {
+    const std::size_t e = batch.kept[i];
+    std::vector<double>& out = batch.measurements[i];
+    if (n_threads == 1) {
+      out = std::move(data[0].repetitions[0].values[row(0, e)]);
+      for (std::size_t k = 0; k < n_slots; ++k) out[k] *= inv_normalizer[k];
+      continue;
+    }
+    out.resize(n_slots);
     for (std::size_t k = 0; k < n_slots; ++k) {
       for (std::size_t t = 0; t < n_threads; ++t) {
-        const auto it = row_of[t].find(batch.events[e]);
-        CATALYST_ENSURE(it != row_of[t].end(),
-                        "collect_batch: kept event missing from a thread's "
-                        "data");
-        thread_vals[t] =
-            thread_data[t].repetitions[0].values[it->second][k];
+        thread_vals[t] = data[t].repetitions[0].values[row(t, e)][k];
       }
-      const double med =
-          n_threads == 1 ? thread_vals[0] : median(thread_vals);
-      batch.measurements[e][k] = med * inv_normalizer[k];
+      out[k] = median(thread_vals) * inv_normalizer[k];
     }
   }
 
-  std::unordered_map<std::string, vpapi::EventReport> by_name;
-  for (const auto& rt : thread_reports) {
-    merge_report_into(by_name, rt);
-    batch.report.total_retries += rt.total_retries;
-    batch.report.start_retries += rt.start_retries;
+  if (reporting) {
+    batch.report = empty_report(all_events);
+    for (const auto& d : data) add_report(batch.report, d.report);
+    resolve_dispositions(batch.report, dropped);
   }
-  for (const auto& name : all_events) {
-    const auto it = by_name.find(name);
-    vpapi::EventReport e = it != by_name.end() ? it->second
-                                               : vpapi::EventReport{};
-    e.name = name;
-    e.disposition = quarantined_set.count(name) != 0
-                        ? vpapi::EventDisposition::quarantined
-                    : e.total_faults() != 0 || e.retries != 0 ||
-                            e.wraps_corrected != 0
-                        ? vpapi::EventDisposition::recovered
-                        : vpapi::EventDisposition::clean;
-    batch.report.events.push_back(std::move(e));
+  for (auto& d : data) {
+    for (auto& run : d.trace.runs) batch.traces.push_back(std::move(run));
   }
-  batch.report.quarantined = batch.quarantined;
   return batch;
 }
 
@@ -384,24 +420,39 @@ CampaignResult run_campaign(const pmu::Machine& machine,
                         "run_campaign: inconsistent thread counts across "
                         "slots");
   }
+  const bool checkpointing = !options.checkpoint.directory.empty();
+  const bool reporting =
+      options.fault_plan != nullptr || checkpointing || sampled;
 
   const std::vector<std::string> all_events = machine.event_names();
+  const std::size_t n_events = all_events.size();
   const std::size_t n_slots = benchmark.slots.size();
-  std::vector<std::vector<pmu::Activity>> thread_acts(n_threads);
+  // One prepared collector per benchmark thread: events, schedule and ideal
+  // table are built once and reused by every batch.
+  std::vector<vpapi::Collector> collectors;
+  collectors.reserve(n_threads);
   for (std::size_t t = 0; t < n_threads; ++t) {
-    thread_acts[t].reserve(n_slots);
+    std::vector<pmu::Activity> acts;
+    acts.reserve(n_slots);
     for (const auto& slot : benchmark.slots) {
-      thread_acts[t].push_back(slot.thread_activities[t]);
+      acts.push_back(slot.thread_activities[t]);
     }
+    collectors.emplace_back(machine, all_events, std::move(acts));
   }
+  // Per-slot normalization is a multiply in the hot loop, not a divide.
   std::vector<double> inv_normalizer(n_slots);
   for (std::size_t k = 0; k < n_slots; ++k) {
     inv_normalizer[k] = 1.0 / benchmark.slots[k].normalizer;
   }
+  vpapi::CollectionPlan plan;
+  plan.threads = options.pipeline.collection_threads;
+  plan.mode = options.collection_mode;
+  plan.schedule = options.sample_schedule;
+  plan.faults = options.fault_plan;
+  plan.resilience = options.resilience;
 
   const std::string config_key =
       campaign_config_key(machine, benchmark, options);
-  const bool checkpointing = !options.checkpoint.directory.empty();
   std::optional<CheckpointDirLease> lease;
   if (checkpointing) {
     lease.emplace(options.checkpoint.directory);
@@ -410,159 +461,134 @@ CampaignResult run_campaign(const pmu::Machine& machine,
 
   CampaignResult out;
   out.batches_total = options.pipeline.repetitions;
-  obs::Span collect_span("stage.collect");
-  collect_span.arg("batches", out.batches_total);
-  collect_span.arg("checkpointing", checkpointing);
+  // Stage wall times, summed over batches: collection (and checkpoint I/O)
+  // versus thread-median/normalize plus the final merge.
+  std::int64_t collect_ns = 0;
+  std::int64_t median_ns = 0;
   std::vector<Batch> batches;
   batches.reserve(out.batches_total);
   for (std::size_t r = 0; r < out.batches_total; ++r) {
+    if (options.pipeline.cancel != nullptr) options.pipeline.cancel->check();
     obs::Span batch_span("campaign.batch");
     batch_span.arg("batch", r);
-    bool resumed = false;
+    obs::Span collect_span("stage.collect");
+    std::optional<Batch> loaded;
     if (checkpointing && options.checkpoint.resume) {
       obs::Span load_span("campaign.checkpoint.load");
       load_span.arg("batch", r);
-      const std::string path =
-          checkpoint_path(options.checkpoint.directory, r);
       try {
-        batches.push_back(
-            batch_from_json(read_text_file(path), config_key, r, n_slots));
-        resumed = true;
+        loaded = batch_from_json(
+            read_text_file(checkpoint_path(options.checkpoint.directory, r)),
+            config_key, r, all_events, n_slots);
       } catch (const std::exception&) {
         // Missing, truncated, corrupt, or mismatched checkpoint: the batch
         // is simply not done yet.  Re-collecting it is always safe because
         // readings are pure functions of their coordinates.
       }
-      load_span.arg("hit", resumed);
+      load_span.arg("hit", loaded.has_value());
     }
-    if (!resumed) {
-      batches.push_back(collect_batch(machine, benchmark, all_events,
-                                      thread_acts, inv_normalizer, r,
-                                      options));
-      if (checkpointing) {
-        obs::Span write_span("campaign.checkpoint.write");
-        write_span.arg("batch", r);
-        write_text_file_atomic(
-            checkpoint_path(options.checkpoint.directory, r),
-            json::dump(batch_to_json(batches.back(), config_key, r)));
-      }
-    } else {
+    batch_span.arg("resumed", loaded.has_value());
+    if (loaded) {
+      collect_span.end();
+      collect_ns += collect_span.duration_ns();
+      batches.push_back(std::move(*loaded));
       ++out.batches_resumed;
+      continue;
     }
-    batch_span.arg("resumed", resumed);
+    // Batch r on benchmark thread t reads the run ids of repetition
+    // r*n_threads + t, so every thread sees independent noise, as separate
+    // hardware threads would.
+    std::vector<vpapi::CollectionResult> data;
+    data.reserve(n_threads);
+    for (std::size_t t = 0; t < n_threads; ++t) {
+      plan.repetition_offset = r * n_threads + t;
+      data.push_back(collectors[t].collect(plan));
+    }
+    collect_span.end();
+    collect_ns += collect_span.duration_ns();
+
+    obs::Span median_span("stage.median_normalize");
+    batches.push_back(
+        thread_median(std::move(data), all_events, inv_normalizer, reporting));
+    median_span.end();
+    median_ns += median_span.duration_ns();
+
+    if (checkpointing) {
+      obs::Span write_span("campaign.checkpoint.write");
+      write_span.arg("batch", r);
+      write_text_file_atomic(
+          checkpoint_path(options.checkpoint.directory, r),
+          json::dump(batch_to_json(batches.back(), all_events, config_key, r)));
+      write_span.end();
+      collect_ns += write_span.duration_ns();
+    }
   }
-  collect_span.end();
   obs::count(obs::names::kCampaignBatches, out.batches_total);
   obs::count(obs::names::kCampaignBatchesResumed, out.batches_resumed);
-  obs::count(obs::names::kPipelineEventsMeasured, all_events.size());
+  obs::count(obs::names::kPipelineEventsMeasured, n_events);
 
   // --- merge: quarantine union, surviving events, report ---------------------
-  std::unordered_set<std::string> quarantined_set;
-  for (const auto& b : batches) {
-    for (const auto& q : b.quarantined) quarantined_set.insert(q);
+  obs::Span merge_span("stage.median_normalize");
+  std::vector<char> dropped(n_events, 0);
+  for (const Batch& b : batches) {
+    const std::vector<char> lost = dropped_mask(b.kept, n_events);
+    for (std::size_t e = 0; e < n_events; ++e) dropped[e] |= lost[e];
   }
   std::vector<std::string> final_events;
-  std::vector<std::string> quarantined_ordered;
-  for (const auto& name : all_events) {
-    (quarantined_set.count(name) == 0 ? final_events : quarantined_ordered)
-        .push_back(name);
+  for (std::size_t e = 0; e < n_events; ++e) {
+    if (dropped[e] == 0) final_events.push_back(all_events[e]);
   }
-
   std::vector<std::vector<std::vector<double>>> measurements(
       final_events.size(),
       std::vector<std::vector<double>>(out.batches_total));
-  for (std::size_t r = 0; r < out.batches_total; ++r) {
-    std::unordered_map<std::string, std::size_t> row_of;
-    for (std::size_t e = 0; e < batches[r].events.size(); ++e) {
-      row_of[batches[r].events[e]] = e;
+  for (std::size_t r = 0; r < batches.size(); ++r) {
+    Batch& b = batches[r];
+    std::size_t f = 0;
+    for (std::size_t i = 0; i < b.kept.size(); ++i) {
+      if (dropped[b.kept[i]] == 0) {
+        measurements[f++][r] = std::move(b.measurements[i]);
+      }
     }
-    for (std::size_t e = 0; e < final_events.size(); ++e) {
-      const auto it = row_of.find(final_events[e]);
-      CATALYST_ENSURE(it != row_of.end(),
-                      "run_campaign: surviving event missing from a batch");
-      measurements[e][r] = batches[r].measurements[it->second];
-    }
+    CATALYST_ENSURE(f == final_events.size(),
+                    "run_campaign: surviving event missing from a batch");
   }
-
-  vpapi::CollectionReport merged;
-  std::unordered_map<std::string, vpapi::EventReport> by_name;
-  for (const auto& b : batches) {
-    merge_report_into(by_name, b.report);
-    merged.total_retries += b.report.total_retries;
-    merged.start_retries += b.report.start_retries;
+  std::optional<vpapi::CollectionReport> merged;
+  if (reporting) {
+    merged = empty_report(all_events);
+    for (const Batch& b : batches) add_report(*merged, b.report);
+    resolve_dispositions(*merged, dropped);
   }
-  for (const auto& name : all_events) {
-    const auto it = by_name.find(name);
-    vpapi::EventReport e =
-        it != by_name.end() ? it->second : vpapi::EventReport{};
-    e.name = name;
-    e.disposition = quarantined_set.count(name) != 0
-                        ? vpapi::EventDisposition::quarantined
-                    : e.total_faults() != 0 || e.retries != 0 ||
-                            e.wraps_corrected != 0
-                        ? vpapi::EventDisposition::recovered
-                        : vpapi::EventDisposition::clean;
-    merged.events.push_back(std::move(e));
-  }
-  merged.quarantined = quarantined_ordered;
+  merge_span.end();
+  median_ns += merge_span.duration_ns();
 
   out.result = analyze_measurements(benchmark.basis.e, final_events,
                                     std::move(measurements), signatures,
                                     options.pipeline);
-  if (collect_span.duration_ns() > 0) {
-    out.result.stage_timings.insert(
-        out.result.stage_timings.begin(),
-        obs::StageTiming{"collect", collect_span.duration_ns()});
+  // Collection happened before analyze_measurements built its timing list;
+  // the two collection-side stages go in front, in pipeline order.
+  if (collect_ns > 0 || median_ns > 0) {
+    std::vector<obs::StageTiming> timings{{"collect", collect_ns},
+                                          {"median_normalize", median_ns}};
+    timings.insert(timings.end(), out.result.stage_timings.begin(),
+                   out.result.stage_timings.end());
+    out.result.stage_timings = std::move(timings);
   }
-  out.result.quarantined_events = quarantined_ordered;
-  out.result.collection = merged;
-
-  out.archive = make_archive(machine, benchmark, out.result);
-  out.archive.quarantined = quarantined_ordered;
-  out.archive.collection_report = std::move(merged);
+  if (merged) {
+    out.result.quarantined_events = merged->quarantined;
+    out.result.collection = std::move(merged);
+  }
   if (sampled) {
-    out.archive.collection_mode = options.collection_mode;
     vpapi::SampleTrace trace;
     trace.mode = options.collection_mode;
     trace.schedule = options.sample_schedule;
     trace.kernels = n_slots;
-    for (auto& b : batches) {
+    for (Batch& b : batches) {
       for (auto& run : b.traces) trace.runs.push_back(std::move(run));
     }
-    out.archive.sample_trace = std::move(trace);
-  }
-  if (!out.archive.quarantined.empty() ||
-      out.archive.collection_report.has_value() || sampled) {
-    // Let save_archive pick the v2 format marker.
-    out.archive.format_version.clear();
+    out.result.collection_mode = options.collection_mode;
+    out.result.sample_trace = std::move(trace);
   }
   return out;
-}
-
-PipelineResult run_pipeline_resilient(
-    const pmu::Machine& machine, const cat::Benchmark& benchmark,
-    const std::vector<MetricSignature>& signatures,
-    const PipelineOptions& options, const faults::FaultPlan* plan,
-    const vpapi::ResilienceOptions& resilience) {
-  CampaignOptions campaign;
-  campaign.pipeline = options;
-  campaign.fault_plan = plan;
-  campaign.resilience = resilience;
-  return std::move(run_campaign(machine, benchmark, signatures, campaign)
-                       .result);
-}
-
-CampaignResult run_pipeline_sampled(
-    const pmu::Machine& machine, const cat::Benchmark& benchmark,
-    const std::vector<MetricSignature>& signatures,
-    const PipelineOptions& options, vpapi::CollectionMode mode,
-    const vpapi::SampleSchedule& schedule, faults::Clock* clock) {
-  CampaignOptions campaign;
-  campaign.pipeline = options;
-  campaign.collection_mode = mode;
-  campaign.sample_schedule = schedule;
-  campaign.sample_clock = clock;
-  return run_campaign(machine, benchmark, signatures, campaign);
 }
 
 }  // namespace catalyst::core

@@ -1,17 +1,22 @@
-// catalyst/core -- checkpointed, fault-tolerant collection campaigns.
+// catalyst/core -- the collection front half of the pipeline.
 //
-// A campaign is run_pipeline() rebuilt on the resilient collector: the
-// collection stage is split into per-repetition BATCHES, each batch is
-// collected with vpapi::collect_resilient (retry / quarantine / wrap
-// correction, see vpapi/collector.hpp) and optionally persisted as an
-// atomic JSON checkpoint, so an interrupted campaign can `--resume` from
-// the last completed batch without re-executing finished work.
+// run_campaign() is the only way measurements get collected for analysis;
+// run_pipeline() is a thin call of it.  The collection stage runs in
+// per-repetition BATCHES.  Each batch collects every benchmark thread with
+// the grouped vpapi driver (vpapi/collector.hpp; counting, fault-injected
+// or sampled per the options), takes the thread-median, normalizes per
+// slot, and is optionally persisted as an atomic JSON checkpoint, so an
+// interrupted campaign can `--resume` from the last completed batch
+// without re-executing finished work.  The batches are then merged --
+// events any batch quarantined are dropped -- and analyzed by
+// analyze_measurements().
 //
 // Bit-identity guarantees (all consequences of counter-keyed noise/faults):
-//   * faults disabled: measurements identical to run_pipeline();
-//   * interrupted + resumed: identical to the uninterrupted campaign --
-//     batch b, benchmark-thread t collects with repetition_offset
-//     b*n_threads + t, reproducing the exact run ids of one long run;
+//   * counting mode: with or without faults (short of quarantine) and
+//     checkpoints, the measurements are run_pipeline()'s -- batch b,
+//     benchmark-thread t collects with repetition_offset b*n_threads + t,
+//     so every path reads the same run ids;
+//   * interrupted + resumed: identical to the uninterrupted campaign;
 //   * any worker thread count: per-unit decisions are pure functions of
 //     coordinates and the cross-batch merge is additive/set-union.
 #pragma once
@@ -22,7 +27,6 @@
 #include <vector>
 
 #include "cat/benchmark.hpp"
-#include "core/io.hpp"
 #include "core/pipeline.hpp"
 #include "faults/faults.hpp"
 #include "pmu/machine.hpp"
@@ -86,12 +90,15 @@ struct CheckpointOptions {
 };
 
 /// Everything a campaign needs beyond the machine + benchmark pair.
+/// `pipeline.collection_threads` sets the collection's worker threads.
 struct CampaignOptions {
   PipelineOptions pipeline;
   /// Fault injection; nullptr (or a disabled plan) runs clean.  Only the
   /// counting mode supports fault injection: the sampling collector reads
   /// running counters on a timer and has no per-kernel retry point.
   const faults::FaultPlan* fault_plan = nullptr;
+  /// Retry tuning and the one pacing clock (backoff sleeps, and one sleep
+  /// per kernel span in the sampled modes).
   vpapi::ResilienceOptions resilience;
   /// Checkpointing is counting-only for now: a sampling batch's trace does
   /// not fit the catalyst-checkpoint-v1 row format, and silently dropping
@@ -104,17 +111,15 @@ struct CampaignOptions {
   /// Virtual-time schedule for the sampling/strobed modes (ignored when
   /// counting).
   vpapi::SampleSchedule sample_schedule;
-  /// Paces sampling-mode collection in virtual time; nullptr skips pacing
-  /// (measured values never depend on the clock).
-  faults::Clock* sample_clock = nullptr;
 };
 
 struct CampaignResult {
-  /// Full analysis over the surviving (non-quarantined) events, with
-  /// `quarantined_events` and `collection` populated.
+  /// Full analysis over the surviving (non-quarantined) events.  Its
+  /// `collection` report (and `quarantined_events`) is attached when a
+  /// fault plan, a checkpoint directory or a non-counting mode was given;
+  /// sampled campaigns also carry `collection_mode` and `sample_trace`.
+  /// make_archive() turns it into the archive to save.
   PipelineResult result;
-  /// v2 measurement archive of the same data, ready to save.
-  MeasurementArchive archive;
   std::size_t batches_total = 0;
   std::size_t batches_resumed = 0;  ///< Batches satisfied from checkpoints.
 };
@@ -131,34 +136,12 @@ std::string campaign_config_key(const pmu::Machine& machine,
 
 /// Runs the collection in per-repetition batches (checkpointing + resuming
 /// per CampaignOptions::checkpoint), merges them, and runs the analysis
-/// stages on the surviving events.  Throws std::runtime_error (via
+/// stages on the surviving events.  Throws std::invalid_argument on option
+/// combinations it cannot honour and std::runtime_error (via
 /// analyze_measurements) if every event ends up quarantined.
 CampaignResult run_campaign(const pmu::Machine& machine,
                             const cat::Benchmark& benchmark,
                             const std::vector<MetricSignature>& signatures,
                             const CampaignOptions& options = {});
-
-/// run_pipeline() on the resilient collector, no checkpointing: quarantined
-/// events are dropped before the noise filter and the collection report is
-/// attached to the result.  With `plan` null/disabled this is bit-identical
-/// to run_pipeline().
-PipelineResult run_pipeline_resilient(
-    const pmu::Machine& machine, const cat::Benchmark& benchmark,
-    const std::vector<MetricSignature>& signatures,
-    const PipelineOptions& options = {},
-    const faults::FaultPlan* plan = nullptr,
-    const vpapi::ResilienceOptions& resilience = {});
-
-/// run_pipeline() on the sampling collector: measurements come from the
-/// per-phase synthesis of each run's sample trace instead of boundary
-/// reads, and the returned archive carries the mode + full trace (v2).
-/// `mode` = counting degenerates to the plain campaign (bit-identical
-/// archive to run_pipeline()).  No fault plan, no checkpointing.
-CampaignResult run_pipeline_sampled(
-    const pmu::Machine& machine, const cat::Benchmark& benchmark,
-    const std::vector<MetricSignature>& signatures,
-    const PipelineOptions& options, vpapi::CollectionMode mode,
-    const vpapi::SampleSchedule& schedule = {},
-    faults::Clock* clock = nullptr);
 
 }  // namespace catalyst::core

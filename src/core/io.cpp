@@ -40,6 +40,14 @@ MeasurementArchive make_archive(const pmu::Machine& machine,
   a.expectation = benchmark.basis.e;
   a.event_names = result.all_event_names;
   a.measurements = result.measurements;
+  a.quarantined = result.quarantined_events;
+  a.collection_report = result.collection;
+  a.collection_mode = result.collection_mode;
+  a.sample_trace = result.sample_trace;
+  if (!a.quarantined.empty() || a.collection_report.has_value() ||
+      a.collection_mode != vpapi::CollectionMode::counting) {
+    a.format_version = kFormatVersionV2;
+  }
   return a;
 }
 

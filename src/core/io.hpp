@@ -80,9 +80,12 @@ struct MeasurementArchive {
   std::optional<vpapi::SampleTrace> sample_trace;
 };
 
-/// Builds an archive from a pipeline run (uses the result's stage-1..3
-/// artifacts; the analysis stages are NOT stored -- they are recomputed on
-/// load, which is the point).
+/// Builds an archive from a pipeline run -- the one archive builder for
+/// every collection path.  Uses the result's stage-1..3 artifacts plus its
+/// collection payloads (quarantine list, collection report, mode and sample
+/// trace); the archive is v2 exactly when one of them is present.  The
+/// analysis stages are NOT stored -- they are recomputed on load, which is
+/// the point.
 MeasurementArchive make_archive(const pmu::Machine& machine,
                                 const cat::Benchmark& benchmark,
                                 const PipelineResult& result);

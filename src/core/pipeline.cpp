@@ -4,9 +4,9 @@
 
 #include <stdexcept>
 
+#include "core/campaign.hpp"
 #include "core/contract.hpp"
 #include "obs/names.hpp"
-#include "vpapi/collector.hpp"
 
 namespace catalyst::core {
 
@@ -24,103 +24,9 @@ PipelineResult run_pipeline(const pmu::Machine& machine,
                             const cat::Benchmark& benchmark,
                             const std::vector<MetricSignature>& signatures,
                             const PipelineOptions& options) {
-  CATALYST_REQUIRE_AS(options.repetitions >= 2, std::invalid_argument,
-                      "run_pipeline: need >= 2 repetitions for the RNMSE "
-                      "filter");
-  CATALYST_REQUIRE_AS(!benchmark.slots.empty(), std::invalid_argument,
-                      "run_pipeline: benchmark has no slots");
-  benchmark.validate();
-  CATALYST_REQUIRE_AS(!machine.events().empty(), std::invalid_argument,
-                      "run_pipeline: machine publishes no events");
-  const std::size_t n_threads = benchmark.slots.front().thread_activities.size();
-  for (const auto& slot : benchmark.slots) {
-    CATALYST_REQUIRE_AS(slot.thread_activities.size() == n_threads,
-                        std::invalid_argument,
-                        "run_pipeline: inconsistent thread counts across "
-                        "slots");
-  }
-
-  PipelineResult result;
-  result.all_event_names = machine.event_names();
-  const std::size_t n_events = result.all_event_names.size();
-  const std::size_t n_slots = benchmark.slots.size();
-
-  // --- Stages 1-3: collect per thread, median across threads, normalize ----
-  // One multiplexed collection per benchmark thread; the (repetition,
-  // thread) pair is folded into the collector's repetition coordinate so
-  // each thread's counters see independent noise, as separate hardware
-  // threads would.
-  obs::Span collect_span("stage.collect");
-  collect_span.arg("machine", machine.name());
-  collect_span.arg("events", n_events);
-  collect_span.arg("slots", n_slots);
-  collect_span.arg("threads", n_threads);
-  std::vector<vpapi::CollectionResult> per_thread;
-  per_thread.reserve(n_threads);
-  for (std::size_t t = 0; t < n_threads; ++t) {
-    if (options.cancel != nullptr) options.cancel->check();
-    std::vector<pmu::Activity> acts;
-    acts.reserve(n_slots);
-    for (const auto& slot : benchmark.slots) {
-      acts.push_back(slot.thread_activities[t]);
-    }
-    // collect() runs repetitions internally; shift the repetition base per
-    // thread to decorrelate threads.
-    vpapi::CollectionResult col =
-        vpapi::collect_all(machine, acts, options.repetitions * n_threads,
-                           options.collection_threads);
-    per_thread.push_back(std::move(col));
-  }
-  collect_span.end();
-  obs::count(obs::names::kPipelineEventsMeasured, n_events);
-
-  obs::Span median_span("stage.median_normalize");
-
-  result.measurements.assign(
-      n_events, std::vector<std::vector<double>>(
-                    options.repetitions, std::vector<double>(n_slots, 0.0)));
-  // Per-slot normalization is a multiply in the hot loop, not a divide.
-  std::vector<double> inv_normalizer(n_slots);
-  for (std::size_t k = 0; k < n_slots; ++k) {
-    inv_normalizer[k] = 1.0 / benchmark.slots[k].normalizer;
-  }
-  std::vector<double> thread_vals(n_threads);
-  std::vector<const vpapi::RepetitionData*> rep_data(n_threads);
-  for (std::size_t r = 0; r < options.repetitions; ++r) {
-    for (std::size_t t = 0; t < n_threads; ++t) {
-      // Thread t's repetition stream is phase-shifted so that (r, t) pairs
-      // never reuse a noise coordinate.
-      rep_data[t] = &per_thread[t].repetitions[r * n_threads + t];
-    }
-    for (std::size_t e = 0; e < n_events; ++e) {
-      std::vector<double>& out = result.measurements[e][r];
-      for (std::size_t k = 0; k < n_slots; ++k) {
-        for (std::size_t t = 0; t < n_threads; ++t) {
-          thread_vals[t] = rep_data[t]->values[e][k];
-        }
-        const double med = n_threads == 1 ? thread_vals[0]
-                                          : median(thread_vals);
-        out[k] = med * inv_normalizer[k];
-      }
-    }
-  }
-  median_span.end();
-
-  PipelineResult analyzed = analyze_measurements(
-      benchmark.basis.e, std::move(result.all_event_names),
-      std::move(result.measurements), signatures, options);
-  // Collection happened before analyze_measurements built its timing list;
-  // splice the two collection-side stages in front so stage_timings reads in
-  // true pipeline order.
-  if (collect_span.duration_ns() > 0 || median_span.duration_ns() > 0) {
-    std::vector<obs::StageTiming> timings;
-    timings.push_back({"collect", collect_span.duration_ns()});
-    timings.push_back({"median_normalize", median_span.duration_ns()});
-    timings.insert(timings.end(), analyzed.stage_timings.begin(),
-                   analyzed.stage_timings.end());
-    analyzed.stage_timings = std::move(timings);
-  }
-  return analyzed;
+  CampaignOptions campaign;
+  campaign.pipeline = options;
+  return run_campaign(machine, benchmark, signatures, campaign).result;
 }
 
 PipelineResult analyze_measurements(

@@ -3,7 +3,7 @@
 // Chains every stage of the paper on one benchmark + machine pair:
 //
 //   1. COLLECT   all raw events over the benchmark's kernel slots via the
-//                vpapi multiplexed collector, several repetitions, one
+//                grouped vpapi driver, several repetitions, one
 //                collection per concurrent benchmark thread;
 //   2. MEDIAN    across threads per (event, slot, repetition) reading
 //                (Section IV's cache-noise suppressor; a no-op for
@@ -20,6 +20,11 @@
 //
 // Every stage's artifacts are kept in the result for reporting -- the bench
 // harness regenerates each paper table/figure from them.
+//
+// Stages 1-3 are the collection front half, core::run_campaign()
+// (core/campaign.hpp): run_pipeline() is run_campaign() with default
+// campaign options.  Stages 4-7 are analyze_measurements(), which the
+// offline (archive) path calls directly.
 #pragma once
 
 #include <atomic>
@@ -127,8 +132,8 @@ struct PipelineOptions {
   /// Pivot rule for the event-selection QR (ablation hook; the default is
   /// the paper-faithful specialized scheme).
   PivotRule pivot_rule = PivotRule::original_score;
-  /// OS threads for the multiplexed collection stage (results are
-  /// bit-identical for any value; see vpapi::collect).
+  /// OS threads for the collection stage (results are bit-identical for
+  /// any value; see vpapi::Collector).
   int collection_threads = 1;
   /// Worker threads for the analysis stages (RNMSE filter, projection
   /// solves, and the specialized QRCP pivot search).  Every stage follows
@@ -168,11 +173,16 @@ struct PipelineResult {
   // Stage 7.
   std::vector<MetricDefinition> metrics;
 
-  // Robustness artifacts (populated by the resilient collection path; empty
-  // for the clean driver).  Quarantined events were excluded BEFORE the
-  // RNMSE filter: they appear in neither all_event_names nor measurements.
+  // Collection artifacts beyond the measurements.  The report is attached
+  // when a fault plan, a checkpoint directory or a non-counting mode was
+  // given (see core/campaign.hpp).  Quarantined events were excluded
+  // BEFORE the RNMSE filter: they appear in neither all_event_names nor
+  // measurements.  Sampled campaigns carry the per-run sample traces the
+  // measurements were reconstructed from.
   std::vector<std::string> quarantined_events;
   std::optional<vpapi::CollectionReport> collection;
+  vpapi::CollectionMode collection_mode = vpapi::CollectionMode::counting;
+  std::optional<vpapi::SampleTrace> sample_trace;
 
   /// Per-stage wall time in pipeline order, recorded from the stages' own
   /// obs::Spans.  Empty when tracing is disabled (compile- or run-time);
@@ -185,7 +195,7 @@ struct PipelineResult {
       const std::string& event_name) const;
 };
 
-/// Runs the full pipeline.
+/// Runs the full pipeline: run_campaign() with default campaign options.
 PipelineResult run_pipeline(const pmu::Machine& machine,
                             const cat::Benchmark& benchmark,
                             const std::vector<MetricSignature>& signatures,

@@ -4,6 +4,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/export.hpp"
+
 namespace catalyst::core {
 
 std::optional<std::string> canonical_preset_symbol(
@@ -91,34 +93,17 @@ std::string presets_to_table(const std::vector<PresetDefinition>& presets) {
   return os.str();
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string presets_to_json(const std::vector<PresetDefinition>& presets) {
   std::ostringstream os;
   os << "[\n";
   for (std::size_t i = 0; i < presets.size(); ++i) {
     const auto& p = presets[i];
-    os << "  {\"symbol\": \"" << json_escape(p.symbol)
-       << "\", \"description\": \"" << json_escape(p.description)
+    os << "  {\"symbol\": \"" << obs::json_escape(p.symbol)
+       << "\", \"description\": \"" << obs::json_escape(p.description)
        << "\", \"fitness\": " << std::scientific << std::setprecision(6)
        << p.fitness << std::defaultfloat << ", \"terms\": [";
     for (std::size_t t = 0; t < p.terms.size(); ++t) {
-      os << "{\"event\": \"" << json_escape(p.terms[t].event_name)
+      os << "{\"event\": \"" << obs::json_escape(p.terms[t].event_name)
          << "\", \"coefficient\": " << std::setprecision(12)
          << p.terms[t].coefficient << "}"
          << (t + 1 < p.terms.size() ? ", " : "");

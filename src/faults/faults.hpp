@@ -13,7 +13,7 @@
 //
 // The plan is configuration only (immutable, shared across threads); no
 // fault state lives here.  Injection happens inside vpapi::Session (the
-// counter read engine) and recovery inside vpapi::collect_resilient.
+// counter read engine) and recovery inside the vpapi collection driver.
 #pragma once
 
 #include <array>

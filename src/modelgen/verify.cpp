@@ -144,9 +144,13 @@ RecoveryOutcome run_and_verify_sampled(const GeneratedModel& model,
                                        const vpapi::SampleSchedule& schedule,
                                        const VerifyOptions& options) {
   const pmu::Machine machine = model.machine();
-  const core::CampaignResult campaign = core::run_pipeline_sampled(
-      machine, model.benchmark, model.signatures, model.options, mode,
-      schedule);
+  core::CampaignOptions campaign;
+  campaign.pipeline = model.options;
+  campaign.collection_mode = mode;
+  campaign.sample_schedule = schedule;
+  const core::PipelineResult result =
+      core::run_campaign(machine, model.benchmark, model.signatures, campaign)
+          .result;
   VerifyOptions adjusted = options;
   if (adjusted.truth_tol <= 0.0 && mode != vpapi::CollectionMode::counting) {
     // Sampled measurements carry a KNOWN phase-attribution bias: a kernel
@@ -164,7 +168,7 @@ RecoveryOutcome run_and_verify_sampled(const GeneratedModel& model,
     adjusted.truth_tol = std::max(derived_truth_tol(model.spec),
                                   std::min(0.13, 1.5 * ratio));
   }
-  return verify_recovery(model, campaign.result, adjusted);
+  return verify_recovery(model, result, adjusted);
 }
 
 std::string RecoveryOutcome::repro() const { return repro_line; }

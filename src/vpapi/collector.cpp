@@ -1,7 +1,5 @@
 #include "vpapi/collector.hpp"
 
-#include "core/contract.hpp"
-
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -9,12 +7,10 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "core/contract.hpp"
 #include "core/parallel.hpp"
 #include "obs/names.hpp"
 #include "obs/trace.hpp"
-#include "sync/annotations.hpp"
-#include "sync/mutex.hpp"
-#include "vpapi/scheduler.hpp"
 
 namespace catalyst::vpapi {
 
@@ -30,175 +26,6 @@ std::vector<std::vector<std::string>> schedule_groups(
   }
   return groups;
 }
-
-namespace {
-
-// Runs one (repetition, group) unit: a fresh session measuring the group's
-// events over the full kernel sequence, writing results into the
-// caller-owned rows of `data` named by `dest_rows` (constrained events may
-// be packed out of input order, so a run's rows need not be contiguous).
-// `ideals` is the sweep-wide (event, kernel) ideal-value table; it is
-// immutable and shared by every unit (and worker thread) of the collection.
-void run_unit(const pmu::Machine& machine,
-              const std::vector<std::string>& group,
-              const std::vector<pmu::Activity>& activities,
-              const pmu::IdealTable& ideals, std::uint64_t run_id,
-              const std::vector<std::size_t>& dest_rows, RepetitionData& data,
-              const faults::FaultPlan* plan) {
-  Session session(machine);
-  if (plan != nullptr) {
-    session.set_fault_context(plan);
-    session.set_fault_coordinates(run_id, 0);
-  }
-  const int set = session.create_eventset();
-  for (const auto& name : group) {
-    const Status s = session.add_event(set, name);
-    if (s != Status::ok) {
-      throw std::runtime_error("collect: add_event '" + name +
-                               "' failed: " + to_string(s));
-    }
-  }
-  // Read counters per kernel slot: start/run/stop/read/reset around each
-  // kernel, the way CAT instruments its microkernels.  Every status is
-  // checked: an unchecked transient read() used to leave `vals` holding the
-  // PREVIOUS kernel's readings, silently duplicating rows into the result.
-  std::vector<std::vector<double>> per_kernel(group.size());
-  for (auto& v : per_kernel) v.reserve(activities.size());
-  std::vector<double> vals;
-  for (std::size_t k = 0; k < activities.size(); ++k) {
-    Status s = session.start(set);
-    if (s != Status::ok) {
-      throw std::runtime_error("collect: start failed: " + to_string(s));
-    }
-    session.run_kernel(activities[k], run_id, k, &ideals);
-    session.stop(set);
-    s = session.read(set, vals);
-    if (s != Status::ok) {
-      throw std::runtime_error("collect: read failed: " + to_string(s));
-    }
-    session.reset(set);
-    for (std::size_t e = 0; e < vals.size(); ++e) {
-      per_kernel[e].push_back(vals[e]);
-    }
-  }
-  for (std::size_t e = 0; e < group.size(); ++e) {
-    data.values[dest_rows[e]] = std::move(per_kernel[e]);
-  }
-}
-
-// Maps every scheduled run's members back to their row in `event_names`
-// (the schedule preserves within-run input order, but constrained events
-// can be packed into earlier runs than chunking would put them).
-std::vector<std::vector<std::size_t>> schedule_rows(
-    const EventSetSchedule& schedule,
-    const std::vector<std::string>& event_names) {
-  std::unordered_map<std::string, std::size_t> index;
-  index.reserve(event_names.size());
-  for (std::size_t e = 0; e < event_names.size(); ++e) {
-    index.emplace(event_names[e], e);
-  }
-  std::vector<std::vector<std::size_t>> rows(schedule.runs.size());
-  for (std::size_t g = 0; g < schedule.runs.size(); ++g) {
-    rows[g].reserve(schedule.runs[g].events.size());
-    for (const auto& name : schedule.runs[g].events) {
-      rows[g].push_back(index.at(name));
-    }
-  }
-  return rows;
-}
-
-// Resolves event names to machine indices, throwing on unknown names.
-std::vector<std::size_t> resolve_events(
-    const pmu::Machine& machine, const std::vector<std::string>& event_names,
-    const char* caller) {
-  std::vector<std::size_t> indices;
-  indices.reserve(event_names.size());
-  for (const auto& name : event_names) {
-    const auto idx = machine.find(name);
-    if (!idx) {
-      throw std::invalid_argument(std::string(caller) + ": unknown event " +
-                                  name);
-    }
-    indices.push_back(*idx);
-  }
-  return indices;
-}
-
-}  // namespace
-
-CollectionResult collect(const pmu::Machine& machine,
-                         const std::vector<std::string>& event_names,
-                         const std::vector<pmu::Activity>& activities,
-                         std::size_t repetitions, int threads,
-                         const faults::FaultPlan* plan) {
-  CATALYST_REQUIRE_AS(repetitions != 0, std::invalid_argument,
-                      "collect: need at least one repetition");
-  CATALYST_REQUIRE_AS(threads >= 1, std::invalid_argument,
-                      "collect: need at least one thread");
-  const std::vector<std::size_t> event_indices =
-      resolve_events(machine, event_names, "collect");
-  CollectionResult result;
-  result.event_names = event_names;
-  // Bin-packed, constraint-aware run schedule; identical to the naive
-  // chunking when no event carries a slot mask (see vpapi/scheduler.hpp).
-  const EventSetSchedule schedule = schedule_event_sets(machine, event_names);
-  const std::vector<ScheduledRun>& groups = schedule.runs;
-  result.runs_per_repetition = groups.size();
-
-  // An event's ideal reading over a kernel is repetition-invariant, so the
-  // (event, kernel) table is evaluated once and shared by all
-  // repetitions x groups units below instead of being recomputed inside
-  // every time slice.  The table is immutable from here on, so worker
-  // threads read it without synchronization.
-  const pmu::IdealTable ideals(machine, activities, event_indices);
-
-  const std::vector<std::vector<std::size_t>> group_rows =
-      schedule_rows(schedule, event_names);
-
-  result.repetitions.resize(repetitions);
-  for (auto& rep : result.repetitions) {
-    rep.values.resize(event_names.size());
-  }
-
-  obs::Span collect_span("vpapi.collect");
-  collect_span.arg("events", event_names.size());
-  collect_span.arg("repetitions", repetitions);
-  collect_span.arg("groups", groups.size());
-
-  // Work list: all (repetition, group) units; each writes a disjoint slice
-  // of the result, so workers need no synchronization beyond the cursor.
-  const std::size_t total_units = repetitions * groups.size();
-  auto do_unit = [&](std::size_t unit) {
-    const std::size_t rep = unit / groups.size();
-    const std::size_t g = unit % groups.size();
-    const std::uint64_t run_id = rep * groups.size() + g;
-    obs::Span unit_span("collect.unit");
-    unit_span.arg("rep", rep);
-    unit_span.arg("group", g);
-    run_unit(machine, groups[g].events, activities, ideals, run_id,
-             group_rows[g], result.repetitions[rep], plan);
-  };
-
-  try {
-    core::parallel_for(total_units, threads, do_unit);
-  } catch (...) {
-    // Sibling units may have landed complete rows before the failure was
-    // noticed; discard everything so no partial campaign data can outlive
-    // the error (the regression tests assert no torn rows escape).
-    result.repetitions.clear();
-    throw;
-  }
-  return result;
-}
-
-CollectionResult collect_all(const pmu::Machine& machine,
-                             const std::vector<pmu::Activity>& activities,
-                             std::size_t repetitions, int threads) {
-  return collect(machine, machine.event_names(), activities, repetitions,
-                 threads);
-}
-
-// --- resilient collection ---------------------------------------------------
 
 std::string to_string(EventDisposition d) {
   switch (d) {
@@ -238,13 +65,78 @@ std::string CollectionReport::summary() const {
 
 namespace {
 
-/// Everything one resilient (repetition, group) unit produced; merged into
-/// the campaign-wide result and report under the caller's lock.
-struct UnitOutcome {
-  /// Group-local complete kernel rows; empty vector = no trustworthy data
-  /// for that event in this unit (it was quarantined).
-  std::vector<std::vector<double>> rows;
-  std::vector<char> quarantined;  ///< Group-local quarantine verdicts.
+// Resolves event names to machine indices, throwing on unknown names.
+std::vector<std::size_t> resolve_events(
+    const pmu::Machine& machine, const std::vector<std::string>& event_names,
+    const char* caller) {
+  std::vector<std::size_t> indices;
+  indices.reserve(event_names.size());
+  for (const auto& name : event_names) {
+    const auto idx = machine.find(name);
+    if (!idx) {
+      throw std::invalid_argument(std::string(caller) + ": unknown event " +
+                                  name);
+    }
+    indices.push_back(*idx);
+  }
+  return indices;
+}
+
+/// The run a unit executes and where its rows go.  Members are in slot
+/// order; `rows[i]` is member i's row in the result, `indices[i]` its
+/// machine index.
+struct UnitTarget {
+  const std::vector<std::string>& members;
+  const std::vector<std::size_t>& indices;
+  const std::vector<std::size_t>& rows;
+  std::uint64_t run_id;
+  RepetitionData& dest;
+};
+
+// A clean counting unit: a fresh session measuring the run's events over
+// the full kernel sequence, start/run/stop/read/reset around each kernel,
+// the way CAT instruments its microkernels.  `ideals` is immutable and
+// shared by every unit (and worker thread) of the collection.
+void run_clean_unit(const pmu::Machine& machine,
+                    const std::vector<pmu::Activity>& activities,
+                    const pmu::IdealTable& ideals, const UnitTarget& unit) {
+  Session session(machine);
+  const int set = session.create_eventset();
+  for (const auto& name : unit.members) {
+    const Status s = session.add_event(set, name);
+    if (s != Status::ok) {
+      throw std::runtime_error("collect: add_event '" + name +
+                               "' failed: " + to_string(s));
+    }
+  }
+  std::vector<std::vector<double>> per_kernel(unit.members.size());
+  for (auto& v : per_kernel) v.reserve(activities.size());
+  std::vector<double> vals;
+  for (std::size_t k = 0; k < activities.size(); ++k) {
+    Status s = session.start(set);
+    if (s != Status::ok) {
+      throw std::runtime_error("collect: start failed: " + to_string(s));
+    }
+    session.run_kernel(activities[k], unit.run_id, k, &ideals);
+    session.stop(set);
+    s = session.read(set, vals);
+    if (s != Status::ok) {
+      throw std::runtime_error("collect: read failed: " + to_string(s));
+    }
+    session.reset(set);
+    for (std::size_t e = 0; e < vals.size(); ++e) {
+      per_kernel[e].push_back(vals[e]);
+    }
+  }
+  for (std::size_t e = 0; e < unit.members.size(); ++e) {
+    unit.dest.values[unit.rows[e]] = std::move(per_kernel[e]);
+  }
+}
+
+/// What one resilient unit tallied, indexed like the run's members; summed
+/// into the report after the workers join.
+struct UnitTally {
+  std::vector<char> quarantined;
   std::vector<std::uint64_t> read_attempts;
   std::vector<std::uint64_t> retries;
   std::vector<std::uint64_t> wraps_corrected;
@@ -253,31 +145,27 @@ struct UnitOutcome {
   std::uint64_t total_retries = 0;
 };
 
-/// One resilient (repetition, group) unit.  Every decision in here is a
-/// pure function of (plan seed, event, run_id, kernel, attempt), so the
-/// outcome is identical no matter which worker thread runs the unit.
-UnitOutcome run_unit_resilient(const pmu::Machine& machine,
-                               const std::vector<std::string>& group,
-                               const std::vector<pmu::Activity>& activities,
-                               const pmu::IdealTable& ideals,
-                               std::uint64_t run_id,
-                               const faults::FaultPlan* plan,
-                               const ResilienceOptions& opts) {
+/// A resilient counting unit.  Every decision in here is a pure function of
+/// (plan seed, event, run_id, kernel, attempt), so the outcome is identical
+/// no matter which worker thread runs the unit.  Quarantined events' rows
+/// are left empty.
+void run_resilient_unit(const pmu::Machine& machine,
+                        const std::vector<pmu::Activity>& activities,
+                        const pmu::IdealTable& ideals, const UnitTarget& unit,
+                        const faults::FaultPlan& plan,
+                        const ResilienceOptions& opts, UnitTally& out) {
+  const std::vector<std::string>& group = unit.members;
   const std::size_t n = group.size();
-  UnitOutcome out;
-  out.rows.resize(n);
   out.quarantined.assign(n, 0);
   out.read_attempts.assign(n, 0);
   out.retries.assign(n, 0);
   out.wraps_corrected.assign(n, 0);
   out.fault_counts.assign(n, {});
-
-  obs::Span unit_span("collect.unit");
-  unit_span.arg("run", run_id);
-  unit_span.arg("events", n);
+  std::vector<std::vector<double>*> rows(n);
+  for (std::size_t e = 0; e < n; ++e) rows[e] = &unit.dest.values[unit.rows[e]];
 
   Session session(machine);
-  if (plan != nullptr) session.set_fault_context(plan);
+  session.set_fault_context(&plan);
   const int set = session.create_eventset();
 
   auto pace = [&](std::uint64_t attempt) {
@@ -289,40 +177,29 @@ UnitOutcome run_unit_resilient(const pmu::Machine& machine,
     opts.clock->sleep_for(d);
   };
 
-  // Machine event index -> group-local index, for fault attribution.
-  std::vector<std::size_t> machine_index(n);
-  std::unordered_map<std::size_t, std::size_t> local_of;
-  local_of.reserve(n);
-  for (std::size_t e = 0; e < n; ++e) {
-    const auto idx = machine.find(group[e]);
-    CATALYST_REQUIRE_AS(idx.has_value(), std::invalid_argument,
-                        "collect_resilient: unknown event " + group[e]);
-    machine_index[e] = *idx;
-    local_of.emplace(*idx, e);
-  }
-
   // Tallies the session's fault log into the per-event counters; when
   // `suspect` is given, events hit by a data-destroying fault (drop, stuck,
   // spike) on kernel `kernel` are flagged -- the culprits to quarantine if
   // this kernel exhausts its retries.
   auto drain_faults = [&](std::uint64_t kernel, std::vector<char>* suspect) {
     for (const auto& rec : session.fault_log()) {
-      if (rec.event_index == static_cast<std::size_t>(-1)) continue;
-      const auto it = local_of.find(rec.event_index);
-      if (it == local_of.end()) continue;
-      ++out.fault_counts[it->second][static_cast<std::size_t>(rec.kind)];
+      const auto it =
+          std::find(unit.indices.begin(), unit.indices.end(), rec.event_index);
+      if (it == unit.indices.end()) continue;
+      const auto e = static_cast<std::size_t>(it - unit.indices.begin());
+      ++out.fault_counts[e][static_cast<std::size_t>(rec.kind)];
       if (suspect != nullptr && rec.kernel == kernel &&
           (rec.kind == faults::FaultKind::dropped_reading ||
            rec.kind == faults::FaultKind::stuck ||
            rec.kind == faults::FaultKind::spike)) {
-        (*suspect)[it->second] = 1;
+        (*suspect)[e] = 1;
       }
     }
     session.clear_fault_log();
   };
 
   // --- add phase: transient EBUSY/ECNFLCT failures are retried per event --
-  std::vector<std::size_t> in_set;  // group-local indices, add order
+  std::vector<std::size_t> in_set;  // member indices, add order
   in_set.reserve(n);
   for (std::size_t e = 0; e < n; ++e) {
     bool added = false;
@@ -332,7 +209,7 @@ UnitOutcome run_unit_resilient(const pmu::Machine& machine,
       obs::Span retry_span(attempt > 0 ? "collect.add_retry" : nullptr);
       retry_span.arg("event", group[e]);
       retry_span.arg("attempt", attempt);
-      session.set_fault_coordinates(run_id, attempt);
+      session.set_fault_coordinates(unit.run_id, attempt);
       const Status s = session.add_event(set, group[e]);
       drain_faults(0, nullptr);
       if (s == Status::ok) {
@@ -342,7 +219,7 @@ UnitOutcome run_unit_resilient(const pmu::Machine& machine,
         break;
       }
       if (s != Status::transient) {
-        throw std::runtime_error("collect_resilient: add_event '" + group[e] +
+        throw std::runtime_error("collect: add_event '" + group[e] +
                                  "' failed: " + to_string(s));
       }
       pace(attempt);
@@ -355,21 +232,22 @@ UnitOutcome run_unit_resilient(const pmu::Machine& machine,
       out.total_retries += opts.max_retries;
     }
   }
-  for (const std::size_t e : in_set) out.rows[e].reserve(activities.size());
+  for (const std::size_t e : in_set) rows[e]->reserve(activities.size());
 
   // --- kernel loop: retry, unwrap, screen, quarantine ----------------------
   std::vector<double> vals;
+  std::vector<char> suspect(n, 0);
   for (std::size_t k = 0; k < activities.size() && !in_set.empty(); ++k) {
     bool kernel_done = false;
     while (!kernel_done && !in_set.empty()) {
-      std::vector<char> suspect(n, 0);
+      std::fill(suspect.begin(), suspect.end(), 0);
       bool success = false;
       for (std::uint64_t attempt = 0; attempt <= opts.max_retries; ++attempt) {
         // As above: span only the retries, not the happy path.
         obs::Span retry_span(attempt > 0 ? "collect.retry" : nullptr);
         retry_span.arg("kernel", k);
         retry_span.arg("attempt", attempt);
-        session.set_fault_coordinates(run_id, attempt);
+        session.set_fault_coordinates(unit.run_id, attempt);
         Status s = session.start(set);
         if (s == Status::transient) {
           ++out.start_retries;
@@ -378,10 +256,9 @@ UnitOutcome run_unit_resilient(const pmu::Machine& machine,
           continue;
         }
         if (s != Status::ok) {
-          throw std::runtime_error("collect_resilient: start failed: " +
-                                   to_string(s));
+          throw std::runtime_error("collect: start failed: " + to_string(s));
         }
-        session.run_kernel(activities[k], run_id, k, &ideals);
+        session.run_kernel(activities[k], unit.run_id, k, &ideals);
         session.stop(set);
         s = session.read(set, vals);
         for (const std::size_t e : in_set) ++out.read_attempts[e];
@@ -394,26 +271,23 @@ UnitOutcome run_unit_resilient(const pmu::Machine& machine,
           continue;
         }
         if (s != Status::ok) {
-          throw std::runtime_error("collect_resilient: read failed: " +
-                                   to_string(s));
+          throw std::runtime_error("collect: read failed: " + to_string(s));
         }
         // Width-aware delta decoding: a negative per-kernel delta means the
         // register wrapped between the surrounding reads; adding spans back
         // recovers the true reading exactly, no re-run needed.  Values the
         // plausibility screen rejects (spikes, non-finite) force a re-run.
         bool implausible = false;
-        if (plan != nullptr) {
-          for (std::size_t i = 0; i < vals.size(); ++i) {
-            double v = vals[i];
-            if (v < 0.0) {
-              v = faults::unwrap_reading(plan->counter_width_bits, v,
-                                         &out.wraps_corrected[in_set[i]]);
-            }
-            if (!std::isfinite(v) || v > plan->plausible_max) {
-              implausible = true;
-            }
-            vals[i] = v;
+        for (std::size_t i = 0; i < vals.size(); ++i) {
+          double v = vals[i];
+          if (v < 0.0) {
+            v = faults::unwrap_reading(plan.counter_width_bits, v,
+                                       &out.wraps_corrected[in_set[i]]);
           }
+          if (!std::isfinite(v) || v > plan.plausible_max) {
+            implausible = true;
+          }
+          vals[i] = v;
         }
         if (implausible) {
           for (const std::size_t e : in_set) ++out.retries[e];
@@ -426,9 +300,9 @@ UnitOutcome run_unit_resilient(const pmu::Machine& machine,
       }
       if (success) {
         CATALYST_INVARIANT(vals.size() == in_set.size(),
-                           "collect_resilient: reading/set size mismatch");
+                           "collect: reading/set size mismatch");
         for (std::size_t i = 0; i < vals.size(); ++i) {
-          out.rows[in_set[i]].push_back(vals[i]);
+          rows[in_set[i]]->push_back(vals[i]);
         }
         kernel_done = true;
         continue;
@@ -449,176 +323,227 @@ UnitOutcome run_unit_resilient(const pmu::Machine& machine,
           continue;
         }
         out.quarantined[e] = 1;
-        out.rows[e].clear();  // discard the partial row: no torn data
+        rows[e]->clear();  // discard the partial row: no torn data
         const Status s = session.remove_event(set, group[e]);
-        CATALYST_INVARIANT(s == Status::ok,
-                           "collect_resilient: remove_event failed");
+        CATALYST_INVARIANT(s == Status::ok, "collect: remove_event failed");
       }
       in_set = std::move(keep);
     }
   }
   // Partial rows can only belong to quarantined events, and were cleared.
   for (std::size_t e = 0; e < n; ++e) {
-    CATALYST_ENSURE(out.rows[e].size() == activities.size() ||
-                        (out.rows[e].empty() && out.quarantined[e] != 0),
-                    "collect_resilient: torn row escaped a unit");
+    CATALYST_ENSURE(rows[e]->size() == activities.size() ||
+                        (rows[e]->empty() && out.quarantined[e] != 0),
+                    "collect: torn row escaped a unit");
   }
-  return out;
+}
+
+// A sampled unit: the run's sample trace (vpapi/sampling.hpp) and the
+// per-kernel rows reconstructed from it.
+RunTrace run_sampled_unit(const pmu::Machine& machine,
+                          const pmu::IdealTable& ideals, std::size_t kernels,
+                          const CollectionPlan& plan, std::uint64_t repetition,
+                          const UnitTarget& unit) {
+  RunTrace trace = sample_run(machine, unit.members, unit.indices, ideals,
+                              kernels, plan.mode, plan.schedule, repetition,
+                              unit.run_id, plan.resilience.clock);
+  std::vector<std::vector<double>> rows =
+      reconstruct_run_phases(trace, plan.schedule.kernel_span_ns, kernels);
+  for (std::size_t e = 0; e < rows.size(); ++e) {
+    unit.dest.values[unit.rows[e]] = std::move(rows[e]);
+  }
+  return trace;
+}
+
+/// Campaign-level observability rollup of a fault-injected collection.
+/// Counted once here, not per unit: the totals are order-independent sums.
+void count_faults(const CollectionReport& report) {
+  if (!obs::enabled()) return;
+  obs::count(obs::names::kCollectRetries, report.total_retries);
+  obs::count(obs::names::kCollectStartRetries, report.start_retries);
+  std::uint64_t wraps = 0;
+  std::array<std::uint64_t, faults::kNumFaultKinds> by_kind{};
+  for (const EventReport& er : report.events) {
+    wraps += er.wraps_corrected;
+    for (std::size_t f = 0; f < faults::kNumFaultKinds; ++f) {
+      by_kind[f] += er.faults[f];
+    }
+  }
+  obs::count(obs::names::kCollectWrapsCorrected, wraps);
+  obs::count(obs::names::kCollectQuarantined, report.quarantined.size());
+  for (std::size_t f = 0; f < faults::kNumFaultKinds; ++f) {
+    if (by_kind[f] == 0) continue;
+    obs::count(std::string(obs::names::kCollectFaultsPrefix) +
+                   faults::to_string(static_cast<faults::FaultKind>(f)),
+               by_kind[f]);
+  }
 }
 
 }  // namespace
 
-ResilientCollectionResult collect_resilient(
-    const pmu::Machine& machine, const std::vector<std::string>& event_names,
-    const std::vector<pmu::Activity>& activities, std::size_t repetitions,
-    const faults::FaultPlan* plan, const ResilienceOptions& options,
-    std::size_t repetition_offset) {
-  CATALYST_REQUIRE_AS(repetitions != 0, std::invalid_argument,
-                      "collect_resilient: need at least one repetition");
-  CATALYST_REQUIRE_AS(options.threads >= 1, std::invalid_argument,
-                      "collect_resilient: need at least one thread");
-  const std::vector<std::size_t> event_indices =
-      resolve_events(machine, event_names, "collect_resilient");
-  const EventSetSchedule schedule = schedule_event_sets(machine, event_names);
-  const std::vector<ScheduledRun>& groups = schedule.runs;
-  const pmu::IdealTable ideals(machine, activities, event_indices);
-
-  obs::Span collect_span("vpapi.collect_resilient");
-  collect_span.arg("events", event_names.size());
-  collect_span.arg("repetitions", repetitions);
-  collect_span.arg("groups", groups.size());
-  collect_span.arg("faults", plan != nullptr && plan->enabled());
-
-  const std::vector<std::vector<std::size_t>> group_rows =
-      schedule_rows(schedule, event_names);
-
-  // Campaign-wide accumulators, merged per unit under `mutex`.  Every count
-  // is additive and the quarantine verdicts are a set union, so the merged
-  // state is independent of unit completion order -- the report and data
-  // are bit-identical at any thread count.  All mutation funnels through
-  // merge_unit(), whose CATALYST_REQUIRES annotation turns an unlocked
-  // access into a `check.sh thread_safety` build error; scoping the state
-  // inside the struct also gives the exception guarantee for free (a
-  // worker throw destroys the partial campaign data with the struct -- no
-  // torn rows escape).
-  struct MergeState {
-    sync::Mutex mutex{"vpapi.collect.merge"};
-    CollectionReport report CATALYST_GUARDED_BY(mutex);
-    std::vector<char> quarantined CATALYST_GUARDED_BY(mutex);
-    std::vector<RepetitionData> reps CATALYST_GUARDED_BY(mutex);
-
-    MergeState(const std::vector<std::string>& names, std::size_t n_reps) {
-      report.events.resize(names.size());
-      for (std::size_t e = 0; e < names.size(); ++e) {
-        report.events[e].name = names[e];
-      }
-      quarantined.assign(names.size(), 0);
-      reps.resize(n_reps);
-      for (auto& r : reps) r.values.resize(names.size());
-    }
-
-    void merge_unit(const std::vector<std::size_t>& rows,
-                    std::size_t rep_index, UnitOutcome&& out)
-        CATALYST_REQUIRES(mutex) {
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const std::size_t e = rows[i];
-        EventReport& er = report.events[e];
-        er.read_attempts += out.read_attempts[i];
-        er.retries += out.retries[i];
-        er.wraps_corrected += out.wraps_corrected[i];
-        for (std::size_t f = 0; f < faults::kNumFaultKinds; ++f) {
-          er.faults[f] += out.fault_counts[i][f];
-        }
-        if (out.quarantined[i] != 0) quarantined[e] = 1;
-        reps[rep_index].values[e] = std::move(out.rows[i]);
-      }
-      report.start_retries += out.start_retries;
-      report.total_retries += out.total_retries;
-    }
-  } merge(event_names, repetitions);
-
-  auto do_unit = [&](std::size_t unit) {
-    const std::size_t rep = unit / groups.size();
-    const std::size_t g = unit % groups.size();
-    const std::uint64_t run_id =
-        (repetition_offset + rep) * groups.size() + g;
-    UnitOutcome out = run_unit_resilient(machine, groups[g].events,
-                                         activities, ideals, run_id, plan,
-                                         options);
-    const sync::LockGuard lock(merge.mutex);
-    merge.merge_unit(group_rows[g], rep, std::move(out));
-  };
-
-  const std::size_t total_units = repetitions * groups.size();
-  core::parallel_for(total_units, options.threads, do_unit);
-
-  // Single-threaded from here (workers joined); move the merged state out
-  // under the lock so the analysis stays exact.
-  CollectionReport report;
-  std::vector<char> quarantined;
-  std::vector<RepetitionData> reps;
-  {
-    const sync::LockGuard lock(merge.mutex);
-    report = std::move(merge.report);
-    quarantined = std::move(merge.quarantined);
-    reps = std::move(merge.reps);
+Collector::Collector(const pmu::Machine& machine,
+                     std::vector<std::string> event_names,
+                     std::vector<pmu::Activity> activities)
+    : machine_(&machine),
+      events_(std::move(event_names)),
+      activities_(std::move(activities)) {
+  const std::vector<std::size_t> indices =
+      resolve_events(machine, events_, "collect");
+  std::unordered_map<std::string, std::size_t> row_of;
+  row_of.reserve(events_.size());
+  for (std::size_t e = 0; e < events_.size(); ++e) {
+    row_of.emplace(events_[e], e);
   }
+  // Bin-packed, constraint-aware run schedule; identical to the naive
+  // chunking when no event carries a slot mask (see vpapi/scheduler.hpp).
+  schedule_ = schedule_event_sets(machine, events_);
+  run_rows_.resize(schedule_.runs.size());
+  run_indices_.resize(schedule_.runs.size());
+  for (std::size_t g = 0; g < schedule_.runs.size(); ++g) {
+    for (const auto& name : schedule_.runs[g].events) {
+      const std::size_t row = row_of.at(name);
+      run_rows_[g].push_back(row);
+      run_indices_[g].push_back(indices[row]);
+    }
+  }
+  // An event's ideal reading over a kernel is repetition-invariant, so the
+  // (event, kernel) table is evaluated once and shared by every unit of
+  // every collect() call.  It is immutable from here on, so worker threads
+  // read it without synchronization.
+  ideals_ = pmu::IdealTable(machine, activities_, indices);
+}
 
-  // Dispositions + final data with quarantined events' rows removed.
-  for (std::size_t e = 0; e < event_names.size(); ++e) {
+CollectionResult Collector::collect(const CollectionPlan& plan) const {
+  CATALYST_REQUIRE_AS(plan.repetitions != 0, std::invalid_argument,
+                      "collect: need at least one repetition");
+  CATALYST_REQUIRE_AS(plan.threads >= 1, std::invalid_argument,
+                      "collect: need at least one thread");
+  const bool sampled = plan.mode != CollectionMode::counting;
+  const bool faulty = plan.faults != nullptr && plan.faults->enabled();
+  if (sampled) {
+    plan.schedule.validate();
+    CATALYST_REQUIRE_AS(!activities_.empty(), std::invalid_argument,
+                        "collect: sampled modes need kernel activities");
+    CATALYST_REQUIRE_AS(!faulty, std::invalid_argument,
+                        "collect: fault injection is counting-mode only (a "
+                        "sampler has no per-kernel retry point)");
+  }
+  const pmu::Machine& machine = *machine_;
+  const std::size_t n_events = events_.size();
+  const std::size_t n_runs = schedule_.runs.size();
+  const std::size_t n_kernels = activities_.size();
+  const std::size_t total_units = plan.repetitions * n_runs;
+
+  CollectionResult result;
+  result.runs_per_repetition = n_runs;
+  result.repetitions.resize(plan.repetitions);
+  for (auto& rep : result.repetitions) rep.values.resize(n_events);
+  if (sampled) {
+    result.trace.mode = plan.mode;
+    result.trace.schedule = plan.schedule;
+    result.trace.kernels = n_kernels;
+    result.trace.runs.resize(total_units);
+  }
+  std::vector<UnitTally> tallies(faulty ? total_units : 0);
+
+  obs::Span collect_span("vpapi.collect");
+  collect_span.arg("mode", to_string(plan.mode));
+  collect_span.arg("events", n_events);
+  collect_span.arg("repetitions", plan.repetitions);
+  collect_span.arg("groups", n_runs);
+  collect_span.arg("faults", faulty);
+
+  // Work list: all (repetition, run) units.  Each writes a disjoint slice of
+  // the result (its rows, its trace slot, its tally), so workers need no
+  // synchronization beyond the cursor; a worker throw unwinds through here
+  // and destroys the partial result -- no torn rows escape.
+  auto do_unit = [&](std::size_t u) {
+    const std::size_t rep = u / n_runs;
+    const std::size_t g = u % n_runs;
+    const std::uint64_t repetition = plan.repetition_offset + rep;
+    const UnitTarget unit{schedule_.runs[g].events, run_indices_[g],
+                          run_rows_[g], repetition * n_runs + g,
+                          result.repetitions[rep]};
+    obs::Span unit_span("collect.unit");
+    unit_span.arg("rep", repetition);
+    unit_span.arg("group", g);
+    if (sampled) {
+      result.trace.runs[u] = run_sampled_unit(machine, ideals_, n_kernels,
+                                              plan, repetition, unit);
+    } else if (faulty) {
+      run_resilient_unit(machine, activities_, ideals_, unit, *plan.faults,
+                         plan.resilience, tallies[u]);
+    } else {
+      run_clean_unit(machine, activities_, ideals_, unit);
+    }
+  };
+  core::parallel_for(total_units, plan.threads, do_unit);
+
+  // --- report: per-event tallies, quarantine union, dispositions -----------
+  // Every count is additive and quarantine is a set union, so the report is
+  // independent of unit completion order and thread count.
+  CollectionReport& report = result.report;
+  report.events.resize(n_events);
+  std::vector<char> quarantined(n_events, 0);
+  for (std::size_t e = 0; e < n_events; ++e) {
+    report.events[e].name = events_[e];
+    if (!sampled && !faulty) {
+      report.events[e].read_attempts = plan.repetitions * n_kernels;
+    }
+  }
+  for (std::size_t u = 0; u < tallies.size(); ++u) {
+    const UnitTally& tally = tallies[u];
+    const std::vector<std::size_t>& rows = run_rows_[u % n_runs];
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EventReport& er = report.events[rows[i]];
+      er.read_attempts += tally.read_attempts[i];
+      er.retries += tally.retries[i];
+      er.wraps_corrected += tally.wraps_corrected[i];
+      for (std::size_t f = 0; f < faults::kNumFaultKinds; ++f) {
+        er.faults[f] += tally.fault_counts[i][f];
+      }
+      if (tally.quarantined[i] != 0) quarantined[rows[i]] = 1;
+    }
+    report.start_retries += tally.start_retries;
+    report.total_retries += tally.total_retries;
+  }
+  for (std::size_t e = 0; e < n_events; ++e) {
     EventReport& er = report.events[e];
     if (quarantined[e] != 0) {
       er.disposition = EventDisposition::quarantined;
-      report.quarantined.push_back(event_names[e]);
+      report.quarantined.push_back(events_[e]);
     } else if (er.total_faults() > 0 || er.retries > 0 ||
                er.wraps_corrected > 0) {
       er.disposition = EventDisposition::recovered;
     }
   }
+  if (faulty) count_faults(report);
 
-  // Campaign-level observability rollup.  Counted once here, not per unit:
-  // the totals are already order-independent sums, so this keeps metrics off
-  // the merge lock entirely.
-  if (obs::enabled()) {
-    obs::count(obs::names::kCollectRetries, report.total_retries);
-    obs::count(obs::names::kCollectStartRetries, report.start_retries);
-    std::uint64_t wraps = 0;
-    std::array<std::uint64_t, faults::kNumFaultKinds> by_kind{};
-    for (const EventReport& er : report.events) {
-      wraps += er.wraps_corrected;
-      for (std::size_t f = 0; f < faults::kNumFaultKinds; ++f) {
-        by_kind[f] += er.faults[f];
-      }
-    }
-    obs::count(obs::names::kCollectWrapsCorrected, wraps);
-    obs::count(obs::names::kCollectQuarantined, report.quarantined.size());
-    for (std::size_t f = 0; f < faults::kNumFaultKinds; ++f) {
-      if (by_kind[f] == 0) continue;
-      obs::count(std::string(obs::names::kCollectFaultsPrefix) +
-                     faults::to_string(static_cast<faults::FaultKind>(f)),
-                 by_kind[f]);
-    }
+  // --- data: quarantined events' rows are dropped --------------------------
+  if (report.quarantined.empty()) {
+    result.event_names = events_;
+    return result;
   }
-
-  ResilientCollectionResult result;
-  result.report = std::move(report);
-  result.data.runs_per_repetition = groups.size();
-  for (std::size_t e = 0; e < event_names.size(); ++e) {
-    if (quarantined[e] == 0) result.data.event_names.push_back(event_names[e]);
+  for (std::size_t e = 0; e < n_events; ++e) {
+    if (quarantined[e] == 0) result.event_names.push_back(events_[e]);
   }
-  result.data.repetitions.resize(repetitions);
-  for (std::size_t r = 0; r < repetitions; ++r) {
-    auto& dst = result.data.repetitions[r].values;
-    dst.reserve(result.data.event_names.size());
-    for (std::size_t e = 0; e < event_names.size(); ++e) {
+  for (RepetitionData& rep : result.repetitions) {
+    std::size_t kept = 0;
+    for (std::size_t e = 0; e < n_events; ++e) {
       if (quarantined[e] != 0) continue;
-      CATALYST_ENSURE(reps[r].values[e].size() == activities.size(),
-                      "collect_resilient: kept event '" + event_names[e] +
-                          "' has an incomplete row");
-      dst.push_back(std::move(reps[r].values[e]));
+      if (kept != e) rep.values[kept] = std::move(rep.values[e]);
+      ++kept;
     }
+    rep.values.resize(kept);
   }
   return result;
+}
+
+CollectionResult collect(const pmu::Machine& machine,
+                         const std::vector<std::string>& event_names,
+                         const std::vector<pmu::Activity>& activities,
+                         const CollectionPlan& plan) {
+  return Collector(machine, event_names, activities).collect(plan);
 }
 
 CollectionResult collect_multiplexed(

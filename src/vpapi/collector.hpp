@@ -1,4 +1,4 @@
-// catalyst/vpapi -- multiplexed whole-machine data collection.
+// catalyst/vpapi -- grouped whole-machine data collection.
 //
 // There are hundreds to thousands of raw events and only a handful of
 // physical counters, so measuring "every event over every kernel" requires
@@ -7,6 +7,28 @@
 // grouping is why run-to-run noise shows up *between* events measured in
 // different runs -- the effect the paper's repetition-based RNMSE filter
 // targets.
+//
+// One driver does all of it.  A Collector is prepared once per (machine,
+// events, activities): it resolves the events, builds the event-set
+// schedule (vpapi/scheduler.hpp) and the (event, kernel) ideal-value table.
+// Collector::collect then runs a CollectionPlan -- repetitions, worker
+// threads, collection mode, fault plan and pacing clock -- over that state
+// as many times as the caller likes.  Each (repetition, scheduled run) unit
+// is one of:
+//   * a clean counting run: start/run/stop/read around every kernel;
+//   * a resilient counting run, when an enabled fault plan is armed:
+//     transient failures are retried with capped exponential backoff,
+//     wrapped counters are corrected by width-aware delta decoding, kernels
+//     whose readings fail a plausibility screen are re-run, and an event
+//     that still fails after `max_retries` is QUARANTINED -- recorded in the
+//     CollectionReport and excluded from the returned data -- instead of
+//     aborting the whole campaign;
+//   * a sampled run (sampling/strobed modes, vpapi/sampling.hpp): periodic
+//     snapshots on a virtual timeline, reconstructed into per-kernel rows.
+// Every reading is a pure function of its (event, run id, kernel)
+// coordinates, so all three give bit-identical results for any worker
+// thread count, and a clean or recovered counting run reads exactly what
+// the other would.
 #pragma once
 
 #include <array>
@@ -14,6 +36,9 @@
 #include <string>
 #include <vector>
 
+#include "pmu/measure.hpp"
+#include "vpapi/sampling.hpp"
+#include "vpapi/scheduler.hpp"
 #include "vpapi/vpapi.hpp"
 
 namespace catalyst::vpapi {
@@ -24,52 +49,139 @@ struct RepetitionData {
   std::vector<std::vector<double>> values;
 };
 
+/// How an event came out of a collection.
+enum class EventDisposition {
+  clean = 0,   ///< No fault ever touched the event.
+  recovered,   ///< Faults were injected but retry/correction absorbed them.
+  quarantined, ///< Exhausted max_retries somewhere; excluded from the data.
+};
+std::string to_string(EventDisposition d);
+
+/// Per-event tally of what the driver saw and did.
+struct EventReport {
+  std::string name;
+  std::uint64_t read_attempts = 0;  ///< Kernel read attempts that included it.
+  std::uint64_t retries = 0;        ///< Attempts beyond the first, any cause.
+  /// Injected faults attributed to this event, indexed by FaultKind.
+  std::array<std::uint64_t, faults::kNumFaultKinds> faults{};
+  std::uint64_t wraps_corrected = 0;  ///< Counter spans added back in place.
+  EventDisposition disposition = EventDisposition::clean;
+
+  std::uint64_t total_faults() const noexcept;
+};
+
+/// Structured outcome of a collection: one entry per requested event
+/// (input order), plus collection-level totals.
+struct CollectionReport {
+  std::vector<EventReport> events;
+  std::uint64_t total_retries = 0;   ///< All retries, incl. add/start/read.
+  std::uint64_t start_retries = 0;   ///< Set-level start_busy retries.
+  std::vector<std::string> quarantined;  ///< Names, input order.
+
+  const EventReport* find(const std::string& name) const;
+  /// "172 events: 170 clean, 1 recovered, 1 quarantined; 12 retries".
+  std::string summary() const;
+};
+
+/// Tuning of the retry/quarantine machinery and the plan's pacing clock.
+struct ResilienceOptions {
+  /// Extra attempts after the first, per add_event call and per kernel
+  /// reading, before the offending event is quarantined.
+  std::size_t max_retries = 8;
+  faults::Backoff backoff;
+  /// The one pacing clock: retry backoff sleeps through it, and the sampled
+  /// modes sleep one kernel span per kernel through it.  nullptr = no
+  /// pacing (tests and simulated collection); the CLI installs a RealClock
+  /// for fault-injected campaigns.  Values never depend on it.  Never sleep
+  /// via std::this_thread directly (catalyst-lint: sleep-in-retry).
+  faults::Clock* clock = nullptr;
+};
+
+/// Everything one collection does beyond the (machine, events, activities)
+/// it was prepared for.
+struct CollectionPlan {
+  std::size_t repetitions = 1;  ///< >= 1.
+  /// Shifts the absolute repetition indices: batch b of a checkpointed
+  /// campaign passes its global first-repetition index so that run ids --
+  /// and therefore noise and fault draws -- are bit-identical to an
+  /// uninterrupted collection (see core/campaign.hpp).
+  std::size_t repetition_offset = 0;
+  /// OS threads over the independent (repetition, run) units; results are
+  /// bit-identical for any value >= 1.
+  int threads = 1;
+  CollectionMode mode = CollectionMode::counting;
+  SampleSchedule schedule;  ///< Sampled modes only.
+  /// Fault injection (counting mode only: a sampler reads running counters
+  /// on a timer and has no per-kernel retry point).  nullptr or a disabled
+  /// plan runs the clean units.
+  const faults::FaultPlan* faults = nullptr;
+  ResilienceOptions resilience;
+};
+
 /// Full collection result across repetitions.
 struct CollectionResult {
-  std::vector<std::string> event_names;      ///< Row labels of `repetitions`.
-  std::vector<RepetitionData> repetitions;   ///< One per benchmark repetition.
-  std::size_t runs_per_repetition = 0;       ///< Benchmark re-runs needed.
+  /// Row labels of `repetitions`: the requested events minus quarantined
+  /// ones, input order.
+  std::vector<std::string> event_names;
+  std::vector<RepetitionData> repetitions;  ///< One per repetition.
+  std::size_t runs_per_repetition = 0;      ///< Benchmark re-runs needed.
+  /// One entry per requested event.  Clean counting units count one read
+  /// attempt per kernel; sampled units read no counters.
+  CollectionReport report;
+  /// Sampled modes: every unit's samples, ordered (repetition, run).
+  /// Counting mode: no runs.
+  SampleTrace trace;
 };
 
 /// Splits `event_names` into groups no larger than the machine's physical
 /// counter budget (simple greedy chunking, preserving order).  Kept as the
-/// constraint-blind reference scheduler; the collectors below use the
-/// slot-mask-aware bin packer in vpapi/scheduler.hpp, which produces these
-/// exact groups whenever no event carries a slot constraint.
+/// constraint-blind reference scheduler; the driver uses the slot-mask-aware
+/// bin packer in vpapi/scheduler.hpp, which produces these exact groups
+/// whenever no event carries a slot constraint.
 std::vector<std::vector<std::string>> schedule_groups(
     const pmu::Machine& machine, const std::vector<std::string>& event_names);
 
-/// Measures every named event over the kernel sequence `activities`,
-/// `repetitions` times, multiplexing event groups across re-runs of the
-/// whole sequence.  Each (repetition, group) pair is a distinct run and so
-/// sees distinct noise; kernel slots within a run share the run.
-///
-/// `threads` > 1 simulates the independent (repetition, group) runs
-/// concurrently on that many OS threads.  Because every reading's noise is
-/// a pure function of its (event, repetition-run, kernel) coordinates, the
-/// result is bit-identical to the serial collection regardless of thread
-/// count or scheduling.  The (event, kernel) ideal-value table is computed
-/// once up front and shared read-only by all units.
-///
-/// `plan` (optional) arms fault injection on every session.  This NON-
-/// resilient driver treats any injected failure as fatal: a transient
-/// add_event/start or an untrustworthy read throws instead of silently
-/// recording corrupt data.  Use collect_resilient to survive faults.
-///
-/// Throws std::invalid_argument on unknown event names.  Exceptions raised
-/// inside worker threads are captured and rethrown on the calling thread
-/// (the first one wins, remaining units are abandoned, and all partially
-/// collected output is discarded before the rethrow -- no torn rows).
+/// The grouped collection driver, prepared for one (machine, events,
+/// activities) triple.  The machine must outlive the collector.
+class Collector {
+ public:
+  /// Throws std::invalid_argument on unknown event names.
+  Collector(const pmu::Machine& machine, std::vector<std::string> event_names,
+            std::vector<pmu::Activity> activities);
+
+  /// Measures every event over the kernel sequence, `plan.repetitions`
+  /// times.  Each (repetition, scheduled run) pair is a distinct run with
+  /// run id (repetition_offset + rep) * runs + run, and so sees distinct
+  /// noise; kernel slots within a run share the run.
+  ///
+  /// Throws std::invalid_argument on a bad plan (no repetitions or threads,
+  /// an invalid sample schedule, a fault plan in a sampled mode).
+  /// Exceptions raised inside worker threads are rethrown on the calling
+  /// thread and no partial data escapes.
+  CollectionResult collect(const CollectionPlan& plan = {}) const;
+
+  const std::vector<std::string>& event_names() const noexcept {
+    return events_;
+  }
+
+ private:
+  const pmu::Machine* machine_;
+  std::vector<std::string> events_;
+  std::vector<pmu::Activity> activities_;
+  EventSetSchedule schedule_;
+  /// Per scheduled run: its members' rows in events_ and machine indices
+  /// (constrained events may be packed out of input order).
+  std::vector<std::vector<std::size_t>> run_rows_;
+  std::vector<std::vector<std::size_t>> run_indices_;
+  pmu::IdealTable ideals_;
+};
+
+/// One-shot convenience: Collector(machine, event_names, activities)
+/// .collect(plan).
 CollectionResult collect(const pmu::Machine& machine,
                          const std::vector<std::string>& event_names,
                          const std::vector<pmu::Activity>& activities,
-                         std::size_t repetitions, int threads = 1,
-                         const faults::FaultPlan* plan = nullptr);
-
-/// Convenience: collect() over all events of the machine.
-CollectionResult collect_all(const pmu::Machine& machine,
-                             const std::vector<pmu::Activity>& activities,
-                             std::size_t repetitions, int threads = 1);
+                         const CollectionPlan& plan = {});
 
 /// The alternative CAT deliberately avoids: ONE time-division-multiplexed
 /// event set holding every event, one benchmark run per repetition.  Far
@@ -84,85 +196,5 @@ CollectionResult collect_all(const pmu::Machine& machine,
 CollectionResult collect_multiplexed(
     const pmu::Machine& machine, const std::vector<std::string>& event_names,
     const std::vector<pmu::Activity>& activities, std::size_t repetitions);
-
-// --- resilient collection ---------------------------------------------------
-//
-// Real HPM campaigns fail in stereotyped ways (see faults/faults.hpp); the
-// resilient driver survives them: transient failures are retried with capped
-// exponential backoff, wrapped counters are corrected by width-aware delta
-// decoding, kernels whose readings fail a plausibility screen are re-run,
-// and an event that still fails after `max_retries` is QUARANTINED --
-// recorded in the CollectionReport and excluded from the returned data --
-// instead of aborting the whole campaign.
-
-/// How an event came out of a resilient campaign.
-enum class EventDisposition {
-  clean = 0,   ///< No fault ever touched the event.
-  recovered,   ///< Faults were injected but retry/correction absorbed them.
-  quarantined, ///< Exhausted max_retries somewhere; excluded from the data.
-};
-std::string to_string(EventDisposition d);
-
-/// Per-event tally of what the resilient driver saw and did.
-struct EventReport {
-  std::string name;
-  std::uint64_t read_attempts = 0;  ///< Kernel read attempts that included it.
-  std::uint64_t retries = 0;        ///< Attempts beyond the first, any cause.
-  /// Injected faults attributed to this event, indexed by FaultKind.
-  std::array<std::uint64_t, faults::kNumFaultKinds> faults{};
-  std::uint64_t wraps_corrected = 0;  ///< Counter spans added back in place.
-  EventDisposition disposition = EventDisposition::clean;
-
-  std::uint64_t total_faults() const noexcept;
-};
-
-/// Structured outcome of a resilient campaign: one entry per requested
-/// event (input order), plus campaign-level totals.
-struct CollectionReport {
-  std::vector<EventReport> events;
-  std::uint64_t total_retries = 0;   ///< All retries, incl. add/start/read.
-  std::uint64_t start_retries = 0;   ///< Set-level start_busy retries.
-  std::vector<std::string> quarantined;  ///< Names, input order.
-
-  const EventReport* find(const std::string& name) const;
-  /// "172 events: 170 clean, 1 recovered, 1 quarantined; 12 retries".
-  std::string summary() const;
-};
-
-/// Tuning of the retry/quarantine machinery.
-struct ResilienceOptions {
-  /// Extra attempts after the first, per add_event call and per kernel
-  /// reading, before the offending event is quarantined.
-  std::size_t max_retries = 8;
-  faults::Backoff backoff;
-  /// Retry pacing.  nullptr = no pacing (tests and simulated collection);
-  /// the CLI installs a RealClock for real campaigns.  Never sleep via
-  /// std::this_thread directly (catalyst-lint: sleep-in-retry).
-  faults::Clock* clock = nullptr;
-  int threads = 1;  ///< Worker threads over (repetition, group) units.
-};
-
-/// collect() + the recovery machinery above.
-struct ResilientCollectionResult {
-  /// Same layout as collect()'s result, minus quarantined events' rows.
-  CollectionResult data;
-  CollectionReport report;
-};
-
-/// Resilient counterpart of collect().  With `plan` null or disabled the
-/// returned data is bit-identical to collect(machine, event_names,
-/// activities, repetitions) -- the recovery machinery only reacts to
-/// injected faults, and readings are pure functions of their coordinates.
-///
-/// `repetition_offset` shifts the absolute repetition indices: batch b of a
-/// checkpointed campaign passes its global first-repetition index so that
-/// run ids -- and therefore noise and fault draws -- are bit-identical to
-/// an uninterrupted campaign (see core/io.hpp checkpointing).
-ResilientCollectionResult collect_resilient(
-    const pmu::Machine& machine, const std::vector<std::string>& event_names,
-    const std::vector<pmu::Activity>& activities, std::size_t repetitions,
-    const faults::FaultPlan* plan = nullptr,
-    const ResilienceOptions& options = {},
-    std::size_t repetition_offset = 0);
 
 }  // namespace catalyst::vpapi

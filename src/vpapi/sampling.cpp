@@ -4,13 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/contract.hpp"
-#include "core/parallel.hpp"
-#include "obs/trace.hpp"
-#include "pmu/measure.hpp"
-#include "vpapi/scheduler.hpp"
 
 namespace catalyst::vpapi {
 
@@ -138,151 +133,73 @@ std::vector<std::vector<double>> reconstruct_run_phases(
   return out;
 }
 
-SampledCollectionResult collect_sampled(
-    const pmu::Machine& machine, const std::vector<std::string>& event_names,
-    const std::vector<pmu::Activity>& activities, std::size_t repetitions,
-    CollectionMode mode, const SampleSchedule& schedule, int threads,
-    faults::Clock* clock, std::size_t repetition_offset) {
-  CATALYST_REQUIRE_AS(repetitions != 0, std::invalid_argument,
-                      "collect_sampled: need at least one repetition");
-  CATALYST_REQUIRE_AS(threads >= 1, std::invalid_argument,
-                      "collect_sampled: need at least one thread");
-  schedule.validate();
+RunTrace sample_run(const pmu::Machine& machine,
+                    const std::vector<std::string>& events,
+                    const std::vector<std::size_t>& event_indices,
+                    const pmu::IdealTable& ideals, std::size_t kernels,
+                    CollectionMode mode, const SampleSchedule& schedule,
+                    std::uint64_t repetition, std::uint64_t run_id,
+                    faults::Clock* clock) {
+  const std::size_t n = events.size();
+  const std::uint64_t total_ns = schedule.kernel_span_ns * kernels;
 
-  SampledCollectionResult result;
-  result.trace.mode = mode;
-  result.trace.schedule = schedule;
-  result.trace.kernels = activities.size();
-  if (mode == CollectionMode::counting) {
-    result.data = collect(machine, event_names, activities, repetitions,
-                          threads);
-    return result;
-  }
-  CATALYST_REQUIRE_AS(!activities.empty(), std::invalid_argument,
-                      "collect_sampled: no kernel activities");
-
-  std::vector<std::size_t> event_indices;
-  event_indices.reserve(event_names.size());
-  for (const auto& name : event_names) {
-    const auto idx = machine.find(name);
-    if (!idx) {
-      throw std::invalid_argument("collect_sampled: unknown event " + name);
+  // Whole-kernel readings at this unit's noise coordinates -- identical to
+  // what a counting-mode session would read -- and their prefix sums over
+  // the kernel sequence.
+  std::vector<std::vector<double>> prefix(n);
+  std::vector<std::vector<double>> readings(n);
+  for (std::size_t e = 0; e < n; ++e) {
+    const std::size_t mi = event_indices[e];
+    const pmu::EventDefinition& event = machine.event(mi);
+    readings[e].reserve(kernels);
+    prefix[e].assign(kernels + 1, 0.0);
+    for (std::size_t k = 0; k < kernels; ++k) {
+      const double r = pmu::measure_from_ideal(machine, event,
+                                               ideals.ideal(mi, k), run_id, k);
+      readings[e].push_back(r);
+      prefix[e][k + 1] = prefix[e][k] + r;
     }
-    event_indices.push_back(*idx);
-  }
-  const pmu::IdealTable ideals(machine, activities, event_indices);
-  const EventSetSchedule sched = schedule_event_sets(machine, event_names);
-  const std::size_t n_groups = sched.runs.size();
-  const std::size_t n_kernels = activities.size();
-  const std::uint64_t total_ns = schedule.kernel_span_ns * n_kernels;
-
-  std::unordered_map<std::string, std::size_t> row_of;
-  row_of.reserve(event_names.size());
-  for (std::size_t e = 0; e < event_names.size(); ++e) {
-    row_of.emplace(event_names[e], e);
   }
 
-  result.data.event_names = event_names;
-  result.data.runs_per_repetition = n_groups;
-  result.data.repetitions.resize(repetitions);
-  for (auto& rep : result.data.repetitions) {
-    rep.values.resize(event_names.size());
+  // Virtual-time pacing: one Clock sleep per kernel span.  Trace values and
+  // timestamps are pure arithmetic over the schedule -- the clock only makes
+  // real campaigns strobe in wall time (FakeClock in tests).
+  if (clock != nullptr) {
+    for (std::size_t k = 0; k < kernels; ++k) {
+      clock->sleep_for(std::chrono::nanoseconds(schedule.kernel_span_ns));
+    }
   }
-  result.trace.runs.resize(repetitions * n_groups);
 
-  obs::Span collect_span("vpapi.collect_sampled");
-  collect_span.arg("mode", to_string(mode));
-  collect_span.arg("events", event_names.size());
-  collect_span.arg("repetitions", repetitions);
-  collect_span.arg("groups", n_groups);
-
-  auto do_unit = [&](std::size_t unit) {
-    const std::size_t rep = unit / n_groups;
-    const std::size_t g = unit % n_groups;
-    const std::uint64_t run_id =
-        (repetition_offset + rep) * n_groups + g;
-    const std::vector<std::string>& members = sched.runs[g].events;
-    const std::size_t n = members.size();
-
-    // Whole-kernel readings at this unit's noise coordinates -- identical
-    // to what a counting-mode session would read -- and their prefix sums
-    // over the kernel sequence.
-    std::vector<std::vector<double>> prefix(n);
-    std::vector<std::vector<double>> readings(n);
+  RunTrace trace;
+  trace.repetition = repetition;
+  trace.run_id = run_id;
+  trace.events = events;
+  const std::uint64_t offset = dither_offset(machine, schedule, mode, run_id);
+  const std::vector<std::uint64_t> times =
+      sample_times(schedule, mode, offset, total_ns);
+  trace.samples.reserve(times.size());
+  for (const std::uint64_t t : times) {
+    SamplePoint point;
+    point.t_ns = t;
+    point.values.reserve(n);
+    const std::uint64_t k_full = t / schedule.kernel_span_ns;
+    const std::size_t k_idx =
+        static_cast<std::size_t>(std::min<std::uint64_t>(k_full, kernels));
+    const double frac =
+        k_idx >= kernels
+            ? 0.0
+            : static_cast<double>(t - k_full * schedule.kernel_span_ns) /
+                  static_cast<double>(schedule.kernel_span_ns);
     for (std::size_t e = 0; e < n; ++e) {
-      const std::size_t mi = *machine.find(members[e]);
-      const pmu::EventDefinition& event = machine.event(mi);
-      readings[e].reserve(n_kernels);
-      prefix[e].assign(n_kernels + 1, 0.0);
-      for (std::size_t k = 0; k < n_kernels; ++k) {
-        const double r = pmu::measure_from_ideal(
-            machine, event, ideals.ideal(mi, k), run_id, k);
-        readings[e].push_back(r);
-        prefix[e][k + 1] = prefix[e][k] + r;
-      }
+      // Real counters hold integers: the in-flight kernel's partial
+      // contribution is truncated, which is exactly the quantization a
+      // timer-driven sampler sees.
+      const double partial = k_idx >= kernels ? 0.0 : frac * readings[e][k_idx];
+      point.values.push_back(std::floor(prefix[e][k_idx] + partial));
     }
-
-    // Virtual-time pacing: one Clock sleep per kernel span.  Trace values
-    // and timestamps are pure arithmetic over the schedule -- the clock
-    // only makes real campaigns strobe in wall time (FakeClock in tests).
-    if (clock != nullptr) {
-      for (std::size_t k = 0; k < n_kernels; ++k) {
-        clock->sleep_for(
-            std::chrono::nanoseconds(schedule.kernel_span_ns));
-      }
-    }
-
-    RunTrace trace;
-    trace.repetition = repetition_offset + rep;
-    trace.run_id = run_id;
-    trace.events = members;
-    const std::uint64_t offset =
-        dither_offset(machine, schedule, mode, run_id);
-    const std::vector<std::uint64_t> times =
-        sample_times(schedule, mode, offset, total_ns);
-    trace.samples.reserve(times.size());
-    for (const std::uint64_t t : times) {
-      SamplePoint point;
-      point.t_ns = t;
-      point.values.reserve(n);
-      const std::uint64_t k_full = t / schedule.kernel_span_ns;
-      const std::size_t k_idx =
-          static_cast<std::size_t>(std::min<std::uint64_t>(k_full,
-                                                           n_kernels));
-      const double frac =
-          k_idx >= n_kernels
-              ? 0.0
-              : static_cast<double>(t - k_full * schedule.kernel_span_ns) /
-                    static_cast<double>(schedule.kernel_span_ns);
-      for (std::size_t e = 0; e < n; ++e) {
-        // Real counters hold integers: the in-flight kernel's partial
-        // contribution is truncated, which is exactly the quantization a
-        // timer-driven sampler sees.
-        const double partial =
-            k_idx >= n_kernels ? 0.0 : frac * readings[e][k_idx];
-        point.values.push_back(std::floor(prefix[e][k_idx] + partial));
-      }
-      trace.samples.push_back(std::move(point));
-    }
-
-    const std::vector<std::vector<double>> rows =
-        reconstruct_run_phases(trace, schedule.kernel_span_ns, n_kernels);
-    RepetitionData& dest = result.data.repetitions[rep];
-    for (std::size_t e = 0; e < n; ++e) {
-      dest.values[row_of.at(members[e])] = rows[e];
-    }
-    result.trace.runs[unit] = std::move(trace);
-  };
-
-  try {
-    core::parallel_for(repetitions * n_groups, threads, do_unit);
-  } catch (...) {
-    // As in collect(): no partial sweep data outlives a worker failure.
-    result.data.repetitions.clear();
-    result.trace.runs.clear();
-    throw;
+    trace.samples.push_back(std::move(point));
   }
-  return result;
+  return trace;
 }
 
 }  // namespace catalyst::vpapi

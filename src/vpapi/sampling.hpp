@@ -45,7 +45,7 @@
 
 #include "faults/faults.hpp"
 #include "pmu/machine.hpp"
-#include "vpapi/collector.hpp"
+#include "pmu/measure.hpp"
 
 namespace catalyst::vpapi {
 
@@ -125,24 +125,22 @@ std::uint64_t dither_offset(const pmu::Machine& machine,
 std::vector<std::vector<double>> reconstruct_run_phases(
     const RunTrace& run, std::uint64_t kernel_span_ns, std::size_t kernels);
 
-/// collect() rebuilt on snapshots: same event-set schedule, same run-id
-/// noise coordinates, but per-kernel values come from the per-phase
-/// synthesis of each unit's sample trace instead of boundary reads.
-struct SampledCollectionResult {
-  CollectionResult data;  ///< Reconstructed measurements, collect() layout.
-  SampleTrace trace;
-};
-
-/// Measures `event_names` over `activities` x `repetitions` in the given
-/// mode.  counting delegates to collect() (empty trace).  `clock` paces
-/// virtual time for real campaigns (one sleep per kernel span); nullptr
-/// skips pacing -- values never depend on the clock.  `repetition_offset`
-/// shifts run ids exactly like collect_resilient's, so checkpointed
-/// sampling campaigns resume bit-identically.
-SampledCollectionResult collect_sampled(
-    const pmu::Machine& machine, const std::vector<std::string>& event_names,
-    const std::vector<pmu::Activity>& activities, std::size_t repetitions,
-    CollectionMode mode, const SampleSchedule& schedule = {}, int threads = 1,
-    faults::Clock* clock = nullptr, std::size_t repetition_offset = 0);
+/// One sampled (repetition, scheduled run) unit: plays the kernel sequence
+/// on the virtual timeline at noise coordinate `run_id` and returns the
+/// run's sample trace.  `events` are the run's members in slot order and
+/// `event_indices` their machine indices; `ideals` must cover them over
+/// `kernels` kernel slots.  Readings at each kernel are the ones a counting
+/// session would read at the same run id; reconstruct_run_phases turns the
+/// trace back into per-kernel rows.  `clock` paces virtual time (one sleep
+/// per kernel span); nullptr skips pacing -- values never depend on it.
+/// The grouped driver (vpapi/collector.hpp) runs one of these per unit in
+/// the sampling and strobed modes.
+RunTrace sample_run(const pmu::Machine& machine,
+                    const std::vector<std::string>& events,
+                    const std::vector<std::size_t>& event_indices,
+                    const pmu::IdealTable& ideals, std::size_t kernels,
+                    CollectionMode mode, const SampleSchedule& schedule,
+                    std::uint64_t repetition, std::uint64_t run_id,
+                    faults::Clock* clock);
 
 }  // namespace catalyst::vpapi

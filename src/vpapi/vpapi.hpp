@@ -158,7 +158,7 @@ class Session {
   /// preset entries return their linear combination.  Returns
   /// Status::transient when a dropped/stuck-counter fault hit any slot of
   /// the set since the last reset -- the typed error a resilient caller
-  /// retries (see collect_resilient).
+  /// retries (see vpapi/collector.hpp).
   Status read(int set, std::vector<double>& values) const;
 
   // --- Fault injection (see faults/faults.hpp) -----------------------------

@@ -23,7 +23,21 @@ struct Rig {
   pmu::Machine machine = pmu::saphira_cpu();
   cat::Benchmark bench = cat::branch_benchmark();
   std::vector<MetricSignature> signatures = branch_signatures();
+
+  /// The archive bytes `catalyst collect` would save for this campaign.
+  std::string archive(const CampaignResult& out) const {
+    return save_archive(make_archive(machine, bench, out.result));
+  }
 };
+
+/// A campaign with `plan` armed and `max_retries` per reading.
+CampaignOptions faulty(const faults::FaultPlan& plan,
+                       std::size_t max_retries = 8) {
+  CampaignOptions options;
+  options.fault_plan = &plan;
+  options.resilience.max_retries = max_retries;
+  return options;
+}
 
 std::string fresh_dir(const std::string& name) {
   const fs::path dir = fs::path(::testing::TempDir()) / name;
@@ -41,11 +55,13 @@ TEST(ResilientPipeline, CleanRunMatchesRunPipeline) {
   const Rig s;
   const auto plain = run_pipeline(s.machine, s.bench, s.signatures);
   const auto resilient =
-      run_pipeline_resilient(s.machine, s.bench, s.signatures);
+      run_campaign(s.machine, s.bench, s.signatures).result;
   EXPECT_EQ(plain.all_event_names, resilient.all_event_names);
   EXPECT_EQ(plain.measurements, resilient.measurements);
   EXPECT_EQ(plain.xhat_events, resilient.xhat_events);
   EXPECT_TRUE(resilient.quarantined_events.empty());
+  // No fault plan, checkpoint or sampling: nothing to report.
+  EXPECT_FALSE(resilient.collection.has_value());
 }
 
 TEST(ResilientPipeline, MidRateFaultsReproduceTheCleanPipeline) {
@@ -53,7 +69,7 @@ TEST(ResilientPipeline, MidRateFaultsReproduceTheCleanPipeline) {
   const auto plan = faults::FaultPlan::mid_rate();
   const auto plain = run_pipeline(s.machine, s.bench, s.signatures);
   const auto resilient =
-      run_pipeline_resilient(s.machine, s.bench, s.signatures, {}, &plan);
+      run_campaign(s.machine, s.bench, s.signatures, faulty(plan)).result;
   ASSERT_TRUE(resilient.quarantined_events.empty());
   EXPECT_EQ(plain.measurements, resilient.measurements);
   EXPECT_EQ(plain.xhat_events, resilient.xhat_events);
@@ -120,7 +136,7 @@ TEST(Campaign, ResumeReusesEveryBatchAndYieldsIdenticalArchive) {
   options.checkpoint.resume = true;
   const auto second = run_campaign(s.machine, s.bench, s.signatures, options);
   EXPECT_EQ(second.batches_resumed, second.batches_total);
-  EXPECT_EQ(save_archive(first.archive), save_archive(second.archive));
+  EXPECT_EQ(s.archive(first), s.archive(second));
   EXPECT_EQ(first.result.xhat_events, second.result.xhat_events);
 }
 
@@ -144,7 +160,7 @@ TEST(Campaign, InterruptedCampaignResumesWithoutReexecutingDoneBatches) {
   options.checkpoint.resume = true;
   const auto resumed = run_campaign(s.machine, s.bench, s.signatures, options);
   EXPECT_EQ(resumed.batches_resumed, resumed.batches_total - 1);
-  EXPECT_EQ(save_archive(reference.archive), save_archive(resumed.archive));
+  EXPECT_EQ(s.archive(reference), s.archive(resumed));
 }
 
 TEST(Campaign, CorruptCheckpointIsTreatedAsNotDone) {
@@ -162,7 +178,7 @@ TEST(Campaign, CorruptCheckpointIsTreatedAsNotDone) {
   options.checkpoint.resume = true;
   const auto resumed = run_campaign(s.machine, s.bench, s.signatures, options);
   EXPECT_EQ(resumed.batches_resumed, resumed.batches_total - 1);
-  EXPECT_EQ(save_archive(reference.archive), save_archive(resumed.archive));
+  EXPECT_EQ(s.archive(reference), s.archive(resumed));
 }
 
 TEST(Campaign, ConfigMismatchInvalidatesCheckpoints) {
@@ -187,47 +203,55 @@ TEST(Campaign, ArchiveCarriesTheRobustnessPayload) {
   CampaignOptions options;
   options.fault_plan = &plan;
   const auto out = run_campaign(s.machine, s.bench, s.signatures, options);
-  ASSERT_TRUE(out.archive.collection_report.has_value());
+  const auto archive = make_archive(s.machine, s.bench, out.result);
+  ASSERT_TRUE(archive.collection_report.has_value());
   // Round trip: save -> load preserves the v2 payload.
-  const auto loaded = load_archive(save_archive(out.archive));
+  const auto loaded = load_archive(save_archive(archive));
   EXPECT_EQ(loaded.format_version, "catalyst-measurements-v2");
   ASSERT_TRUE(loaded.collection_report.has_value());
   EXPECT_EQ(loaded.collection_report->total_retries,
-            out.archive.collection_report->total_retries);
-  EXPECT_EQ(loaded.quarantined, out.archive.quarantined);
+            archive.collection_report->total_retries);
+  EXPECT_EQ(loaded.quarantined, archive.quarantined);
 }
 
 TEST(SampledCampaign, CountingModeIsBitIdenticalToPlainCampaign) {
-  // run_pipeline_sampled with mode=counting must degenerate to the plain
-  // campaign exactly -- same measurements, same archive bytes, no trace.
+  // An explicit counting mode (with a schedule, which it ignores) is the
+  // plain campaign exactly -- same measurements, same v1 archive bytes, no
+  // trace.
   const Rig s;
   const auto plain = run_campaign(s.machine, s.bench, s.signatures);
-  const auto sampled = run_pipeline_sampled(s.machine, s.bench, s.signatures,
-                                            {}, vpapi::CollectionMode::counting);
+  CampaignOptions counting;
+  counting.collection_mode = vpapi::CollectionMode::counting;
+  counting.sample_schedule.period_ns = 7;
+  const auto sampled =
+      run_campaign(s.machine, s.bench, s.signatures, counting);
   EXPECT_EQ(sampled.result.measurements, plain.result.measurements);
   EXPECT_EQ(sampled.result.xhat_events, plain.result.xhat_events);
-  EXPECT_EQ(sampled.archive.collection_mode, vpapi::CollectionMode::counting);
-  EXPECT_FALSE(sampled.archive.sample_trace.has_value());
-  EXPECT_EQ(save_archive(sampled.archive), save_archive(plain.archive));
+  const auto archive = make_archive(s.machine, s.bench, sampled.result);
+  EXPECT_EQ(archive.collection_mode, vpapi::CollectionMode::counting);
+  EXPECT_FALSE(archive.sample_trace.has_value());
+  EXPECT_EQ(archive.format_version, "catalyst-measurements-v1");
+  EXPECT_EQ(save_archive(archive), s.archive(plain));
 }
 
 TEST(SampledCampaign, ArchiveCarriesTheTraceAndRoundTripsByteStably) {
   const Rig s;
-  const auto out = run_pipeline_sampled(s.machine, s.bench, s.signatures, {},
-                                        vpapi::CollectionMode::strobed);
-  EXPECT_EQ(out.archive.collection_mode, vpapi::CollectionMode::strobed);
-  ASSERT_TRUE(out.archive.sample_trace.has_value());
-  EXPECT_EQ(out.archive.sample_trace->mode, vpapi::CollectionMode::strobed);
-  EXPECT_FALSE(out.archive.sample_trace->runs.empty());
-  EXPECT_EQ(out.archive.sample_trace->kernels,
-            s.bench.slots.size());
-  const auto text = save_archive(out.archive);
+  CampaignOptions options;
+  options.collection_mode = vpapi::CollectionMode::strobed;
+  const auto out = run_campaign(s.machine, s.bench, s.signatures, options);
+  const auto archive = make_archive(s.machine, s.bench, out.result);
+  EXPECT_EQ(archive.collection_mode, vpapi::CollectionMode::strobed);
+  ASSERT_TRUE(archive.sample_trace.has_value());
+  EXPECT_EQ(archive.sample_trace->mode, vpapi::CollectionMode::strobed);
+  EXPECT_FALSE(archive.sample_trace->runs.empty());
+  EXPECT_EQ(archive.sample_trace->kernels, s.bench.slots.size());
+  const auto text = save_archive(archive);
   EXPECT_NE(text.find("catalyst-measurements-v2"), std::string::npos);
   const auto loaded = load_archive(text);
   EXPECT_EQ(loaded.collection_mode, vpapi::CollectionMode::strobed);
   ASSERT_TRUE(loaded.sample_trace.has_value());
   EXPECT_EQ(loaded.sample_trace->runs.size(),
-            out.archive.sample_trace->runs.size());
+            archive.sample_trace->runs.size());
   EXPECT_EQ(save_archive(loaded), text);
 }
 
@@ -293,11 +317,8 @@ TEST(ResilientPipeline, QuarantinedBasisEventDegradesGracefully) {
   cursed.dropped_reading = 1.0;
   plan.per_event[victim] = cursed;
 
-  vpapi::ResilienceOptions resilience;
-  resilience.max_retries = 2;
-  const auto degraded = run_pipeline_resilient(s.machine, s.bench,
-                                               s.signatures, {}, &plan,
-                                               resilience);
+  const auto degraded =
+      run_campaign(s.machine, s.bench, s.signatures, faulty(plan, 2)).result;
   ASSERT_EQ(degraded.quarantined_events,
             std::vector<std::string>({victim}));
   for (const auto& name : degraded.all_event_names) {
@@ -314,11 +335,9 @@ TEST(ResilientPipeline, AllEventsQuarantinedAbortsWithTypedError) {
   faults::FaultPlan plan;
   plan.seed = 13;
   plan.rates.dropped_reading = 1.0;  // nothing is ever readable
-  vpapi::ResilienceOptions resilience;
-  resilience.max_retries = 0;
-  EXPECT_THROW(run_pipeline_resilient(s.machine, s.bench, s.signatures, {},
-                                      &plan, resilience),
-               std::runtime_error);
+  EXPECT_THROW(
+      run_campaign(s.machine, s.bench, s.signatures, faulty(plan, 0)),
+      std::runtime_error);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// The resilient driver's contracts: bit-identity on the clean path, exact
-// recovery under the canonical fault plan, quarantine of unrecoverable
-// events, thread-count invariance, backoff pacing through the injectable
-// clock, and the torn-row regression in the non-resilient driver.
+// The driver's fault-tolerance contracts: bit-identity on the clean path,
+// exact recovery under the canonical fault plan, quarantine of
+// unrecoverable events, thread-count invariance, backoff pacing through the
+// injectable clock, and repetition offsets for resumable campaigns.
 #include "vpapi/collector.hpp"
 
 #include <gtest/gtest.h>
@@ -32,6 +32,14 @@ const std::vector<pmu::Activity> kActs{{{"x", 1e6}, {"y", 3e5}},
 
 faults::FaultPlan mid_plan() { return faults::FaultPlan::mid_rate(); }
 
+/// A plan for `n` repetitions, with `faults` armed (may be null).
+CollectionPlan reps(std::size_t n, const faults::FaultPlan* faults = nullptr) {
+  CollectionPlan plan;
+  plan.repetitions = n;
+  plan.faults = faults;
+  return plan;
+}
+
 void expect_identical_values(const CollectionResult& a,
                              const CollectionResult& b) {
   ASSERT_EQ(a.event_names, b.event_names);
@@ -46,24 +54,29 @@ void expect_identical_values(const CollectionResult& a,
 }
 
 TEST(CollectResilient, CleanPathBitIdenticalToCollect) {
+  // A prepared collector reused across calls reads what one-shot collect()
+  // reads, and a clean run reports one read attempt per kernel, no faults.
   const auto m = fault_machine();
-  const auto plain = collect(m, kEvents, kActs, 3);
-  const auto resilient =
-      collect_resilient(m, kEvents, kActs, 3, /*plan=*/nullptr);
-  expect_identical_values(plain, resilient.data);
-  EXPECT_EQ(resilient.report.total_retries, 0u);
-  EXPECT_EQ(resilient.report.quarantined.size(), 0u);
-  for (const auto& e : resilient.report.events) {
+  const Collector prepared(m, kEvents, kActs);
+  prepared.collect(reps(1));
+  const auto plain = collect(m, kEvents, kActs, reps(3));
+  const auto reused = prepared.collect(reps(3));
+  expect_identical_values(plain, reused);
+  EXPECT_EQ(reused.report.total_retries, 0u);
+  EXPECT_EQ(reused.report.quarantined.size(), 0u);
+  ASSERT_EQ(reused.report.events.size(), kEvents.size());
+  for (const auto& e : reused.report.events) {
     EXPECT_EQ(e.disposition, EventDisposition::clean);
+    EXPECT_EQ(e.read_attempts, 3 * kActs.size());
   }
 }
 
 TEST(CollectResilient, DisabledPlanAlsoBitIdentical) {
   const auto m = fault_machine();
   const faults::FaultPlan off;  // all rates zero
-  const auto plain = collect(m, kEvents, kActs, 2);
-  const auto resilient = collect_resilient(m, kEvents, kActs, 2, &off);
-  expect_identical_values(plain, resilient.data);
+  const auto plain = collect(m, kEvents, kActs, reps(2));
+  const auto idle = collect(m, kEvents, kActs, reps(2, &off));
+  expect_identical_values(plain, idle);
 }
 
 TEST(CollectResilient, MidRateFaultsRecoverExactValues) {
@@ -72,12 +85,12 @@ TEST(CollectResilient, MidRateFaultsRecoverExactValues) {
   // (event, run, kernel) -- so recovery reproduces the CLEAN data exactly,
   // not approximately.
   const auto m = fault_machine();
-  const auto clean = collect(m, kEvents, kActs, 3);
+  const auto clean = collect(m, kEvents, kActs, reps(3));
   const auto plan = mid_plan();
-  const auto resilient = collect_resilient(m, kEvents, kActs, 3, &plan);
+  const auto resilient = collect(m, kEvents, kActs, reps(3, &plan));
   ASSERT_TRUE(resilient.report.quarantined.empty())
       << "mid-rate faults must never exhaust 8 retries";
-  expect_identical_values(clean, resilient.data);
+  expect_identical_values(clean, resilient);
 }
 
 TEST(CollectResilient, UnrecoverableEventIsQuarantined) {
@@ -88,11 +101,10 @@ TEST(CollectResilient, UnrecoverableEventIsQuarantined) {
   cursed.dropped_reading = 1.0;  // every read attempt fails, forever
   plan.per_event["C"] = cursed;
 
-  const auto clean = collect(m, kEvents, kActs, 2);
-  ResilienceOptions options;
-  options.max_retries = 3;
-  const auto resilient = collect_resilient(m, kEvents, kActs, 2, &plan,
-                                           options);
+  const auto clean = collect(m, kEvents, kActs, reps(2));
+  CollectionPlan faulty = reps(2, &plan);
+  faulty.resilience.max_retries = 3;
+  const auto resilient = collect(m, kEvents, kActs, faulty);
 
   ASSERT_EQ(resilient.report.quarantined,
             std::vector<std::string>({"C"}));
@@ -104,16 +116,16 @@ TEST(CollectResilient, UnrecoverableEventIsQuarantined) {
             0u);
 
   // The survivors' rows are bit-identical to the clean run's.
-  ASSERT_EQ(resilient.data.event_names,
+  ASSERT_EQ(resilient.event_names,
             std::vector<std::string>({"A", "B", "D", "N", "Z"}));
   for (std::size_t r = 0; r < 2; ++r) {
-    std::size_t clean_e = 0;
+    std::size_t kept = 0;
     for (std::size_t e = 0; e < kEvents.size(); ++e) {
       if (kEvents[e] == "C") continue;
-      EXPECT_EQ(resilient.data.repetitions[r].values[clean_e],
+      EXPECT_EQ(resilient.repetitions[r].values[kept],
                 clean.repetitions[r].values[e])
           << kEvents[e];
-      ++clean_e;
+      ++kept;
     }
   }
 }
@@ -126,14 +138,13 @@ TEST(CollectResilient, ThreadCountInvariance) {
   plan.rates.dropped_reading = 0.2;  // plenty of retries to merge
   plan.rates.wrap = 0.05;
 
-  ResilienceOptions serial;
-  serial.threads = 1;
-  ResilienceOptions parallel;
+  const CollectionPlan serial = reps(4, &plan);
+  CollectionPlan parallel = serial;
   parallel.threads = 4;
-  const auto a = collect_resilient(m, kEvents, kActs, 4, &plan, serial);
-  const auto b = collect_resilient(m, kEvents, kActs, 4, &plan, parallel);
+  const auto a = collect(m, kEvents, kActs, serial);
+  const auto b = collect(m, kEvents, kActs, parallel);
 
-  expect_identical_values(a.data, b.data);
+  expect_identical_values(a, b);
   EXPECT_EQ(a.report.total_retries, b.report.total_retries);
   EXPECT_EQ(a.report.start_retries, b.report.start_retries);
   EXPECT_EQ(a.report.quarantined, b.report.quarantined);
@@ -155,16 +166,16 @@ TEST(CollectResilient, BackoffGoesThroughTheInjectableClock) {
   plan.rates.dropped_reading = 0.3;
 
   faults::FakeClock clock;
-  ResilienceOptions options;
-  options.clock = &clock;
-  const auto result = collect_resilient(m, kEvents, kActs, 3, &plan, options);
+  CollectionPlan paced = reps(3, &plan);
+  paced.resilience.clock = &clock;
+  const auto result = collect(m, kEvents, kActs, paced);
   EXPECT_GT(result.report.total_retries, 0u);
   // Every retry paid a backoff delay through the clock; no wall time was
   // spent (this test completes instantly).
   EXPECT_FALSE(clock.delays().empty());
   for (const auto d : clock.delays()) {
-    EXPECT_GE(d, options.backoff.base);
-    EXPECT_LE(d, options.backoff.cap);
+    EXPECT_GE(d, paced.resilience.backoff.base);
+    EXPECT_LE(d, paced.resilience.backoff.cap);
   }
 }
 
@@ -180,31 +191,14 @@ TEST(CollectResilient, StressManyWorkersManyFaults) {
   plan.rates.spike = 0.05;
   plan.rates.start_busy = 0.1;
 
-  ResilienceOptions serial;
-  serial.threads = 1;
-  ResilienceOptions stress;
+  const CollectionPlan serial = reps(6, &plan);
+  CollectionPlan stress = serial;
   stress.threads = 8;
-  const auto a = collect_resilient(m, kEvents, kActs, 6, &plan, serial);
-  const auto b = collect_resilient(m, kEvents, kActs, 6, &plan, stress);
-  expect_identical_values(a.data, b.data);
+  const auto a = collect(m, kEvents, kActs, serial);
+  const auto b = collect(m, kEvents, kActs, stress);
+  expect_identical_values(a, b);
   EXPECT_EQ(a.report.quarantined, b.report.quarantined);
   EXPECT_EQ(a.report.total_retries, b.report.total_retries);
-}
-
-TEST(Collect, NonResilientDriverFailsLoudlyOnFaults) {
-  // Regression: an unchecked transient read used to leave the PREVIOUS
-  // kernel's readings in the output row -- silently torn data.  The
-  // non-resilient driver must now throw instead.
-  const auto m = fault_machine();
-  faults::FaultPlan plan;
-  plan.seed = 5;
-  faults::FaultRates cursed;
-  cursed.dropped_reading = 1.0;
-  plan.per_event["A"] = cursed;
-  EXPECT_THROW(collect(m, kEvents, kActs, 2, 1, &plan), std::runtime_error);
-  // Multi-threaded: worker exceptions surface on the caller, partial
-  // output is discarded (no torn rows escape).
-  EXPECT_THROW(collect(m, kEvents, kActs, 2, 4, &plan), std::runtime_error);
 }
 
 TEST(CollectResilient, RepetitionOffsetMatchesUninterruptedRun) {
@@ -212,14 +206,15 @@ TEST(CollectResilient, RepetitionOffsetMatchesUninterruptedRun) {
   // equals collecting them one at a time with the matching offset.
   const auto m = fault_machine();
   const auto plan = mid_plan();
-  const auto whole = collect_resilient(m, kEvents, kActs, 4, &plan);
+  const Collector prepared(m, kEvents, kActs);
+  const auto whole = prepared.collect(reps(4, &plan));
   for (std::size_t r = 0; r < 4; ++r) {
-    const auto one =
-        collect_resilient(m, kEvents, kActs, 1, &plan, {}, /*offset=*/r);
-    ASSERT_EQ(one.data.repetitions.size(), 1u);
-    ASSERT_EQ(one.data.event_names, whole.data.event_names);
-    EXPECT_EQ(one.data.repetitions[0].values,
-              whole.data.repetitions[r].values)
+    CollectionPlan one = reps(1, &plan);
+    one.repetition_offset = r;
+    const auto batch = prepared.collect(one);
+    ASSERT_EQ(batch.repetitions.size(), 1u);
+    ASSERT_EQ(batch.event_names, whole.event_names);
+    EXPECT_EQ(batch.repetitions[0].values, whole.repetitions[r].values)
         << "repetition " << r;
   }
 }

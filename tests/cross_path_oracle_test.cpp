@@ -102,15 +102,13 @@ TEST_P(CrossPathOracle, EveryFrontHalfAgrees) {
   expect_same_analysis(plain, resumed.result, "resumed checkpoint");
   fs::remove_all(dir);
 
-  vpapi::SampleSchedule ignored;
-  ignored.period_ns = 7;
-  ignored.short_period_ns = 3;
+  CampaignOptions counting = clean;
+  counting.collection_mode = vpapi::CollectionMode::counting;
+  counting.sample_schedule.period_ns = 7;  // ignored when counting
+  counting.sample_schedule.short_period_ns = 3;
   expect_same_analysis(plain,
-                       run_pipeline_sampled(s.machine, s.setup.benchmark,
-                                            s.setup.signatures,
-                                            s.setup.options,
-                                            vpapi::CollectionMode::counting,
-                                            ignored)
+                       run_campaign(s.machine, s.setup.benchmark,
+                                    s.setup.signatures, counting)
                            .result,
                        "counting through the sampled entry point");
 }
@@ -137,16 +135,22 @@ TEST(CrossPathOracleArchives, FaultyCollectArchiveDigest) {
   options.fault_plan = &plan;
   const CampaignResult out =
       run_campaign(s.machine, s.setup.benchmark, s.setup.signatures, options);
-  EXPECT_EQ(pmu::fnv1a(save_archive(out.archive)), 4336759065032342031ull);
+  EXPECT_EQ(pmu::fnv1a(save_archive(
+                make_archive(s.machine, s.setup.benchmark, out.result))),
+            4336759065032342031ull);
 }
 
 TEST(CrossPathOracleArchives, StrobedCollectArchiveDigest) {
   // What `catalyst collect branch --mode strobed` saves.
   const Rig s("branch");
-  const CampaignResult out = run_pipeline_sampled(
-      s.machine, s.setup.benchmark, s.setup.signatures, s.setup.options,
-      vpapi::CollectionMode::strobed);
-  EXPECT_EQ(pmu::fnv1a(save_archive(out.archive)), 8566392646962365547ull);
+  CampaignOptions options;
+  options.pipeline = s.setup.options;
+  options.collection_mode = vpapi::CollectionMode::strobed;
+  const CampaignResult out =
+      run_campaign(s.machine, s.setup.benchmark, s.setup.signatures, options);
+  EXPECT_EQ(pmu::fnv1a(save_archive(
+                make_archive(s.machine, s.setup.benchmark, out.result))),
+            8566392646962365547ull);
 }
 
 }  // namespace

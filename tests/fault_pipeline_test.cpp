@@ -62,8 +62,11 @@ TEST_P(FaultPipeline, MidRateFaultsReproduceTheTableExactly) {
 
   const auto clean = run_pipeline(machine, bench, signatures, options);
   const auto plan = faults::FaultPlan::mid_rate();
-  const auto faulty = run_pipeline_resilient(machine, bench, signatures,
-                                             options, &plan);
+  CampaignOptions campaign;
+  campaign.pipeline = options;
+  campaign.fault_plan = &plan;
+  const auto faulty =
+      run_campaign(machine, bench, signatures, campaign).result;
 
   // Mid-rate faults must never exhaust the retry budget.
   EXPECT_TRUE(faulty.quarantined_events.empty());

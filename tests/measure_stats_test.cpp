@@ -17,6 +17,14 @@
 namespace catalyst {
 namespace {
 
+/// A plan for `n` repetitions on `threads` workers.
+vpapi::CollectionPlan reps(std::size_t n, int threads = 1) {
+  vpapi::CollectionPlan plan;
+  plan.repetitions = n;
+  plan.threads = threads;
+  return plan;
+}
+
 pmu::Machine one_event_machine(const pmu::NoiseModel& noise) {
   pmu::Machine m("stats", 4, 0xA11CE5EED);
   m.add_event({"E", "", {{"x", 1.0}}, noise});
@@ -172,8 +180,8 @@ TEST(CollectorDeterminism, SingleAndMultiThreadedResultsAreBitIdentical) {
   const std::vector<pmu::Activity> acts{
       {{pmu::sig::cycles, 1e6}, {pmu::sig::instructions, 2e6}},
       {{pmu::sig::cycles, 3e6}, {pmu::sig::uops, 4e6}}};
-  const auto serial = vpapi::collect(m, names, acts, 3, /*threads=*/1);
-  const auto threaded = vpapi::collect(m, names, acts, 3, /*threads=*/4);
+  const auto serial = vpapi::collect(m, names, acts, reps(3, 1));
+  const auto threaded = vpapi::collect(m, names, acts, reps(3, 4));
   ASSERT_EQ(serial.repetitions.size(), threaded.repetitions.size());
   EXPECT_EQ(serial.event_names, threaded.event_names);
   EXPECT_EQ(serial.runs_per_repetition, threaded.runs_per_repetition);
@@ -191,7 +199,7 @@ TEST(CollectorExceptions, WorkerThrowPropagatesToCaller) {
   m.add_event({"A", "", {{"x", 1.0}}, {}});
   const std::vector<pmu::Activity> acts{{{"x", 1.0}}};
   EXPECT_THROW(
-      vpapi::collect(m, {"A", "A"}, acts, /*repetitions=*/8, /*threads=*/4),
+      vpapi::collect(m, {"A", "A"}, acts, reps(8, 4)),
       std::runtime_error);
 }
 

@@ -139,15 +139,17 @@ TEST_F(ObsPipelineTest, RetryAndBackoffSpansAppearUnderFaults) {
   faults::FaultPlan plan = faults::FaultPlan::mid_rate();
   plan.rates.dropped_reading = 0.2;
   plan.rates.wrap = 0.05;
-  vpapi::ResilienceOptions opts;
-  opts.clock = &clock;  // pacing through the injectable clock -> backoff spans
-  const auto out =
-      vpapi::collect_resilient(m, events, acts, 3, &plan, opts);
+  vpapi::CollectionPlan faulty;
+  faulty.repetitions = 3;
+  faulty.faults = &plan;
+  // Pacing through the injectable clock -> backoff spans.
+  faulty.resilience.clock = &clock;
+  const auto out = vpapi::collect(m, events, acts, faulty);
   obs::Tracer::instance().enable(false);
 
   ASSERT_GT(out.report.total_retries, 0u) << "plan injected no faults";
   const auto names = span_names();
-  EXPECT_TRUE(names.count("vpapi.collect_resilient"));
+  EXPECT_TRUE(names.count("vpapi.collect"));
   EXPECT_TRUE(names.count("collect.unit"));
   EXPECT_TRUE(names.count("collect.retry"));
   EXPECT_TRUE(names.count("collect.backoff"));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cat/cat.hpp"
+#include "core/json.hpp"
 #include "core/pipeline.hpp"
 #include "core/signatures.hpp"
 
@@ -66,6 +67,16 @@ TEST(PresetSerialization, JsonFormat) {
   EXPECT_NE(text.find("\"symbol\": \"PAPI_DP_OPS\""), std::string::npos);
   EXPECT_NE(text.find("\"event\": \"EV_A\""), std::string::npos);
   EXPECT_NE(text.find("\"coefficient\": 2"), std::string::npos);
+}
+
+TEST(PresetSerialization, JsonEscapesControlCharacters) {
+  // Raw tab/CR/control bytes in a JSON string are invalid; the output must
+  // parse back to the exact description.
+  auto presets = make_presets({sample_metric()});
+  presets[0].description = "tab\there\r\x01 \"q\" \\";
+  const json::Value doc = json::parse(presets_to_json(presets));
+  EXPECT_EQ(doc.as_array().at(0).at("description").as_string(),
+            presets[0].description);
 }
 
 // --- vpapi derived events ----------------------------------------------------

@@ -8,6 +8,14 @@
 namespace catalyst::vpapi {
 namespace {
 
+/// A plan for `n` repetitions on `threads` workers.
+CollectionPlan reps(std::size_t n, int threads = 1) {
+  CollectionPlan plan;
+  plan.repetitions = n;
+  plan.threads = threads;
+  return plan;
+}
+
 // 2 physical counters, 6 deterministic events (value = k * x).
 pmu::Machine mux_machine() {
   pmu::Machine m("mux", 2, 17);
@@ -137,7 +145,7 @@ TEST(MultiplexCollector, WithinBudgetMatchesGroupedExactly) {
   std::vector<pmu::Activity> acts{{{"x", 10.0}}, {{"x", 20.0}},
                                   {{"x", 30.0}}};
   const std::vector<std::string> events{"E1", "E2"};
-  const auto grouped = collect(m, events, acts, 2);
+  const auto grouped = collect(m, events, acts, reps(2));
   const auto muxed = collect_multiplexed(m, events, acts, 2);
   for (std::size_t rep = 0; rep < 2; ++rep) {
     EXPECT_EQ(muxed.repetitions[rep].values, grouped.repetitions[rep].values);
@@ -154,7 +162,7 @@ TEST(MultiplexCollector, OverBudgetIsApproximateNotExact) {
   }
   std::vector<std::string> events;
   for (int k = 1; k <= 6; ++k) events.push_back("E" + std::to_string(k));
-  const auto grouped = collect(m, events, acts, 1);
+  const auto grouped = collect(m, events, acts);
   const auto muxed = collect_multiplexed(m, events, acts, 1);
   double max_rel = 0.0;
   double total_rel = 0.0;

@@ -1,7 +1,8 @@
 // Tests for time-sliced sampling and strobed collection
-// (vpapi/sampling.hpp): schedule shape, deterministic dithering, per-phase
-// synthesis, and the byte-identical-across-threads determinism the virtual
-// timeline guarantees.
+// (vpapi/sampling.hpp, run by the vpapi/collector.hpp driver): schedule
+// shape, deterministic dithering, per-phase synthesis, and the
+// byte-identical-across-threads determinism the virtual timeline
+// guarantees.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "faults/faults.hpp"
+#include "vpapi/collector.hpp"
 #include "vpapi/sampling.hpp"
 #include "vpapi/scheduler.hpp"
 
@@ -37,6 +39,18 @@ std::vector<pmu::Activity> bursty_kernels(std::size_t n) {
 
 std::vector<std::string> six_events() {
   return {"E1", "E2", "E3", "E4", "E5", "E6"};
+}
+
+/// A plan for `n` repetitions in `mode` on `threads` workers.
+CollectionPlan plan(std::size_t n,
+                    CollectionMode mode = CollectionMode::counting,
+                    const SampleSchedule& schedule = {}, int threads = 1) {
+  CollectionPlan p;
+  p.repetitions = n;
+  p.mode = mode;
+  p.schedule = schedule;
+  p.threads = threads;
+  return p;
 }
 
 TEST(SampleSchedule, ValidateRejectsDegenerateSpans) {
@@ -169,17 +183,19 @@ TEST(Reconstruct, RejectsMalformedTraces) {
 }
 
 TEST(CollectSampled, CountingModeDelegatesBitIdentically) {
+  // A schedule in a counting plan is ignored: no trace, counting readings.
   const auto m = sampling_machine();
   const auto acts = bursty_kernels(5);
-  const auto counted = collect(m, six_events(), acts, 3);
-  const auto sampled = collect_sampled(m, six_events(), acts, 3,
-                                       CollectionMode::counting);
-  ASSERT_EQ(sampled.data.repetitions.size(), counted.repetitions.size());
+  SampleSchedule ignored;
+  ignored.period_ns = 7;
+  const auto counted = collect(m, six_events(), acts, plan(3));
+  const auto sampled = collect(
+      m, six_events(), acts, plan(3, CollectionMode::counting, ignored));
+  ASSERT_EQ(sampled.repetitions.size(), counted.repetitions.size());
   for (std::size_t r = 0; r < counted.repetitions.size(); ++r) {
-    EXPECT_EQ(sampled.data.repetitions[r].values,
-              counted.repetitions[r].values);
+    EXPECT_EQ(sampled.repetitions[r].values, counted.repetitions[r].values);
   }
-  EXPECT_EQ(sampled.data.runs_per_repetition, counted.runs_per_repetition);
+  EXPECT_EQ(sampled.runs_per_repetition, counted.runs_per_repetition);
   EXPECT_TRUE(sampled.trace.runs.empty());
   EXPECT_EQ(sampled.trace.mode, CollectionMode::counting);
 }
@@ -193,13 +209,17 @@ TEST(CollectSampled, DividingPeriodReconstructsCountingExactly) {
   const auto acts = bursty_kernels(5);
   SampleSchedule s;  // period 250us divides the 1ms span
   s.dither = false;
-  const auto counted = collect(m, six_events(), acts, 2);
-  const auto sampled = collect_sampled(m, six_events(), acts, 2,
-                                       CollectionMode::sampling, s);
-  ASSERT_EQ(sampled.data.repetitions.size(), 2u);
+  const auto counted = collect(m, six_events(), acts, plan(2));
+  const auto sampled = collect(m, six_events(), acts,
+                               plan(2, CollectionMode::sampling, s));
+  ASSERT_EQ(sampled.repetitions.size(), 2u);
   for (std::size_t r = 0; r < 2; ++r) {
-    EXPECT_EQ(sampled.data.repetitions[r].values,
-              counted.repetitions[r].values);
+    EXPECT_EQ(sampled.repetitions[r].values, counted.repetitions[r].values);
+  }
+  // Sampled units read no counters.
+  for (const auto& e : sampled.report.events) {
+    EXPECT_EQ(e.read_attempts, 0u);
+    EXPECT_EQ(e.disposition, EventDisposition::clean);
   }
 }
 
@@ -210,20 +230,20 @@ TEST(CollectSampled, ClosingSampleAnchorsRunTotalsExactly) {
   // smeared.
   const auto m = sampling_machine();
   const auto acts = bursty_kernels(7);
-  const auto counted = collect(m, six_events(), acts, 2);
+  const auto counted = collect(m, six_events(), acts, plan(2));
   SampleSchedule coarse;
   coarse.period_ns = 3'300'000;  // > 3 kernel spans, deliberately unaligned
   coarse.short_period_ns = 700'000;
   for (const CollectionMode mode :
        {CollectionMode::sampling, CollectionMode::strobed}) {
     const auto sampled =
-        collect_sampled(m, six_events(), acts, 2, mode, coarse);
+        collect(m, six_events(), acts, plan(2, mode, coarse));
     for (std::size_t r = 0; r < 2; ++r) {
       for (std::size_t e = 0; e < six_events().size(); ++e) {
         double truth = 0.0, est = 0.0;
         for (std::size_t k = 0; k < acts.size(); ++k) {
           truth += counted.repetitions[r].values[e][k];
-          est += sampled.data.repetitions[r].values[e][k];
+          est += sampled.repetitions[r].values[e][k];
         }
         EXPECT_NEAR(est, truth, 1e-6) << "mode " << to_string(mode)
                                       << " rep " << r << " event " << e;
@@ -241,12 +261,11 @@ TEST(CollectSampled, ByteIdenticalAcrossThreadCounts) {
   SampleSchedule s;  // dither on: the offsets must reproduce too
   for (const CollectionMode mode :
        {CollectionMode::sampling, CollectionMode::strobed}) {
-    const auto one = collect_sampled(m, six_events(), acts, 4, mode, s, 1);
-    const auto four = collect_sampled(m, six_events(), acts, 4, mode, s, 4);
-    ASSERT_EQ(one.data.repetitions.size(), four.data.repetitions.size());
-    for (std::size_t r = 0; r < one.data.repetitions.size(); ++r) {
-      EXPECT_EQ(one.data.repetitions[r].values,
-                four.data.repetitions[r].values);
+    const auto one = collect(m, six_events(), acts, plan(4, mode, s, 1));
+    const auto four = collect(m, six_events(), acts, plan(4, mode, s, 4));
+    ASSERT_EQ(one.repetitions.size(), four.repetitions.size());
+    for (std::size_t r = 0; r < one.repetitions.size(); ++r) {
+      EXPECT_EQ(one.repetitions[r].values, four.repetitions[r].values);
     }
     ASSERT_EQ(one.trace.runs.size(), four.trace.runs.size());
     for (std::size_t u = 0; u < one.trace.runs.size(); ++u) {
@@ -267,8 +286,8 @@ TEST(CollectSampled, ByteIdenticalAcrossThreadCounts) {
 TEST(CollectSampled, TraceOrderedByRepetitionThenRun) {
   const auto m = sampling_machine();
   const auto acts = bursty_kernels(4);
-  const auto sampled = collect_sampled(m, six_events(), acts, 3,
-                                       CollectionMode::sampling, {}, 4);
+  const auto sampled = collect(m, six_events(), acts,
+                               plan(3, CollectionMode::sampling, {}, 4));
   const auto sched = schedule_event_sets(m, six_events());
   const std::size_t n_groups = sched.runs.size();
   ASSERT_EQ(sampled.trace.runs.size(), 3 * n_groups);
@@ -285,17 +304,17 @@ TEST(CollectSampled, TraceOrderedByRepetitionThenRun) {
 }
 
 TEST(CollectSampled, RepetitionOffsetShiftsRunIds) {
-  // Batch resume: offset r shifts the run-id noise coordinates exactly like
-  // collect_resilient's repetition_offset, so a resumed sampling campaign
-  // is bit-identical to an uninterrupted one.
+  // Batch resume: offset r shifts the run-id noise coordinates exactly as
+  // it does for counting, so a resumed sampling campaign is bit-identical
+  // to an uninterrupted one.
   const auto m = sampling_machine();
   const auto acts = bursty_kernels(4);
-  SampleSchedule s;
-  const auto whole = collect_sampled(m, six_events(), acts, 2,
-                                     CollectionMode::strobed, s);
-  const auto tail = collect_sampled(m, six_events(), acts, 1,
-                                    CollectionMode::strobed, s, 1, nullptr, 1);
-  EXPECT_EQ(tail.data.repetitions[0].values, whole.data.repetitions[1].values);
+  const auto whole =
+      collect(m, six_events(), acts, plan(2, CollectionMode::strobed));
+  CollectionPlan second = plan(1, CollectionMode::strobed);
+  second.repetition_offset = 1;
+  const auto tail = collect(m, six_events(), acts, second);
+  EXPECT_EQ(tail.repetitions[0].values, whole.repetitions[1].values);
   const std::size_t n_groups = whole.trace.runs.size() / 2;
   for (std::size_t g = 0; g < n_groups; ++g) {
     EXPECT_EQ(tail.trace.runs[g].run_id, whole.trace.runs[n_groups + g].run_id);
@@ -308,8 +327,9 @@ TEST(CollectSampled, FakeClockPacesOneSleepPerKernelSpan) {
   const auto acts = bursty_kernels(5);
   SampleSchedule s;
   faults::FakeClock clock;
-  const auto paced = collect_sampled(m, six_events(), acts, 2,
-                                     CollectionMode::sampling, s, 1, &clock);
+  CollectionPlan paced_plan = plan(2, CollectionMode::sampling, s);
+  paced_plan.resilience.clock = &clock;
+  const auto paced = collect(m, six_events(), acts, paced_plan);
   const auto sched = schedule_event_sets(m, six_events());
   const std::size_t expected_sleeps = 2 * sched.runs.size() * acts.size();
   ASSERT_EQ(clock.delays().size(), expected_sleeps);
@@ -317,34 +337,38 @@ TEST(CollectSampled, FakeClockPacesOneSleepPerKernelSpan) {
     EXPECT_EQ(d, std::chrono::nanoseconds(s.kernel_span_ns));
   }
   // Pacing never touches the data: unpaced collection is identical.
-  const auto unpaced = collect_sampled(m, six_events(), acts, 2,
-                                       CollectionMode::sampling, s);
+  const auto unpaced =
+      collect(m, six_events(), acts, plan(2, CollectionMode::sampling, s));
   for (std::size_t r = 0; r < 2; ++r) {
-    EXPECT_EQ(paced.data.repetitions[r].values,
-              unpaced.data.repetitions[r].values);
+    EXPECT_EQ(paced.repetitions[r].values, unpaced.repetitions[r].values);
   }
 }
 
 TEST(CollectSampled, RejectsBadArguments) {
   const auto m = sampling_machine();
   const auto acts = bursty_kernels(3);
-  EXPECT_THROW(collect_sampled(m, {"NOPE"}, acts, 1,
-                               CollectionMode::sampling),
+  const CollectionMode mode = CollectionMode::sampling;
+  EXPECT_THROW(collect(m, {"NOPE"}, acts, plan(1, mode)),
                std::invalid_argument);
-  EXPECT_THROW(collect_sampled(m, six_events(), acts, 0,
-                               CollectionMode::sampling),
+  EXPECT_THROW(collect(m, six_events(), acts, plan(0, mode)),
                std::invalid_argument);
-  EXPECT_THROW(collect_sampled(m, six_events(), acts, 1,
-                               CollectionMode::sampling, {}, 0),
+  EXPECT_THROW(collect(m, six_events(), acts, plan(1, mode, {}, 0)),
                std::invalid_argument);
-  EXPECT_THROW(collect_sampled(m, six_events(), {}, 1,
-                               CollectionMode::sampling),
+  EXPECT_THROW(collect(m, six_events(), {}, plan(1, mode)),
                std::invalid_argument);
   SampleSchedule bad;
   bad.period_ns = 0;
-  EXPECT_THROW(collect_sampled(m, six_events(), acts, 1,
-                               CollectionMode::sampling, bad),
+  EXPECT_THROW(collect(m, six_events(), acts, plan(1, mode, bad)),
                std::invalid_argument);
+  // A sampler has no per-kernel retry point: an armed fault plan is
+  // refused up front, a disabled one is harmless.
+  CollectionPlan faulty = plan(1, mode);
+  const faults::FaultPlan mid = faults::FaultPlan::mid_rate();
+  faulty.faults = &mid;
+  EXPECT_THROW(collect(m, six_events(), acts, faulty), std::invalid_argument);
+  const faults::FaultPlan off;
+  faulty.faults = &off;
+  EXPECT_NO_THROW(collect(m, six_events(), acts, faulty));
 }
 
 TEST(CollectionMode, StringRoundTrip) {

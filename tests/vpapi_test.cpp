@@ -6,6 +6,14 @@
 namespace catalyst::vpapi {
 namespace {
 
+/// A plan for `n` repetitions on `threads` workers.
+CollectionPlan reps(std::size_t n, int threads = 1) {
+  CollectionPlan plan;
+  plan.repetitions = n;
+  plan.threads = threads;
+  return plan;
+}
+
 pmu::Machine tiny_machine(std::size_t counters = 2) {
   pmu::Machine m("tiny", counters, 7);
   m.add_event({"A", "signal x", {{"x", 1.0}}, {}});
@@ -153,7 +161,7 @@ TEST(Collector, CollectsAllEventsOverAllKernels) {
   std::vector<pmu::Activity> acts{{{"x", 1.0}, {"y", 10.0}},
                                   {{"x", 2.0}, {"y", 20.0}},
                                   {{"x", 3.0}, {"y", 30.0}}};
-  auto res = collect_all(m, acts, 2);
+  auto res = collect(m, m.event_names(), acts, reps(2));
   EXPECT_EQ(res.event_names.size(), 5u);
   EXPECT_EQ(res.repetitions.size(), 2u);
   EXPECT_EQ(res.runs_per_repetition, 3u);  // 5 events / 2 counters
@@ -168,19 +176,20 @@ TEST(Collector, CollectsAllEventsOverAllKernels) {
 TEST(Collector, NoisyEventDiffersAcrossRepetitions) {
   auto m = tiny_machine(2);
   std::vector<pmu::Activity> acts{{{"x", 1e6}}, {{"x", 2e6}}};
-  auto res = collect(m, {"N"}, acts, 2);
+  auto res = collect(m, {"N"}, acts, reps(2));
   EXPECT_NE(res.repetitions[0].values[0], res.repetitions[1].values[0]);
 }
 
 TEST(Collector, UnknownEventThrows) {
   auto m = tiny_machine();
-  EXPECT_THROW(collect(m, {"nope"}, {{{"x", 1.0}}}, 1),
+  EXPECT_THROW(collect(m, {"nope"}, {{{"x", 1.0}}}),
                std::invalid_argument);
 }
 
 TEST(Collector, ZeroRepetitionsThrows) {
   auto m = tiny_machine();
-  EXPECT_THROW(collect(m, {"A"}, {{{"x", 1.0}}}, 0), std::invalid_argument);
+  EXPECT_THROW(collect(m, {"A"}, {{{"x", 1.0}}}, reps(0)),
+               std::invalid_argument);
 }
 
 TEST(Collector, ThreadedCollectionBitIdenticalToSerial) {
@@ -188,9 +197,10 @@ TEST(Collector, ThreadedCollectionBitIdenticalToSerial) {
   std::vector<pmu::Activity> acts{{{"x", 5e5}, {"y", 2e5}},
                                   {{"x", 1e6}, {"y", 4e5}},
                                   {{"x", 2e6}, {"y", 8e5}}};
-  const auto serial = collect_all(m, acts, 4, 1);
+  const auto serial = collect(m, m.event_names(), acts, reps(4));
   for (int threads : {2, 4, 8}) {
-    const auto parallel = collect_all(m, acts, 4, threads);
+    const auto parallel =
+        collect(m, m.event_names(), acts, reps(4, threads));
     ASSERT_EQ(parallel.repetitions.size(), serial.repetitions.size());
     for (std::size_t rep = 0; rep < serial.repetitions.size(); ++rep) {
       EXPECT_EQ(parallel.repetitions[rep].values,
@@ -202,15 +212,15 @@ TEST(Collector, ThreadedCollectionBitIdenticalToSerial) {
 
 TEST(Collector, RejectsZeroThreads) {
   auto m = tiny_machine();
-  EXPECT_THROW(collect(m, {"A"}, {{{"x", 1.0}}}, 1, 0),
+  EXPECT_THROW(collect(m, {"A"}, {{{"x", 1.0}}}, reps(1, 0)),
                std::invalid_argument);
 }
 
 TEST(Collector, DeterministicEndToEnd) {
   auto m = tiny_machine(2);
   std::vector<pmu::Activity> acts{{{"x", 5e5}}, {{"x", 1e6}}};
-  auto r1 = collect_all(m, acts, 3);
-  auto r2 = collect_all(m, acts, 3);
+  auto r1 = collect(m, m.event_names(), acts, reps(3));
+  auto r2 = collect(m, m.event_names(), acts, reps(3));
   for (std::size_t rep = 0; rep < 3; ++rep) {
     EXPECT_EQ(r1.repetitions[rep].values, r2.repetitions[rep].values);
   }

@@ -4,10 +4,9 @@
 //   catalyst list-events <machine> [--filter SUBSTR]
 //   catalyst signatures <category>
 //   catalyst analyze <category> [--machine M] [--tau X] [--alpha Y]
-//                    [--reps N] [--rounded] [--presets] [--json]
+//                    [--rounded] [--presets] [--json] [collection flags]
 //   catalyst analyze --from FILE <category> [...]   (offline, from archive)
-//   catalyst collect <category> [--machine M] [--reps N] --out FILE
-//                    [--faults [SPEC]] [--checkpoint-dir DIR] [--resume]
+//   catalyst collect <category> [--machine M] --out FILE [collection flags]
 //   catalyst validate <category> [--machine M] [--workloads N]
 //
 // Categories: cpu_flops | gpu_flops | branch | dcache | icache.
@@ -15,7 +14,10 @@
 //
 // The collect/analyze split mirrors real CAT usage: `collect` runs the
 // benchmarks and saves a measurement archive (JSON); `analyze --from`
-// re-runs only the mathematical stages on the archived data.
+// re-runs only the mathematical stages on the archived data.  Both build
+// their campaign from the same collection flags (campaign_from_args):
+// --reps, --faults, --checkpoint-dir/--resume, --mode and the sample
+// schedule.  A flag value or combination that cannot run exits 2.
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +25,7 @@
 #include <sstream>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,6 +40,13 @@ namespace {
 
 using namespace catalyst;
 
+/// A flag the command cannot honour (bad value, incompatible combination):
+/// main() prints it and exits 2.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;  // --key[=value] or --key value
@@ -45,9 +55,18 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+  /// Throws UsageError naming the flag unless the whole value is a number.
   double get_double(const std::string& key, double fallback) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0') {
+      throw UsageError("--" + key + ": expected a number, got '" +
+                       it->second + "'");
+    }
+    return value;
   }
 };
 
@@ -83,6 +102,82 @@ std::optional<faults::FaultPlan> fault_plan_from_args(const Args& args) {
                    : faults::parse_fault_plan(spec);
   if (!plan.enabled()) return std::nullopt;
   return plan;
+}
+
+/// The campaign `analyze` and `collect` run, built from their shared flags
+/// by campaign_from_args.  It owns the fault plan and pacing clock the
+/// options point at, so it is built in place and never copied.
+struct Campaign {
+  core::CampaignOptions options;
+  std::optional<faults::FaultPlan> plan;
+  faults::RealClock clock;
+
+  Campaign() = default;
+  Campaign(const Campaign&) = delete;
+  Campaign& operator=(const Campaign&) = delete;
+};
+
+/// The flags campaign_from_args reads.
+constexpr const char* kCollectionFlags[] = {
+    "reps", "faults", "checkpoint-dir", "resume", "mode", "kernel-span-us",
+    "sample-period-us", "strobe-short-us", "no-dither"};
+
+/// --reps, --faults, --checkpoint-dir/--resume, --mode and the sample
+/// schedule flags on top of the category defaults.  `out` is the archive
+/// path (empty for analyze), whose OUT.ckpt is --resume's default
+/// checkpoint directory.  Throws UsageError on values or combinations that
+/// cannot run.
+void campaign_from_args(const Args& args, const core::PipelineOptions& base,
+                        const std::string& out, Campaign& campaign) {
+  core::CampaignOptions& options = campaign.options;
+  options.pipeline = base;
+  options.pipeline.repetitions = static_cast<std::size_t>(
+      args.get_double("reps", double(base.repetitions)));
+  campaign.plan = fault_plan_from_args(args);
+  if (campaign.plan.has_value()) {
+    options.fault_plan = &*campaign.plan;
+    options.resilience.clock = &campaign.clock;  // real backoff pacing
+  }
+  options.checkpoint.directory = args.get("checkpoint-dir", "");
+  options.checkpoint.resume = args.has("resume");
+  if (options.checkpoint.resume && options.checkpoint.directory.empty()) {
+    if (out.empty()) {
+      throw UsageError("--resume needs --checkpoint-dir DIR");
+    }
+    options.checkpoint.directory = out + ".ckpt";
+  }
+
+  try {
+    options.collection_mode =
+        vpapi::collection_mode_from_string(args.get("mode", "counting"));
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(std::string("--mode: ") + e.what());
+  }
+  if (options.collection_mode == vpapi::CollectionMode::counting) return;
+  if (campaign.plan.has_value() || !options.checkpoint.directory.empty()) {
+    throw UsageError(
+        "sampling modes do not combine with --faults or --checkpoint-dir "
+        "(counting-mode features)");
+  }
+  vpapi::SampleSchedule& schedule = options.sample_schedule;
+  const auto nanoseconds = [&args](const char* flag, std::uint64_t ns) {
+    return static_cast<std::uint64_t>(
+        args.get_double(flag, double(ns) / 1000.0) * 1000.0);
+  };
+  schedule.kernel_span_ns =
+      nanoseconds("kernel-span-us", schedule.kernel_span_ns);
+  schedule.period_ns = nanoseconds("sample-period-us", schedule.period_ns);
+  // The short period only matters for strobed runs; cap the default at the
+  // long period so a fine --sample-period-us alone stays valid.
+  schedule.short_period_ns = nanoseconds(
+      "strobe-short-us",
+      std::min(schedule.short_period_ns, schedule.period_ns));
+  schedule.dither = !args.has("no-dither");
+  try {
+    schedule.validate();
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
+  }
 }
 
 /// Observability flags shared by analyze/collect: --trace-out FILE,
@@ -181,17 +276,19 @@ int usage() {
       "  catalyst list-events <machine> [--filter SUBSTR]\n"
       "  catalyst signatures <category>\n"
       "  catalyst analyze <category> [--machine M] [--tau X] [--alpha Y]\n"
-      "                   [--reps N] [--rounded] [--presets] [--json]\n"
-      "                   [--from ARCHIVE] [--detrend] [--faults [SPEC]]\n"
+      "                   [--rounded] [--presets] [--json] [--markdown]\n"
+      "                   [--from ARCHIVE] [--detrend] [COLLECTION FLAGS]\n"
       "                   [--trace-out FILE] [--manifest-out FILE] [--stats]\n"
-      "  catalyst collect <category> [--machine M] [--reps N] --out FILE\n"
-      "                   [--faults [SPEC]] [--checkpoint-dir DIR] [--resume]\n"
+      "  catalyst collect <category> [--machine M] --out FILE\n"
+      "                   [COLLECTION FLAGS]\n"
+      "                   [--trace-out FILE] [--manifest-out FILE] [--stats]\n"
+      "  collection flags: [--reps N] [--faults [SPEC]]\n"
+      "                   [--checkpoint-dir DIR] [--resume]\n"
       "                   [--mode counting|sampling|strobed]\n"
       "                   [--kernel-span-us N] [--sample-period-us N]\n"
       "                   [--strobe-short-us N] [--no-dither]\n"
-      "                   [--trace-out FILE] [--manifest-out FILE] [--stats]\n"
-      "                   (--resume defaults the checkpoint dir to OUT.ckpt;\n"
-      "                    SPEC: \"mid\" or \"drop=0.01,wrap=0.001,...\";\n"
+      "                   (collect's --resume defaults the checkpoint dir to\n"
+      "                    OUT.ckpt; SPEC: \"mid\" or \"drop=0.01,...\";\n"
       "                    sampling modes exclude --faults/--checkpoint-dir)\n"
       "  catalyst full-report [--machine M] [--out FILE] [--presets FILE]\n"
       "  catalyst validate <category> [--machine M] [--workloads N]\n"
@@ -258,9 +355,17 @@ int cmd_analyze(const Args& args) {
   }
   setup->options.tau = args.get_double("tau", setup->options.tau);
   setup->options.alpha = args.get_double("alpha", setup->options.alpha);
-  setup->options.repetitions = static_cast<std::size_t>(
-      args.get_double("reps", double(setup->options.repetitions)));
   if (args.has("detrend")) setup->options.detrend_drifting = true;
+  for (const char* flag : kCollectionFlags) {
+    if (args.has("from") && args.has(flag)) {
+      throw UsageError(std::string("--") + flag +
+                       " is a collection flag; --from analyzes an archive "
+                       "that was already collected");
+    }
+  }
+  Campaign campaign;
+  campaign_from_args(args, setup->options, "", campaign);
+  const core::PipelineOptions& options = campaign.options.pipeline;
   const TraceArgs trace = trace_args_from(args);
 
   core::PipelineResult result;
@@ -268,24 +373,21 @@ int cmd_analyze(const Args& args) {
   if (args.has("from")) {
     const auto archive =
         core::load_archive(core::read_text_file(args.get("from", "")));
-    result = core::analyze_archive(archive, setup->signatures,
-                                   setup->options);
+    result = core::analyze_archive(archive, setup->signatures, options);
     result.quarantined_events = archive.quarantined;
     result.collection = archive.collection_report;
     source = "archive " + args.get("from", "") + " (" +
              archive.machine_name + ")";
-  } else if (const auto plan = fault_plan_from_args(args)) {
-    faults::RealClock clock;
-    vpapi::ResilienceOptions resilience;
-    resilience.clock = &clock;
-    result = core::run_pipeline_resilient(*machine, setup->benchmark,
-                                          setup->signatures, setup->options,
-                                          &*plan, resilience);
-    source = "machine " + machine->name() + " (faulty)";
   } else {
-    result = core::run_pipeline(*machine, setup->benchmark,
-                                setup->signatures, setup->options);
+    result = core::run_campaign(*machine, setup->benchmark,
+                                setup->signatures, campaign.options)
+                 .result;
     source = "machine " + machine->name();
+    if (campaign.plan.has_value()) source += " (faulty)";
+    if (result.collection_mode != vpapi::CollectionMode::counting) {
+      source += std::string(" (") + vpapi::to_string(result.collection_mode) +
+                " mode)";
+    }
   }
   if (args.has("markdown")) {
     std::cout << core::format_markdown_report(
@@ -311,7 +413,7 @@ int cmd_analyze(const Args& args) {
                                    : core::presets_to_table(presets));
   }
   write_trace_artifacts(trace, "catalyst analyze", args.positional[1],
-                        machine_name, setup->options, result);
+                        machine_name, options, result);
   return 0;
 }
 
@@ -322,107 +424,38 @@ int cmd_collect(const Args& args) {
     std::cerr << "unknown category " << args.positional[1] << "\n";
     return 2;
   }
-  const auto machine =
-      machine_by_name(args.get("machine", setup->default_machine));
-  if (!machine) return usage();
-  setup->options.repetitions = static_cast<std::size_t>(
-      args.get_double("reps", double(setup->options.repetitions)));
-
-  const auto plan = fault_plan_from_args(args);
-  const TraceArgs trace = trace_args_from(args);
   const std::string machine_name = args.get("machine", setup->default_machine);
-  const bool resume = args.has("resume");
-  std::string checkpoint_dir = args.get("checkpoint-dir", "");
-  if (resume && checkpoint_dir.empty()) {
-    checkpoint_dir = args.get("out", "") + ".ckpt";
-  }
+  const auto machine = machine_by_name(machine_name);
+  if (!machine) return usage();
+  const std::string out_path = args.get("out", "");
+  Campaign campaign;
+  campaign_from_args(args, setup->options, out_path, campaign);
+  const core::CampaignOptions& options = campaign.options;
+  const TraceArgs trace = trace_args_from(args);
 
-  const vpapi::CollectionMode mode =
-      vpapi::collection_mode_from_string(args.get("mode", "counting"));
-  if (mode != vpapi::CollectionMode::counting) {
-    if (plan.has_value() || !checkpoint_dir.empty()) {
-      std::cerr << "sampling modes do not combine with --faults or "
-                   "--checkpoint-dir (counting-mode features)\n";
-      return 2;
-    }
-    vpapi::SampleSchedule schedule;
-    schedule.kernel_span_ns = static_cast<std::uint64_t>(
-        args.get_double("kernel-span-us",
-                        double(schedule.kernel_span_ns) / 1000.0) *
-        1000.0);
-    schedule.period_ns = static_cast<std::uint64_t>(
-        args.get_double("sample-period-us",
-                        double(schedule.period_ns) / 1000.0) *
-        1000.0);
-    // The short period only matters for strobed runs; cap the default at
-    // the long period so a fine --sample-period-us alone stays valid.
-    schedule.short_period_ns = static_cast<std::uint64_t>(
-        args.get_double("strobe-short-us",
-                        double(std::min(schedule.short_period_ns,
-                                        schedule.period_ns)) /
-                            1000.0) *
-        1000.0);
-    schedule.dither = !args.has("no-dither");
-    schedule.validate();
-    const auto out =
-        core::run_pipeline_sampled(*machine, setup->benchmark,
-                                   setup->signatures, setup->options, mode,
-                                   schedule);
-    core::write_text_file(args.get("out", ""),
-                          core::save_archive(out.archive));
-    std::cout << "wrote " << out.archive.event_names.size() << " events x "
-              << setup->options.repetitions << " repetitions x "
-              << out.archive.slot_names.size() << " slots ("
-              << vpapi::to_string(mode) << " mode, "
-              << (out.archive.sample_trace.has_value()
-                      ? out.archive.sample_trace->runs.size()
-                      : std::size_t{0})
-              << " sample-trace runs) to " << args.get("out", "") << "\n";
-    write_trace_artifacts(trace, "catalyst collect", args.positional[1],
-                          machine_name, setup->options, out.result);
-    return 0;
+  const auto out = core::run_campaign(*machine, setup->benchmark,
+                                      setup->signatures, options);
+  const auto archive = core::make_archive(*machine, setup->benchmark,
+                                          out.result);
+  core::write_text_file(out_path, core::save_archive(archive));
+  if (out.batches_resumed > 0) {
+    std::cout << "resumed " << out.batches_resumed << "/" << out.batches_total
+              << " batches from " << options.checkpoint.directory << "\n";
   }
-
-  if (plan.has_value() || !checkpoint_dir.empty()) {
-    // Resilient path: retry/quarantine + optional checkpoint/resume.
-    faults::RealClock clock;
-    core::CampaignOptions campaign;
-    campaign.pipeline = setup->options;
-    campaign.fault_plan = plan.has_value() ? &*plan : nullptr;
-    campaign.resilience.clock = &clock;
-    campaign.checkpoint.directory = checkpoint_dir;
-    campaign.checkpoint.resume = resume;
-    const auto out = core::run_campaign(*machine, setup->benchmark,
-                                        setup->signatures, campaign);
-    core::write_text_file(args.get("out", ""),
-                          core::save_archive(out.archive));
-    if (out.batches_resumed > 0) {
-      std::cout << "resumed " << out.batches_resumed << "/"
-                << out.batches_total << " batches from " << checkpoint_dir
-                << "\n";
-    }
-    if (out.result.collection.has_value()) {
-      std::cout << core::format_collection_report(*out.result.collection);
-    }
-    std::cout << "wrote " << out.archive.event_names.size() << " events x "
-              << setup->options.repetitions << " repetitions x "
-              << out.archive.slot_names.size() << " slots to "
-              << args.get("out", "") << "\n";
-    write_trace_artifacts(trace, "catalyst collect", args.positional[1],
-                          machine_name, setup->options, out.result);
-    return 0;
+  if (out.result.collection.has_value() && !archive.sample_trace) {
+    std::cout << core::format_collection_report(*out.result.collection);
   }
-
-  const auto result = core::run_pipeline(*machine, setup->benchmark,
-                                         setup->signatures, setup->options);
-  const auto archive = core::make_archive(*machine, setup->benchmark, result);
-  core::write_text_file(args.get("out", ""), core::save_archive(archive));
   std::cout << "wrote " << archive.event_names.size() << " events x "
-            << setup->options.repetitions << " repetitions x "
-            << archive.slot_names.size() << " slots to "
-            << args.get("out", "") << "\n";
+            << options.pipeline.repetitions << " repetitions x "
+            << archive.slot_names.size() << " slots";
+  if (archive.sample_trace.has_value()) {
+    std::cout << " (" << vpapi::to_string(archive.collection_mode)
+              << " mode, " << archive.sample_trace->runs.size()
+              << " sample-trace runs)";
+  }
+  std::cout << " to " << out_path << "\n";
   write_trace_artifacts(trace, "catalyst collect", args.positional[1],
-                        machine_name, setup->options, result);
+                        machine_name, options.pipeline, out.result);
   return 0;
 }
 
@@ -520,6 +553,9 @@ int main(int argc, char** argv) {
     if (cmd == "collect") return cmd_collect(args);
     if (cmd == "full-report") return cmd_full_report(args);
     if (cmd == "validate") return cmd_validate(args);
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
