@@ -160,10 +160,6 @@ class Collector {
   /// thread and no partial data escapes.
   CollectionResult collect(const CollectionPlan& plan = {}) const;
 
-  const std::vector<std::string>& event_names() const noexcept {
-    return events_;
-  }
-
  private:
   const pmu::Machine* machine_;
   std::vector<std::string> events_;
@@ -192,7 +188,8 @@ CollectionResult collect(const pmu::Machine& machine,
 /// trade-off against grouped collection.
 ///
 /// Per-kernel readings are obtained by reading the running set after every
-/// kernel and differencing consecutive totals.
+/// kernel and differencing consecutive totals.  The result's report and
+/// trace stay empty.
 CollectionResult collect_multiplexed(
     const pmu::Machine& machine, const std::vector<std::string>& event_names,
     const std::vector<pmu::Activity>& activities, std::size_t repetitions);
