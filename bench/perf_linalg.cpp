@@ -1,13 +1,16 @@
 // google-benchmark microbenchmarks for the dense linear algebra substrate:
 // the kernels on the analysis hot path (QR, QRCP, least squares) plus the
 // specialized pivoting scheme, across the matrix shapes the pipeline
-// actually produces (tall measurement matrices, small basis systems).
+// actually produces (tall measurement matrices, small basis systems, and
+// the 64 x 11240 X of the scale_10k preset).
 // scripts/run_bench.sh runs this binary with --benchmark_out and records the
 // JSON at the repo root (BENCH_linalg.json) for per-PR perf tracking.
 #include <benchmark/benchmark.h>
 
+#include "core/pipeline.hpp"
 #include "core/qrcp_special.hpp"
 #include "linalg/linalg.hpp"
+#include "modelgen/generator.hpp"
 
 namespace {
 
@@ -26,19 +29,6 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
-void BM_GemmThreaded(benchmark::State& state) {
-  const linalg::index_t n = 256;
-  const linalg::Matrix a = linalg::random_gaussian(n, n, 1);
-  const linalg::Matrix b = linalg::random_gaussian(n, n, 2);
-  linalg::Matrix c(n, n);
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    linalg::gemm(1.0, a, false, b, false, 0.0, c, threads);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-}
-BENCHMARK(BM_GemmThreaded)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_QrFactorization(benchmark::State& state) {
   const auto m = static_cast<linalg::index_t>(state.range(0));
   const linalg::index_t n = m / 2;
@@ -50,74 +40,7 @@ void BM_QrFactorization(benchmark::State& state) {
 }
 BENCHMARK(BM_QrFactorization)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
-void BM_QrBlocked(benchmark::State& state) {
-  const auto m = static_cast<linalg::index_t>(state.range(0));
-  const linalg::index_t n = m / 2;
-  const auto nb = static_cast<linalg::index_t>(state.range(1));
-  const linalg::Matrix a = linalg::random_gaussian(m, n, 3);
-  for (auto _ : state) {
-    linalg::QrFactorization qr(a, nb);
-    benchmark::DoNotOptimize(qr.packed().data().data());
-  }
-}
-BENCHMARK(BM_QrBlocked)
-    ->Args({256, 8})
-    ->Args({256, 32})
-    ->Args({512, 8})
-    ->Args({512, 32})
-    ->Args({512, 64});
-
-void BM_ClassicQrcp(benchmark::State& state) {
-  // The shape of a projected measurement matrix: few basis rows, many
-  // event columns.
-  const auto cols = static_cast<linalg::index_t>(state.range(0));
-  const linalg::Matrix a = linalg::random_gaussian(16, cols, 4);
-  for (auto _ : state) {
-    auto res = linalg::qrcp(a);
-    benchmark::DoNotOptimize(res.rank);
-  }
-}
-BENCHMARK(BM_ClassicQrcp)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-// ELAPS-style sweep over the blocked QRCP: event count x block size x
-// worker threads on the paper's wide event-selection shape (basis rows x
-// n event columns).  block == 1 is the scalar Algorithm 2 baseline; the
-// 10k-event column is the tentpole acceptance case (>= 5x blocked vs
-// scalar in a Release build).
-void BM_QrcpBlockedSweep(benchmark::State& state) {
-  const auto cols = static_cast<linalg::index_t>(state.range(0));
-  const auto block = static_cast<linalg::index_t>(state.range(1));
-  const auto threads = static_cast<int>(state.range(2));
-  const linalg::Matrix a = linalg::random_gaussian(96, cols, 11);
-  linalg::QrcpOptions opt;
-  opt.block_size = block;
-  opt.threads = threads;
-  for (auto _ : state) {
-    auto res = linalg::qrcp(a, opt);
-    benchmark::DoNotOptimize(res.rank);
-  }
-  // Work estimate for items/sec: ~2*m^2*n flops for a full-rank wide QRCP.
-  state.SetItemsProcessed(state.iterations() * 2 * 96 * 96 * cols);
-}
-BENCHMARK(BM_QrcpBlockedSweep)
-    // n = 1200: every block size, single worker.
-    ->Args({1200, 1, 1})
-    ->Args({1200, 8, 1})
-    ->Args({1200, 32, 1})
-    ->Args({1200, 64, 1})
-    // n = 5000: scalar baseline vs default block, thread scaling.
-    ->Args({5000, 1, 1})
-    ->Args({5000, 32, 1})
-    ->Args({5000, 32, 2})
-    ->Args({5000, 32, 4})
-    // n = 10000: the acceptance case.
-    ->Args({10000, 1, 1})
-    ->Args({10000, 32, 1})
-    ->Args({10000, 64, 1})
-    ->Args({10000, 32, 4})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SpecializedQrcp(benchmark::State& state) {
+void BM_SpecializedQrcpRandom(benchmark::State& state) {
   const auto cols = static_cast<linalg::index_t>(state.range(0));
   const linalg::Matrix a = linalg::random_gaussian(16, cols, 5);
   for (auto _ : state) {
@@ -125,22 +48,41 @@ void BM_SpecializedQrcp(benchmark::State& state) {
     benchmark::DoNotOptimize(res.rank);
   }
 }
-BENCHMARK(BM_SpecializedQrcp)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_SpecializedQrcpRandom)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
-// Worker-thread scaling of the specialized pivot search on a wide machine
-// (results are bit-identical for any thread count; only the wall time may
-// move).
-void BM_SpecializedQrcpThreaded(benchmark::State& state) {
-  const linalg::Matrix a = linalg::random_gaussian(48, 4096, 10);
-  const int threads = static_cast<int>(state.range(0));
+// The X the pipeline hands to QRCP on the scale_10k preset (model seed
+// 2024, 64 x 11240), built once on first use.
+struct Scale10k {
+  linalg::Matrix x;
+  double alpha = 0.0;
+};
+
+const Scale10k& scale_10k() {
+  static const Scale10k fixture = [] {
+    const auto model =
+        modelgen::generate(modelgen::GeneratorSpec::scale_10k(2024));
+    const auto result = core::run_pipeline(model.machine(), model.benchmark,
+                                           model.signatures, model.options);
+    return Scale10k{result.projection.x, model.options.alpha};
+  }();
+  return fixture;
+}
+
+// Arg = PivotRule: original_score runs the left-looking walk, max_norm the
+// eager right-looking loop on the same X.
+void BM_SpecializedQrcp(benchmark::State& state) {
+  const Scale10k& fixture = scale_10k();
+  const auto rule = static_cast<core::PivotRule>(state.range(0));
   for (auto _ : state) {
-    auto res = core::specialized_qrcp(a, 5e-4,
-                                      core::PivotRule::original_score,
-                                      threads);
+    auto res = core::specialized_qrcp(fixture.x, fixture.alpha, rule);
     benchmark::DoNotOptimize(res.rank);
   }
+  state.counters["cols"] = static_cast<double>(fixture.x.cols());
 }
-BENCHMARK(BM_SpecializedQrcpThreaded)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_SpecializedQrcp)
+    ->Arg(static_cast<int>(core::PivotRule::original_score))
+    ->Arg(static_cast<int>(core::PivotRule::max_norm))
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Lstsq(benchmark::State& state) {
   const auto m = static_cast<linalg::index_t>(state.range(0));

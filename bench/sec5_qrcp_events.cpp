@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "harness_common.hpp"
-#include "linalg/qrcp.hpp"
 
 using namespace catalyst;
 
@@ -24,14 +23,15 @@ void emit(const std::string& which, bool show_maxnorm) {
             << core::format_selected_events(result);
 
   if (show_maxnorm) {
-    // Ablation: classic max-norm QRCP on the same X, taking the same number
-    // of columns the rank scan admits.
-    const auto classic = linalg::qrcp(result.projection.x, 1e-8);
+    // Ablation: classic max-norm pivoting on the same X under the same
+    // alpha and beta cutoff.
+    const auto classic = core::specialized_qrcp(
+        result.projection.x, category.options.alpha, core::PivotRule::max_norm);
     std::cout << "\nClassic max-norm QRCP (Algorithm 1) would select, in "
                  "order:\n";
     for (linalg::index_t i = 0; i < classic.rank; ++i) {
       const auto idx =
-          static_cast<std::size_t>(classic.permutation[static_cast<std::size_t>(i)]);
+          static_cast<std::size_t>(classic.selected[static_cast<std::size_t>(i)]);
       std::cout << "  [" << i << "] " << result.projection.x_event_names[idx]
                 << "\n";
     }

@@ -9,8 +9,8 @@
 #   2. Release build + ctest    the default configuration users get
 #   3. ASan+UBSan build + ctest heap/UB errors the Release build hides
 #   4. TSan build + ctest       data races in the threaded gemm/collector
-#   4b. tsan_linalg             the linalg suite alone under TSan (blocked
-#                               GEMM/QR/QRCP with worker threads > 1)
+#   4b. tsan_linalg             the linalg suite alone under TSan (threaded
+#                               pipeline stages, concurrent QRCP runs)
 #   5. fault_pipeline           Tables V-VIII pipeline under the canonical
 #                               mid-rate FaultPlan vs the clean goldens
 #   5b. collection_modes        counting-vs-sampling recovery oracle, quick
@@ -147,9 +147,9 @@ stage_tsan() {
 }
 
 stage_tsan_linalg() {
-    # Focused race hunt on the blocked linear algebra: the linalg test
-    # suite (which drives the blocked GEMM/QR/QRCP paths with threads > 1)
-    # under TSan.  Reuses the full-TSan tree so the targeted run is cheap
+    # Focused race hunt on the linalg-labelled suite (which drives the
+    # threaded noise/projection stages and concurrent QRCP runs) under
+    # TSan.  Reuses the full-TSan tree so the targeted run is cheap
     # after (or instead of) the whole-suite tsan stage.
     local dir=build-check-tsan
     mkdir -p "$dir"

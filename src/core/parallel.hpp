@@ -111,22 +111,4 @@ void parallel_for(std::size_t total, int threads, Body&& body) {
   first_error.rethrow_if_set();
 }
 
-/// Splits [0, total) into chunks of `grain` consecutive indices (the last
-/// one possibly shorter) and runs body(begin, end) once per chunk.  Chunk
-/// boundaries depend only on (total, grain) -- never on the thread count --
-/// so per-chunk partial results merged in chunk order are bit-identical for
-/// any number of workers.
-template <typename Body>
-void parallel_for_chunks(std::size_t total, int threads, std::size_t grain,
-                         Body&& body) {
-  if (total == 0) return;
-  if (grain == 0) grain = 1;
-  const std::size_t n_chunks = (total + grain - 1) / grain;
-  parallel_for(n_chunks, threads, [&](std::size_t c) {
-    const std::size_t begin = c * grain;
-    const std::size_t end = begin + grain < total ? begin + grain : total;
-    body(begin, end);
-  });
-}
-
 }  // namespace catalyst::core

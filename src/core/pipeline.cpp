@@ -138,8 +138,7 @@ PipelineResult analyze_measurements(
   obs::Span qrcp_span("stage.qrcp");
   qrcp_span.arg("alpha", options.alpha);
   result.qr =
-      specialized_qrcp(result.projection.x, options.alpha, options.pivot_rule,
-                       options.analysis_threads);
+      specialized_qrcp(result.projection.x, options.alpha, options.pivot_rule);
   qrcp_span.arg("selected", result.qr.selected.size());
   record_stage(qrcp_span, "qrcp");
   CATALYST_ENSURE(static_cast<linalg::index_t>(result.qr.selected.size()) <=

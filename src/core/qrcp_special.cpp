@@ -1,11 +1,12 @@
 #include "core/qrcp_special.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/contract.hpp"
-#include "core/parallel.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/householder.hpp"
 #include "obs/names.hpp"
@@ -47,146 +48,202 @@ struct ColumnTraits {
   double norm = 0.0;
 };
 
-// get_pivot of Algorithm 2: among the trailing columns [i, n), pick the one
-// whose ORIGINAL column has the minimum score (ties -> smallest original
-// norm, then first in input order).  A candidate is eligible only when the
-// norm of its UPDATED trailing residual (rows [i, m) of the factored
-// matrix) is at least beta: everything already explained by the selected
-// events, or pure noise, is disregarded; -1 means no eligible candidate
-// remains and the factorization terminates.
-// A candidate under consideration: column position, its comparison key.
-struct PivotCandidate {
-  linalg::index_t j = -1;  // -1 = no eligible candidate
-  double score = 0.0;
-  double norm = 0.0;
-  linalg::index_t orig = 0;
+std::vector<ColumnTraits> column_traits(const linalg::Matrix& x,
+                                        double alpha) {
+  const auto m = static_cast<std::size_t>(x.rows());
+  std::vector<ColumnTraits> traits(static_cast<std::size_t>(x.cols()));
+  std::vector<double> rounded(m);
+  for (linalg::index_t j = 0; j < x.cols(); ++j) {
+    const auto col = x.col(j);
+    double score = 0.0;  // column_score(col, alpha), rounding once
+    for (std::size_t i = 0; i < m; ++i) {
+      rounded[i] = round_to_tolerance(col[i], alpha);
+      score += score_entry(std::fabs(rounded[i]));
+    }
+    traits[static_cast<std::size_t>(j)] = {score, linalg::nrm2(rounded)};
+  }
+  return traits;
+}
+
+// The pivot order: minimum score, ties -> smallest rounded norm, then the
+// smallest original index.  Indices are distinct, so the order is total.
+struct KeyLess {
+  const std::vector<ColumnTraits>& traits;
+  bool operator()(linalg::index_t a, linalg::index_t b) const {
+    const ColumnTraits& ta = traits[static_cast<std::size_t>(a)];
+    const ColumnTraits& tb = traits[static_cast<std::size_t>(b)];
+    if (ta.score != tb.score) return ta.score < tb.score;
+    if (ta.norm != tb.norm) return ta.norm < tb.norm;
+    return a < b;
+  }
 };
 
-// The strict-improvement rule shared by the per-chunk scans and the final
-// merge.  The key (score, norm, orig) has a UNIQUE minimum (orig is a
-// permutation entry, hence distinct), so folding candidates in any grouping
-// that preserves the comparison yields the same winner as one serial scan.
-bool improves(const PivotCandidate& t, const PivotCandidate& best) {
-  if (best.j == -1) return true;
-  return t.score < best.score ||
-         (t.score == best.score &&
-          (t.norm < best.norm ||
-           (t.norm == best.norm && t.orig < best.orig)));
-}
+// The Householder reflectors of the columns picked so far, stored like a
+// packed QR: reflector k acts on rows [k, m), its essential part sits in
+// rows [k+1, m) of column k.
+class Reflectors {
+ public:
+  Reflectors(linalg::index_t m, linalg::index_t kmax)
+      : v_(m, kmax), taus_(static_cast<std::size_t>(kmax), 0.0) {}
 
-linalg::index_t get_pivot(const linalg::Matrix& a,
-                          const std::vector<ColumnTraits>& traits,
-                          const std::vector<linalg::index_t>& perm,
-                          linalg::index_t i, double alpha, double beta,
-                          PivotRule rule, int threads) {
-  const linalg::index_t m = a.rows();
-  const linalg::index_t n = a.cols();
-  // Candidate norms and scores are evaluated per column on the worker pool;
-  // each chunk reduces to its own best, the chunk bests merge in chunk
-  // order.  Chunk boundaries depend only on (n - i, grain).
-  constexpr std::size_t kGrain = 256;
-  const auto total = static_cast<std::size_t>(n - i);
-  const std::size_t n_chunks = total == 0 ? 0 : (total + kGrain - 1) / kGrain;
-  std::vector<PivotCandidate> chunk_best(n_chunks);
-  core::parallel_for_chunks(
-      total, threads, kGrain, [&](std::size_t b, std::size_t e) {
-        PivotCandidate best;
-        for (std::size_t jj = b; jj < e; ++jj) {
-          const linalg::index_t j = i + static_cast<linalg::index_t>(jj);
-          const auto col = a.col(j);
-          const auto tail = col.subspan(static_cast<std::size_t>(i),
-                                        static_cast<std::size_t>(m - i));
-          const double tail_norm = linalg::nrm2(tail);
-          if (tail_norm < beta) continue;  // dependent or noise-level
-          const linalg::index_t orig = perm[static_cast<std::size_t>(j)];
-          PivotCandidate t;
-          t.j = j;
-          t.orig = orig;
-          switch (rule) {
-            case PivotRule::original_score:
-              t.score = traits[static_cast<std::size_t>(orig)].score;
-              t.norm = traits[static_cast<std::size_t>(orig)].norm;
-              break;
-            case PivotRule::updated_score:
-              t.score = column_score(tail, alpha);
-              t.norm = tail_norm;
-              break;
-            case PivotRule::max_norm:
-              // Largest norm == smallest negated norm, reusing the min
-              // search.
-              t.score = -tail_norm;
-              t.norm = tail_norm;
-              break;
-          }
-          // Full ties (score and rounded norm) resolve to the smallest
-          // ORIGINAL column index; the in-place column swaps scramble scan
-          // order, so first-encountered would not be deterministic in input
-          // terms.
-          if (improves(t, best)) best = t;
-        }
-        chunk_best[b / kGrain] = best;
-      });
-  PivotCandidate best;
-  for (const PivotCandidate& t : chunk_best) {
-    if (t.j != -1 && improves(t, best)) best = t;
+  // Brings `col` from `applied` reflectors up to all of them, in order.
+  // Each application is apply_reflector_left's per-column arithmetic, so
+  // the column matches, bit for bit, the one an eager right-looking update
+  // would hold after the same steps.
+  void update(std::span<double> col, linalg::index_t applied) const {
+    for (linalg::index_t r = applied; r < k_; ++r) {
+      linalg::apply_reflector_vec(
+          col, r, v_.col(r).subspan(static_cast<std::size_t>(r + 1)),
+          taus_[static_cast<std::size_t>(r)]);
+    }
   }
-  return best.j;
+
+  // Makes the next reflector, k, from a column brought up to date with
+  // reflectors [0, k): it annihilates rows [k + 1, m) of `col`.
+  void append(std::span<double> col) {
+    auto head = col.subspan(static_cast<std::size_t>(k_));
+    const linalg::Reflector h = linalg::make_reflector(head);
+    auto dst = v_.col(k_);
+    std::copy(head.begin() + 1, head.end(),
+              dst.begin() + static_cast<std::ptrdiff_t>(k_ + 1));
+    taus_[static_cast<std::size_t>(k_)] = h.tau;
+    ++k_;
+  }
+
+ private:
+  linalg::Matrix v_;
+  std::vector<double> taus_;
+  linalg::index_t k_ = 0;
+};
+
+// A visited column that missed beta by less than the rounding drift bound:
+// kept up to date and re-checked at every later step (see walk_qrcp).
+struct NearMiss {
+  linalg::index_t orig = 0;
+  std::vector<double> col;
+  linalg::index_t applied = 0;
+};
+
+double tail_norm(std::span<const double> col, linalg::index_t k) {
+  return linalg::nrm2(col.subspan(static_cast<std::size_t>(k)));
 }
 
-}  // namespace
+void record_pivot(obs::Span& span, SpecialQrcpResult& res,
+                  linalg::index_t orig, double score) {
+  res.selected.push_back(orig);
+  res.pivot_scores.push_back(score);
+  span.arg("col", orig);
+  span.arg("score", score);
+  obs::observe(obs::names::kQrcpPivotScore, score);
+}
 
-SpecialQrcpResult specialized_qrcp(const linalg::Matrix& x, double alpha,
-                                   PivotRule rule, int threads) {
-  CATALYST_REQUIRE_AS(alpha > 0.0, std::invalid_argument,
-                      "specialized_qrcp: alpha must be positive");
-  CATALYST_ASSUME_FINITE_AS(x.data(), std::invalid_argument,
-                            "specialized_qrcp: X has NaN/Inf entries");
-  SpecialQrcpResult res;
-  linalg::Matrix a = x;  // working copy, factored in place
+// Algorithm 2 under original_score as a left-looking walk in key order (see
+// the header).  In floating point a residual norm can grow by rounding, so
+// a column that misses beta by less than its drift bound is not dropped but
+// kept on the near-miss list and re-checked, before the walk moves on, at
+// every later step: exactly the columns the eager loop could still pick.
+void walk_qrcp(const linalg::Matrix& x, double alpha, double beta,
+               SpecialQrcpResult& res) {
+  const linalg::index_t m = x.rows();
+  const linalg::index_t n = x.cols();
+  const linalg::index_t kmax = std::min(m, n);
+  const std::vector<ColumnTraits> traits = column_traits(x, alpha);
+  std::vector<linalg::index_t> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), linalg::index_t{0});
+  std::sort(order.begin(), order.end(), KeyLess{traits});
+
+  // Every reflector application is backward stable: the computed column
+  // is within c * m * eps * ||x_j|| of an exact orthogonal update, whose
+  // tail norm cannot grow.  64 covers c, the kmax updates still to come
+  // and the rounding of nrm2 itself with room to spare.
+  const double drift_per_norm = 64.0 * static_cast<double>(m) *
+                                static_cast<double>(kmax) *
+                                std::numeric_limits<double>::epsilon();
+  Reflectors refl(m, kmax);
+  std::vector<NearMiss> near;
+  std::vector<double> col(static_cast<std::size_t>(m));
+  std::size_t next = 0;  // first unvisited position in `order`
+  for (linalg::index_t k = 0; k < kmax; ++k) {
+    obs::Span pivot_span("qrcp.pivot");
+    pivot_span.arg("i", k);
+    bool picked = false;
+    for (auto it = near.begin(); it != near.end(); ++it) {
+      refl.update(it->col, it->applied);
+      it->applied = k;
+      if (tail_norm(it->col, k) < beta) continue;
+      record_pivot(pivot_span, res, it->orig,
+                   traits[static_cast<std::size_t>(it->orig)].score);
+      refl.append(it->col);
+      near.erase(it);
+      picked = true;
+      break;
+    }
+    while (!picked && next < order.size()) {
+      const linalg::index_t j = order[next++];
+      const auto src = x.col(j);
+      std::copy(src.begin(), src.end(), col.begin());
+      refl.update(col, 0);
+      const double t = tail_norm(col, k);
+      if (t >= beta) {
+        record_pivot(pivot_span, res, j,
+                     traits[static_cast<std::size_t>(j)].score);
+        refl.append(col);
+        picked = true;
+      } else if (t >= beta - drift_per_norm * (linalg::nrm2(src) + beta)) {
+        near.push_back({j, col, k});
+      }
+    }
+    if (!picked) break;
+  }
+}
+
+// The two ablation rules re-score the updated residuals at every step, so
+// they keep the eager right-looking loop: each step recomputes every
+// trailing residual norm and applies the new reflector to every trailing
+// column of a working copy of X.
+void eager_qrcp(const linalg::Matrix& x, double alpha, double beta,
+                PivotRule rule, SpecialQrcpResult& res) {
+  linalg::Matrix a = x;
   const linalg::index_t m = a.rows();
   const linalg::index_t n = a.cols();
   const linalg::index_t kmax = std::min(m, n);
-  // beta = norm of the all-alpha vector of the full column length.
-  const double beta = alpha * std::sqrt(static_cast<double>(m));
-
+  const std::vector<ColumnTraits> traits = column_traits(x, alpha);
   std::vector<linalg::index_t> perm(static_cast<std::size_t>(n));
   std::iota(perm.begin(), perm.end(), linalg::index_t{0});
-
-  std::vector<ColumnTraits> traits(static_cast<std::size_t>(n));
-  core::parallel_for_chunks(
-      static_cast<std::size_t>(n), threads, 256,
-      [&](std::size_t b, std::size_t e) {
-        std::vector<double> rounded(static_cast<std::size_t>(m));
-        for (std::size_t jj = b; jj < e; ++jj) {
-          const auto j = static_cast<linalg::index_t>(jj);
-          const auto col = x.col(j);
-          for (linalg::index_t i = 0; i < m; ++i) {
-            rounded[static_cast<std::size_t>(i)] =
-                round_to_tolerance(col[static_cast<std::size_t>(i)], alpha);
-          }
-          traits[jj] = {column_score(col, alpha), linalg::nrm2(rounded)};
-        }
-      });
-
   for (linalg::index_t i = 0; i < kmax; ++i) {
     obs::Span pivot_span("qrcp.pivot");
     pivot_span.arg("i", i);
-    const linalg::index_t pivot =
-        get_pivot(a, traits, perm, i, alpha, beta, rule, threads);
+    // Minimum (score, norm, original index) over the eligible trailing
+    // columns; -1 = none eligible.
+    linalg::index_t pivot = -1;
+    double best_score = 0.0;
+    double best_norm = 0.0;
+    for (linalg::index_t j = i; j < n; ++j) {
+      const auto tail = a.col(j).subspan(static_cast<std::size_t>(i));
+      const double norm = linalg::nrm2(tail);
+      if (norm < beta) continue;  // dependent or noise-level
+      const double score =
+          rule == PivotRule::updated_score ? column_score(tail, alpha) : -norm;
+      if (pivot == -1 || score < best_score ||
+          (score == best_score &&
+           (norm < best_norm ||
+            (norm == best_norm &&
+             perm[static_cast<std::size_t>(j)] <
+                 perm[static_cast<std::size_t>(pivot)])))) {
+        pivot = j;
+        best_score = score;
+        best_norm = norm;
+      }
+    }
     if (pivot == -1) break;
-    const double pivot_score =
-        traits[static_cast<std::size_t>(perm[static_cast<std::size_t>(pivot)])]
-            .score;
-    res.pivot_scores.push_back(pivot_score);
-    pivot_span.arg("col", perm[static_cast<std::size_t>(pivot)]);
-    pivot_span.arg("score", pivot_score);
-    obs::observe(obs::names::kQrcpPivotScore, pivot_score);
     if (pivot != i) {
       a.swap_cols(i, pivot);
       std::swap(perm[static_cast<std::size_t>(i)],
                 perm[static_cast<std::size_t>(pivot)]);
     }
-    res.selected.push_back(perm[static_cast<std::size_t>(i)]);
+    const linalg::index_t orig = perm[static_cast<std::size_t>(i)];
+    record_pivot(pivot_span, res, orig,
+                 traits[static_cast<std::size_t>(orig)].score);
 
     // Orthogonalization step: annihilate below the diagonal of column i and
     // update the trailing columns, so later scores and the beta cutoff act
@@ -194,9 +251,27 @@ SpecialQrcpResult specialized_qrcp(const linalg::Matrix& x, double alpha,
     auto ci = a.col(i);
     auto head = ci.subspan(static_cast<std::size_t>(i));
     const linalg::Reflector h = linalg::make_reflector(head);
-    auto v = head.subspan(1);
-    linalg::apply_reflector_left(a, i, i + 1, v, h.tau, threads);
+    linalg::apply_reflector_left(a, i, i + 1, head.subspan(1), h.tau);
     ci[static_cast<std::size_t>(i)] = h.beta;
+  }
+}
+
+}  // namespace
+
+SpecialQrcpResult specialized_qrcp(const linalg::Matrix& x, double alpha,
+                                   PivotRule rule) {
+  CATALYST_REQUIRE_AS(alpha > 0.0, std::invalid_argument,
+                      "specialized_qrcp: alpha must be positive");
+  CATALYST_ASSUME_FINITE_AS(x.data(), std::invalid_argument,
+                            "specialized_qrcp: X has NaN/Inf entries");
+  SpecialQrcpResult res;
+  const linalg::index_t n = x.cols();
+  // beta = norm of the all-alpha vector of the full column length.
+  const double beta = alpha * std::sqrt(static_cast<double>(x.rows()));
+  if (rule == PivotRule::original_score) {
+    walk_qrcp(x, alpha, beta, res);
+  } else {
+    eager_qrcp(x, alpha, beta, rule, res);
   }
   res.rank = static_cast<linalg::index_t>(res.selected.size());
   // Pivot-consistency postconditions: the selected original-column indices

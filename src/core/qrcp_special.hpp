@@ -53,7 +53,8 @@ enum class PivotRule {
   /// dimension).
   updated_score,
   /// Classic Algorithm 1 pivoting (largest updated residual norm) under the
-  /// same beta termination -- the Section II failure mode.
+  /// same beta termination -- the Section II failure mode, and the library's
+  /// only classic QRCP.
   max_norm,
 };
 
@@ -74,15 +75,24 @@ struct SpecialQrcpResult {
 /// X to materialize X-hat (the algorithm orthogonalizes internally only to
 /// guarantee independence).
 ///
-/// `threads` parallelizes the per-column work (initial trait scan, the
-/// candidate norm/score evaluation inside the pivot search, and the
-/// reflector update) through the shared worker pool.  Every column is
-/// evaluated with the exact serial arithmetic and the pivot is the unique
-/// lexicographic minimum of (score, norm, original index) -- original
-/// indices are distinct, so the minimum is unique and the chunked reduction
-/// returns bit-identical results for any thread count.
+/// Under original_score the pivot key (score, rounded norm, index) of every
+/// column is fixed on the original X; only eligibility changes from step to
+/// step.  A column's residual is its distance to the span of the columns
+/// picked so far, and that span only grows, so the residual norm can only
+/// shrink: a column found below beta never becomes eligible again.  The
+/// pivot at step k is therefore the first still-eligible column in key
+/// order, and the factorization is a left-looking walk: sort the columns by
+/// key once, visit them in that order, bring each visited column up to date
+/// with the k reflectors stored so far, keep it if its tail norm reaches
+/// beta and skip it otherwise, and stop at rank min(m, n).  Only the
+/// visited columns are ever touched.  Rounding can still lift a residual by
+/// a few ulps, so a column that misses beta by less than the rounding
+/// bound of its updates is re-checked at later steps; selections and pivot
+/// scores are those of the eager loop that re-tests every column at every
+/// step.  The two ablation rules score updated residuals and keep that
+/// eager loop.
 SpecialQrcpResult specialized_qrcp(
     const linalg::Matrix& x, double alpha,
-    PivotRule rule = PivotRule::original_score, int threads = 1);
+    PivotRule rule = PivotRule::original_score);
 
 }  // namespace catalyst::core

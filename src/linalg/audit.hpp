@@ -5,10 +5,10 @@
 // is orthonormal, R is upper triangular, a least-squares solution actually
 // minimizes the residual.  This module makes those invariants checkable *in
 // production data paths*: when audits are enabled (set_enabled(true) or
-// CATALYST_AUDIT=1 in the environment), qrcp(), QrFactorization and lstsq()
-// verify their own output after every factorization/solve and report
-// violations through the contract layer (AuditError under the throw
-// policy).  When disabled -- the default -- the hooks cost one branch.
+// CATALYST_AUDIT=1 in the environment), QrFactorization and lstsq() verify
+// their own output after every factorization/solve and report violations
+// through the contract layer (AuditError under the throw policy).  When
+// disabled -- the default -- the hooks cost one branch.
 //
 // The audit_pipeline ctest runs the full paper pipeline with audits on; the
 // measurement functions (orthogonality_error, ...) are also usable directly

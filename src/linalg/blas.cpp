@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <random>
 #include <vector>
 
 #include "core/contract.hpp"
-#include "core/parallel.hpp"
 
 namespace catalyst::linalg {
 
@@ -29,62 +27,6 @@ double triangular_diag_tolerance(const Matrix& m, index_t n) {
   return contract::singular_tolerance(n, dmax);
 }
 
-// x86-64 GCC/Clang get a second, AVX2+FMA compilation of the hot kernels,
-// selected once per process by cpuid.  Dispatch never changes within a run,
-// so results stay deterministic on a given machine (they may differ ACROSS
-// machines with different ISAs -- same caveat as any vectorized BLAS).
-#if defined(__x86_64__) && defined(__GNUC__)
-#define CATALYST_BLAS_DISPATCH 1
-#endif
-
-#if CATALYST_BLAS_DISPATCH
-bool cpu_has_avx2_fma() {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") != 0;
-}
-#endif
-
-// ----- reassociated dot kernel ----------------------------------------------
-
-__attribute__((always_inline)) inline double dot_unrolled_impl(
-    const double* x, const double* y, std::size_t n) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  double a4 = 0.0, a5 = 0.0, a6 = 0.0, a7 = 0.0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    a0 += x[i + 0] * y[i + 0];
-    a1 += x[i + 1] * y[i + 1];
-    a2 += x[i + 2] * y[i + 2];
-    a3 += x[i + 3] * y[i + 3];
-    a4 += x[i + 4] * y[i + 4];
-    a5 += x[i + 5] * y[i + 5];
-    a6 += x[i + 6] * y[i + 6];
-    a7 += x[i + 7] * y[i + 7];
-  }
-  double tail = 0.0;
-  for (; i < n; ++i) tail += x[i] * y[i];
-  return (((a0 + a4) + (a1 + a5)) + ((a2 + a6) + (a3 + a7))) + tail;
-}
-
-double dot_unrolled_base(const double* x, const double* y, std::size_t n) {
-  return dot_unrolled_impl(x, y, n);
-}
-
-#if CATALYST_BLAS_DISPATCH
-__attribute__((target("avx2,fma"))) double dot_unrolled_avx2(
-    const double* x, const double* y, std::size_t n) {
-  return dot_unrolled_impl(x, y, n);
-}
-#endif
-
-using DotFn = double (*)(const double*, const double*, std::size_t);
-
-DotFn resolve_dot_unrolled() {
-#if CATALYST_BLAS_DISPATCH
-  if (cpu_has_avx2_fma()) return dot_unrolled_avx2;
-#endif
-  return dot_unrolled_base;
-}
-
 }  // namespace
 
 // ----- Level 1 --------------------------------------------------------------
@@ -94,12 +36,6 @@ double dot(std::span<const double> x, std::span<const double> y) {
   double s = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
   return s;
-}
-
-double dot_unrolled(std::span<const double> x, std::span<const double> y) {
-  check_same_size(x, y, "dot_unrolled");
-  static const DotFn fn = resolve_dot_unrolled();
-  return fn(x.data(), y.data(), x.size());
 }
 
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
@@ -150,31 +86,6 @@ index_t iamax(std::span<const double> x) noexcept {
     }
   }
   return best;
-}
-
-// ----- Views ----------------------------------------------------------------
-
-ConstView view(const Matrix& m) noexcept {
-  return {m.data().data(), m.rows(), m.cols(), m.rows()};
-}
-
-MutView view(Matrix& m) noexcept {
-  return {m.data().data(), m.rows(), m.cols(), m.rows()};
-}
-
-ConstView subview(const Matrix& m, index_t r0, index_t c0, index_t nr,
-                  index_t nc) {
-  CATALYST_REQUIRE_AS(r0 >= 0 && c0 >= 0 && nr >= 0 && nc >= 0 &&
-                          r0 + nr <= m.rows() && c0 + nc <= m.cols(),
-                      DimensionError, "subview: block exceeds matrix");
-  return {m.data().data() + c0 * m.rows() + r0, nr, nc, m.rows()};
-}
-
-MutView subview(Matrix& m, index_t r0, index_t c0, index_t nr, index_t nc) {
-  CATALYST_REQUIRE_AS(r0 >= 0 && c0 >= 0 && nr >= 0 && nc >= 0 &&
-                          r0 + nr <= m.rows() && c0 + nc <= m.cols(),
-                      DimensionError, "subview: block exceeds matrix");
-  return {m.data().data() + c0 * m.rows() + r0, nr, nc, m.rows()};
 }
 
 // ----- Level 2 --------------------------------------------------------------
@@ -235,348 +146,26 @@ void ger(double alpha, std::span<const double> x, std::span<const double> y,
 
 // ----- Level 3 --------------------------------------------------------------
 
-namespace {
-
-// --- naive path (exact historical rounding) ---------------------------------
-
-// Serial kernel computing columns [c0, c1) of C = alpha*op(A)*op(B) + beta*C.
-// This is the original j-k-i gemm loop, unchanged: every product that takes
-// this path rounds exactly as it always has.
-void gemm_cols(double alpha, ConstView a, bool trans_a, ConstView b,
-               bool trans_b, double beta, MutView c, index_t c0, index_t c1) {
-  const index_t m = c.rows;
-  const index_t kdim = trans_a ? a.rows : a.cols;
-  for (index_t j = c0; j < c1; ++j) {
-    const std::span<double> cj(c.data + j * c.ld, static_cast<std::size_t>(m));
+void gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
+          bool trans_b, double beta, Matrix& c) {
+  const index_t m = c.rows();
+  const index_t n = c.cols();
+  const index_t kdim = trans_a ? a.rows() : a.cols();
+  CATALYST_REQUIRE_AS((trans_a ? a.cols() : a.rows()) == m &&
+                          (trans_b ? b.rows() : b.cols()) == n &&
+                          (trans_b ? b.cols() : b.rows()) == kdim,
+                      DimensionError, "gemm: shape mismatch");
+  for (index_t j = 0; j < n; ++j) {
+    auto cj = c.col(j);
     scal(beta, cj);
     for (index_t k = 0; k < kdim; ++k) {
-      const double bkj =
-          trans_b ? b.data[k * b.ld + j] : b.data[j * b.ld + k];
-      const double f = alpha * bkj;
+      const double f = alpha * (trans_b ? b(j, k) : b(k, j));
       if (f == 0.0) continue;
-      if (!trans_a) {
-        const double* ak = a.data + k * a.ld;
-        for (index_t i = 0; i < m; ++i) {
-          cj[static_cast<std::size_t>(i)] += f * ak[i];
-        }
-      } else {
-        for (index_t i = 0; i < m; ++i) {
-          cj[static_cast<std::size_t>(i)] += f * a.data[i * a.ld + k];
-        }
+      for (index_t i = 0; i < m; ++i) {
+        cj[static_cast<std::size_t>(i)] += f * (trans_a ? a(k, i) : a(i, k));
       }
     }
   }
-}
-
-// --- blocked path -----------------------------------------------------------
-
-// GotoBLAS-style blocking: C is processed in NC-wide column panels (the
-// thread-partitioning unit), each panel in KC-deep rank-k chunks, each chunk
-// in MC-tall row blocks.  Micro-panels of A (MR rows) and B (NR columns) are
-// packed contiguously, zero-padded at the edges, so the MR x NR micro-kernel
-// is branch-free and fully unrolled.
-constexpr index_t kMR = 8;
-constexpr index_t kNR = 4;
-constexpr index_t kMC = 128;   // A block kMC x kKC: 256 KiB, lives in L2
-constexpr index_t kKC = 256;
-constexpr index_t kNC = 1024;  // B panel kKC x kNC: 2 MiB, streams from L3
-
-// Products below this flop count stay on the naive path: the pipeline's
-// basis-sized systems keep their exact historical rounding, and tiny gemms
-// skip the packing overhead.
-constexpr double kBlockedFlopThreshold = 32768.0;
-
-// Packs op(A)[i0:i0+mc, p0:p0+kc) into micro-panels of kMR rows:
-// buf[ib*kc*kMR + p*kMR + r] = op(A)(i0 + ib*kMR + r, p0 + p), zero-padded
-// past mc.  The zero rows multiply into accumulator lanes whose results are
-// discarded by the edge-masked writeback, so padding never changes a kept
-// value.
-void pack_a(ConstView a, bool trans, index_t i0, index_t p0, index_t mc,
-            index_t kc, double* buf) {
-  for (index_t ib = 0; ib < mc; ib += kMR) {
-    const index_t mr = std::min(kMR, mc - ib);
-    if (trans) {
-      // op(A) row i is a column of the stored matrix: iterate p innermost so
-      // the source reads are contiguous.  The buffer contents are identical
-      // to the non-transposed order below -- only the fill order differs.
-      for (index_t r = 0; r < mr; ++r) {
-        const double* src = a.data + (i0 + ib + r) * a.ld + p0;
-        for (index_t p = 0; p < kc; ++p) buf[p * kMR + r] = src[p];
-      }
-      for (index_t r = mr; r < kMR; ++r) {
-        for (index_t p = 0; p < kc; ++p) buf[p * kMR + r] = 0.0;
-      }
-      buf += kc * kMR;
-    } else {
-      for (index_t p = 0; p < kc; ++p) {
-        const double* src = a.data + (p0 + p) * a.ld + i0 + ib;
-        for (index_t r = 0; r < mr; ++r) *buf++ = src[r];
-        for (index_t r = mr; r < kMR; ++r) *buf++ = 0.0;
-      }
-    }
-  }
-}
-
-// Packs op(B)[p0:p0+kc, j0:j0+nc) into micro-panels of kNR columns:
-// buf[jb*kc*kNR + p*kNR + s] = op(B)(p0 + p, j0 + jb*kNR + s), zero-padded.
-void pack_b(ConstView b, bool trans, index_t p0, index_t j0, index_t kc,
-            index_t nc, double* buf) {
-  for (index_t jb = 0; jb < nc; jb += kNR) {
-    const index_t nr = std::min(kNR, nc - jb);
-    if (trans) {
-      for (index_t p = 0; p < kc; ++p) {
-        const double* src = b.data + (p0 + p) * b.ld + j0 + jb;
-        for (index_t s = 0; s < nr; ++s) *buf++ = src[s];
-        for (index_t s = nr; s < kNR; ++s) *buf++ = 0.0;
-      }
-    } else {
-      // op(B) column j is a column of the stored matrix: iterate p innermost
-      // for contiguous source reads; same buffer contents as the transposed
-      // order, different fill order.
-      for (index_t s = 0; s < nr; ++s) {
-        const double* src = b.data + (j0 + jb + s) * b.ld + p0;
-        for (index_t p = 0; p < kc; ++p) buf[p * kNR + s] = src[p];
-      }
-      for (index_t s = nr; s < kNR; ++s) {
-        for (index_t p = 0; p < kc; ++p) buf[p * kNR + s] = 0.0;
-      }
-      buf += kc * kNR;
-    }
-  }
-}
-
-// The macro-kernel: multiplies the packed mc x kc block of A by the packed
-// kc x nc panel of B into C.  `first` marks the first KC chunk, where beta
-// is applied; later chunks accumulate.  Accumulation order per C element is
-// fixed (p ascending within a chunk, chunks in pc order), independent of
-// threads.
-__attribute__((always_inline)) inline void macro_kernel_impl(
-    index_t mc, index_t nc, index_t kc, double alpha, const double* apack,
-    const double* bpack, double beta, bool first, double* c, index_t ldc) {
-  for (index_t jr = 0; jr < nc; jr += kNR) {
-    const index_t nr = std::min(kNR, nc - jr);
-    const double* bp = bpack + (jr / kNR) * kc * kNR;
-    for (index_t ir = 0; ir < mc; ir += kMR) {
-      const index_t mr = std::min(kMR, mc - ir);
-      const double* ap = apack + (ir / kMR) * kc * kMR;
-      double acc[kMR * kNR] = {};
-      for (index_t p = 0; p < kc; ++p) {
-        const double* av = ap + p * kMR;
-        const double* bv = bp + p * kNR;
-        for (index_t j = 0; j < kNR; ++j) {
-          for (index_t i = 0; i < kMR; ++i) {
-            acc[j * kMR + i] += av[i] * bv[j];
-          }
-        }
-      }
-      for (index_t j = 0; j < nr; ++j) {
-        double* cj = c + (jr + j) * ldc + ir;
-        for (index_t i = 0; i < mr; ++i) {
-          const double v = alpha * acc[j * kMR + i];
-          if (first) {
-            cj[i] = beta == 0.0 ? v : beta * cj[i] + v;
-          } else {
-            cj[i] += v;
-          }
-        }
-      }
-    }
-  }
-}
-
-void macro_kernel_sca(index_t mc, index_t nc, index_t kc, double alpha,
-                      const double* apack, const double* bpack, double beta,
-                      bool first, double* c, index_t ldc) {
-  macro_kernel_impl(mc, nc, kc, alpha, apack, bpack, beta, first, c, ldc);
-}
-
-#if CATALYST_BLAS_DISPATCH
-__attribute__((target("avx2,fma"))) void macro_kernel_avx2(
-    index_t mc, index_t nc, index_t kc, double alpha, const double* apack,
-    const double* bpack, double beta, bool first, double* c, index_t ldc) {
-  macro_kernel_impl(mc, nc, kc, alpha, apack, bpack, beta, first, c, ldc);
-}
-#endif
-
-using MacroFn = void (*)(index_t, index_t, index_t, double, const double*,
-                         const double*, double, bool, double*, index_t);
-
-MacroFn resolve_macro_kernel() {
-#if CATALYST_BLAS_DISPATCH
-  if (cpu_has_avx2_fma()) return macro_kernel_avx2;
-#endif
-  return macro_kernel_sca;
-}
-
-void gemm_blocked(double alpha, ConstView a, bool trans_a, ConstView b,
-                  bool trans_b, double beta, MutView c, int threads) {
-  static const MacroFn macro = resolve_macro_kernel();
-  const index_t m = c.rows;
-  const index_t n = c.cols;
-  const index_t kdim = trans_a ? a.rows : a.cols;
-  // One unit per NC panel; panel boundaries depend only on n, and every C
-  // column belongs to exactly one unit, so any worker count is bit-identical.
-  const auto n_panels = static_cast<std::size_t>((n + kNC - 1) / kNC);
-  core::parallel_for(n_panels, threads, [&](std::size_t pj) {
-    const index_t jc0 = static_cast<index_t>(pj) * kNC;
-    const index_t nc = std::min(kNC, n - jc0);
-    // Deliberately uninitialized: pack_a/pack_b write every element that the
-    // micro-kernel reads, padding included, so value-initializing here would
-    // memset up to 2 MiB per panel for nothing.
-    const auto asz = static_cast<std::size_t>(
-        ((kMC + kMR - 1) / kMR) * kMR * std::min(kKC, kdim));
-    const auto bsz = static_cast<std::size_t>(
-        ((nc + kNR - 1) / kNR) * kNR * std::min(kKC, kdim));
-    const auto apack = std::make_unique_for_overwrite<double[]>(asz);
-    const auto bpack = std::make_unique_for_overwrite<double[]>(bsz);
-    for (index_t pc = 0; pc < kdim; pc += kKC) {
-      const index_t kc = std::min(kKC, kdim - pc);
-      pack_b(b, trans_b, pc, jc0, kc, nc, bpack.get());
-      const bool first = pc == 0;
-      for (index_t ic = 0; ic < m; ic += kMC) {
-        const index_t mc = std::min(kMC, m - ic);
-        pack_a(a, trans_a, ic, pc, mc, kc, apack.get());
-        macro(mc, nc, kc, alpha, apack.get(), bpack.get(), beta, first,
-              c.data + jc0 * c.ld + ic, c.ld);
-      }
-    }
-  });
-}
-
-// ----- fused dlaqps panel-step sweep ----------------------------------------
-
-// One pass per factorization step over the trailing columns: the F dot
-// against the current reflector, the incremental correction from the panel's
-// earlier steps, the exact row-i finalization, and the LINPACK norm downdate
-// all touch a column's tail and F row exactly once.  The separate sweeps
-// this replaces each streamed the trailing matrix or F from L3, and the
-// sweep is the bandwidth-bound heart of blocked QRCP -- fusing them is worth
-// more than any micro-kernel tuning here.  Per-column arithmetic is
-// identical to the unfused sweeps (same accumulation orders), so chunking
-// the range across threads stays bit-identical.
-__attribute__((always_inline)) inline void qrcp_panel_sweep_impl(
-    const detail::QrcpPanelStep& st, index_t j0, index_t j1, double* pnorm,
-    const double* pnorm_exact, unsigned char* flag_mask) {
-  const index_t i = st.i;
-  const auto len = static_cast<std::size_t>(st.m - i);
-  for (index_t j = j0; j < j1; ++j) {
-    double* cj = st.a + j * st.lda;
-    // Each column is a short burst of ~len/8 cache lines, too short for the
-    // hardware stream prefetchers to retrain on -- fetch the tail two
-    // columns ahead so its latency overlaps this column's arithmetic.
-    const double* pf = cj + 2 * st.lda + i;
-    for (std::size_t q = 0; q < len; q += 8) __builtin_prefetch(pf + q);
-    double* frow = st.f + (j - st.k0) * st.ldf;  // F stored kk-contiguous
-    // F(kk, j - k0) = tau * A(i:m, j) . v, minus tau * F(0:kk, j - k0) .
-    // auxv (the deferred-update correction).  The same pass over the F row
-    // feeds the row-i finalization sum; its c = kk term is the fresh F
-    // entry times the temporary unit diagonal.
-    double fkk = 0.0;
-    if (st.tau != 0.0) {
-      fkk = st.tau * dot_unrolled_impl(cj + i, st.vfull, len);
-    }
-    double s_aux = 0.0;
-    double s_row = 0.0;
-    for (index_t c = 0; c < st.kk; ++c) {
-      const double fc = frow[c];
-      s_aux += fc * st.auxv[c];
-      s_row += fc * st.arow[c];
-    }
-    if (st.tau != 0.0 && st.kk > 0) fkk -= st.tau * s_aux;
-    frow[st.kk] = fkk;
-    const double aij = cj[i] - (s_row + fkk);
-    cj[i] = aij;
-    // LINPACK downdate with the dgeqp3 safeguard; a flagged column cannot be
-    // recomputed yet (rows below i are stale), so it is only marked here.
-    double& pn = pnorm[j];
-    if (pn != 0.0) {
-      const double t = std::fabs(aij) / pn;
-      const double f = std::max(0.0, (1.0 - t) * (1.0 + t));
-      const double ratio = pn / pnorm_exact[j];
-      if (f * ratio * ratio <= 1e-14) {
-        flag_mask[j] = 1;
-      } else {
-        pn *= std::sqrt(f);
-      }
-    }
-  }
-}
-
-void qrcp_panel_sweep_sca(const detail::QrcpPanelStep& st, index_t j0,
-                          index_t j1, double* pnorm,
-                          const double* pnorm_exact,
-                          unsigned char* flag_mask) {
-  qrcp_panel_sweep_impl(st, j0, j1, pnorm, pnorm_exact, flag_mask);
-}
-
-#if CATALYST_BLAS_DISPATCH
-__attribute__((target("avx2,fma"))) void qrcp_panel_sweep_avx2(
-    const detail::QrcpPanelStep& st, index_t j0, index_t j1, double* pnorm,
-    const double* pnorm_exact, unsigned char* flag_mask) {
-  qrcp_panel_sweep_impl(st, j0, j1, pnorm, pnorm_exact, flag_mask);
-}
-#endif
-
-using PanelSweepFn = void (*)(const detail::QrcpPanelStep&, index_t, index_t,
-                              double*, const double*, unsigned char*);
-
-PanelSweepFn resolve_panel_sweep() {
-#if CATALYST_BLAS_DISPATCH
-  if (cpu_has_avx2_fma()) return qrcp_panel_sweep_avx2;
-#endif
-  return qrcp_panel_sweep_sca;
-}
-
-}  // namespace
-
-namespace detail {
-
-void qrcp_panel_sweep(const QrcpPanelStep& st, index_t j0, index_t j1,
-                      double* pnorm, const double* pnorm_exact,
-                      unsigned char* flag_mask) {
-  static const PanelSweepFn fn = resolve_panel_sweep();
-  fn(st, j0, j1, pnorm, pnorm_exact, flag_mask);
-}
-
-}  // namespace detail
-
-void gemm_view(double alpha, ConstView a, bool trans_a, ConstView b,
-               bool trans_b, double beta, MutView c, int threads) {
-  const index_t m = trans_a ? a.cols : a.rows;
-  const index_t ka = trans_a ? a.rows : a.cols;
-  const index_t kb = trans_b ? b.cols : b.rows;
-  const index_t n = trans_b ? b.rows : b.cols;
-  CATALYST_REQUIRE_AS(ka == kb && c.rows == m && c.cols == n, DimensionError,
-                      "gemm: shape mismatch");
-  const double flops = static_cast<double>(m) * static_cast<double>(n) *
-                       static_cast<double>(ka);
-  if (alpha != 0.0 && flops >= kBlockedFlopThreshold) {
-    gemm_blocked(alpha, a, trans_a, b, trans_b, beta, c, threads);
-    return;
-  }
-  if (threads <= 1 || n < 2) {
-    gemm_cols(alpha, a, trans_a, b, trans_b, beta, c, 0, n);
-    return;
-  }
-  const int nt = std::min<int>(threads, static_cast<int>(n));
-  const index_t chunk = (n + nt - 1) / nt;
-  core::parallel_for_chunks(
-      static_cast<std::size_t>(n), nt, static_cast<std::size_t>(chunk),
-      [&](std::size_t c0, std::size_t c1) {
-        gemm_cols(alpha, a, trans_a, b, trans_b, beta, c,
-                  static_cast<index_t>(c0), static_cast<index_t>(c1));
-      });
-}
-
-void gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
-          bool trans_b, double beta, Matrix& c, int threads) {
-  CATALYST_REQUIRE_AS(
-      (trans_a ? a.cols() : a.rows()) == c.rows() &&
-          (trans_b ? b.rows() : b.cols()) == c.cols() &&
-          (trans_a ? a.rows() : a.cols()) == (trans_b ? b.cols() : b.rows()),
-      DimensionError, "gemm: shape mismatch");
-  gemm_view(alpha, view(a), trans_a, view(b), trans_b, beta, view(c),
-            threads);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {

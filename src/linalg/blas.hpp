@@ -1,23 +1,9 @@
 // catalyst/linalg -- BLAS-style dense kernels (levels 1-3).
 //
 // These are the workhorse routines under the QR factorizations and the
-// least-squares solvers.  Level 1/2 routines are written for clarity with
-// the standard loop orders; gemm has two paths:
-//
-//   * a naive j-k-i path, kept verbatim for small products so the matrices
-//     the paper's pipeline produces (basis-sized systems) keep their exact
-//     historical rounding;
-//   * a cache-blocked path for large products: op(A)/op(B) panels are packed
-//     into contiguous micro-panels (GotoBLAS-style MC x KC / KC x NC
-//     blocking) and multiplied by a register-blocked MR x NR micro-kernel.
-//     On x86-64 the micro-kernel is compiled twice -- baseline and
-//     AVX2+FMA -- and dispatched once per process by cpuid, so the hot loop
-//     vectorizes without raising the translation unit's baseline ISA.
-//
-// Threading splits C into fixed column panels claimed through the shared
-// worker pool (core/parallel.hpp).  Panel boundaries depend only on the
-// problem size, and each C element is accumulated by exactly one worker in a
-// fixed order, so results are bit-identical for ANY thread count.
+// least-squares solvers, written for clarity with the standard loop orders.
+// Every kernel is one plain loop with a fixed accumulation order, so no
+// result depends on the host ISA or on a thread count.
 #pragma once
 
 #include <span>
@@ -30,13 +16,6 @@ namespace catalyst::linalg {
 
 /// x . y
 double dot(std::span<const double> x, std::span<const double> y);
-
-/// x . y computed with eight independent accumulators (reassociated, and
-/// FMA-contracted where the CPU supports it).  Breaking the sequential
-/// addition chain makes it latency-robust -- the blocked factorizations use
-/// it for their inner products.  NOT bit-identical to dot(); identical to
-/// itself for any thread count and across repeated runs on one machine.
-double dot_unrolled(std::span<const double> x, std::span<const double> y);
 
 /// y += alpha * x
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
@@ -53,38 +32,6 @@ double asum(std::span<const double> x) noexcept;
 
 /// Index of the element with the largest magnitude; -1 for an empty span.
 index_t iamax(std::span<const double> x) noexcept;
-
-// ----- Views ----------------------------------------------------------------
-
-/// Lightweight column-major view of a dense block (no ownership): element
-/// (i, j) lives at data[j * ld + i].  Used to run gemm on sub-blocks in
-/// place -- the blocked QR/QRCP trailing updates write straight into the
-/// packed factorization instead of copying blocks out and back.
-struct ConstView {
-  const double* data = nullptr;
-  index_t rows = 0;
-  index_t cols = 0;
-  index_t ld = 0;
-};
-
-/// Mutable counterpart of ConstView.
-struct MutView {
-  double* data = nullptr;
-  index_t rows = 0;
-  index_t cols = 0;
-  index_t ld = 0;
-
-  operator ConstView() const noexcept { return {data, rows, cols, ld}; }
-};
-
-ConstView view(const Matrix& m) noexcept;
-MutView view(Matrix& m) noexcept;
-
-/// View of the sub-block [r0, r0+nr) x [c0, c0+nc); throws DimensionError
-/// when the block exceeds the matrix.
-ConstView subview(const Matrix& m, index_t r0, index_t c0, index_t nr,
-                  index_t nc);
-MutView subview(Matrix& m, index_t r0, index_t c0, index_t nr, index_t nc);
 
 // ----- Level 2 ------------------------------------------------------------
 
@@ -108,63 +55,16 @@ void ger(double alpha, std::span<const double> x, std::span<const double> y,
 
 // ----- Level 3 ------------------------------------------------------------
 
-/// C = alpha * op(A) * op(B) + beta * C, with op in {identity, transpose}.
-/// `threads` > 1 splits the columns of C into fixed panels executed on the
-/// shared worker pool; results are bit-identical for any thread count.
-/// Small products take the naive j-k-i path (exact historical rounding);
-/// large ones the packed blocked path (see file comment).
+/// C = alpha * op(A) * op(B) + beta * C, with op in {identity, transpose}:
+/// the j-k-i loop, one column of C at a time.
 void gemm(double alpha, const Matrix& a, bool trans_a, const Matrix& b,
-          bool trans_b, double beta, Matrix& c, int threads = 1);
+          bool trans_b, double beta, Matrix& c);
 
-/// gemm on views: same contract as gemm(), operating on (sub-)blocks in
-/// place.  The view variant is what the blocked factorizations call.
-void gemm_view(double alpha, ConstView a, bool trans_a, ConstView b,
-               bool trans_b, double beta, MutView c, int threads = 1);
-
-/// Convenience: returns A * B (serial).
+/// Convenience: returns A * B.
 Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// Convenience: returns A^T * B (serial).
+/// Convenience: returns A^T * B.
 Matrix matmul_tn(const Matrix& a, const Matrix& b);
-
-namespace detail {
-
-/// Arguments for one fused dlaqps panel-step sweep (blocked QRCP, see
-/// qrcp.cpp).  All pointers alias the factorization in progress: `a` is the
-/// column-major matrix base, `f` the panel's F matrix stored TRANSPOSED
-/// relative to LAPACK (nb x (n - k0), column-major, so one column's
-/// coefficients F(0:kk, j - k0) are contiguous and the sweep walks F
-/// sequentially), `vfull` the current reflector (&a(i, i), with the diagonal
-/// temporarily holding 1), and `auxv`/`arow` the per-step panel coefficients
-/// A(i:m, k0+c)^T v and a(i, k0+c) for c < kk.
-struct QrcpPanelStep {
-  double* a = nullptr;
-  index_t lda = 0;
-  index_t i = 0;   ///< current global step (pivot row/column)
-  index_t m = 0;   ///< rows of a
-  index_t k0 = 0;  ///< first column of the panel
-  index_t kk = 0;  ///< step index within the panel
-  double tau = 0.0;
-  const double* vfull = nullptr;
-  double* f = nullptr;
-  index_t ldf = 0;
-  const double* auxv = nullptr;
-  const double* arow = nullptr;
-};
-
-/// Runs the fused sweep over trailing columns [j0, j1): writes F(kk, j - k0),
-/// finalizes a(i, j), and downdates pnorm[j], setting flag_mask[j] instead
-/// when the dgeqp3 safeguard demands a post-gemm norm recompute.  One pass
-/// replaces the separate F-dot, F-correction, row-finalization, and downdate
-/// sweeps -- the bandwidth-bound heart of blocked QRCP.  Every column is
-/// self-contained, so any chunking of the range is bit-identical; the hot
-/// loop is compiled baseline + AVX2/FMA and dispatched once per process like
-/// the gemm micro-kernel.
-void qrcp_panel_sweep(const QrcpPanelStep& st, index_t j0, index_t j1,
-                      double* pnorm, const double* pnorm_exact,
-                      unsigned char* flag_mask);
-
-}  // namespace detail
 
 // ----- Triangular solves ----------------------------------------------------
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/parallel.hpp"
 #include "linalg/blas.hpp"
 
 namespace catalyst::linalg {
@@ -38,68 +37,6 @@ void apply_reflector_left(Matrix& a, index_t r0, index_t c0,
   for (index_t j = c0; j < a.cols(); ++j) {
     auto cj = a.col(j);
     // w = v^T * A[r0:, j] with v = (1, v_essential).
-    double w = cj[static_cast<std::size_t>(r0)];
-    for (index_t i = r0 + 1; i < m; ++i) {
-      w += v_essential[static_cast<std::size_t>(i - r0 - 1)] *
-           cj[static_cast<std::size_t>(i)];
-    }
-    w *= tau;
-    cj[static_cast<std::size_t>(r0)] -= w;
-    for (index_t i = r0 + 1; i < m; ++i) {
-      cj[static_cast<std::size_t>(i)] -=
-          w * v_essential[static_cast<std::size_t>(i - r0 - 1)];
-    }
-  }
-}
-
-void apply_reflector_left(Matrix& a, index_t r0, index_t c0,
-                          std::span<const double> v_essential, double tau,
-                          int threads) {
-  if (tau == 0.0) return;
-  const index_t m = a.rows();
-  if (r0 < 0 || r0 >= m ||
-      static_cast<index_t>(v_essential.size()) != m - r0 - 1) {
-    throw DimensionError("apply_reflector_left: bad reflector length");
-  }
-  const index_t ncols = a.cols() - c0;
-  if (ncols <= 0) return;
-  // Grain of 64 columns: enough work per chunk to amortize claiming, and the
-  // chunk boundaries depend only on the column count (determinism contract).
-  core::parallel_for_chunks(
-      static_cast<std::size_t>(ncols), threads, 64,
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t jj = b; jj < e; ++jj) {
-          const index_t j = c0 + static_cast<index_t>(jj);
-          auto cj = a.col(j);
-          double w = cj[static_cast<std::size_t>(r0)];
-          for (index_t i = r0 + 1; i < m; ++i) {
-            w += v_essential[static_cast<std::size_t>(i - r0 - 1)] *
-                 cj[static_cast<std::size_t>(i)];
-          }
-          w *= tau;
-          cj[static_cast<std::size_t>(r0)] -= w;
-          for (index_t i = r0 + 1; i < m; ++i) {
-            cj[static_cast<std::size_t>(i)] -=
-                w * v_essential[static_cast<std::size_t>(i - r0 - 1)];
-          }
-        }
-      });
-}
-
-void apply_reflector_left_cols(Matrix& a, index_t r0, index_t c0, index_t c1,
-                               std::span<const double> v_essential,
-                               double tau) {
-  if (tau == 0.0) return;
-  const index_t m = a.rows();
-  if (r0 < 0 || r0 >= m ||
-      static_cast<index_t>(v_essential.size()) != m - r0 - 1) {
-    throw DimensionError("apply_reflector_left_cols: bad reflector length");
-  }
-  if (c0 < 0 || c1 > a.cols()) {
-    throw DimensionError("apply_reflector_left_cols: bad column range");
-  }
-  for (index_t j = c0; j < c1; ++j) {
-    auto cj = a.col(j);
     double w = cj[static_cast<std::size_t>(r0)];
     for (index_t i = r0 + 1; i < m; ++i) {
       w += v_essential[static_cast<std::size_t>(i - r0 - 1)] *

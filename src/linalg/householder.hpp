@@ -1,9 +1,8 @@
 // catalyst/linalg -- Householder reflector primitives.
 //
 // A reflector H = I - tau * v * v^T (with v[0] = 1 implicitly stored) is the
-// building block of both the plain QR factorization and the two
-// column-pivoted variants (the classic max-norm scheme and the paper's
-// specialized scheme in catalyst::core).
+// building block of both the plain QR factorization and the paper's
+// column-pivoted QR in catalyst::core.
 #pragma once
 
 #include <span>
@@ -32,22 +31,8 @@ Reflector make_reflector(std::span<double> x);
 void apply_reflector_left(Matrix& a, index_t r0, index_t c0,
                           std::span<const double> v_essential, double tau);
 
-/// As apply_reflector_left, with the columns [c0, cols) split into fixed
-/// chunks executed on the shared worker pool.  Each column's update is the
-/// exact serial arithmetic and every column belongs to exactly one chunk, so
-/// the result is bit-identical for any thread count.
-void apply_reflector_left(Matrix& a, index_t r0, index_t c0,
-                          std::span<const double> v_essential, double tau,
-                          int threads);
-
 /// Applies the same reflector to a single right-hand-side vector b[r0:].
 void apply_reflector_vec(std::span<double> b, index_t r0,
                          std::span<const double> v_essential, double tau);
-
-/// As apply_reflector_left, but only to the column range [c0, c1): the
-/// panel-local update of the blocked QR.
-void apply_reflector_left_cols(Matrix& a, index_t r0, index_t c0, index_t c1,
-                               std::span<const double> v_essential,
-                               double tau);
 
 }  // namespace catalyst::linalg

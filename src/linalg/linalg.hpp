@@ -7,6 +7,5 @@
 #include "linalg/lstsq.hpp"      // IWYU pragma: export
 #include "linalg/matrix.hpp"     // IWYU pragma: export
 #include "linalg/qr.hpp"         // IWYU pragma: export
-#include "linalg/qrcp.hpp"       // IWYU pragma: export
 #include "linalg/random.hpp"     // IWYU pragma: export
 #include "linalg/svd.hpp"        // IWYU pragma: export

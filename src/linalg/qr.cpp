@@ -11,89 +11,6 @@
 
 namespace catalyst::linalg {
 
-namespace detail {
-
-void blocked_qr_tail(Matrix& a, std::vector<double>& taus, index_t k0,
-                     index_t block_size, int threads) {
-  CATALYST_REQUIRE_AS(block_size > 0, ArgumentError,
-                      "blocked_qr_tail: block size must be positive");
-  const index_t m = a.rows();
-  const index_t n = a.cols();
-  const index_t kmin = std::min(m, n);
-  CATALYST_REQUIRE_AS(static_cast<index_t>(taus.size()) >= kmin,
-                      DimensionError, "blocked_qr_tail: taus too small");
-
-  for (index_t k = k0; k < kmin; k += block_size) {
-    const index_t kb = std::min(block_size, kmin - k);
-
-    // --- Factor the panel A[k:m, k:k+kb) unblocked -------------------------
-    for (index_t j = k; j < k + kb; ++j) {
-      auto cj = a.col(j);
-      auto head = cj.subspan(static_cast<std::size_t>(j));
-      const Reflector h = make_reflector(head);
-      taus[static_cast<std::size_t>(j)] = h.tau;
-      auto v = head.subspan(1);
-      // Apply only within the panel here; the trailing matrix gets the
-      // blocked update below.
-      apply_reflector_left_cols(a, j, j + 1, k + kb, v, h.tau);
-      cj[static_cast<std::size_t>(j)] = h.beta;
-    }
-    const index_t ntrail = n - (k + kb);
-    if (ntrail <= 0) continue;
-
-    // --- Build V (unit lower trapezoidal) and T (compact WY) ---------------
-    const index_t vm = m - k;
-    Matrix vmat(vm, kb, 0.0);
-    for (index_t j = 0; j < kb; ++j) {
-      vmat(j, j) = 1.0;
-      for (index_t i = j + 1; i < vm; ++i) {
-        vmat(i, j) = a(k + i, k + j);
-      }
-    }
-    // dlarft (forward, columnwise): T is kb x kb upper triangular with
-    // T(0:j, j) = -tau_j * T(0:j, 0:j) * (V^T * v_j), T(j, j) = tau_j.
-    Matrix tmat(kb, kb, 0.0);
-    for (index_t j = 0; j < kb; ++j) {
-      const double tau = taus[static_cast<std::size_t>(k + j)];
-      tmat(j, j) = tau;
-      if (j == 0 || tau == 0.0) continue;
-      // w = V(:, 0:j)^T * v_j  (only rows j.. contribute: v_j is zero above).
-      Vector w(static_cast<std::size_t>(j), 0.0);
-      for (index_t c = 0; c < j; ++c) {
-        const auto len = static_cast<std::size_t>(vm - j);
-        w[static_cast<std::size_t>(c)] = dot_unrolled(
-            std::span<const double>(vmat.col(c)).subspan(
-                static_cast<std::size_t>(j), len),
-            std::span<const double>(vmat.col(j)).subspan(
-                static_cast<std::size_t>(j), len));
-      }
-      // T(0:j, j) = -tau * T(0:j, 0:j) * w  (T upper triangular).
-      for (index_t r = 0; r < j; ++r) {
-        double s = 0.0;
-        for (index_t c = r; c < j; ++c) {
-          s += tmat(r, c) * w[static_cast<std::size_t>(c)];
-        }
-        tmat(r, j) = -tau * s;
-      }
-    }
-
-    // --- Blocked trailing update: C <- C - V * T^T * (V^T C) ---------------
-    // The trailing block is updated in place through subviews; no block
-    // copy in or out.
-    const ConstView c_in = subview(std::as_const(a), k, k + kb, vm, ntrail);
-    const MutView c_out = subview(a, k, k + kb, vm, ntrail);
-    Matrix w(kb, ntrail);
-    gemm_view(1.0, view(vmat), true, c_in, false, 0.0, view(w),
-              threads);                                   // W = V^T C
-    Matrix tw(kb, ntrail);
-    gemm(1.0, tmat, true, w, false, 0.0, tw, threads);    // TW = T^T W
-    gemm_view(-1.0, view(vmat), false, view(std::as_const(tw)), false, 1.0,
-              c_out, threads);                            // C -= V TW
-  }
-}
-
-}  // namespace detail
-
 QrFactorization::QrFactorization(Matrix a) : qr_(std::move(a)) {
   Matrix original;
   if (audit::enabled()) original = qr_;
@@ -114,17 +31,6 @@ QrFactorization::QrFactorization(Matrix a) : qr_(std::move(a)) {
     apply_reflector_left(qr_, j, j + 1, v, h.tau);
     cj[static_cast<std::size_t>(j)] = h.beta;
   }
-  cache_r_diagonal();
-  if (audit::enabled()) audit::check_qr(original, *this);
-}
-
-QrFactorization::QrFactorization(Matrix a, index_t block_size, int threads)
-    : qr_(std::move(a)) {
-  Matrix original;
-  if (audit::enabled()) original = qr_;
-  const index_t kmin = std::min(qr_.rows(), qr_.cols());
-  taus_.assign(static_cast<std::size_t>(std::max<index_t>(kmin, 0)), 0.0);
-  detail::blocked_qr_tail(qr_, taus_, 0, block_size, threads);
   cache_r_diagonal();
   if (audit::enabled()) audit::check_qr(original, *this);
 }

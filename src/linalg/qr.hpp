@@ -18,16 +18,6 @@ class QrFactorization {
   /// Factors `a`; the input is copied and factored in place.
   explicit QrFactorization(Matrix a);
 
-  /// Blocked factorization (compact-WY): panels of `block_size` columns are
-  /// factored unblocked, then applied to the trailing matrix as
-  /// A <- (I - V T^T V^T)^T A via two gemms (LAPACK dgeqrt-style).  The
-  /// packed representation is identical to the unblocked constructor's (up
-  /// to roundoff in the trailing updates); this is the cache-friendly path
-  /// for the tall measurement matrices.  `threads` parallelizes the trailing
-  /// gemms through the shared worker pool; results are bit-identical for any
-  /// thread count.
-  QrFactorization(Matrix a, index_t block_size, int threads = 1);
-
   index_t rows() const noexcept { return qr_.rows(); }
   index_t cols() const noexcept { return qr_.cols(); }
 
@@ -70,16 +60,5 @@ class QrFactorization {
   std::vector<double> taus_;       // reflector coefficients
   std::vector<double> r_diag_abs_; // |R(i,i)|, cached at construction
 };
-
-namespace detail {
-
-/// Factors columns [k0, min(m, n)) of `a` in place with compact-WY blocked
-/// QR (no pivoting), writing tau coefficients into taus[k0..] (taus must
-/// already have size >= min(m, n)).  Shared by the blocked QrFactorization
-/// constructor and the unpivoted tail of the blocked QRCP.
-void blocked_qr_tail(Matrix& a, std::vector<double>& taus, index_t k0,
-                     index_t block_size, int threads);
-
-}  // namespace detail
 
 }  // namespace catalyst::linalg

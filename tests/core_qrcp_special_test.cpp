@@ -7,8 +7,6 @@
 
 #include <algorithm>
 
-#include "linalg/qrcp.hpp"
-
 namespace catalyst::core {
 namespace {
 
@@ -72,8 +70,8 @@ TEST(SpecialQrcp, PrefersBasisAlignedColumnsOverMaxNorm) {
       {1.0, 0.0, 0.0},
       {0.0, 1.0, 0.0},
   });
-  auto classic = linalg::qrcp(x);
-  EXPECT_EQ(classic.permutation[0], 0);
+  auto classic = specialized_qrcp(x, 1e-3, PivotRule::max_norm);
+  EXPECT_EQ(classic.selected[0], 0);
 
   auto special = specialized_qrcp(x, 1e-3);
   ASSERT_GE(special.rank, 2);

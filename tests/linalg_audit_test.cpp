@@ -1,5 +1,5 @@
 // Unit tests for linalg::audit: the measurement functions, the enable/count
-// plumbing, and the in-path hooks in qrcp(), QrFactorization and lstsq().
+// plumbing, and the in-path hooks in QrFactorization and lstsq().
 #include "linalg/audit.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "linalg/lstsq.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
-#include "linalg/qrcp.hpp"
 #include "linalg/random.hpp"
 
 namespace catalyst::linalg {
@@ -58,7 +57,7 @@ TEST(AuditChecks, GoodFactorizationPasses) {
   const Matrix a = random_gaussian(12, 7, 42);
   audit::EnabledGuard guard(true);
   audit::reset_counts();
-  EXPECT_NO_THROW(qrcp(a, 0.0));
+  EXPECT_NO_THROW(QrFactorization{a});
   const auto counts = audit::counts();
   EXPECT_EQ(counts.orthogonality, 1u);
   EXPECT_EQ(counts.triangularity, 1u);
@@ -116,7 +115,7 @@ TEST(AuditChecks, DisabledHooksCostNothingAndCountNothing) {
   audit::EnabledGuard guard(false);
   audit::reset_counts();
   const Matrix a = random_gaussian(8, 4, 5);
-  qrcp(a, 0.0);
+  const QrFactorization qr(a);
   lstsq(a, Vector(8, 1.0));
   const auto counts = audit::counts();
   EXPECT_EQ(counts.orthogonality, 0u);

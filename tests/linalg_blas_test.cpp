@@ -136,16 +136,6 @@ TEST(Blas3, GemmShapeMismatchThrows) {
   EXPECT_THROW(gemm(1.0, a, false, b, false, 0.0, c), DimensionError);
 }
 
-TEST(Blas3, GemmThreadedMatchesSerial) {
-  Matrix a = random_gaussian(40, 30, 7);
-  Matrix b = random_gaussian(30, 50, 8);
-  Matrix c1(40, 50);
-  Matrix c2(40, 50);
-  gemm(1.0, a, false, b, false, 0.0, c1, 1);
-  gemm(1.0, a, false, b, false, 0.0, c2, 4);
-  EXPECT_LT(Matrix::max_abs_diff(c1, c2), 1e-13);
-}
-
 TEST(Trsv, UpperSolve) {
   Matrix r{{2, 1}, {0, 4}};
   Vector b{4, 8};

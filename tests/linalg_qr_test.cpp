@@ -84,50 +84,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(100, 100, 7),
                       std::make_tuple(64, 1, 8)));
 
-class BlockedQrShapes
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(BlockedQrShapes, MatchesUnblockedFactorization) {
-  const auto [m, n, nb] = GetParam();
-  Matrix a = random_gaussian(m, n, 12345);
-  QrFactorization unblocked(a);
-  QrFactorization blocked(a, nb);
-  ASSERT_EQ(blocked.reflectors(), unblocked.reflectors());
-  // Identical packed representation up to trailing-update roundoff.
-  EXPECT_LT(Matrix::max_abs_diff(blocked.packed(), unblocked.packed()),
-            1e-11);
-  for (std::size_t i = 0; i < blocked.taus().size(); ++i) {
-    EXPECT_NEAR(blocked.taus()[i], unblocked.taus()[i], 1e-12);
-  }
-  // And still reconstructs A.
-  Matrix qr_prod = matmul(blocked.q_thin(), blocked.r());
-  EXPECT_LT(Matrix::max_abs_diff(qr_prod, a), 1e-10);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    BlockSweep, BlockedQrShapes,
-    ::testing::Values(std::make_tuple(20, 12, 1), std::make_tuple(20, 12, 4),
-                      std::make_tuple(20, 12, 5), std::make_tuple(20, 12, 32),
-                      std::make_tuple(64, 64, 8), std::make_tuple(100, 40, 16),
-                      std::make_tuple(13, 29, 8)));
-
-TEST(BlockedQr, SolveAgreesWithUnblocked) {
-  Matrix a = random_gaussian(40, 10, 777);
-  Vector b(40);
-  for (std::size_t i = 0; i < 40; ++i) b[i] = std::sin(0.7 * double(i));
-  const Vector x1 = QrFactorization(a).solve(b);
-  const Vector x2 = QrFactorization(a, 4).solve(b);
-  for (std::size_t i = 0; i < x1.size(); ++i) {
-    EXPECT_NEAR(x1[i], x2[i], 1e-10);
-  }
-}
-
-TEST(BlockedQr, RejectsNonPositiveBlockSize) {
-  Matrix a(4, 4, 1.0);
-  EXPECT_THROW(QrFactorization(a, 0), ArgumentError);
-  EXPECT_THROW(QrFactorization(a, -3), ArgumentError);
-}
-
 TEST(Qr, ApplyQtThenQIsIdentity) {
   Matrix a = random_gaussian(9, 5, 11);
   QrFactorization qr(a);

@@ -1,58 +1,49 @@
-// Unit + property tests for the classic column-pivoted QR (Algorithm 1).
-#include "linalg/qrcp.hpp"
-
+// Unit + property tests for classic max-norm pivoting (Algorithm 1), which
+// the library provides as PivotRule::max_norm of core::specialized_qrcp: the
+// pivot is the largest updated residual, and a residual below
+// beta = alpha * sqrt(m) ends the factorization.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
 
+#include "core/qrcp_special.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/lstsq.hpp"
+#include "linalg/qr.hpp"
 #include "linalg/random.hpp"
 
 namespace catalyst::linalg {
 namespace {
 
-// Reconstructs A from a QrcpResult: A = Q R P^T, i.e. column i of A*P is
-// column permutation[i] of A.
-Matrix reconstruct(const QrcpResult& res) {
-  // Build Q from the packed reflectors.
-  const index_t m = res.packed.rows();
-  const auto k = static_cast<index_t>(res.taus.size());
-  Matrix q(m, k);
-  for (index_t j = 0; j < k; ++j) q(j, j) = 1.0;
-  for (index_t j = k - 1; j >= 0; --j) {
-    auto cj = res.packed.col(j);
-    std::vector<double> v(cj.begin() + j + 1, cj.end());
-    // Inline reflector application (same math as apply_reflector_left).
-    for (index_t col = 0; col < q.cols(); ++col) {
-      auto qc = q.col(col);
-      double w = qc[static_cast<std::size_t>(j)];
-      for (index_t i = j + 1; i < m; ++i) {
-        w += v[static_cast<std::size_t>(i - j - 1)] *
-             qc[static_cast<std::size_t>(i)];
-      }
-      w *= res.taus[static_cast<std::size_t>(j)];
-      qc[static_cast<std::size_t>(j)] -= w;
-      for (index_t i = j + 1; i < m; ++i) {
-        qc[static_cast<std::size_t>(i)] -=
-            w * v[static_cast<std::size_t>(i - j - 1)];
-      }
-    }
+using core::PivotRule;
+using core::SpecialQrcpResult;
+
+// alpha for exact-rank problems: beta sits far above rounding noise and far
+// below every genuine residual of the O(1) test matrices.
+constexpr double kTight = 1e-10;
+
+SpecialQrcpResult classic(const Matrix& a, double alpha = kTight) {
+  return core::specialized_qrcp(a, alpha, PivotRule::max_norm);
+}
+
+// Largest distance of a column of A from the span of the selected columns:
+// ~0 when the selection explains all of A.
+double unexplained(const Matrix& a, const SpecialQrcpResult& res) {
+  if (res.rank == 0) return norm_frobenius(a);
+  const Matrix basis = a.select_columns(res.selected);
+  double worst = 0.0;
+  for (index_t j = 0; j < a.cols(); ++j) {
+    worst = std::max(worst, lstsq(basis, a.col(j)).residual_norm);
   }
-  Matrix ap = matmul(q, res.r());
-  // Undo the permutation: column res.permutation[i] of A is column i of AP.
-  Matrix a(ap.rows(), ap.cols());
-  for (index_t i = 0; i < ap.cols(); ++i) {
-    a.set_col(res.permutation[static_cast<std::size_t>(i)], ap.col(i));
-  }
-  return a;
+  return worst;
 }
 
 TEST(Qrcp, PermutationIsAPermutation) {
   Matrix a = random_gaussian(8, 6, 17);
-  auto res = qrcp(a);
-  std::vector<index_t> p = res.permutation;
+  auto res = classic(a);
+  std::vector<index_t> p = res.selected;
   std::sort(p.begin(), p.end());
   std::vector<index_t> expect(6);
   std::iota(expect.begin(), expect.end(), index_t{0});
@@ -61,18 +52,20 @@ TEST(Qrcp, PermutationIsAPermutation) {
 
 TEST(Qrcp, FullRankRandom) {
   Matrix a = random_gaussian(10, 6, 23);
-  auto res = qrcp(a);
+  auto res = classic(a);
   EXPECT_EQ(res.rank, 6);
-  EXPECT_LT(Matrix::max_abs_diff(reconstruct(res), a), 1e-11);
+  EXPECT_LT(unexplained(a, res), 1e-11);
 }
 
 TEST(Qrcp, DiagonalOfRIsNonIncreasing) {
   // Max-norm pivoting guarantees |R(0,0)| >= |R(1,1)| >= ... (weakly, up to
-  // roundoff) for the factored steps.
+  // roundoff): R of the columns in pivot order.
   Matrix a = random_gaussian(30, 20, 29);
-  auto res = qrcp(a);
-  auto d = res.r_diagonal_abs();
-  for (std::size_t i = 1; i < static_cast<std::size_t>(res.rank); ++i) {
+  auto res = classic(a);
+  ASSERT_EQ(res.rank, 20);
+  const QrFactorization qr(a.select_columns(res.selected));
+  const auto& d = qr.r_diagonal_abs();
+  for (std::size_t i = 1; i < d.size(); ++i) {
     EXPECT_LE(d[i], d[i - 1] * (1 + 1e-10));
   }
 }
@@ -82,7 +75,7 @@ class QrcpRankDetection : public ::testing::TestWithParam<int> {};
 TEST_P(QrcpRankDetection, DetectsExactRank) {
   const int r = GetParam();
   Matrix a = random_rank_deficient(20, 12, r, 1000 + r);
-  auto res = qrcp(a, 1e-10);
+  auto res = classic(a);
   EXPECT_EQ(res.rank, r);
 }
 
@@ -91,27 +84,27 @@ INSTANTIATE_TEST_SUITE_P(RankSweep, QrcpRankDetection,
 
 TEST(Qrcp, ZeroMatrixHasRankZero) {
   Matrix a(5, 4, 0.0);
-  auto res = qrcp(a);
+  auto res = classic(a);
   EXPECT_EQ(res.rank, 0);
 }
 
 TEST(Qrcp, DuplicateColumnsDetected) {
   // Two copies of the same column plus one independent column: rank 2.
   Matrix a = Matrix::from_columns({{1, 2, 3}, {1, 2, 3}, {0, 1, 0}});
-  auto res = qrcp(a, 1e-10);
+  auto res = classic(a);
   EXPECT_EQ(res.rank, 2);
 }
 
 TEST(Qrcp, ScaledColumnDetected) {
   Matrix a = Matrix::from_columns({{1, 2, 3}, {2, 4, 6}, {1, 0, 0}});
-  auto res = qrcp(a, 1e-10);
+  auto res = classic(a);
   EXPECT_EQ(res.rank, 2);
 }
 
 TEST(Qrcp, LinearCombinationDetected) {
   // c2 = c0 + c1.
   Matrix a = Matrix::from_columns({{1, 0, 1}, {0, 1, 1}, {1, 1, 2}});
-  auto res = qrcp(a, 1e-10);
+  auto res = classic(a);
   EXPECT_EQ(res.rank, 2);
 }
 
@@ -120,34 +113,36 @@ TEST(Qrcp, MaxNormPivotPicksLargestColumnFirst) {
   // first by the classic rule even though it is analytically irrelevant.
   Matrix a = Matrix::from_columns(
       {{1, 0, 0}, {0, 1, 0}, {1e6, 1e6, 1e6}});
-  auto res = qrcp(a);
-  EXPECT_EQ(res.permutation[0], 2);
+  auto res = classic(a);
+  EXPECT_EQ(res.selected[0], 2);
 }
 
 TEST(Qrcp, ReconstructionWithRankDeficiency) {
   Matrix a = random_rank_deficient(15, 10, 4, 77);
-  auto res = qrcp(a);
-  EXPECT_LT(Matrix::max_abs_diff(reconstruct(res), a), 1e-10);
+  auto res = classic(a);
+  EXPECT_EQ(res.rank, 4);
+  EXPECT_LT(unexplained(a, res), 1e-10);
 }
 
 TEST(Qrcp, NegativeToleranceThrows) {
   Matrix a(2, 2);
-  EXPECT_THROW(qrcp(a, -1.0), ArgumentError);
+  EXPECT_THROW(classic(a, -1.0), std::invalid_argument);
 }
 
 TEST(Qrcp, WideMatrix) {
   Matrix a = random_gaussian(4, 9, 31);
-  auto res = qrcp(a);
+  auto res = classic(a);
   EXPECT_EQ(res.rank, 4);
-  EXPECT_LT(Matrix::max_abs_diff(reconstruct(res), a), 1e-11);
+  EXPECT_LT(unexplained(a, res), 1e-11);
 }
 
 TEST(Qrcp, NearDependentColumnsNeedLooserTolerance) {
   // (1, 1) vs (0.99, 1.01): numerically independent, semantically noise.
-  // With a tight tolerance QRCP reports rank 2; with a 2% tolerance rank 1.
+  // Their difference is 0.02 / sqrt(2) ~ 0.014 off the first column: below
+  // beta = 2e-2 * sqrt(2) the second column is dependent.
   Matrix a = Matrix::from_columns({{1, 1}, {0.99, 1.01}});
-  EXPECT_EQ(qrcp(a, 1e-12).rank, 2);
-  EXPECT_EQ(qrcp(a, 2e-2).rank, 1);
+  EXPECT_EQ(classic(a, 1e-12).rank, 2);
+  EXPECT_EQ(classic(a, 2e-2).rank, 1);
 }
 
 }  // namespace

@@ -17,8 +17,10 @@
 // re-runs only the mathematical stages on the archived data.  Both build
 // their campaign from the same collection flags (campaign_from_args):
 // --reps, --faults, --checkpoint-dir/--resume, --mode and the sample
-// schedule.  A flag value or combination that cannot run exits 2.
+// schedule.  A flag the subcommand does not read, a numeric value that is
+// not a positive number, or a combination that cannot run exits 2.
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -55,18 +57,27 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  /// Throws UsageError naming the flag unless the whole value is a number.
-  double get_double(const std::string& key, double fallback) const {
+  /// The value of a numeric flag: a finite number > 0.  Throws UsageError
+  /// naming the flag and the value otherwise.
+  double get_positive(const std::string& key, double fallback) const {
     auto it = options.find(key);
     if (it == options.end()) return fallback;
-    const char* text = it->second.c_str();
-    char* end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0') {
+    double value = 0.0;
+    if (!parse_number(it->second, value)) {
       throw UsageError("--" + key + ": expected a number, got '" +
                        it->second + "'");
     }
+    if (!(std::isfinite(value) && value > 0.0)) {
+      throw UsageError("--" + key + ": must be a positive number, got '" +
+                       it->second + "'");
+    }
     return value;
+  }
+  /// True when the whole of `text` is a number (strtod syntax).
+  static bool parse_number(const std::string& text, double& value) {
+    char* end = nullptr;
+    value = std::strtod(text.c_str(), &end);
+    return end != text.c_str() && *end == '\0';
   }
 };
 
@@ -76,9 +87,12 @@ Args parse_args(int argc, char** argv) {
     std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
       const auto eq = a.find('=');
+      double number = 0.0;
       if (eq != std::string::npos) {
         args.options[a.substr(2, eq - 2)] = a.substr(eq + 1);
-      } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+      } else if (i + 1 < argc &&
+                 (argv[i + 1][0] != '-' ||
+                  Args::parse_number(argv[i + 1], number))) {
         args.options[a.substr(2)] = argv[++i];
       } else {
         args.options[a.substr(2)] = "";
@@ -122,6 +136,48 @@ constexpr const char* kCollectionFlags[] = {
     "reps", "faults", "checkpoint-dir", "resume", "mode", "kernel-span-us",
     "sample-period-us", "strobe-short-us", "no-dither"};
 
+/// The observability flags trace_args_from reads.
+constexpr const char* kTraceFlags[] = {"trace-out", "manifest-out", "stats"};
+
+/// The flags each subcommand reads; any other flag exits 2.  nullopt for a
+/// name that is not a subcommand.
+std::optional<std::vector<std::string>> flags_of(const std::string& cmd) {
+  std::vector<std::string> flags;
+  if (cmd == "list-events") {
+    flags = {"filter"};
+  } else if (cmd == "analyze") {
+    flags = {"machine", "tau",      "alpha", "rounded", "presets",
+             "json",    "markdown", "from",  "detrend"};
+  } else if (cmd == "collect") {
+    flags = {"machine", "out"};
+  } else if (cmd == "full-report") {
+    flags = {"machine", "out", "presets"};
+  } else if (cmd == "validate") {
+    flags = {"machine", "workloads"};
+  } else if (cmd != "list-machines" && cmd != "signatures") {
+    return std::nullopt;
+  }
+  if (cmd == "analyze" || cmd == "collect") {
+    flags.insert(flags.end(), std::begin(kCollectionFlags),
+                 std::end(kCollectionFlags));
+    flags.insert(flags.end(), std::begin(kTraceFlags), std::end(kTraceFlags));
+  }
+  return flags;
+}
+
+/// Throws UsageError naming the first flag subcommand `cmd` does not read.
+void check_flags(const std::string& cmd, const Args& args) {
+  const auto known = flags_of(cmd);
+  if (!known) return;  // not a subcommand: main() prints the usage
+  for (const auto& option : args.options) {
+    if (std::find(known->begin(), known->end(), option.first) ==
+        known->end()) {
+      throw UsageError("--" + option.first + ": not a flag of '" + cmd +
+                       "'");
+    }
+  }
+}
+
 /// --reps, --faults, --checkpoint-dir/--resume, --mode and the sample
 /// schedule flags on top of the category defaults.  `out` is the archive
 /// path (empty for analyze), whose OUT.ckpt is --resume's default
@@ -132,7 +188,7 @@ void campaign_from_args(const Args& args, const core::PipelineOptions& base,
   core::CampaignOptions& options = campaign.options;
   options.pipeline = base;
   options.pipeline.repetitions = static_cast<std::size_t>(
-      args.get_double("reps", double(base.repetitions)));
+      args.get_positive("reps", double(base.repetitions)));
   campaign.plan = fault_plan_from_args(args);
   if (campaign.plan.has_value()) {
     options.fault_plan = &*campaign.plan;
@@ -162,7 +218,7 @@ void campaign_from_args(const Args& args, const core::PipelineOptions& base,
   vpapi::SampleSchedule& schedule = options.sample_schedule;
   const auto nanoseconds = [&args](const char* flag, std::uint64_t ns) {
     return static_cast<std::uint64_t>(
-        args.get_double(flag, double(ns) / 1000.0) * 1000.0);
+        args.get_positive(flag, double(ns) / 1000.0) * 1000.0);
   };
   schedule.kernel_span_ns =
       nanoseconds("kernel-span-us", schedule.kernel_span_ns);
@@ -353,8 +409,8 @@ int cmd_analyze(const Args& args) {
     std::cerr << "unknown machine " << machine_name << "\n";
     return 2;
   }
-  setup->options.tau = args.get_double("tau", setup->options.tau);
-  setup->options.alpha = args.get_double("alpha", setup->options.alpha);
+  setup->options.tau = args.get_positive("tau", setup->options.tau);
+  setup->options.alpha = args.get_positive("alpha", setup->options.alpha);
   if (args.has("detrend")) setup->options.detrend_drifting = true;
   for (const char* flag : kCollectionFlags) {
     if (args.has("from") && args.has(flag)) {
@@ -524,7 +580,7 @@ int cmd_validate(const Args& args) {
       machine_by_name(args.get("machine", setup->default_machine));
   if (!machine) return usage();
   const auto workloads =
-      static_cast<std::size_t>(args.get_double("workloads", 10));
+      static_cast<std::size_t>(args.get_positive("workloads", 10));
 
   const auto result = core::run_pipeline(*machine, setup->benchmark,
                                          setup->signatures, setup->options);
@@ -546,6 +602,7 @@ int main(int argc, char** argv) {
   if (args.positional.empty()) return usage();
   const std::string& cmd = args.positional[0];
   try {
+    check_flags(cmd, args);
     if (cmd == "list-machines") return cmd_list_machines();
     if (cmd == "list-events") return cmd_list_events(args);
     if (cmd == "signatures") return cmd_signatures(args);
