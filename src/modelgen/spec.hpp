@@ -93,15 +93,14 @@ struct GeneratorSpec {
   /// correlated decoy with the given leakage.
   static GeneratorSpec edge_orphan(std::uint64_t seed, double gamma);
 
-  // --- scale presets (blocked-linalg stress geometries) --------------------
+  // --- scale presets (real-catalog-sized stress geometries) ---------------
   /// ~5k-event machine: 48 basis dimensions with up to ~200 exact aliases
-  /// per dimension (expected events ~ dims * (1 + max_aliases/2)).  Sized
-  /// for the blocked QRCP benches -- the event-selection matrix has
-  /// thousands of columns, where the scalar Algorithm 2 sweep is quadratic
-  /// in events and the blocked path amortizes into GEMMs.
+  /// per dimension (expected events ~ dims * (1 + max_aliases/2)).  The
+  /// event-selection matrix has thousands of columns, the size real PMU
+  /// catalogs give Algorithm 2.
   static GeneratorSpec scale_5k(std::uint64_t seed);
-  /// ~10k-event machine: 64 dimensions, up to ~300 aliases per dimension.
-  /// The tentpole acceptance geometry (>= 5x blocked-vs-scalar QRCP).
+  /// ~10k-event machine: 64 dimensions, up to ~300 aliases per dimension
+  /// (perfbench's scale_10k workload and BM_SpecializedQrcp).
   static GeneratorSpec scale_10k(std::uint64_t seed);
 };
 
