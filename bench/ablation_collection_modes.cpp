@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "core/json.hpp"
+#include "json/json.hpp"
 #include "modelgen/modelgen.hpp"
 #include "vpapi/sampling.hpp"
 
@@ -93,8 +93,8 @@ Census sweep_mode(CollectionMode mode, double period_ratio, int seeds) {
   return census;
 }
 
-catalyst::core::json::Value census_json(const Census& c) {
-  auto v = catalyst::core::json::Value::object();
+catalyst::json::Value census_json(const Census& c) {
+  auto v = catalyst::json::Value::object();
   v["exact"] = c.exact;
   v["alternative"] = c.alternative;
   v["degraded"] = c.degraded;
@@ -149,10 +149,10 @@ int main(int argc, char** argv) {
   std::printf("%9s  %9s  %6s  %12s  %9s  %6s  %11s\n", "mode", "per/span",
               "exact", "alternative", "degraded", "wrong", "exact rate");
 
-  auto root = catalyst::core::json::Value::object();
+  auto root = catalyst::json::Value::object();
   root["seeds"] = seeds;
   root["quick"] = quick;
-  auto rows = catalyst::core::json::Value::array();
+  auto rows = catalyst::json::Value::array();
 
   bool fail = false;
 
@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   const Census counting = sweep_mode(CollectionMode::counting, 1.0, seeds);
   print_row("counting", 0.0, counting);
   {
-    auto row = catalyst::core::json::Value::object();
+    auto row = catalyst::json::Value::object();
     row["mode"] = std::string("counting");
     row["period_ratio"] = 0.0;
     row["census"] = census_json(counting);
@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
     for (const double ratio : ratios) {
       const Census c = sweep_mode(mode, ratio, seeds);
       print_row(catalyst::vpapi::to_string(mode), ratio, c);
-      auto row = catalyst::core::json::Value::object();
+      auto row = catalyst::json::Value::object();
       row["mode"] = std::string(catalyst::vpapi::to_string(mode));
       row["period_ratio"] = ratio;
       row["census"] = census_json(c);
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
       return 1;
     }
-    const std::string text = catalyst::core::json::dump(root, 2);
+    const std::string text = catalyst::json::dump(root, 2);
     std::fwrite(text.data(), 1, text.size(), f);
     std::fputc('\n', f);
     std::fclose(f);

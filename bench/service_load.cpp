@@ -26,8 +26,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <string>
@@ -37,6 +35,7 @@
 #include "core/io.hpp"
 #include "core/parallel.hpp"
 #include "faults/faults.hpp"
+#include "json/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/trace.hpp"
@@ -103,9 +102,9 @@ double percentile(const obs::HistogramSnapshot& h, double q) {
 }
 
 /// Scrapes the service.request_ns histogram THROUGH the wire: one more
-/// Session, HELLO -> STATS -> STATS_OK, then a targeted parse of the
-/// catalyst-metrics-v1 JSON (we produced it; the format is ours).  This is
-/// the same path `catalyst_client stats` exercises against a live daemon.
+/// Session, HELLO -> STATS -> STATS_OK, then json::parse of the
+/// catalyst-metrics-v1 document.  This is the same path
+/// `catalyst_client stats` exercises against a live daemon.
 obs::HistogramSnapshot scrape_latency_over_wire(service::ServiceCore& core,
                                                 faults::Clock& clock,
                                                 service::SessionId id) {
@@ -131,44 +130,23 @@ obs::HistogramSnapshot scrape_latency_over_wire(service::ServiceCore& core,
     throw std::runtime_error("STATS did not answer with STATS_OK");
   }
   wire::Get cursor(reply->payload);
-  const std::string json = cursor.string();
+  const json::Value doc = json::parse(cursor.string());
 
+  // A non-finite sum/min/max is written as null; it reads as 0 here.
+  const auto number = [](const json::Value& v) {
+    return v.is_null() ? 0.0 : v.as_number();
+  };
   obs::HistogramSnapshot h;
   h.name = std::string(obs::names::kServiceRequestNs);
-  const std::string head = "{\"name\": \"" + h.name + "\",";
-  const std::size_t at = json.find(head);
-  if (at == std::string::npos) return h;  // No samples recorded.
-  const std::size_t entry_end = json.find("]}", at);
-  const std::string entry = json.substr(
-      at, entry_end == std::string::npos ? std::string::npos
-                                         : entry_end + 2 - at);
-  std::size_t p = entry.find("\"count\": ");
-  if (p != std::string::npos) {
-    h.total_count = std::strtoull(entry.c_str() + p + 9, nullptr, 10);
-  }
-  p = entry.find("\"sum\": ");
-  if (p != std::string::npos) h.sum = std::strtod(entry.c_str() + p + 7,
-                                                  nullptr);
-  p = entry.find("\"min\": ");
-  if (p != std::string::npos) h.min = std::strtod(entry.c_str() + p + 7,
-                                                  nullptr);
-  p = entry.find("\"max\": ");
-  if (p != std::string::npos) h.max = std::strtod(entry.c_str() + p + 7,
-                                                  nullptr);
-  p = entry.find("\"buckets\": [");
-  if (p != std::string::npos) {
-    const char* cur = entry.c_str() + p + 12;
-    while (*cur != '\0' && *cur != ']') {
-      if (*cur == '[') {
-        char* end = nullptr;
-        const auto index =
-            static_cast<std::size_t>(std::strtoull(cur + 1, &end, 10));
-        while (*end == ',' || *end == ' ') ++end;
-        const std::uint64_t count = std::strtoull(end, &end, 10);
-        if (index < h.buckets.size()) h.buckets[index] = count;
-        cur = end;
-      }
-      ++cur;
+  for (const json::Value& entry : doc.at("histograms").as_array()) {
+    if (entry.at("name").as_string() != h.name) continue;
+    h.total_count = entry.at("count").as_u64();
+    h.sum = number(entry.at("sum"));
+    h.min = number(entry.at("min"));
+    h.max = number(entry.at("max"));
+    for (const json::Value& pair : entry.at("buckets").as_array()) {
+      const std::uint64_t index = pair.at(0).as_u64();
+      if (index < h.buckets.size()) h.buckets[index] = pair.at(1).as_u64();
     }
   }
   return h;
@@ -354,31 +332,23 @@ int main(int argc, char** argv) {
   }
 
   if (!cfg.json_out.empty()) {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "{\n"
-        "  \"name\": \"service_load\",\n"
-        "  \"category\": \"%s\",\n"
-        "  \"clients\": %d,\n"
-        "  \"requests_per_client\": %d,\n"
-        "  \"workers\": %d,\n"
-        "  \"analyses_completed\": %llu,\n"
-        "  \"elapsed_s\": %.6f,\n"
-        "  \"analyses_per_sec\": %.1f,\n"
-        "  \"stats_source\": \"wire\",\n"
-        "  \"latency_ns\": {\"samples\": %llu, \"p50\": %.0f, "
-        "\"p95\": %.0f, \"p99\": %.0f, \"max\": %.0f}\n"
-        "}\n",
-        cfg.category.c_str(), cfg.clients, cfg.requests, cfg.workers,
-        static_cast<unsigned long long>(collected.load()), elapsed.count(),
-        rate,
-        static_cast<unsigned long long>(latency ? latency->total_count : 0),
-        latency ? percentile(*latency, 0.50) : 0.0,
-        latency ? percentile(*latency, 0.95) : 0.0,
-        latency ? percentile(*latency, 0.99) : 0.0, latency ? latency->max
-                                                            : 0.0);
-    core::write_text_file_atomic(cfg.json_out, buf);
+    json::Value doc = json::Value::object();
+    doc["name"] = "service_load";
+    doc["category"] = cfg.category;
+    doc["clients"] = cfg.clients;
+    doc["requests_per_client"] = cfg.requests;
+    doc["workers"] = cfg.workers;
+    doc["analyses_completed"] = collected.load();
+    doc["elapsed_s"] = elapsed.count();
+    doc["analyses_per_sec"] = rate;
+    doc["stats_source"] = "wire";
+    json::Value& lat = doc["latency_ns"];
+    lat["samples"] = latency ? latency->total_count : 0;
+    lat["p50"] = latency ? percentile(*latency, 0.50) : 0.0;
+    lat["p95"] = latency ? percentile(*latency, 0.95) : 0.0;
+    lat["p99"] = latency ? percentile(*latency, 0.99) : 0.0;
+    lat["max"] = latency ? latency->max : 0.0;
+    core::write_text_file_atomic(cfg.json_out, json::dump(doc, 2) + "\n");
   }
 
   if (collected.load() != expected) {

@@ -8,7 +8,7 @@
 
 #include "core/contract.hpp"
 #include "core/io.hpp"
-#include "core/json.hpp"
+#include "json/json.hpp"
 #include "core/noise.hpp"
 #include "obs/names.hpp"
 #include "obs/trace.hpp"
@@ -249,7 +249,7 @@ json::Value batch_to_json(const Batch& batch,
   json::Value root = json::Value::object();
   root["format"] = kCheckpointFormat;
   root["config"] = config_key;
-  root["batch"] = static_cast<double>(index);
+  root["batch"] = index;
   json::Value events = json::Value::array();
   for (const std::size_t e : batch.kept) events.push_back(all_events[e]);
   root["events"] = std::move(events);
@@ -281,7 +281,7 @@ Batch batch_from_json(const std::string& text, const std::string& config_key,
   if (root.at("config").as_string() != config_key) {
     throw std::invalid_argument("checkpoint: campaign config mismatch");
   }
-  if (static_cast<std::size_t>(root.at("batch").as_number()) != index) {
+  if (root.at("batch").as_u64() != index) {
     throw std::invalid_argument("checkpoint: batch index mismatch");
   }
   Batch b;

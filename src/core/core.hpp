@@ -5,7 +5,7 @@
 #include "core/basis_diagnostics.hpp" // IWYU pragma: export
 #include "core/campaign.hpp"     // IWYU pragma: export
 #include "core/io.hpp"           // IWYU pragma: export
-#include "core/json.hpp"         // IWYU pragma: export
+#include "json/json.hpp"         // IWYU pragma: export
 #include "core/metrics.hpp"      // IWYU pragma: export
 #include "core/noise.hpp"        // IWYU pragma: export
 #include "core/noise_classify.hpp" // IWYU pragma: export

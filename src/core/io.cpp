@@ -289,28 +289,24 @@ json::Value collection_report_to_json(const vpapi::CollectionReport& report) {
 
 vpapi::CollectionReport collection_report_from_json(const json::Value& v) {
   vpapi::CollectionReport report;
-  report.total_retries =
-      static_cast<std::uint64_t>(v.at("total_retries").as_number());
-  report.start_retries =
-      static_cast<std::uint64_t>(v.at("start_retries").as_number());
+  report.total_retries = v.at("total_retries").as_u64();
+  report.start_retries = v.at("start_retries").as_u64();
   for (const auto& n : v.at("quarantined").as_array()) {
     report.quarantined.push_back(n.as_string());
   }
   for (const auto& je : v.at("events").as_array()) {
     vpapi::EventReport e;
     e.name = je.at("name").as_string();
-    e.read_attempts =
-        static_cast<std::uint64_t>(je.at("read_attempts").as_number());
-    e.retries = static_cast<std::uint64_t>(je.at("retries").as_number());
-    e.wraps_corrected =
-        static_cast<std::uint64_t>(je.at("wraps_corrected").as_number());
+    e.read_attempts = je.at("read_attempts").as_u64();
+    e.retries = je.at("retries").as_u64();
+    e.wraps_corrected = je.at("wraps_corrected").as_u64();
     const std::string d = je.at("disposition").as_string();
     e.disposition = d == "quarantined" ? vpapi::EventDisposition::quarantined
                     : d == "recovered" ? vpapi::EventDisposition::recovered
                                        : vpapi::EventDisposition::clean;
     const auto& jf = je.at("faults").as_array();
     for (std::size_t i = 0; i < jf.size() && i < e.faults.size(); ++i) {
-      e.faults[i] = static_cast<std::uint64_t>(jf[i].as_number());
+      e.faults[i] = jf[i].as_u64();
     }
     report.events.push_back(std::move(e));
   }
@@ -351,45 +347,26 @@ json::Value sample_trace_to_json(const vpapi::SampleTrace& trace) {
   return v;
 }
 
-namespace {
-
-/// Checked u64 field read: a negative or absurdly large number in a
-/// hand-edited (or fuzzed) archive must surface as a typed error, never
-/// reach the undefined double->unsigned cast.
-std::uint64_t trace_u64(const json::Value& v, const char* what) {
-  const double x = v.as_number();
-  if (!(x >= 0.0) || x >= 1.8446744073709552e19) {
-    throw std::invalid_argument(std::string("sample_trace: ") + what +
-                                " out of range");
-  }
-  return static_cast<std::uint64_t>(x);
-}
-
-}  // namespace
-
 vpapi::SampleTrace sample_trace_from_json(const json::Value& v) {
   vpapi::SampleTrace trace;
   trace.mode = vpapi::collection_mode_from_string(v.at("mode").as_string());
   const auto& sched = v.at("schedule");
-  trace.schedule.kernel_span_ns =
-      trace_u64(sched.at("kernel_span_ns"), "kernel_span_ns");
-  trace.schedule.period_ns = trace_u64(sched.at("period_ns"), "period_ns");
-  trace.schedule.short_period_ns =
-      trace_u64(sched.at("short_period_ns"), "short_period_ns");
+  trace.schedule.kernel_span_ns = sched.at("kernel_span_ns").as_u64();
+  trace.schedule.period_ns = sched.at("period_ns").as_u64();
+  trace.schedule.short_period_ns = sched.at("short_period_ns").as_u64();
   trace.schedule.dither = sched.at("dither").as_bool();
   trace.schedule.validate();
-  trace.kernels =
-      static_cast<std::size_t>(trace_u64(v.at("kernels"), "kernels"));
+  trace.kernels = v.at("kernels").as_u64();
   for (const auto& jr : v.at("runs").as_array()) {
     vpapi::RunTrace run;
-    run.repetition = trace_u64(jr.at("repetition"), "repetition");
-    run.run_id = trace_u64(jr.at("run_id"), "run_id");
+    run.repetition = jr.at("repetition").as_u64();
+    run.run_id = jr.at("run_id").as_u64();
     for (const auto& n : jr.at("events").as_array()) {
       run.events.push_back(n.as_string());
     }
     for (const auto& js : jr.at("samples").as_array()) {
       vpapi::SamplePoint s;
-      s.t_ns = trace_u64(js.at("t"), "sample t");
+      s.t_ns = js.at("t").as_u64();
       const auto& vals = js.at("values").as_array();
       if (vals.size() != run.events.size()) {
         throw std::invalid_argument(

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "cat/benchmark.hpp"
-#include "core/json.hpp"
+#include "json/json.hpp"
 #include "core/pipeline.hpp"
 #include "pmu/machine.hpp"
 #include "vpapi/collector.hpp"

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/contract.hpp"
-#include "core/parallel.hpp"
 #include "linalg/blas.hpp"
 
 namespace catalyst::core {
@@ -57,7 +56,7 @@ double max_rnmse(const std::vector<std::vector<double>>& reps) {
 NoiseFilterResult filter_noise(
     const std::vector<std::string>& event_names,
     const std::vector<std::vector<std::vector<double>>>& measurements,
-    double tau, int threads) {
+    double tau) {
   CATALYST_REQUIRE_AS(event_names.size() == measurements.size(),
                       std::invalid_argument,
                       "filter_noise: names/measurements mismatch");
@@ -65,12 +64,8 @@ NoiseFilterResult filter_noise(
                       "filter_noise: negative tau");
   NoiseFilterResult result;
   const std::size_t ne = event_names.size();
-  result.variabilities.resize(ne);
-  // Per-event scoring is all-pairs RNMSE -- the expensive part -- and each
-  // event writes only its own slots, so events fan out on the worker pool.
-  std::vector<std::vector<double>> averaged(ne);
-  std::vector<char> keep(ne, 0);
-  core::parallel_for(ne, threads, [&](std::size_t e) {
+  result.variabilities.reserve(ne);
+  for (std::size_t e = 0; e < ne; ++e) {
     const auto& reps = measurements[e];
     EventVariability v;
     v.event_name = event_names[e];
@@ -85,8 +80,7 @@ NoiseFilterResult filter_noise(
       if (!v.all_zero) break;
     }
     v.max_rnmse = max_rnmse(reps);
-    keep[e] = !v.all_zero && v.max_rnmse <= tau ? 1 : 0;
-    if (keep[e]) {
+    if (!v.all_zero && v.max_rnmse <= tau) {
       // Average across repetitions (identical vectors average to themselves;
       // noisy-but-kept events get smoothed).
       std::vector<double> avg(reps.front().size(), 0.0);
@@ -94,16 +88,10 @@ NoiseFilterResult filter_noise(
         for (std::size_t k = 0; k < avg.size(); ++k) avg[k] += rep[k];
       }
       for (double& x : avg) x /= static_cast<double>(reps.size());
-      averaged[e] = std::move(avg);
-    }
-    result.variabilities[e] = std::move(v);
-  });
-  // Kept/averaged lists are order-sensitive: assemble in input order.
-  for (std::size_t e = 0; e < ne; ++e) {
-    if (keep[e]) {
       result.kept.push_back(e);
-      result.averaged.push_back(std::move(averaged[e]));
+      result.averaged.push_back(std::move(avg));
     }
+    result.variabilities.push_back(std::move(v));
   }
   return result;
 }

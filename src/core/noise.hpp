@@ -46,14 +46,10 @@ struct NoiseFilterResult {
 /// Runs the Section IV analysis.
 /// `measurements[e][r]` is event e's measurement vector at repetition r
 /// (all vectors the same length); `event_names[e]` labels it.
-///
-/// Events are scored as independent units on the shared worker pool; the
-/// kept/averaged lists are assembled sequentially in input order afterwards,
-/// so the result is bit-identical for any `threads`.
 NoiseFilterResult filter_noise(
     const std::vector<std::string>& event_names,
     const std::vector<std::vector<std::vector<double>>>& measurements,
-    double tau, int threads = 1);
+    double tau);
 
 /// Median of `values`; the across-thread noise suppressor used for the
 /// data-cache benchmark (Section IV, last paragraph).  Even-sized inputs

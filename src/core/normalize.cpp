@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/contract.hpp"
-#include "core/parallel.hpp"
 
 namespace catalyst::core {
 
@@ -11,7 +10,7 @@ NormalizationResult normalize_events(
     const linalg::Matrix& expectation,
     const std::vector<std::string>& event_names,
     const std::vector<std::vector<double>>& measurements,
-    double max_backward_error, int threads) {
+    double max_backward_error) {
   CATALYST_REQUIRE_AS(event_names.size() == measurements.size(),
                       std::invalid_argument,
                       "normalize_events: names/measurements mismatch");
@@ -21,27 +20,24 @@ NormalizationResult normalize_events(
   result.representations.resize(event_names.size());
   // One QR of E serves every event (the per-event solves used to refactor E
   // from scratch); each solve is arithmetically identical to
-  // lstsq(expectation, me).  Events are independent units writing disjoint
-  // slots -- the worker-pool determinism contract.
+  // lstsq(expectation, me).
   const linalg::LstsqSolver solver(expectation);
-  core::parallel_for(
-      event_names.size(), threads, [&](std::size_t e) {
-        const auto& me = measurements[e];
-        CATALYST_REQUIRE_AS(
-            static_cast<linalg::index_t>(me.size()) == expectation.rows(),
-            std::invalid_argument,
-            "normalize_events: measurement length != basis rows for " +
-                event_names[e]);
-        EventRepresentation rep;
-        rep.event_name = event_names[e];
-        const auto ls = solver.solve(me);
-        rep.xe = ls.x;
-        rep.backward_error = ls.backward_error;
-        rep.representable = ls.backward_error <= max_backward_error;
-        result.representations[e] = std::move(rep);
-      });
-  // Assemble X sequentially in input order (order must not depend on worker
-  // completion order).
+  for (std::size_t e = 0; e < event_names.size(); ++e) {
+    const auto& me = measurements[e];
+    CATALYST_REQUIRE_AS(
+        static_cast<linalg::index_t>(me.size()) == expectation.rows(),
+        std::invalid_argument,
+        "normalize_events: measurement length != basis rows for " +
+            event_names[e]);
+    EventRepresentation rep;
+    rep.event_name = event_names[e];
+    const auto ls = solver.solve(me);
+    rep.xe = ls.x;
+    rep.backward_error = ls.backward_error;
+    rep.representable = ls.backward_error <= max_backward_error;
+    result.representations[e] = std::move(rep);
+  }
+  // Assemble X in input order.
   std::vector<linalg::Vector> x_cols;
   for (const auto& rep : result.representations) {
     if (rep.representable) {

@@ -42,14 +42,12 @@ struct NormalizationResult {
 /// `measurements[e]` must have expectation.rows() entries (normalized
 /// per-iteration readings).
 ///
-/// E is factored ONCE (linalg::LstsqSolver) and each event's solve runs as
-/// an independent unit on the shared worker pool; every per-event result is
-/// arithmetically identical to lstsq(expectation, me) and lands in its own
-/// slot, so the output is bit-identical for any `threads`.
+/// E is factored ONCE (linalg::LstsqSolver); every per-event solve is
+/// arithmetically identical to lstsq(expectation, me).
 NormalizationResult normalize_events(
     const linalg::Matrix& expectation,
     const std::vector<std::string>& event_names,
     const std::vector<std::vector<double>>& measurements,
-    double max_backward_error, int threads = 1);
+    double max_backward_error);
 
 }  // namespace catalyst::core

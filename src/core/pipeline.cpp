@@ -105,8 +105,7 @@ PipelineResult analyze_measurements(
     obs::Span span("stage.noise_filter");
     span.arg("tau", options.tau);
     result.noise =
-        filter_noise(result.all_event_names, result.measurements, options.tau,
-                     options.analysis_threads);
+        filter_noise(result.all_event_names, result.measurements, options.tau);
     span.arg("kept", result.noise.kept.size());
     record_stage(span, "noise_filter");
   }
@@ -125,8 +124,7 @@ PipelineResult analyze_measurements(
     obs::Span span("stage.projection");
     result.projection =
         normalize_events(expectation, kept_names, result.noise.averaged,
-                         options.projection_max_error,
-                         options.analysis_threads);
+                         options.projection_max_error);
     span.arg("expressible", result.projection.x_event_names.size());
     record_stage(span, "projection");
   }

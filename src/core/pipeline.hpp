@@ -135,10 +135,6 @@ struct PipelineOptions {
   /// OS threads for the collection stage (results are bit-identical for
   /// any value; see vpapi::Collector).
   int collection_threads = 1;
-  /// Worker threads for the analysis stages (RNMSE filter and projection
-  /// solves).  Every stage follows the shared worker-pool determinism
-  /// contract, so results are bit-identical for any value.
-  int analysis_threads = 1;
   /// When true, events classified as drifting (systematic per-repetition
   /// trend, see core/noise_classify.hpp) are detrended BEFORE the tau
   /// filter instead of being discarded by it -- the remedy the noise

@@ -1,10 +1,13 @@
 #include "core/presets.hpp"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
-#include "obs/export.hpp"
+#include "json/json.hpp"
 
 namespace catalyst::core {
 
@@ -93,25 +96,39 @@ std::string presets_to_table(const std::vector<PresetDefinition>& presets) {
   return os.str();
 }
 
+namespace {
+
+/// The double `v` printed with printf format `fmt` reads back as: the
+/// preset document carries coefficients to 12 significant digits and the
+/// fitness to 7, so float noise in the last bits never reaches importers.
+/// A non-finite value (JSON has none) is written as null.
+json::Value printed(double v, const char* fmt) {
+  if (!std::isfinite(v)) return nullptr;
+  char buf[40];
+  std::snprintf(buf, sizeof buf, fmt, v);
+  return std::strtod(buf, nullptr);
+}
+
+}  // namespace
+
 std::string presets_to_json(const std::vector<PresetDefinition>& presets) {
-  std::ostringstream os;
-  os << "[\n";
-  for (std::size_t i = 0; i < presets.size(); ++i) {
-    const auto& p = presets[i];
-    os << "  {\"symbol\": \"" << obs::json_escape(p.symbol)
-       << "\", \"description\": \"" << obs::json_escape(p.description)
-       << "\", \"fitness\": " << std::scientific << std::setprecision(6)
-       << p.fitness << std::defaultfloat << ", \"terms\": [";
-    for (std::size_t t = 0; t < p.terms.size(); ++t) {
-      os << "{\"event\": \"" << obs::json_escape(p.terms[t].event_name)
-         << "\", \"coefficient\": " << std::setprecision(12)
-         << p.terms[t].coefficient << "}"
-         << (t + 1 < p.terms.size() ? ", " : "");
+  json::Value doc = json::Value::array();
+  for (const auto& p : presets) {
+    json::Value preset = json::Value::object();
+    preset["symbol"] = p.symbol;
+    preset["description"] = p.description;
+    preset["fitness"] = printed(p.fitness, "%.6e");
+    json::Value terms = json::Value::array();
+    for (const auto& t : p.terms) {
+      json::Value term = json::Value::object();
+      term["event"] = t.event_name;
+      term["coefficient"] = printed(t.coefficient, "%.12g");
+      terms.push_back(std::move(term));
     }
-    os << "]}" << (i + 1 < presets.size() ? "," : "") << "\n";
+    preset["terms"] = std::move(terms);
+    doc.push_back(std::move(preset));
   }
-  os << "]\n";
-  return os.str();
+  return json::dump(doc, 2) + "\n";
 }
 
 vpapi::DerivedEvent to_derived_event(const PresetDefinition& preset) {

@@ -1,134 +1,97 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 
+#include "json/json.hpp"
 #include "pmu/measure.hpp"
 
 namespace catalyst::obs {
 namespace {
 
-// Numbers are written with enough digits to round-trip; JSON has no
-// inf/nan, so non-finite values degrade to null.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string quoted(std::string_view s) {
-  return "\"" + json_escape(s) + "\"";
-}
-
-/// Splits a packed "k=v;k=v;" args string into an "args" JSON object body.
-/// Values that look like numbers or booleans are emitted bare.
-std::string args_to_json(const char* packed) {
-  std::string out;
+/// Calls fn(key, value) for each "k=v" pair of a packed "k=v;k=v;" args
+/// string; a pair without '=' is skipped.
+template <typename Fn>
+void for_each_packed_arg(const char* packed, Fn&& fn) {
   std::string_view rest(packed);
-  bool first = true;
   while (!rest.empty()) {
     const std::size_t semi = rest.find(';');
-    const std::string_view pair =
-        semi == std::string_view::npos ? rest : rest.substr(0, semi);
+    const std::string_view pair = rest.substr(0, semi);
     rest = semi == std::string_view::npos ? std::string_view()
                                           : rest.substr(semi + 1);
     const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos || eq == 0) continue;
-    const std::string_view key = pair.substr(0, eq);
-    const std::string_view val = pair.substr(eq + 1);
-    if (!first) out += ",";
-    first = false;
-    out += quoted(key);
-    out += ":";
-    if (val == "true" || val == "false") {
-      out += std::string(val);
-      continue;
-    }
-    char* end = nullptr;
-    const std::string val_str(val);
-    const double num = std::strtod(val_str.c_str(), &end);
-    if (!val_str.empty() && end != nullptr && *end == '\0' &&
-        std::isfinite(num)) {
-      out += json_number(num);
-    } else {
-      out += quoted(val);
-    }
+    if (eq != std::string_view::npos) fn(pair.substr(0, eq), pair.substr(eq + 1));
   }
+}
+
+/// JSON has no inf/nan: a non-finite double is written as null.
+json::Value finite_or_null(double v) {
+  return std::isfinite(v) ? json::Value(v) : json::Value(nullptr);
+}
+
+/// One packed span arg value: booleans and numbers bare, integers exact
+/// (a trace id past 2^53 must not round), anything else a string.
+json::Value arg_value(std::string_view val) {
+  if (val == "true" || val == "false") return json::Value(val == "true");
+  const char* first = val.data();
+  const char* last = val.data() + val.size();
+  std::uint64_t u = 0;
+  if (auto [p, ec] = std::from_chars(first, last, u);
+      ec == std::errc{} && p == last) {
+    return json::Value(u);
+  }
+  std::int64_t i = 0;
+  if (auto [p, ec] = std::from_chars(first, last, i);
+      ec == std::errc{} && p == last) {
+    return json::Value(i);
+  }
+  const std::string text(val);
+  char* end = nullptr;
+  const double num = std::strtod(text.c_str(), &end);
+  if (!text.empty() && *end == '\0' && std::isfinite(num)) return num;
+  return text;
+}
+
+/// Splits a packed "k=v;k=v;" args string into a JSON object.
+json::Value args_to_json(const char* packed) {
+  json::Value out = json::Value::object();
+  for_each_packed_arg(packed, [&](std::string_view key, std::string_view val) {
+    if (!key.empty()) out[std::string(key)] = arg_value(val);
+  });
   return out;
 }
 
-void append_histogram_json(std::string& out, const HistogramSnapshot& h,
-                           const char* indent) {
-  out += indent;
-  out += quoted(h.name) + ": {";
-  char buf[160];
-  const double mean =
-      h.total_count > 0 ? h.sum / static_cast<double>(h.total_count) : 0.0;
-  std::snprintf(buf, sizeof buf, "\"count\": %" PRIu64 ", ", h.total_count);
-  out += buf;
-  out += "\"sum\": " + json_number(h.sum) + ", ";
-  out += "\"min\": " + json_number(h.min) + ", ";
-  out += "\"max\": " + json_number(h.max) + ", ";
-  out += "\"mean\": " + json_number(mean) + "}";
+json::Value histogram_summary_json(const HistogramSnapshot& h) {
+  json::Value out = json::Value::object();
+  out["count"] = h.total_count;
+  out["sum"] = finite_or_null(h.sum);
+  out["min"] = finite_or_null(h.min);
+  out["max"] = finite_or_null(h.max);
+  out["mean"] = finite_or_null(
+      h.total_count > 0 ? h.sum / static_cast<double>(h.total_count) : 0.0);
+  return out;
 }
 
-/// True when the packed "k=v;" args string carries `key` = `value` as a
-/// whole pair (substring search alone would let trace id 12 match 123).
-bool has_packed_arg(const char* packed, std::string_view key,
-                    std::string_view value) {
-  std::string_view rest(packed);
-  while (!rest.empty()) {
-    const std::size_t semi = rest.find(';');
-    const std::string_view pair =
-        semi == std::string_view::npos ? rest : rest.substr(0, semi);
-    rest = semi == std::string_view::npos ? std::string_view()
-                                          : rest.substr(semi + 1);
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) continue;
-    if (pair.substr(0, eq) == key && pair.substr(eq + 1) == value) return true;
+json::Value counters_json(const MetricsSnapshot& metrics) {
+  json::Value out = json::Value::object();
+  for (const auto& [name, value] : metrics.counters) out[name] = value;
+  return out;
+}
+
+json::Value histogram_summaries_json(const MetricsSnapshot& metrics) {
+  json::Value out = json::Value::object();
+  for (const HistogramSnapshot& h : metrics.histograms) {
+    out[h.name] = histogram_summary_json(h);
   }
-  return false;
+  return out;
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string config_hash(const std::string& config) {
   char buf[20];
@@ -149,174 +112,98 @@ std::string to_chrome_trace(const std::vector<SpanRecord>& spans,
     }
   }
 
-  std::string out = "{\n  \"traceEvents\": [\n";
-  bool first = true;
+  json::Value events = json::Value::array();
   for (const SpanRecord& s : spans) {
-    if (!first) out += ",\n";
-    first = false;
-    const double ts_us = static_cast<double>(s.start_ns - t0) / 1000.0;
-    const double dur_us =
-        static_cast<double>(s.end_ns >= s.start_ns ? s.end_ns - s.start_ns
-                                                   : 0) /
-        1000.0;
-    char head[128];
-    std::snprintf(head, sizeof head,
-                  "    {\"ph\": \"X\", \"pid\": 1, \"tid\": %u, ",
-                  s.thread_id);
-    out += head;
-    out += "\"name\": " + quoted(s.name) + ", ";
-    out += "\"ts\": " + json_number(ts_us) + ", ";
-    out += "\"dur\": " + json_number(dur_us) + ", ";
-    out += "\"args\": {" + args_to_json(s.args) + "}}";
+    const std::int64_t dur_ns = s.end_ns >= s.start_ns ? s.end_ns - s.start_ns
+                                                       : 0;
+    json::Value ev = json::Value::object();
+    ev["ph"] = "X";
+    ev["pid"] = 1;
+    ev["tid"] = s.thread_id;
+    ev["name"] = s.name;
+    ev["ts"] = static_cast<double>(s.start_ns - t0) / 1000.0;
+    ev["dur"] = static_cast<double>(dur_ns) / 1000.0;
+    ev["args"] = args_to_json(s.args);
+    events.push_back(std::move(ev));
   }
-  out += "\n  ],\n";
-  out += "  \"displayTimeUnit\": \"ms\",\n";
-  out += "  \"otherData\": {\n    \"counters\": {";
-  bool first_counter = true;
-  for (const auto& [name, value] : metrics.counters) {
-    if (!first_counter) out += ",";
-    first_counter = false;
-    char buf[32];
-    std::snprintf(buf, sizeof buf, ": %" PRIu64, value);
-    out += "\n      " + quoted(name) + buf;
-  }
-  out += first_counter ? "},\n" : "\n    },\n";
-  out += "    \"histograms\": {";
-  bool first_hist = true;
-  for (const HistogramSnapshot& h : metrics.histograms) {
-    if (!first_hist) out += ",";
-    first_hist = false;
-    out += "\n";
-    append_histogram_json(out, h, "      ");
-  }
-  out += first_hist ? "}\n" : "\n    }\n";
-  out += "  }\n}\n";
-  return out;
+  json::Value doc = json::Value::object();
+  doc["traceEvents"] = std::move(events);
+  doc["displayTimeUnit"] = "ms";
+  doc["otherData"]["counters"] = counters_json(metrics);
+  doc["otherData"]["histograms"] = histogram_summaries_json(metrics);
+  return json::dump(doc) + "\n";
 }
 
 std::string to_run_manifest(const RunManifest& m) {
-  std::string out = "{\n";
-  out += "  \"format\": " + quoted(kRunManifestFormat) + ",\n";
-  out += "  \"tool\": " + quoted(m.tool) + ",\n";
-  out += "  \"category\": " + quoted(m.category) + ",\n";
-  out += "  \"machine\": " + quoted(m.machine) + ",\n";
-  out += "  \"git_sha\": " + quoted(m.git_sha) + ",\n";
-  out += "  \"config\": " + quoted(m.config) + ",\n";
-  out += "  \"config_hash\": " + quoted(m.config_hash) + ",\n";
-  out += "  \"tau\": " + json_number(m.tau) + ",\n";
-  out += "  \"alpha\": " + json_number(m.alpha) + ",\n";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "  \"repetitions\": %" PRIu64 ",\n",
-                m.repetitions);
-  out += buf;
-
-  out += "  \"stages\": [";
-  bool first = true;
+  json::Value doc = json::Value::object();
+  doc["format"] = kRunManifestFormat;
+  doc["tool"] = m.tool;
+  doc["category"] = m.category;
+  doc["machine"] = m.machine;
+  doc["git_sha"] = m.git_sha;
+  doc["config"] = m.config;
+  doc["config_hash"] = m.config_hash;
+  doc["tau"] = finite_or_null(m.tau);
+  doc["alpha"] = finite_or_null(m.alpha);
+  doc["repetitions"] = m.repetitions;
+  json::Value stages = json::Value::array();
   for (const StageTiming& st : m.stages) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    {\"name\": " + quoted(st.name) + ", \"wall_ns\": ";
-    std::snprintf(buf, sizeof buf, "%" PRId64 "}", st.wall_ns);
-    out += buf;
+    json::Value stage = json::Value::object();
+    stage["name"] = st.name;
+    stage["wall_ns"] = st.wall_ns;
+    stages.push_back(std::move(stage));
   }
-  out += first ? "],\n" : "\n  ],\n";
-
-  out += "  \"funnel\": {";
-  first = true;
-  for (const auto& [name, value] : m.funnel) {
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buf, sizeof buf, ": %" PRIu64, value);
-    out += "\n    " + quoted(name) + buf;
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"counters\": {";
-  first = true;
-  for (const auto& [name, value] : m.metrics.counters) {
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buf, sizeof buf, ": %" PRIu64, value);
-    out += "\n    " + quoted(name) + buf;
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"histograms\": {";
-  first = true;
-  for (const HistogramSnapshot& h : m.metrics.histograms) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n";
-    append_histogram_json(out, h, "    ");
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  std::snprintf(buf, sizeof buf, "  \"spans_published\": %" PRIu64 ",\n",
-                m.spans_published);
-  out += buf;
-  std::snprintf(buf, sizeof buf, "  \"spans_dropped\": %" PRIu64 "\n",
-                m.spans_dropped);
-  out += buf;
-  out += "}\n";
-  return out;
+  doc["stages"] = std::move(stages);
+  json::Value funnel = json::Value::object();
+  for (const auto& [name, value] : m.funnel) funnel[name] = value;
+  doc["funnel"] = std::move(funnel);
+  doc["counters"] = counters_json(m.metrics);
+  doc["histograms"] = histogram_summaries_json(m.metrics);
+  doc["spans_published"] = m.spans_published;
+  doc["spans_dropped"] = m.spans_dropped;
+  return json::dump(doc, 2) + "\n";
 }
 
 std::string to_metrics_json(const MetricsSnapshot& metrics) {
-  std::string out = "{\n";
-  out += "  \"format\": ";
-  out += quoted(kMetricsFormat);
-  out += ",\n";
-  char buf[96];
-
-  out += "  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : metrics.counters) {
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buf, sizeof buf, ": %" PRIu64, value);
-    out += "\n    " + quoted(name) + buf;
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : metrics.gauges) {
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buf, sizeof buf, ": %" PRId64, value);
-    out += "\n    " + quoted(name) + buf;
-  }
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"histograms\": [";
-  first = true;
+  json::Value doc = json::Value::object();
+  doc["format"] = kMetricsFormat;
+  doc["counters"] = counters_json(metrics);
+  json::Value gauges = json::Value::object();
+  for (const auto& [name, value] : metrics.gauges) gauges[name] = value;
+  doc["gauges"] = std::move(gauges);
+  json::Value hists = json::Value::array();
   for (const HistogramSnapshot& h : metrics.histograms) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    {\"name\": " + quoted(h.name) + ",";
-    std::snprintf(buf, sizeof buf, " \"count\": %" PRIu64 ",", h.total_count);
-    out += buf;
-    out += " \"sum\": " + json_number(h.sum) + ",";
-    out += " \"min\": " + json_number(h.min) + ",";
-    out += " \"max\": " + json_number(h.max) + ",\n     ";
-    std::snprintf(buf, sizeof buf, "\"num_buckets\": %zu, ", kNumBuckets);
-    out += buf;
-    std::snprintf(buf, sizeof buf, "\"bucket_bias\": %d,\n     ", kBucketBias);
-    out += buf;
-    out += "\"buckets\": [";
-    bool first_bucket = true;
+    json::Value entry = json::Value::object();
+    entry["name"] = h.name;
+    entry["count"] = h.total_count;
+    entry["sum"] = finite_or_null(h.sum);
+    entry["min"] = finite_or_null(h.min);
+    entry["max"] = finite_or_null(h.max);
+    entry["num_buckets"] = kNumBuckets;
+    entry["bucket_bias"] = kBucketBias;
+    json::Value buckets = json::Value::array();
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       if (h.buckets[i] == 0) continue;
-      if (!first_bucket) out += ", ";
-      first_bucket = false;
-      std::snprintf(buf, sizeof buf, "[%zu, %" PRIu64 "]", i, h.buckets[i]);
-      out += buf;
+      json::Value pair = json::Value::array();
+      pair.push_back(i);
+      pair.push_back(h.buckets[i]);
+      buckets.push_back(std::move(pair));
     }
-    out += "]}";
+    entry["buckets"] = std::move(buckets);
+    hists.push_back(std::move(entry));
   }
-  out += first ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  return out;
+  doc["histograms"] = std::move(hists);
+  return json::dump(doc, 2) + "\n";
+}
+
+std::string metrics_compiled_out_json() {
+  json::Value doc = json::Value::object();
+  doc["format"] = kMetricsFormat;
+  doc["compiled_out"] = true;
+  doc["counters"] = json::Value::object();
+  doc["gauges"] = json::Value::object();
+  doc["histograms"] = json::Value::array();
+  return json::dump(doc, 2) + "\n";
 }
 
 std::string to_prometheus_text(const MetricsSnapshot& metrics) {
@@ -358,7 +245,8 @@ std::string to_prometheus_text(const MetricsSnapshot& metrics) {
     std::snprintf(buf, sizeof buf, "_bucket{le=\"+Inf\"} %" PRIu64 "\n",
                   h.total_count);
     out += m + buf;
-    out += m + "_sum " + json_number(h.sum) + "\n";
+    std::snprintf(buf, sizeof buf, "_sum %.17g\n", h.sum);
+    out += m + buf;
     std::snprintf(buf, sizeof buf, "_count %" PRIu64 "\n", h.total_count);
     out += m + buf;
   }
@@ -368,11 +256,16 @@ std::string to_prometheus_text(const MetricsSnapshot& metrics) {
 std::string trace_fragment_json(const std::vector<SpanRecord>& spans,
                                 std::uint64_t trace_id,
                                 std::size_t* matched) {
-  char id[24];
-  std::snprintf(id, sizeof id, "%" PRIu64, trace_id);
+  // Whole-pair match: a substring search would let trace id 12 match 123.
+  const std::string id = std::to_string(trace_id);
   std::vector<SpanRecord> fragment;
   for (const SpanRecord& s : spans) {
-    if (has_packed_arg(s.args, "trace", id)) fragment.push_back(s);
+    bool stamped = false;
+    for_each_packed_arg(s.args, [&](std::string_view key,
+                                    std::string_view val) {
+      stamped = stamped || (key == "trace" && val == id);
+    });
+    if (stamped) fragment.push_back(s);
   }
   if (matched != nullptr) *matched = fragment.size();
   return to_chrome_trace(fragment, MetricsSnapshot{});

@@ -13,14 +13,15 @@
 //     BENCH_*.json trajectory embeds so results stay comparable across
 //     commits (scripts/run_bench.sh).
 //
-// JSON is emitted directly (this library sits below catalyst::core and so
-// cannot use core/json); the subset written is plain ASCII objects, arrays,
-// strings, and finite numbers.
+// Every JSON document here (trace, manifest, metrics, flight dump) is built
+// as a json::Value and written by json::dump, so objects come out with
+// sorted keys, integers (counters, *_ns stamps, trace ids) are exact, and a
+// non-finite double is written as null.  Consumers compare parsed values,
+// not bytes.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -58,13 +59,7 @@ inline constexpr const char* kMetricsFormat = "catalyst-metrics-v1";
 /// catalyst-metrics-v1 document (schema checkers and `catalyst_client top`
 /// parse it like any other), but explicitly flagged so a scraper can tell
 /// "no load" apart from "observability compiled out".
-inline constexpr const char* kMetricsCompiledOutJson =
-    "{\n  \"format\": \"catalyst-metrics-v1\",\n  \"compiled_out\": true,\n"
-    "  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": []\n}\n";
-
-/// JSON string escaping for the emitted subset (quotes, backslash, control
-/// characters; non-ASCII bytes pass through untouched).
-std::string json_escape(std::string_view s);
+std::string metrics_compiled_out_json();
 
 /// Hex fnv1a-64 of a configuration string (the manifest's config_hash).
 std::string config_hash(const std::string& config);

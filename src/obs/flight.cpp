@@ -1,10 +1,8 @@
 #include "obs/flight.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
-#include "obs/export.hpp"
+#include "json/json.hpp"
 
 namespace catalyst::obs {
 
@@ -53,50 +51,28 @@ void FlightRecorder::clear() {
 
 std::string to_flight_json(const std::vector<FlightRecord>& records,
                            std::uint64_t recorded, std::size_t capacity) {
-  std::string out = "{\n";
-  out += "  \"format\": \"";
-  out += kFlightRecorderFormat;
-  out += "\",\n";
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "  \"capacity\": %zu,\n", capacity);
-  out += buf;
-  std::snprintf(buf, sizeof buf, "  \"recorded\": %" PRIu64 ",\n", recorded);
-  out += buf;
-  out += "  \"records\": [";
-  bool first = true;
+  json::Value doc = json::Value::object();
+  doc["format"] = kFlightRecorderFormat;
+  doc["capacity"] = capacity;
+  doc["recorded"] = recorded;
+  json::Value list = json::Value::array();
   for (const FlightRecord& r : records) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n    {";
-    std::snprintf(buf, sizeof buf, "\"request_id\": %" PRIu64 ", ",
-                  r.request_id);
-    out += buf;
-    std::snprintf(buf, sizeof buf, "\"session_id\": %" PRIu64 ", ",
-                  r.session_id);
-    out += buf;
-    std::snprintf(buf, sizeof buf, "\"trace_id\": %" PRIu64 ", ", r.trace_id);
-    out += buf;
-    std::snprintf(buf, sizeof buf, "\"bytes\": %" PRIu64 ",\n     ", r.bytes);
-    out += buf;
-    out += "\"category\": \"" + json_escape(r.category) + "\", ";
-    out += "\"verdict\": \"" + json_escape(r.verdict) + "\",\n     ";
-    std::snprintf(buf, sizeof buf, "\"enqueued_ns\": %" PRId64 ", ",
-                  r.enqueued_ns);
-    out += buf;
-    std::snprintf(buf, sizeof buf, "\"started_ns\": %" PRId64 ", ",
-                  r.started_ns);
-    out += buf;
-    std::snprintf(buf, sizeof buf, "\"finished_ns\": %" PRId64 ",\n     ",
-                  r.finished_ns);
-    out += buf;
-    std::snprintf(buf, sizeof buf, "\"faults\": %" PRIu64 ", ", r.faults);
-    out += buf;
-    std::snprintf(buf, sizeof buf, "\"retries\": %" PRIu64 "}", r.retries);
-    out += buf;
+    json::Value rec = json::Value::object();
+    rec["request_id"] = r.request_id;
+    rec["session_id"] = r.session_id;
+    rec["trace_id"] = r.trace_id;
+    rec["bytes"] = r.bytes;
+    rec["category"] = r.category;
+    rec["verdict"] = r.verdict;
+    rec["enqueued_ns"] = r.enqueued_ns;
+    rec["started_ns"] = r.started_ns;
+    rec["finished_ns"] = r.finished_ns;
+    rec["faults"] = r.faults;
+    rec["retries"] = r.retries;
+    list.push_back(std::move(rec));
   }
-  out += first ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  return out;
+  doc["records"] = std::move(list);
+  return json::dump(doc, 2) + "\n";
 }
 
 }  // namespace catalyst::obs

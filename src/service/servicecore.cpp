@@ -4,7 +4,7 @@
 #include <filesystem>
 
 #include "core/io.hpp"
-#include "core/json.hpp"
+#include "json/json.hpp"
 #include "obs/flight.hpp"
 #include "obs/names.hpp"
 #include "obs/trace.hpp"
@@ -94,13 +94,13 @@ void ServiceCore::restore_checkpoints() {
       continue;
     }
     try {
-      const core::json::Value root =
-          core::json::parse(core::read_text_file(entry.path().string()));
+      const json::Value root =
+          json::parse(core::read_text_file(entry.path().string()));
       if (root.at("format").as_string() != kServiceCheckpointFormat) {
         continue;  // Foreign file; leave it alone.
       }
       Restored r;
-      r.id = static_cast<std::uint64_t>(root.at("id").as_number());
+      r.id = root.at("id").as_u64();
       r.body = wire::decode_submit(from_hex(root.at("payload").as_string()));
       found.push_back(std::move(r));
       fs::remove(entry.path(), ec);
@@ -452,14 +452,14 @@ void ServiceCore::checkpoint_queued_locked() {
     const auto it = requests_.find(id);
     if (it == requests_.end()) continue;
     try {
-      core::json::Value root = core::json::Value::object();
+      json::Value root = json::Value::object();
       root["format"] = kServiceCheckpointFormat;
-      root["id"] = static_cast<double>(id);
+      root["id"] = id;
       root["category"] = it->second->body.category;
       root["payload"] = to_hex(wire::encode_submit(it->second->body));
       core::write_text_file_atomic(
           checkpoint_path(options_.checkpoint_dir, id),
-          core::json::dump(root));
+          json::dump(root));
       ++written;
     } catch (const std::exception&) {
       obs::count(obs::names::kServiceCheckpointWriteFailed);

@@ -96,7 +96,7 @@ struct PollOutcome {
 inline namespace telemetry_noop {
 
 inline std::string render_stats_exposition() {
-  return obs::kMetricsCompiledOutJson;
+  return obs::metrics_compiled_out_json();
 }
 
 inline std::string render_trace_fragment(std::uint64_t trace_id,

@@ -2,22 +2,17 @@
 //
 //   * the specialized Algorithm 2 gives the same result when several
 //     analyses run it concurrently (the service runs one per worker);
-//   * LstsqSolver::solve() is arithmetically identical to lstsq();
-//   * the threaded pipeline stages (noise filter, projection) reproduce
-//     their serial results exactly.
+//   * LstsqSolver::solve() is arithmetically identical to lstsq().
 //
 // Every randomized case derives its seeds from seed_util.hpp, so a failure
 // replays with CATALYST_SEED=<n>.
 #include <cmath>
 #include <cstring>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/noise.hpp"
-#include "core/normalize.hpp"
 #include "core/qrcp_special.hpp"
 #include "linalg/linalg.hpp"
 #include "seed_util.hpp"
@@ -93,77 +88,6 @@ TEST(LstsqSolver, SolveIsArithmeticallyIdenticalToLstsq) {
           << seed_banner(seed);
       EXPECT_EQ(direct.rank_deficient, via_solver.rank_deficient)
           << seed_banner(seed);
-    }
-  }
-}
-
-// --- threaded pipeline stages ---------------------------------------------
-
-TEST(PipelineStages, NormalizeEventsBitIdenticalAcrossThreads) {
-  for (std::uint64_t seed : sweep_seeds(120, 3)) {
-    const linalg::Matrix expectation = linalg::random_gaussian(12, 4, seed);
-    std::vector<std::string> names;
-    std::vector<std::vector<double>> measurements;
-    for (int e = 0; e < 30; ++e) {
-      names.push_back("EV" + std::to_string(e));
-      const linalg::Matrix v =
-          linalg::random_gaussian(12, 1, seed * 1000 + e);
-      measurements.emplace_back(v.data().begin(), v.data().end());
-    }
-    const auto serial =
-        core::normalize_events(expectation, names, measurements, 1e-2, 1);
-    const auto threaded =
-        core::normalize_events(expectation, names, measurements, 1e-2, 4);
-    ASSERT_EQ(serial.representations.size(), threaded.representations.size());
-    for (std::size_t e = 0; e < serial.representations.size(); ++e) {
-      const auto& sr = serial.representations[e];
-      const auto& tr = threaded.representations[e];
-      EXPECT_EQ(sr.event_name, tr.event_name);
-      EXPECT_EQ(sr.representable, tr.representable) << seed_banner(seed);
-      EXPECT_EQ(sr.backward_error, tr.backward_error) << seed_banner(seed);
-      EXPECT_TRUE(BitwiseEqual(sr.xe, tr.xe)) << seed_banner(seed);
-    }
-    EXPECT_EQ(serial.x_event_names, threaded.x_event_names);
-    EXPECT_TRUE(BitwiseEqual(serial.x.data(), threaded.x.data()))
-        << seed_banner(seed);
-  }
-}
-
-TEST(PipelineStages, FilterNoiseBitIdenticalAcrossThreads) {
-  for (std::uint64_t seed : sweep_seeds(140, 3)) {
-    std::vector<std::string> names;
-    std::vector<std::vector<std::vector<double>>> measurements;
-    for (int e = 0; e < 24; ++e) {
-      names.push_back("EV" + std::to_string(e));
-      std::vector<std::vector<double>> reps;
-      for (int r = 0; r < 3; ++r) {
-        const linalg::Matrix v =
-            linalg::random_gaussian(8, 1, seed * 997 + e * 7 + r);
-        std::vector<double> rep(v.data().begin(), v.data().end());
-        // A noisy third of the events: inflate one repetition so the tau
-        // filter discards them identically on both paths.
-        if (e % 3 == 0 && r == 2) {
-          for (double& x : rep) x *= 1.5;
-        }
-        reps.push_back(std::move(rep));
-      }
-      measurements.push_back(std::move(reps));
-    }
-    const auto serial = core::filter_noise(names, measurements, 1e-1, 1);
-    const auto threaded = core::filter_noise(names, measurements, 1e-1, 4);
-    EXPECT_EQ(serial.kept, threaded.kept) << seed_banner(seed);
-    ASSERT_EQ(serial.averaged.size(), threaded.averaged.size());
-    for (std::size_t i = 0; i < serial.averaged.size(); ++i) {
-      EXPECT_TRUE(BitwiseEqual(serial.averaged[i], threaded.averaged[i]))
-          << seed_banner(seed);
-    }
-    ASSERT_EQ(serial.variabilities.size(), threaded.variabilities.size());
-    for (std::size_t i = 0; i < serial.variabilities.size(); ++i) {
-      EXPECT_EQ(serial.variabilities[i].max_rnmse,
-                threaded.variabilities[i].max_rnmse)
-          << seed_banner(seed);
-      EXPECT_EQ(serial.variabilities[i].all_zero,
-                threaded.variabilities[i].all_zero);
     }
   }
 }

@@ -2,7 +2,7 @@
 // that OFFLINE analysis of an archive equals the ONLINE pipeline run.
 #include "core/io.hpp"
 
-#include "core/json.hpp"
+#include "json/json.hpp"
 
 #include <gtest/gtest.h>
 
@@ -189,6 +189,29 @@ TEST(ArchiveV2, QuarantineAndReportRoundTrip) {
   const auto v1_text = save_archive(a);
   EXPECT_NE(v1_text.find("catalyst-measurements-v1"), std::string::npos);
   EXPECT_EQ(v1_text.find("collection_report"), std::string::npos);
+}
+
+TEST(ArchiveV2, ReportCountsMustBeExactUnsignedIntegers) {
+  // Report counts are u64: a negative, fractional or out-of-range number in
+  // an edited archive fails typed instead of reaching a float->int cast.
+  MeasurementArchive a;
+  a.machine_name = "m";
+  a.benchmark_name = "b";
+  a.slot_names = {"s1"};
+  a.basis_labels = {"X"};
+  a.expectation = linalg::Matrix(1, 1);
+  a.expectation(0, 0) = 1.0;
+  a.event_names = {"E"};
+  a.measurements = {{{1.0}, {1.0}}};
+  a.collection_report = vpapi::CollectionReport{};
+  json::Value doc = json::parse(save_archive(a));
+  ASSERT_NO_THROW(load_archive(json::dump(doc)));
+  for (const json::Value& bad :
+       {json::Value(-1), json::Value(2.5), json::Value(1e300)}) {
+    doc["collection_report"]["total_retries"] = bad;
+    EXPECT_THROW(load_archive(json::dump(doc)), ArchiveError)
+        << json::dump(bad);
+  }
 }
 
 TEST(ArchiveV2, SampleTraceRoundTripIsByteStable) {

@@ -1,4 +1,4 @@
-// Fuzz harness for core::json and the measurement-archive loaders.
+// Fuzz harness for the json library and the measurement-archive loaders.
 //
 // Three seeded generators, 50k+ total iterations in the default run:
 //   * random bytes      -> json::parse must return a Value or throw
@@ -9,7 +9,7 @@
 //                          archives -> load_archive must produce an archive
 //                          or throw one of its documented error types;
 //   * random documents  -> parse(dump(v)) round-trips every generated
-//                          Value exactly.
+//                          Value exactly (doubles and 64-bit integers).
 //
 // Any failure prints the offending input as a hex dump plus the
 // CATALYST_SEED replay banner (seed_util.hpp); CATALYST_SEED=<n> re-runs
@@ -23,7 +23,7 @@
 #include <string>
 
 #include "core/io.hpp"
-#include "core/json.hpp"
+#include "json/json.hpp"
 #include "linalg/matrix.hpp"
 #include "seed_util.hpp"
 
@@ -172,7 +172,12 @@ json::Value random_value(std::mt19937_64& rng, int depth) {
   switch (type_dist(rng)) {
     case 0: return json::Value();
     case 1: return json::Value(rng() % 2 == 0);
-    case 2: return json::Value(num_dist(rng));
+    case 2:  // a double, or an exact integer over the full 64-bit range
+      switch (rng() % 3) {
+        case 0: return json::Value(num_dist(rng));
+        case 1: return json::Value(static_cast<std::uint64_t>(rng()));
+        default: return json::Value(static_cast<std::int64_t>(rng()));
+      }
     case 3: {
       std::string s;
       const std::size_t n = rng() % 12;

@@ -1,9 +1,12 @@
 // Unit tests for the minimal JSON value / parser / writer.
-#include "core/json.hpp"
+#include "json/json.hpp"
 
 #include <gtest/gtest.h>
 
-namespace catalyst::core::json {
+#include <cstdint>
+#include <limits>
+
+namespace catalyst::json {
 namespace {
 
 // --- value type -----------------------------------------------------------------
@@ -49,6 +52,40 @@ TEST(JsonValue, ObjectBuildingAndNullPromotion) {
   EXPECT_THROW(o.at("missing"), JsonError);
 }
 
+TEST(JsonValue, IntegersAreExact) {
+  constexpr std::uint64_t kBig = (std::uint64_t{1} << 63) + 1;  // no double
+  EXPECT_EQ(Value(kBig).as_u64(), kBig);
+  EXPECT_EQ(Value(std::numeric_limits<std::int64_t>::min()).as_i64(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(Value(-3).as_i64(), -3);
+  EXPECT_EQ(Value(std::size_t{7}).as_i64(), 7);
+  EXPECT_DOUBLE_EQ(Value(kBig).as_number(), 9223372036854775808.0);
+}
+
+TEST(JsonValue, CheckedIntegerAccessRefusesWhatDoesNotFit) {
+  EXPECT_EQ(Value(5.0).as_u64(), 5u);
+  EXPECT_EQ(Value(-5.0).as_i64(), -5);
+  for (const Value& bad : {Value(-1), Value(2.5), Value(1e300),
+                           Value(-0.5), Value("7"), Value()}) {
+    EXPECT_THROW(bad.as_u64(), JsonError);
+  }
+  EXPECT_THROW(Value(std::numeric_limits<std::uint64_t>::max()).as_i64(),
+               JsonError);
+  EXPECT_THROW(Value(9223372036854775808.0).as_i64(), JsonError);
+  EXPECT_THROW(Value(18446744073709551616.0).as_u64(), JsonError);
+}
+
+TEST(JsonValue, NumbersCompareByValue) {
+  EXPECT_EQ(Value(5), Value(5.0));
+  EXPECT_EQ(Value(std::uint64_t{5}), Value(std::int64_t{5}));
+  EXPECT_EQ(Value(-2), Value(-2.0));
+  EXPECT_FALSE(Value(5) == Value(5.5));
+  EXPECT_FALSE(Value(-1) == Value(std::numeric_limits<std::uint64_t>::max()));
+  // 2^63 + 1 rounds to 2^63 as a double: not the same number.
+  EXPECT_FALSE(Value((std::uint64_t{1} << 63) + 1) ==
+               Value(9223372036854775808.0));
+}
+
 // --- parser ---------------------------------------------------------------------
 
 TEST(JsonParse, Scalars) {
@@ -58,6 +95,21 @@ TEST(JsonParse, Scalars) {
   EXPECT_DOUBLE_EQ(parse("42").as_number(), 42.0);
   EXPECT_DOUBLE_EQ(parse("-3.25e2").as_number(), -325.0);
   EXPECT_EQ(parse("\"hello\"").as_string(), "hello");
+}
+
+TEST(JsonParse, IntegerTokensStayExact) {
+  EXPECT_EQ(parse("18446744073709551615").as_u64(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse("-9223372036854775808").as_i64(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(parse("9223372036854775809").as_u64(), 9223372036854775809u);
+  // Past 64 bits, or with a fraction/exponent, a token is a double.
+  EXPECT_DOUBLE_EQ(parse("18446744073709551616").as_number(),
+                   18446744073709551616.0);
+  EXPECT_EQ(parse("1e2").as_i64(), 100);
+  EXPECT_EQ(parse("1e2").as_u64(), 100u);
+  EXPECT_THROW(parse("2.5").as_u64(), JsonError);
+  EXPECT_THROW(parse("-1").as_u64(), JsonError);
 }
 
 TEST(JsonParse, Whitespace) {
@@ -119,10 +171,26 @@ TEST(JsonDump, CompactForm) {
 TEST(JsonDump, IntegersPrintWithoutDecimals) {
   EXPECT_EQ(dump(Value(42.0)), "42");
   EXPECT_EQ(dump(Value(-7)), "-7");
+  EXPECT_EQ(dump(Value(std::numeric_limits<std::uint64_t>::max())),
+            "18446744073709551615");
+  EXPECT_EQ(dump(Value(std::numeric_limits<std::int64_t>::min())),
+            "-9223372036854775808");
+  // Doubles keep their format: bare below 1e15, 17 digits above.
+  EXPECT_EQ(dump(Value(1e15)), "1000000000000000");
+  EXPECT_EQ(dump(Value(1e17)), "1e+17");
+  EXPECT_EQ(dump(Value(0.1)), "0.10000000000000001");
 }
 
 TEST(JsonDump, EscapesSpecialCharacters) {
   EXPECT_EQ(dump(Value("a\"b\\c\nd")), R"("a\"b\\c\nd")");
+}
+
+TEST(JsonDump, EscapesQuoteBackslashNewlineAndControlBytes) {
+  EXPECT_EQ(dump(Value("plain")), R"("plain")");
+  EXPECT_EQ(dump(Value("a\"b")), R"("a\"b")");
+  EXPECT_EQ(dump(Value("a\\b")), R"("a\\b")");
+  EXPECT_EQ(dump(Value("a\nb")), R"("a\nb")");
+  EXPECT_EQ(dump(Value(std::string("a\x01") + "b")), R"("a\u0001b")");
 }
 
 TEST(JsonDump, RejectsNonFiniteNumbers) {
@@ -156,7 +224,8 @@ INSTANTIATE_TEST_SUITE_P(
         "null", "true", "[1,2.5,-3e-4,\"s\",null,{}]",
         R"({"a":{"b":{"c":[[[1]]]}},"d":""})",
         R"([{"event":"FP_ARITH","coefficient":0.123456789012345}])",
-        "[1e300,-1e-300,0]"));
+        "[1e300,-1e-300,0]",
+        "[18446744073709551615,-9223372036854775808,9007199254740993]"));
 
 TEST(JsonRoundTrip, PreservesDoublePrecision) {
   const double v = 0.1234567890123456789;  // more digits than a double holds
@@ -165,4 +234,4 @@ TEST(JsonRoundTrip, PreservesDoublePrecision) {
 }
 
 }  // namespace
-}  // namespace catalyst::core::json
+}  // namespace catalyst::json

@@ -1,7 +1,7 @@
 // Unit tests for catalyst::obs: the seqlock ring buffer, Span recording
 // under an injected FakeClock, the metrics registry and its power-of-two
-// histogram geometry, and both exporters (validated by round-tripping the
-// emitted JSON through core/json's strict parser).
+// histogram geometry, and the exporters (validated by round-tripping the
+// emitted JSON through the json library's strict parser).
 #include "obs/export.hpp"
 
 #include <gtest/gtest.h>
@@ -14,8 +14,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/json.hpp"
 #include "faults/faults.hpp"
+#include "json/json.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -233,14 +234,6 @@ TEST_F(ObsTest, MetricsRegistryAggregatesAndSorts) {
   EXPECT_TRUE(m.snapshot().counters.empty());
 }
 
-TEST_F(ObsTest, JsonEscapeHandlesQuotesBackslashAndControls) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
-}
-
 TEST_F(ObsTest, ConfigHashIsStableHex) {
   const std::string h = config_hash("branch|machine=saphira-cpu|tau=1e-10");
   EXPECT_EQ(h.size(), 16u);
@@ -275,7 +268,7 @@ TEST_F(ObsTest, ChromeTraceExportIsStrictJsonWithNormalizedTimes) {
       make_rec("stage.qrcp", 11000, 12000, 2),
   };
   const auto text = to_chrome_trace(spans, Metrics::instance().snapshot());
-  const auto doc = core::json::parse(text);  // throws on any malformation
+  const auto doc = json::parse(text);  // throws on any malformation
   const auto& events = doc.at("traceEvents");
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events.at(std::size_t{0}).at("ph").as_string(), "X");
@@ -287,6 +280,29 @@ TEST_F(ObsTest, ChromeTraceExportIsStrictJsonWithNormalizedTimes) {
   EXPECT_DOUBLE_EQ(
       doc.at("otherData").at("counters").at("collect.retries").as_number(),
       3.0);
+}
+
+TEST_F(ObsTest, TraceIdsPastTwoToThe53AreExact) {
+  // 2^63 + 1 has no double: read through strtod it would come out as
+  // 9.2233720368547758e+18 and name a different request.
+  constexpr std::uint64_t kId = (std::uint64_t{1} << 63) + 1;
+  SpanRecord rec = make_rec("service.request", 100, 200);
+  std::snprintf(rec.args, sizeof rec.args, "trace=%llu;",
+                static_cast<unsigned long long>(kId));
+  std::size_t matched = 0;
+  const auto trace =
+      json::parse(trace_fragment_json({rec, make_rec("other", 0, 1)}, kId,
+                                      &matched));
+  EXPECT_EQ(matched, 1u);
+  ASSERT_EQ(trace.at("traceEvents").size(), 1u);
+  EXPECT_EQ(trace.at("traceEvents").at(0).at("args").at("trace").as_u64(),
+            kId);
+
+  FlightRecord flight;
+  flight.trace_id = kId;
+  flight.verdict = "ok";
+  const auto dump = json::parse(to_flight_json({flight}, 1, 4));
+  EXPECT_EQ(dump.at("records").at(0).at("trace_id").as_u64(), kId);
 }
 
 TEST_F(ObsTest, RunManifestExportIsStrictJson) {
@@ -303,7 +319,7 @@ TEST_F(ObsTest, RunManifestExportIsStrictJson) {
   m.stages = {{"collect", 1000}, {"qrcp", 500}};
   m.funnel = {{"measured", 100}, {"noise_kept", 20}, {"selected", 4}};
   m.spans_published = 42;
-  const auto doc = core::json::parse(to_run_manifest(m));
+  const auto doc = json::parse(to_run_manifest(m));
   EXPECT_EQ(doc.at("format").as_string(), kRunManifestFormat);
   EXPECT_EQ(doc.at("git_sha").as_string(), "deadbeef");
   EXPECT_DOUBLE_EQ(doc.at("tau").as_number(), 1e-10);

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cat/cat.hpp"
-#include "core/json.hpp"
+#include "json/json.hpp"
 #include "core/pipeline.hpp"
 #include "core/signatures.hpp"
 

@@ -38,6 +38,7 @@
 #include "core/parallel.hpp"
 #include "core/pipeline.hpp"
 #include "faults/faults.hpp"
+#include "json/json.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -81,13 +82,17 @@ fs::path scratch_dir(const std::string& tag) {
   return dir;
 }
 
-/// Pulls `"<name>": N` out of a catalyst-metrics-v1 document.  The producer
-/// is our own to_metrics_json, so a targeted scan beats a JSON parser.
-std::uint64_t counter_in_json(const std::string& json, std::string_view name) {
-  const std::string key = "\"" + std::string(name) + "\": ";
-  const auto pos = json.find(key);
-  if (pos == std::string::npos) return 0;
-  return std::strtoull(json.c_str() + pos + key.size(), nullptr, 10);
+/// Counter `name` of a catalyst-metrics-v1 document (0 when absent).
+/// Throws when the payload is not a metrics document.
+std::uint64_t counter_in_stats(const std::string& text,
+                               std::string_view name) {
+  const json::Value doc = json::parse(text);
+  if (doc.at("format").as_string() != "catalyst-metrics-v1") {
+    throw std::runtime_error("STATS payload is not catalyst-metrics-v1");
+  }
+  const json::Value& counters = doc.at("counters");
+  const std::string key(name);
+  return counters.contains(key) ? counters.at(key).as_u64() : 0;
 }
 
 /// Minimal blocking wire client over the io:: wrappers -- enough protocol
@@ -325,7 +330,7 @@ TEST(TelemetryWire, TraceIdPropagatesAndStatsAreMonotoneOverALiveSocket) {
         client.expect(wire::FrameType::hello_ok);
 
         const std::string stats_before = client.scrape_stats();
-        accepted_before = counter_in_json(
+        accepted_before = counter_in_stats(
             stats_before, obs::names::kServiceRequestsAccepted);
 
         trace_echo = client.submit_and_wait(packed_submit_from_archive(
@@ -343,12 +348,8 @@ TEST(TelemetryWire, TraceIdPropagatesAndStatsAreMonotoneOverALiveSocket) {
         cursor.expect_done();
 
         const std::string stats_after = client.scrape_stats();
-        accepted_after = counter_in_json(
+        accepted_after = counter_in_stats(
             stats_after, obs::names::kServiceRequestsAccepted);
-        if (stats_after.find("\"format\": \"catalyst-metrics-v1\"") ==
-            std::string::npos) {
-          throw std::runtime_error("STATS payload is not catalyst-metrics-v1");
-        }
       } catch (const std::exception& e) {
         failure = e.what();
       }
@@ -424,11 +425,14 @@ TEST(TelemetryFlight, Sigusr1DumpsTheFlightRecorderInASubprocess) {
     reap(SIGKILL);
     FAIL() << "SIGUSR1 produced no flight dump at " << dump;
   }
-  const std::string json = core::read_text_file(dump);
-  EXPECT_NE(json.find(obs::kFlightRecorderFormat), std::string::npos);
-  EXPECT_NE(json.find("\"records\""), std::string::npos);
-  EXPECT_NE(json.find("\"trace_id\": 77"), std::string::npos);
-  EXPECT_NE(json.find("\"verdict\": \"ok\""), std::string::npos);
+  const json::Value doc = json::parse(core::read_text_file(dump));
+  EXPECT_EQ(doc.at("format").as_string(), obs::kFlightRecorderFormat);
+  bool served = false;
+  for (const json::Value& r : doc.at("records").as_array()) {
+    served = served || (r.at("trace_id").as_u64() == kTraceId &&
+                        r.at("verdict").as_string() == "ok");
+  }
+  EXPECT_TRUE(served) << "the dump names the request the daemon served";
 
   // The dump must not have destabilized the daemon: clean SIGTERM drain.
   const int status = reap(SIGTERM);

@@ -81,6 +81,13 @@ struct Args {
   }
 };
 
+/// Flags that never take a separate value: the token after one is the next
+/// positional or flag (`analyze --rounded branch`).  `--flag=value` still
+/// sets a value.
+constexpr const char* kValuelessFlags[] = {
+    "rounded", "presets", "json",      "markdown",
+    "detrend", "resume",  "no-dither", "stats"};
+
 Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -88,9 +95,12 @@ Args parse_args(int argc, char** argv) {
     if (a.rfind("--", 0) == 0) {
       const auto eq = a.find('=');
       double number = 0.0;
+      const bool valueless =
+          std::find(std::begin(kValuelessFlags), std::end(kValuelessFlags),
+                    a.substr(2)) != std::end(kValuelessFlags);
       if (eq != std::string::npos) {
         args.options[a.substr(2, eq - 2)] = a.substr(eq + 1);
-      } else if (i + 1 < argc &&
+      } else if (!valueless && i + 1 < argc &&
                  (argv[i + 1][0] != '-' ||
                   Args::parse_number(argv[i + 1], number))) {
         args.options[a.substr(2)] = argv[++i];
@@ -346,7 +356,7 @@ int usage() {
       "                   (collect's --resume defaults the checkpoint dir to\n"
       "                    OUT.ckpt; SPEC: \"mid\" or \"drop=0.01,...\";\n"
       "                    sampling modes exclude --faults/--checkpoint-dir)\n"
-      "  catalyst full-report [--machine M] [--out FILE] [--presets FILE]\n"
+      "  catalyst full-report [--machine M] [--out FILE] [--presets=FILE]\n"
       "  catalyst validate <category> [--machine M] [--workloads N]\n"
       "categories: cpu_flops | gpu_flops | branch | dcache | icache |\n"
       "            gpu_dcache\n"
@@ -516,6 +526,9 @@ int cmd_collect(const Args& args) {
 }
 
 int cmd_full_report(const Args& args) {
+  if (args.has("presets") && args.get("presets", "").empty()) {
+    throw UsageError("--presets: full-report writes to --presets=FILE");
+  }
   const std::string machine_name = args.get("machine", "saphira");
   const auto machine = machine_by_name(machine_name);
   if (!machine) {

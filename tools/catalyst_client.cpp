@@ -33,7 +33,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -355,60 +354,37 @@ int cmd_trace(const Args& args, const std::string& socket_path) {
 
 // --- top ---------------------------------------------------------------------
 
-/// A parsed-enough view of one STATS scrape.  The producer is our own
-/// to_metrics_json, so targeted scans beat a general JSON parser: every
-/// series this needs appears exactly once as `"name": value`.
+/// The fields `top` reads from one STATS scrape (a catalyst-metrics-v1
+/// document).
 struct StatsSample {
   std::map<std::string, std::uint64_t> scalars;  ///< Counters + gauges.
   std::uint64_t hist_count = 0;
-  double hist_sum = 0.0;
   std::vector<std::pair<std::size_t, std::uint64_t>> hist_buckets;
   bool compiled_out = false;
 };
 
-StatsSample parse_stats(const std::string& json,
+StatsSample parse_stats(const std::string& text,
                         const std::vector<std::string>& scalar_names,
                         const std::string& histogram_name) {
+  const json::Value doc = json::parse(text);
   StatsSample sample;
-  sample.compiled_out = json.find("\"compiled_out\": true") != std::string::npos;
+  sample.compiled_out =
+      doc.contains("compiled_out") && doc.at("compiled_out").as_bool();
   for (const std::string& name : scalar_names) {
-    const std::string needle = "\"" + name + "\": ";
-    const std::size_t at = json.find(needle);
-    if (at == std::string::npos) continue;
-    sample.scalars[name] = std::strtoull(
-        json.c_str() + at + needle.size(), nullptr, 10);
+    if (doc.at("counters").contains(name)) {
+      sample.scalars[name] = doc.at("counters").at(name).as_u64();
+    } else if (doc.at("gauges").contains(name)) {
+      // A gauge below zero reads as zero: the view shows levels.
+      const std::int64_t level = doc.at("gauges").at(name).as_i64();
+      sample.scalars[name] = level > 0 ? static_cast<std::uint64_t>(level) : 0;
+    }
   }
-  // The histogram entry: {"name": "...", "count": N, "sum": S, ...
-  //  "buckets": [[i, c], ...]}
-  const std::string head = "{\"name\": \"" + histogram_name + "\",";
-  const std::size_t at = json.find(head);
-  if (at == std::string::npos) return sample;
-  const std::size_t entry_end = json.find("]}", at);
-  const std::string entry =
-      json.substr(at, entry_end == std::string::npos ? std::string::npos
-                                                     : entry_end + 2 - at);
-  std::size_t p = entry.find("\"count\": ");
-  if (p != std::string::npos) {
-    sample.hist_count = std::strtoull(entry.c_str() + p + 9, nullptr, 10);
-  }
-  p = entry.find("\"sum\": ");
-  if (p != std::string::npos) {
-    sample.hist_sum = std::strtod(entry.c_str() + p + 7, nullptr);
-  }
-  p = entry.find("\"buckets\": [");
-  if (p != std::string::npos) {
-    const char* cur = entry.c_str() + p + 12;
-    while (*cur != '\0' && *cur != ']') {
-      if (*cur == '[') {
-        char* end = nullptr;
-        const std::size_t index =
-            static_cast<std::size_t>(std::strtoull(cur + 1, &end, 10));
-        while (*end == ',' || *end == ' ') ++end;
-        const std::uint64_t count = std::strtoull(end, &end, 10);
-        sample.hist_buckets.emplace_back(index, count);
-        cur = end;
-      }
-      ++cur;
+  for (const json::Value& h : doc.at("histograms").as_array()) {
+    if (h.at("name").as_string() != histogram_name) continue;
+    sample.hist_count = h.at("count").as_u64();
+    for (const json::Value& pair : h.at("buckets").as_array()) {
+      sample.hist_buckets.emplace_back(pair.at(0).as_u64(),
+                                       pair.at(1).as_u64());
     }
   }
   return sample;

@@ -84,6 +84,17 @@ Rules:
                     snake.case dotted identifier (a trailing '.' marks a
                     dynamic-suffix prefix like "collect.faults.").
 
+  -- artifacts --
+
+  handwritten-json  No string literal holding an escaped-quote key followed
+                    by a colon (`\\"name\\":`) in src/, tools/ or bench/
+                    outside src/json/.  Every JSON document is built as a
+                    json::Value and written by json::dump (and read back by
+                    json::parse), so escaping, number formatting and exact
+                    64-bit integers live in one library; a hand-spliced
+                    document or a substring scan for a key forks that
+                    format.
+
   -- lock discipline (the src/sync capability layer) --
 
   raw-sync-primitive
@@ -157,6 +168,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
+# Trees the handwritten-json rule covers besides src/.
+JSON_CHECKED_TREES = (REPO_ROOT / "tools", REPO_ROOT / "bench")
 TESTS = REPO_ROOT / "tests"
 SELFTEST_DIR = TESTS / "lint_selftest"
 
@@ -215,6 +228,10 @@ SOCKET_IO_ALLOWED_PREFIXES = ("src/service/io",)
 METRIC_NAMES_HEADER = "src/obs/names.hpp"
 METRIC_NAME_ALLOWED_PREFIXES = ("src/obs/",)
 
+# The ONE library allowed to spell JSON syntax in string literals.
+JSON_ALLOWED_PREFIXES = ("src/json/",)
+HANDWRITTEN_JSON_RE = re.compile(r'\\"[A-Za-z_][\w.\-]*\\"\s*:')
+
 # Public src/linalg entry points that must validate shapes before computing.
 # Maps source file -> function names whose definitions are checked.
 LINALG_PUBLIC_ENTRIES = {
@@ -254,6 +271,7 @@ KNOWN_RULES = {
     "clock-in-sampling",
     "seed-echo-in-tests",
     "metric-name-literal",
+    "handwritten-json",
     "raw-sync-primitive",
     "mutex-missing-guarded-by",
     "manual-lock-unlock",
@@ -275,9 +293,10 @@ class Finding:
         return f"{self.rel}:{self.line}: [{self.rule}] {self.message}"
 
 
-def strip_comments_and_strings(text: str) -> str:
-    """Blanks out comments and string/char literals, preserving line structure
-    so reported line numbers match the file."""
+def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
+    """Blanks out comments and string/char literals (only comments when
+    `keep_strings`), preserving line structure so reported line numbers
+    match the file."""
     out = []
     i, n = 0, len(text)
     mode = "code"  # code | line_comment | block_comment | string | char
@@ -295,14 +314,9 @@ def strip_comments_and_strings(text: str) -> str:
                 out.append("  ")
                 i += 2
                 continue
-            if c == '"':
-                mode = "string"
-                out.append(" ")
-                i += 1
-                continue
-            if c == "'":
-                mode = "char"
-                out.append(" ")
+            if c in "\"'":
+                mode = "string" if c == '"' else "char"
+                out.append(c if keep_strings else " ")
                 i += 1
                 continue
             out.append(c)
@@ -322,14 +336,14 @@ def strip_comments_and_strings(text: str) -> str:
         elif mode in ("string", "char"):
             quote = '"' if mode == "string" else "'"
             if c == "\\":
-                out.append("  ")
+                out.append(text[i:i + 2] if keep_strings else "  ")
                 i += 2
                 continue
             if c == quote:
                 mode = "code"
-                out.append(" ")
+                out.append(c if keep_strings else " ")
             else:
-                out.append("\n" if c == "\n" else " ")
+                out.append(c if keep_strings or c == "\n" else " ")
         i += 1
     return "".join(out)
 
@@ -680,6 +694,18 @@ def pass_metric_name_literal(model: FileModel, findings: list[Finding]):
                "the metric surface stays enumerable from one header")
 
 
+def pass_handwritten_json(model: FileModel, findings: list[Finding]):
+    if model.rel.startswith(JSON_ALLOWED_PREFIXES):
+        return
+    literals = strip_comments_and_strings(model.raw, keep_strings=True)
+    for lineno, line in enumerate(literals.splitlines(), 1):
+        if HANDWRITTEN_JSON_RE.search(line):
+            report(model, findings, "handwritten-json", lineno,
+                   "JSON key spelled in a string literal; build the "
+                   "document as a json::Value and write it with json::dump "
+                   "(read one with json::parse)")
+
+
 PER_FILE_PASSES = (
     pass_rng,
     pass_sleep,
@@ -688,6 +714,7 @@ PER_FILE_PASSES = (
     pass_raw_socket_io,
     pass_clock_in_sampling,
     pass_metric_name_literal,
+    pass_handwritten_json,
     pass_using_namespace,
     pass_pragma_once,
     pass_float_equality,
@@ -818,6 +845,10 @@ def lint_repo() -> list[Finding]:
     for model in src_models:
         for p in PER_FILE_PASSES:
             p(model, findings)
+    for tree in JSON_CHECKED_TREES:
+        for model in load_models(tree):
+            pass_handwritten_json(model, findings)
+            pass_directive_audit(model, findings)
     pass_linalg_shape_contracts({m.rel: m for m in src_models}, findings)
     pass_seed_echo_in_tests(test_models, findings)
     for model in src_models + test_models:

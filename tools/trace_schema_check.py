@@ -54,7 +54,7 @@ def is_int(v) -> bool:
 
 
 def is_number_or_null(v) -> bool:
-    # json_number() degrades non-finite doubles to null.
+    # The exporters write a non-finite double as null (JSON has no inf/nan).
     return v is None or (isinstance(v, (int, float)) and
                          not isinstance(v, bool))
 
