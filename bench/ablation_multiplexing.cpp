@@ -44,8 +44,8 @@ int main() {
   for (std::size_t e = 0; e < events.size(); ++e) {
     double max_rel = 0.0;
     for (std::size_t k = 0; k < acts.size(); ++k) {
-      const double truth = grouped.repetitions[0].values[e][k];
-      const double est = muxed.repetitions[0].values[e][k];
+      const double truth = grouped.measurements.row(e, 0)[k];
+      const double est = muxed.measurements.row(e, 0)[k];
       if (truth > 0.0) {
         max_rel = std::max(max_rel, std::fabs(est - truth) / truth);
       }

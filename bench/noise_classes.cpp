@@ -22,7 +22,7 @@ void emit(const std::string& which) {
   std::map<core::NoiseClass, std::size_t> census;
   std::vector<std::pair<std::string, core::NoiseProfile>> interesting;
   for (std::size_t e = 0; e < result.all_event_names.size(); ++e) {
-    const auto profile = core::classify_noise(result.measurements[e]);
+    const auto profile = core::classify_noise(result.measurements, e);
     ++census[profile.cls];
     if (profile.cls == core::NoiseClass::drifting) {
       interesting.emplace_back(result.all_event_names[e], profile);

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Runs the google-benchmark perf binaries and records their JSON output at
 # the repo root for per-PR performance trajectory tracking:
-#   BENCH_pipeline.json  <- bench/perf_pipeline (collection + pipeline)
 #   BENCH_linalg.json    <- bench/perf_linalg   (QR / QRCP / LS kernels)
 #   BENCH_service.json   <- bench/service_load  (wire->queue->engine stack;
 #                           latency scraped over STATS frames)
@@ -87,7 +86,7 @@ echo "== obs_overhead (budget gate)"
 
 # Refuse cross-commit overwrites up front, before any slow bench runs.
 if [ "$force" -ne 1 ]; then
-  for name in pipeline linalg service; do
+  for name in linalg service; do
     out="$repo_root/BENCH_$name$out_suffix.json"
     [ -f "$out" ] || continue
     old_sha="$(python3 - "$out" <<'PY'
@@ -149,21 +148,19 @@ PY
   rm -f "$1"
 }
 
-for name in pipeline linalg; do
-  bin="$build_dir/bench/perf_$name"
-  if [ ! -x "$bin" ]; then
-    echo "error: $bin not built (configure with -DCATALYST_BUILD_BENCH=ON \
+bin="$build_dir/bench/perf_linalg"
+if [ ! -x "$bin" ]; then
+  echo "error: $bin not built (configure with -DCATALYST_BUILD_BENCH=ON \
 and run: cmake --build $build_dir)" >&2
-    exit 1
-  fi
-  out="$repo_root/BENCH_$name$out_suffix.json"
-  tmp_out="$(mktemp)"
-  echo "== perf_$name -> $out"
-  "$bin" --benchmark_out="$tmp_out" --benchmark_out_format=json \
-         ${extra_args[@]+"${extra_args[@]}"}
+  exit 1
+fi
+out="$repo_root/BENCH_linalg$out_suffix.json"
+tmp_out="$(mktemp)"
+echo "== perf_linalg -> $out"
+"$bin" --benchmark_out="$tmp_out" --benchmark_out_format=json \
+       ${extra_args[@]+"${extra_args[@]}"}
 
-  stamp_provenance "$tmp_out" "$out"
-done
+stamp_provenance "$tmp_out" "$out"
 
 # service_load is not a google-benchmark binary: it writes its own result
 # document (--json-out) after pushing a closed-loop load through the full

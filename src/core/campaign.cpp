@@ -1,7 +1,7 @@
 #include "core/campaign.hpp"
 
-#include <algorithm>
 #include <filesystem>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -151,22 +151,6 @@ std::string campaign_config_key(const pmu::Machine& machine,
 
 namespace {
 
-/// One completed batch: repetition r's thread-median, normalized readings.
-struct Batch {
-  /// Machine-order positions of the events every benchmark thread kept,
-  /// ascending; the others were quarantined in this batch.
-  std::vector<std::size_t> kept;
-  /// measurements[i][k]: thread-median, normalized reading of kept[i].
-  std::vector<std::vector<double>> measurements;
-  /// One entry per machine event, merged across benchmark threads; empty
-  /// unless the campaign reports.
-  vpapi::CollectionReport report;
-  /// Sampling/strobed modes only: the per-run sample traces behind this
-  /// batch's measurements, benchmark-thread order.  Never checkpointed
-  /// (checkpointing is counting-only).
-  std::vector<vpapi::RunTrace> traces;
-};
-
 std::string checkpoint_path(const std::string& directory, std::size_t batch) {
   std::ostringstream os;
   os << directory << "/batch-" << batch << ".json";
@@ -192,88 +176,40 @@ std::vector<std::size_t> positions_in(const std::vector<std::string>& all,
   return positions;
 }
 
-/// dropped[e] != 0 for every position 0..n-1 missing from ascending `kept`.
-std::vector<char> dropped_mask(const std::vector<std::size_t>& kept,
-                               std::size_t n) {
-  std::vector<char> dropped(n, 1);
-  for (const std::size_t e : kept) dropped[e] = 0;
-  return dropped;
-}
-
-/// Adds `src`'s tallies into `acc`; both hold one entry per machine event.
-void add_report(vpapi::CollectionReport& acc,
-                const vpapi::CollectionReport& src) {
-  for (std::size_t e = 0; e < acc.events.size(); ++e) {
-    vpapi::EventReport& a = acc.events[e];
-    const vpapi::EventReport& b = src.events[e];
-    a.read_attempts += b.read_attempts;
-    a.retries += b.retries;
-    a.wraps_corrected += b.wraps_corrected;
-    for (std::size_t f = 0; f < a.faults.size(); ++f) {
-      a.faults[f] += b.faults[f];
-    }
-  }
-  acc.total_retries += src.total_retries;
-  acc.start_retries += src.start_retries;
-}
-
-/// Sets every event's disposition and the quarantined list from `dropped`.
-void resolve_dispositions(vpapi::CollectionReport& report,
-                          const std::vector<char>& dropped) {
-  report.quarantined.clear();
-  for (std::size_t e = 0; e < report.events.size(); ++e) {
-    vpapi::EventReport& er = report.events[e];
-    if (dropped[e] != 0) {
-      er.disposition = vpapi::EventDisposition::quarantined;
-      report.quarantined.push_back(er.name);
-    } else if (er.total_faults() != 0 || er.retries != 0 ||
-               er.wraps_corrected != 0) {
-      er.disposition = vpapi::EventDisposition::recovered;
-    } else {
-      er.disposition = vpapi::EventDisposition::clean;
-    }
-  }
-}
-
-/// An all-clean report with one entry per event of `all`.
-vpapi::CollectionReport empty_report(const std::vector<std::string>& all) {
-  vpapi::CollectionReport report;
-  report.events.resize(all.size());
-  for (std::size_t e = 0; e < all.size(); ++e) report.events[e].name = all[e];
-  return report;
-}
-
-json::Value batch_to_json(const Batch& batch,
-                          const std::vector<std::string>& all_events,
-                          const std::string& config_key, std::size_t index) {
+/// Checkpoint of batch `index`: its report and, for every event it did not
+/// quarantine, repetition `index` of `m`.
+json::Value batch_to_json(const vpapi::CollectionReport& report,
+                          const vpapi::Measurements& m, std::size_t index,
+                          const std::string& config_key) {
   json::Value root = json::Value::object();
   root["format"] = kCheckpointFormat;
   root["config"] = config_key;
   root["batch"] = index;
   json::Value events = json::Value::array();
-  for (const std::size_t e : batch.kept) events.push_back(all_events[e]);
-  root["events"] = std::move(events);
   json::Value meas = json::Value::array();
-  for (const auto& per_event : batch.measurements) {
+  for (std::size_t e = 0; e < m.size(); ++e) {
+    if (report.events[e].is_quarantined()) continue;
+    events.push_back(report.events[e].name);
     json::Value row = json::Value::array();
-    for (double v : per_event) row.push_back(v);
+    for (const double v : m.row(e, index)) row.push_back(v);
     meas.push_back(std::move(row));
   }
+  root["events"] = std::move(events);
   root["measurements"] = std::move(meas);
   json::Value q = json::Value::array();
-  for (const auto& n : batch.report.quarantined) q.push_back(n);
+  for (const auto& n : report.quarantined) q.push_back(n);
   root["quarantined"] = std::move(q);
-  root["report"] = collection_report_to_json(batch.report);
+  root["report"] = collection_report_to_json(report);
   return root;
 }
 
-/// Parses and validates one checkpoint file's text.  Throws (JsonError or
+/// Parses and validates one checkpoint, loads its rows into repetition
+/// `index` of `m` and returns the batch's report.  Throws (JsonError or
 /// std::invalid_argument) on anything suspicious; the caller treats every
-/// throw as "batch not done" and re-collects.
-Batch batch_from_json(const std::string& text, const std::string& config_key,
-                      std::size_t index,
-                      const std::vector<std::string>& all_events,
-                      std::size_t n_slots) {
+/// throw as "batch not done" and re-collects, rewriting any loaded rows.
+vpapi::CollectionReport batch_from_json(
+    const std::string& text, const std::string& config_key, std::size_t index,
+    const std::vector<std::string>& all_events, vpapi::Measurements& m) {
   const json::Value root = json::parse(text);
   if (root.at("format").as_string() != kCheckpointFormat) {
     throw std::invalid_argument("checkpoint: unsupported format");
@@ -284,23 +220,14 @@ Batch batch_from_json(const std::string& text, const std::string& config_key,
   if (root.at("batch").as_u64() != index) {
     throw std::invalid_argument("checkpoint: batch index mismatch");
   }
-  Batch b;
   std::vector<std::string> names;
   for (const auto& n : root.at("events").as_array()) {
     names.push_back(n.as_string());
   }
-  b.kept = positions_in(all_events, names);
+  const std::vector<std::size_t> kept = positions_in(all_events, names);
   const auto& meas = root.at("measurements").as_array();
-  if (meas.size() != b.kept.size()) {
+  if (meas.size() != kept.size()) {
     throw std::invalid_argument("checkpoint: measurements/events mismatch");
-  }
-  for (const auto& row : meas) {
-    std::vector<double> vec;
-    for (const auto& v : row.as_array()) vec.push_back(v.as_number());
-    if (vec.size() != n_slots) {
-      throw std::invalid_argument("checkpoint: measurement row width");
-    }
-    b.measurements.push_back(std::move(vec));
   }
   // The stored report lists only eventful events; spread it back out to one
   // entry per machine event.
@@ -309,79 +236,57 @@ Batch batch_from_json(const std::string& text, const std::string& config_key,
   std::vector<std::string> stored_names;
   for (const auto& e : stored.events) stored_names.push_back(e.name);
   const std::vector<std::size_t> at = positions_in(all_events, stored_names);
-  b.report = empty_report(all_events);
+  auto report = vpapi::CollectionReport::for_events(all_events);
   for (std::size_t i = 0; i < at.size(); ++i) {
-    b.report.events[at[i]] = stored.events[i];
+    report.events[at[i]] = stored.events[i];
   }
-  b.report.total_retries = stored.total_retries;
-  b.report.start_retries = stored.start_retries;
-  resolve_dispositions(b.report, dropped_mask(b.kept, all_events.size()));
-  return b;
+  report.total_retries = stored.total_retries;
+  report.start_retries = stored.start_retries;
+  // The rows decide quarantine: an event without one was quarantined.
+  for (auto& er : report.events) {
+    er.disposition = vpapi::EventDisposition::quarantined;
+  }
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const auto& row = meas[i].as_array();
+    if (row.size() != m.slots()) {
+      throw std::invalid_argument("checkpoint: measurement row width");
+    }
+    const std::span<double> out = m.row(kept[i], index);
+    for (std::size_t k = 0; k < row.size(); ++k) out[k] = row[k].as_number();
+    report.events[kept[i]].disposition = vpapi::EventDisposition::clean;
+  }
+  report.resolve_dispositions();
+  return report;
 }
 
-/// Stages 2-3 of one live batch: the median across benchmark threads of
-/// each (event, slot) reading, normalized per slot.  `data[t]` is thread t's
-/// one-repetition collection; rows are addressed by position and moved,
-/// never looked up by name or copied.
-Batch thread_median(std::vector<vpapi::CollectionResult> data,
-                    const std::vector<std::string>& all_events,
-                    const std::vector<double>& inv_normalizer,
-                    bool reporting) {
+/// Stages 2-3 of live batch r: the median across benchmark threads of each
+/// (event, slot) reading, normalized per slot, into repetition r of `m`.
+/// Thread t's readings are per_thread[t], or already in `m` when there is
+/// one thread.  Returns the threads' reports merged.
+vpapi::CollectionReport median_normalize(
+    std::vector<vpapi::CollectionResult>& data,
+    const std::vector<vpapi::Measurements>& per_thread, vpapi::Measurements& m,
+    std::size_t r, const std::vector<double>& inv_normalizer) {
   const std::size_t n_threads = data.size();
-  const std::size_t n_events = all_events.size();
-  const std::size_t n_slots = inv_normalizer.size();
-
-  // Row of each machine event in each thread's data; a thread that
-  // quarantined nothing holds every event in machine order.
-  constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
-  std::vector<std::vector<std::size_t>> row_of(n_threads);
-  std::vector<char> dropped(n_events, 0);
-  for (std::size_t t = 0; t < n_threads; ++t) {
-    if (data[t].event_names.size() == n_events) continue;
-    row_of[t].assign(n_events, kAbsent);
-    const std::vector<std::size_t> at =
-        positions_in(all_events, data[t].event_names);
-    for (std::size_t row = 0; row < at.size(); ++row) row_of[t][at[row]] = row;
-    for (std::size_t e = 0; e < n_events; ++e) {
-      if (row_of[t][e] == kAbsent) dropped[e] = 1;
-    }
-  }
-  const auto row = [&row_of](std::size_t t, std::size_t e) {
-    return row_of[t].empty() ? e : row_of[t][e];
-  };
-
-  Batch batch;
-  for (std::size_t e = 0; e < n_events; ++e) {
-    if (dropped[e] == 0) batch.kept.push_back(e);
-  }
-  batch.measurements.resize(batch.kept.size());
+  vpapi::CollectionReport report = std::move(data[0].report);
+  for (std::size_t t = 1; t < n_threads; ++t) report.add(data[t].report);
+  report.resolve_dispositions();
   std::vector<double> thread_vals(n_threads);
-  for (std::size_t i = 0; i < batch.kept.size(); ++i) {
-    const std::size_t e = batch.kept[i];
-    std::vector<double>& out = batch.measurements[i];
+  for (std::size_t e = 0; e < m.size(); ++e) {
+    if (report.events[e].is_quarantined()) continue;
+    const std::span<double> out = m.row(e, r);
     if (n_threads == 1) {
-      out = std::move(data[0].repetitions[0].values[row(0, e)]);
-      for (std::size_t k = 0; k < n_slots; ++k) out[k] *= inv_normalizer[k];
+      for (std::size_t k = 0; k < out.size(); ++k) out[k] *= inv_normalizer[k];
       continue;
     }
-    out.resize(n_slots);
-    for (std::size_t k = 0; k < n_slots; ++k) {
+    for (std::size_t k = 0; k < out.size(); ++k) {
       for (std::size_t t = 0; t < n_threads; ++t) {
-        thread_vals[t] = data[t].repetitions[0].values[row(t, e)][k];
+        thread_vals[t] = per_thread[t].row(e, 0)[k];
       }
       out[k] = median(thread_vals) * inv_normalizer[k];
     }
   }
-
-  if (reporting) {
-    batch.report = empty_report(all_events);
-    for (const auto& d : data) add_report(batch.report, d.report);
-    resolve_dispositions(batch.report, dropped);
-  }
-  for (auto& d : data) {
-    for (auto& run : d.trace.runs) batch.traces.push_back(std::move(run));
-  }
-  return batch;
+  return report;
 }
 
 }  // namespace
@@ -464,39 +369,45 @@ CampaignResult run_campaign(const pmu::Machine& machine,
 
   CampaignResult out;
   out.batches_total = options.pipeline.repetitions;
+  // Batch r collects, normalizes or loads straight into repetition r of the
+  // campaign tensor; several benchmark threads collect into one-repetition
+  // scratch tensors for the median.
+  vpapi::Measurements measurements(n_events, out.batches_total, n_slots);
+  std::vector<vpapi::Measurements> per_thread(
+      n_threads > 1 ? n_threads : 0, vpapi::Measurements(n_events, 1, n_slots));
+  auto merged = vpapi::CollectionReport::for_events(all_events);
+  vpapi::SampleTrace trace;
   // Stage wall times, summed over batches: collection (with the collectors'
   // preparation and checkpoint I/O) versus thread-median/normalize plus the
   // final merge.
   std::int64_t collect_ns = prepare_span.duration_ns();
   std::int64_t median_ns = 0;
-  std::vector<Batch> batches;
-  batches.reserve(out.batches_total);
   for (std::size_t r = 0; r < out.batches_total; ++r) {
     if (options.pipeline.cancel != nullptr) options.pipeline.cancel->check();
     obs::Span batch_span("campaign.batch");
     batch_span.arg("batch", r);
     obs::Span collect_span("stage.collect");
-    std::optional<Batch> loaded;
+    std::optional<vpapi::CollectionReport> batch;
     if (checkpointing && options.checkpoint.resume) {
       obs::Span load_span("campaign.checkpoint.load");
       load_span.arg("batch", r);
       try {
-        loaded = batch_from_json(
+        batch = batch_from_json(
             read_text_file(checkpoint_path(options.checkpoint.directory, r)),
-            config_key, r, all_events, n_slots);
+            config_key, r, all_events, measurements);
       } catch (const std::exception&) {
         // Missing, truncated, corrupt, or mismatched checkpoint: the batch
         // is simply not done yet.  Re-collecting it is always safe because
         // readings are pure functions of their coordinates.
       }
-      load_span.arg("hit", loaded.has_value());
+      load_span.arg("hit", batch.has_value());
     }
-    batch_span.arg("resumed", loaded.has_value());
-    if (loaded) {
+    batch_span.arg("resumed", batch.has_value());
+    if (batch) {
       collect_span.end();
       collect_ns += collect_span.duration_ns();
-      batches.push_back(std::move(*loaded));
       ++out.batches_resumed;
+      merged.add(*batch);
       continue;
     }
     // Batch r on benchmark thread t reads the run ids of repetition
@@ -506,26 +417,31 @@ CampaignResult run_campaign(const pmu::Machine& machine,
     data.reserve(n_threads);
     for (std::size_t t = 0; t < n_threads; ++t) {
       plan.repetition_offset = r * n_threads + t;
-      data.push_back(collectors[t].collect(plan));
+      data.push_back(n_threads == 1
+                         ? collectors[t].collect_into(plan, measurements, r)
+                         : collectors[t].collect_into(plan, per_thread[t], 0));
     }
     collect_span.end();
     collect_ns += collect_span.duration_ns();
 
     obs::Span median_span("stage.median_normalize");
-    batches.push_back(
-        thread_median(std::move(data), all_events, inv_normalizer, reporting));
+    batch = median_normalize(data, per_thread, measurements, r, inv_normalizer);
     median_span.end();
     median_ns += median_span.duration_ns();
+    for (vpapi::CollectionResult& d : data) {
+      for (auto& run : d.trace.runs) trace.runs.push_back(std::move(run));
+    }
 
     if (checkpointing) {
       obs::Span write_span("campaign.checkpoint.write");
       write_span.arg("batch", r);
       write_text_file_atomic(
           checkpoint_path(options.checkpoint.directory, r),
-          json::dump(batch_to_json(batches.back(), all_events, config_key, r)));
+          json::dump(batch_to_json(*batch, measurements, r, config_key)));
       write_span.end();
       collect_ns += write_span.duration_ns();
     }
+    merged.add(*batch);
   }
   obs::count(obs::names::kCampaignBatches, out.batches_total);
   obs::count(obs::names::kCampaignBatchesResumed, out.batches_resumed);
@@ -533,37 +449,22 @@ CampaignResult run_campaign(const pmu::Machine& machine,
 
   // --- merge: quarantine union, surviving events, report ---------------------
   obs::Span merge_span("stage.median_normalize");
-  std::vector<char> dropped(n_events, 0);
-  for (const Batch& b : batches) {
-    const std::vector<char> lost = dropped_mask(b.kept, n_events);
-    for (std::size_t e = 0; e < n_events; ++e) dropped[e] |= lost[e];
-  }
+  merged.resolve_dispositions();
+  std::vector<char> keep(n_events);
   std::vector<std::string> final_events;
   for (std::size_t e = 0; e < n_events; ++e) {
-    if (dropped[e] == 0) final_events.push_back(all_events[e]);
+    keep[e] = !merged.events[e].is_quarantined();
+    if (keep[e] != 0) final_events.push_back(all_events[e]);
   }
-  std::vector<std::vector<std::vector<double>>> measurements(
-      final_events.size(),
-      std::vector<std::vector<double>>(out.batches_total));
-  for (std::size_t r = 0; r < batches.size(); ++r) {
-    Batch& b = batches[r];
-    std::size_t f = 0;
-    for (std::size_t i = 0; i < b.kept.size(); ++i) {
-      if (dropped[b.kept[i]] == 0) {
-        measurements[f++][r] = std::move(b.measurements[i]);
-      }
-    }
-    CATALYST_ENSURE(f == final_events.size(),
-                    "run_campaign: surviving event missing from a batch");
-  }
-  std::optional<vpapi::CollectionReport> merged;
-  if (reporting) {
-    merged = empty_report(all_events);
-    for (const Batch& b : batches) add_report(*merged, b.report);
-    resolve_dispositions(*merged, dropped);
-  }
+  measurements.keep_events(keep);
   merge_span.end();
   median_ns += merge_span.duration_ns();
+  if (final_events.empty()) {
+    throw AllEventsQuarantined(
+        "run_campaign: all " + std::to_string(n_events) +
+        " events were quarantined, nothing is left to analyze (collection "
+        "report: " + merged.summary() + ")");
+  }
 
   out.result = analyze_measurements(benchmark.basis.e, final_events,
                                     std::move(measurements), signatures,
@@ -577,18 +478,14 @@ CampaignResult run_campaign(const pmu::Machine& machine,
                    out.result.stage_timings.end());
     out.result.stage_timings = std::move(timings);
   }
-  if (merged) {
-    out.result.quarantined_events = merged->quarantined;
+  if (reporting) {
+    out.result.quarantined_events = merged.quarantined;
     out.result.collection = std::move(merged);
   }
   if (sampled) {
-    vpapi::SampleTrace trace;
     trace.mode = options.collection_mode;
     trace.schedule = options.sample_schedule;
     trace.kernels = n_slots;
-    for (Batch& b : batches) {
-      for (auto& run : b.traces) trace.runs.push_back(std::move(run));
-    }
     out.result.collection_mode = options.collection_mode;
     out.result.sample_trace = std::move(trace);
   }

@@ -2,14 +2,15 @@
 //
 // run_campaign() is the only way measurements get collected for analysis;
 // run_pipeline() is a thin call of it.  The collection stage runs in
-// per-repetition BATCHES.  Each batch collects every benchmark thread with
+// per-repetition BATCHES over one (event, repetition, slot) tensor
+// (vpapi/measurements.hpp).  Batch r collects every benchmark thread with
 // the grouped vpapi driver (vpapi/collector.hpp; counting, fault-injected
 // or sampled per the options), takes the thread-median, normalizes per
-// slot, and is optionally persisted as an atomic JSON checkpoint, so an
-// interrupted campaign can `--resume` from the last completed batch
-// without re-executing finished work.  The batches are then merged --
-// events any batch quarantined are dropped -- and analyzed by
-// analyze_measurements().
+// slot into repetition r of the tensor, and is optionally persisted as an
+// atomic JSON checkpoint, so an interrupted campaign can `--resume` from
+// the last completed batch without re-executing finished work.  The
+// batches are then merged -- events any batch quarantined are dropped with
+// one keep_events() -- and analyzed by analyze_measurements().
 //
 // Bit-identity guarantees (all consequences of counter-keyed noise/faults):
 //   * counting mode: with or without faults (short of quarantine) and
@@ -23,6 +24,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -134,11 +136,18 @@ std::string campaign_config_key(const pmu::Machine& machine,
                                 const cat::Benchmark& benchmark,
                                 const CampaignOptions& options);
 
+/// Thrown by run_campaign when every event was quarantined, so nothing is
+/// left to analyze; the message gives the count and the report summary.
+class AllEventsQuarantined : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Runs the collection in per-repetition batches (checkpointing + resuming
 /// per CampaignOptions::checkpoint), merges them, and runs the analysis
 /// stages on the surviving events.  Throws std::invalid_argument on option
-/// combinations it cannot honour and std::runtime_error (via
-/// analyze_measurements) if every event ends up quarantined.
+/// combinations it cannot honour and AllEventsQuarantined if every event
+/// ends up quarantined.
 CampaignResult run_campaign(const pmu::Machine& machine,
                             const cat::Benchmark& benchmark,
                             const std::vector<MetricSignature>& signatures,

@@ -87,11 +87,12 @@ std::string save_archive(const MeasurementArchive& archive, int indent) {
   root["events"] = std::move(events);
 
   json::Value meas = json::Value::array();
-  for (const auto& per_event : archive.measurements) {
+  const vpapi::Measurements& m = archive.measurements;
+  for (std::size_t e = 0; e < m.size(); ++e) {
     json::Value reps = json::Value::array();
-    for (const auto& per_rep : per_event) {
+    for (std::size_t r = 0; r < m.repetitions(); ++r) {
       json::Value vec = json::Value::array();
-      for (double v : per_rep) vec.push_back(v);
+      for (const double v : m.row(e, r)) vec.push_back(v);
       reps.push_back(std::move(vec));
     }
     meas.push_back(std::move(reps));
@@ -164,26 +165,26 @@ MeasurementArchive load_archive_impl(const std::string& json_text) {
     throw std::invalid_argument(
         "load_archive: measurements/events count mismatch");
   }
-  a.measurements.reserve(meas.size());
-  std::size_t reps_expected = 0;
+  const std::size_t n_reps = meas.empty() ? 0 : meas[0].as_array().size();
+  std::vector<double> values;
+  values.reserve(meas.size() * n_reps * a.slot_names.size());
   for (const auto& per_event : meas) {
-    std::vector<std::vector<double>> reps;
-    for (const auto& per_rep : per_event.as_array()) {
-      std::vector<double> vec;
-      for (const auto& v : per_rep.as_array()) vec.push_back(v.as_number());
+    const auto& reps = per_event.as_array();
+    if (reps.size() != n_reps || reps.empty()) {
+      throw std::invalid_argument(
+          "load_archive: inconsistent repetition counts");
+    }
+    for (const auto& per_rep : reps) {
+      const auto& vec = per_rep.as_array();
       if (vec.size() != a.slot_names.size()) {
         throw std::invalid_argument(
             "load_archive: measurement vector length != slot count");
       }
-      reps.push_back(std::move(vec));
+      for (const auto& v : vec) values.push_back(v.as_number());
     }
-    if (reps_expected == 0) reps_expected = reps.size();
-    if (reps.size() != reps_expected || reps.empty()) {
-      throw std::invalid_argument(
-          "load_archive: inconsistent repetition counts");
-    }
-    a.measurements.push_back(std::move(reps));
   }
+  a.measurements = vpapi::Measurements(meas.size(), n_reps,
+                                       a.slot_names.size(), std::move(values));
   if (root.contains("quarantined")) {
     for (const auto& n : root.at("quarantined").as_array()) {
       a.quarantined.push_back(n.as_string());
@@ -218,11 +219,12 @@ MeasurementArchive load_archive(const std::string& json_text) {
   }
 }
 
-PipelineResult analyze_archive(const MeasurementArchive& archive,
+PipelineResult analyze_archive(MeasurementArchive archive,
                                const std::vector<MetricSignature>& signatures,
                                const PipelineOptions& options) {
   return analyze_measurements(archive.expectation, archive.event_names,
-                              archive.measurements, signatures, options);
+                              std::move(archive.measurements), signatures,
+                              options);
 }
 
 std::string read_text_file(const std::string& path) {

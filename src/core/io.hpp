@@ -5,7 +5,8 @@
 // analysis stages need -- event names, per-repetition normalized
 // measurement vectors, the expectation basis -- into a versioned JSON
 // archive, and re-runs the analysis from a loaded archive via
-// analyze_measurements().
+// analyze_measurements().  In memory an archive holds the pipeline's
+// (event, repetition, slot) vpapi::Measurements tensor; the JSON nests it.
 #pragma once
 
 #include <optional>
@@ -67,8 +68,9 @@ struct MeasurementArchive {
   std::vector<std::string> basis_labels;
   linalg::Matrix expectation;  ///< slots x basis dims.
   std::vector<std::string> event_names;
-  /// measurements[e][r][k]: normalized reading (event, repetition, slot).
-  std::vector<std::vector<std::vector<double>>> measurements;
+  /// measurements.row(e, r)[k]: normalized reading (event, repetition,
+  /// slot).
+  vpapi::Measurements measurements;
   /// v2: events the resilient driver quarantined (their rows are absent
   /// from `measurements`), and the full per-event collection report.
   std::vector<std::string> quarantined;
@@ -98,8 +100,9 @@ std::string save_archive(const MeasurementArchive& archive, int indent = 0);
 /// problems in otherwise well-formed JSON.
 MeasurementArchive load_archive(const std::string& json_text);
 
-/// Runs the analysis stages on an archive.
-PipelineResult analyze_archive(const MeasurementArchive& archive,
+/// Runs the analysis stages on an archive, taking over its event names and
+/// measurements (pass an rvalue to avoid copying them).
+PipelineResult analyze_archive(MeasurementArchive archive,
                                const std::vector<MetricSignature>& signatures,
                                const PipelineOptions& options = {});
 

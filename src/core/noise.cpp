@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "core/contract.hpp"
@@ -41,22 +40,21 @@ double rnmse(std::span<const double> mi, std::span<const double> mj) {
   return out;
 }
 
-double max_rnmse(const std::vector<std::vector<double>>& reps) {
-  CATALYST_REQUIRE_AS(reps.size() >= 2, std::invalid_argument,
+double max_rnmse(const vpapi::Measurements& m, std::size_t e) {
+  CATALYST_REQUIRE_AS(m.repetitions() >= 2, std::invalid_argument,
                       "max_rnmse: need at least two repetitions");
   double worst = 0.0;
-  for (std::size_t i = 0; i < reps.size(); ++i) {
-    for (std::size_t j = i + 1; j < reps.size(); ++j) {
-      worst = std::max(worst, rnmse(reps[i], reps[j]));
+  for (std::size_t i = 0; i < m.repetitions(); ++i) {
+    for (std::size_t j = i + 1; j < m.repetitions(); ++j) {
+      worst = std::max(worst, rnmse(m.row(e, i), m.row(e, j)));
     }
   }
   return worst;
 }
 
-NoiseFilterResult filter_noise(
-    const std::vector<std::string>& event_names,
-    const std::vector<std::vector<std::vector<double>>>& measurements,
-    double tau) {
+NoiseFilterResult filter_noise(const std::vector<std::string>& event_names,
+                               const vpapi::Measurements& measurements,
+                               double tau) {
   CATALYST_REQUIRE_AS(event_names.size() == measurements.size(),
                       std::invalid_argument,
                       "filter_noise: names/measurements mismatch");
@@ -64,30 +62,24 @@ NoiseFilterResult filter_noise(
                       "filter_noise: negative tau");
   NoiseFilterResult result;
   const std::size_t ne = event_names.size();
+  const std::size_t n_reps = measurements.repetitions();
   result.variabilities.reserve(ne);
   for (std::size_t e = 0; e < ne; ++e) {
-    const auto& reps = measurements[e];
+    const std::span<const double> block = measurements.event(e);
     EventVariability v;
     v.event_name = event_names[e];
-    v.all_zero = true;
-    for (const auto& rep : reps) {
-      for (double x : rep) {
-        if (x != 0.0) {
-          v.all_zero = false;
-          break;
-        }
-      }
-      if (!v.all_zero) break;
-    }
-    v.max_rnmse = max_rnmse(reps);
+    v.all_zero = std::all_of(block.begin(), block.end(),
+                             [](double x) { return x == 0.0; });
+    v.max_rnmse = max_rnmse(measurements, e);
     if (!v.all_zero && v.max_rnmse <= tau) {
       // Average across repetitions (identical vectors average to themselves;
       // noisy-but-kept events get smoothed).
-      std::vector<double> avg(reps.front().size(), 0.0);
-      for (const auto& rep : reps) {
+      std::vector<double> avg(measurements.slots(), 0.0);
+      for (std::size_t r = 0; r < n_reps; ++r) {
+        const std::span<const double> rep = measurements.row(e, r);
         for (std::size_t k = 0; k < avg.size(); ++k) avg[k] += rep[k];
       }
-      for (double& x : avg) x /= static_cast<double>(reps.size());
+      for (double& x : avg) x /= static_cast<double>(n_reps);
       result.kept.push_back(e);
       result.averaged.push_back(std::move(avg));
     }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
+#include "vpapi/measurements.hpp"
 
 namespace catalyst::core {
 
@@ -19,10 +20,9 @@ namespace catalyst::core {
 /// If either mean is zero the variability is defined as 1 (100% error).
 double rnmse(std::span<const double> mi, std::span<const double> mj);
 
-/// Max RNMSE over all pairs of repetition vectors.  `reps` must contain at
-/// least two vectors of equal length.  Returns 0 when all pairs agree
-/// exactly.
-double max_rnmse(const std::vector<std::vector<double>>& reps);
+/// Max RNMSE over all pairs of event e's repetition vectors; `m` must hold
+/// at least two repetitions.  Returns 0 when all pairs agree exactly.
+double max_rnmse(const vpapi::Measurements& m, std::size_t e);
 
 /// Variability verdict for one event.
 struct EventVariability {
@@ -44,12 +44,11 @@ struct NoiseFilterResult {
 };
 
 /// Runs the Section IV analysis.
-/// `measurements[e][r]` is event e's measurement vector at repetition r
-/// (all vectors the same length); `event_names[e]` labels it.
-NoiseFilterResult filter_noise(
-    const std::vector<std::string>& event_names,
-    const std::vector<std::vector<std::vector<double>>>& measurements,
-    double tau);
+/// `measurements.row(e, r)` is event e's measurement vector at repetition
+/// r; `event_names[e]` labels it.
+NoiseFilterResult filter_noise(const std::vector<std::string>& event_names,
+                               const vpapi::Measurements& measurements,
+                               double tau);
 
 /// Median of `values`; the across-thread noise suppressor used for the
 /// data-cache benchmark (Section IV, last paragraph).  Even-sized inputs

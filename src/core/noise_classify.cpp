@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/noise.hpp"
 
@@ -19,50 +22,54 @@ const char* to_string(NoiseClass c) noexcept {
   return "?";
 }
 
-NoiseProfile classify_noise(const std::vector<std::vector<double>>& reps,
-                            double drift_threshold, double spike_threshold) {
-  if (reps.size() < 2 || reps.front().empty()) {
+namespace {
+
+/// Event e's mean reading per repetition; `grand_mean` gets their mean.
+/// `caller` names the refusal of fewer than two repetitions or no slots.
+std::vector<double> repetition_means(const vpapi::Measurements& m,
+                                     std::size_t e, const char* caller,
+                                     double& grand_mean) {
+  if (m.repetitions() < 2 || m.slots() == 0) {
     throw std::invalid_argument(
-        "classify_noise: need >= 2 repetitions of non-empty vectors");
+        std::string(caller) + ": need >= 2 repetitions of non-empty vectors");
   }
-  const std::size_t n_reps = reps.size();
-  const std::size_t n_slots = reps.front().size();
-  for (const auto& r : reps) {
-    if (r.size() != n_slots) {
-      throw std::invalid_argument("classify_noise: ragged repetitions");
-    }
+  std::vector<double> means(m.repetitions(), 0.0);
+  grand_mean = 0.0;
+  for (std::size_t r = 0; r < means.size(); ++r) {
+    for (double v : m.row(e, r)) means[r] += v;
+    means[r] /= static_cast<double>(m.slots());
+    grand_mean += means[r];
   }
+  grand_mean /= static_cast<double>(means.size());
+  return means;
+}
+
+}  // namespace
+
+NoiseProfile classify_noise(const vpapi::Measurements& m, std::size_t e,
+                            double drift_threshold, double spike_threshold) {
+  double grand_mean = 0.0;
+  const std::vector<double> rep_means =
+      repetition_means(m, e, "classify_noise", grand_mean);
+  const std::size_t n_reps = m.repetitions();
+  const std::size_t n_slots = m.slots();
 
   NoiseProfile profile;
-  profile.max_rnmse = max_rnmse(reps);
+  profile.max_rnmse = max_rnmse(m, e);
 
-  // Silent / deterministic fast paths.
-  bool all_zero = true;
-  bool all_identical = true;
-  for (std::size_t r = 0; r < n_reps; ++r) {
-    for (std::size_t k = 0; k < n_slots; ++k) {
-      if (reps[r][k] != 0.0) all_zero = false;
-      if (reps[r][k] != reps[0][k]) all_identical = false;
-    }
-  }
-  if (all_zero) {
+  // Silent / deterministic fast paths (exact equality is transitive, so
+  // each repetition matching the one before means all match the first).
+  const std::span<const double> block = m.event(e);
+  if (std::ranges::all_of(block, [](double x) { return x == 0.0; })) {
     profile.cls = NoiseClass::silent;
     return profile;
   }
-  if (all_identical) {
+  if (std::equal(block.begin() + n_slots, block.end(), block.begin())) {
     profile.cls = NoiseClass::deterministic;
     return profile;
   }
 
   // Drift: correlate the repetition index with the repetition mean.
-  double grand_mean = 0.0;
-  std::vector<double> rep_means(n_reps, 0.0);
-  for (std::size_t r = 0; r < n_reps; ++r) {
-    for (double v : reps[r]) rep_means[r] += v;
-    rep_means[r] /= static_cast<double>(n_slots);
-    grand_mean += rep_means[r];
-  }
-  grand_mean /= static_cast<double>(n_reps);
   {
     const double x_mean = (static_cast<double>(n_reps) - 1.0) / 2.0;
     double sxy = 0.0, sxx = 0.0, syy = 0.0;
@@ -90,12 +97,12 @@ NoiseProfile classify_noise(const std::vector<std::vector<double>>& reps,
   {
     std::vector<double> column(n_reps);
     for (std::size_t k = 0; k < n_slots; ++k) {
-      for (std::size_t r = 0; r < n_reps; ++r) column[r] = reps[r][k];
+      for (std::size_t r = 0; r < n_reps; ++r) column[r] = m.row(e, r)[k];
       const double slot_median = median(column);
       std::vector<double> deviations(n_reps);
       double dmax = 0.0;
       for (std::size_t r = 0; r < n_reps; ++r) {
-        deviations[r] = std::fabs(reps[r][k] - slot_median);
+        deviations[r] = std::fabs(m.row(e, r)[k] - slot_median);
         dmax = std::max(dmax, deviations[r]);
       }
       if (dmax == 0.0) continue;  // slot is perfectly stable
@@ -119,24 +126,12 @@ NoiseProfile classify_noise(const std::vector<std::vector<double>>& reps,
   return profile;
 }
 
-std::vector<std::vector<double>> detrend_repetitions(
-    const std::vector<std::vector<double>>& reps) {
-  if (reps.size() < 2 || reps.front().empty()) {
-    throw std::invalid_argument(
-        "detrend_repetitions: need >= 2 repetitions of non-empty vectors");
-  }
-  const std::size_t n_reps = reps.size();
-  const std::size_t n_slots = reps.front().size();
-
-  std::vector<double> rep_means(n_reps, 0.0);
+void detrend_repetitions(vpapi::Measurements& m, std::size_t e) {
   double grand_mean = 0.0;
-  for (std::size_t r = 0; r < n_reps; ++r) {
-    for (double v : reps[r]) rep_means[r] += v;
-    rep_means[r] /= static_cast<double>(n_slots);
-    grand_mean += rep_means[r];
-  }
-  grand_mean /= static_cast<double>(n_reps);
-  if (grand_mean == 0.0) return reps;  // nothing to scale against
+  const std::vector<double> rep_means =
+      repetition_means(m, e, "detrend_repetitions", grand_mean);
+  const std::size_t n_reps = m.repetitions();
+  if (grand_mean == 0.0) return;  // nothing to scale against
 
   // Least-squares line through (r, rep_mean/grand_mean).
   const double x_mean = (static_cast<double>(n_reps) - 1.0) / 2.0;
@@ -148,13 +143,11 @@ std::vector<std::vector<double>> detrend_repetitions(
   }
   const double slope = sxx > 0.0 ? sxy / sxx : 0.0;
 
-  std::vector<std::vector<double>> out = reps;
   for (std::size_t r = 0; r < n_reps; ++r) {
     const double scale = 1.0 + slope * (static_cast<double>(r) - x_mean);
     if (scale <= 0.0) continue;  // degenerate fit: leave as-is
-    for (double& v : out[r]) v /= scale;
+    for (double& v : m.row(e, r)) v /= scale;
   }
-  return out;
 }
 
 }  // namespace catalyst::core

@@ -17,8 +17,9 @@
 // events need averaging -- a finer policy than the single tau cutoff.
 #pragma once
 
-#include <string>
-#include <vector>
+#include <cstddef>
+
+#include "vpapi/measurements.hpp"
 
 namespace catalyst::core {
 
@@ -48,20 +49,19 @@ struct NoiseProfile {
   double spike_ratio = 0.0;
 };
 
-/// Classifies one event's repetition data (reps[r][k], r >= 2 repetitions).
-/// `drift_threshold` bounds |drift_correlation| and `spike_threshold`
-/// bounds spike_ratio for the respective verdicts.
-NoiseProfile classify_noise(const std::vector<std::vector<double>>& reps,
+/// Classifies event e's repetition data (m.row(e, r), >= 2 repetitions of
+/// non-empty vectors).  `drift_threshold` bounds |drift_correlation| and
+/// `spike_threshold` bounds spike_ratio for the respective verdicts.
+NoiseProfile classify_noise(const vpapi::Measurements& m, std::size_t e,
                             double drift_threshold = 0.9,
                             double spike_threshold = 8.0);
 
-/// Removes a systematic multiplicative trend from repetition data: fits
-/// scale_r = mean(reps[r]) / mean(all) by least squares against the
-/// repetition index and divides each repetition by its fitted scale.  A
-/// drifting-but-otherwise-clean event becomes usable by the tau filter
-/// instead of being discarded (the remedy the classification suggests).
-/// Repetitions with zero mean are left untouched.
-std::vector<std::vector<double>> detrend_repetitions(
-    const std::vector<std::vector<double>>& reps);
+/// Removes a systematic multiplicative trend from event e's repetition
+/// data, in place: fits scale_r = mean(m.row(e, r)) / mean(all) by least
+/// squares against the repetition index and divides each repetition by its
+/// fitted scale.  A drifting-but-otherwise-clean event becomes usable by
+/// the tau filter instead of being discarded (the remedy the classification
+/// suggests).  An event with zero mean is left untouched.
+void detrend_repetitions(vpapi::Measurements& m, std::size_t e);
 
 }  // namespace catalyst::core

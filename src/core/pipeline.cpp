@@ -32,7 +32,7 @@ PipelineResult run_pipeline(const pmu::Machine& machine,
 PipelineResult analyze_measurements(
     const linalg::Matrix& expectation,
     const std::vector<std::string>& event_names,
-    std::vector<std::vector<std::vector<double>>> measurements,
+    vpapi::Measurements measurements,
     const std::vector<MetricSignature>& signatures,
     const PipelineOptions& options) {
   PipelineResult result;
@@ -56,11 +56,10 @@ PipelineResult analyze_measurements(
                       "analyze_measurements: one measurement block per event "
                       "name required");
   for (std::size_t e = 0; e < result.measurements.size(); ++e) {
-    for (const std::vector<double>& rep : result.measurements[e]) {
-      CATALYST_ASSUME_FINITE(
-          rep, "analyze_measurements: event '" + result.all_event_names[e] +
-                   "' has a non-finite measurement");
-    }
+    CATALYST_ASSUME_FINITE(result.measurements.event(e),
+                           "analyze_measurements: event '" +
+                               result.all_event_names[e] +
+                               "' has a non-finite measurement");
   }
 
   // Cooperative cancellation: polled once per stage boundary.  The stages
@@ -87,10 +86,9 @@ PipelineResult analyze_measurements(
   if (options.detrend_drifting) {
     obs::Span span("stage.detrend");
     std::uint64_t detrended = 0;
-    for (auto& reps : result.measurements) {
-      const auto profile = classify_noise(reps);
-      if (profile.cls == NoiseClass::drifting) {
-        reps = detrend_repetitions(reps);
+    for (std::size_t e = 0; e < result.measurements.size(); ++e) {
+      if (classify_noise(result.measurements, e).cls == NoiseClass::drifting) {
+        detrend_repetitions(result.measurements, e);
         ++detrended;
       }
     }

@@ -24,7 +24,8 @@
 // Stages 1-3 are the collection front half, core::run_campaign()
 // (core/campaign.hpp): run_pipeline() is run_campaign() with default
 // campaign options.  Stages 4-7 are analyze_measurements(), which the
-// offline (archive) path calls directly.
+// offline (archive) path and the service call directly.  Every stage
+// passes the readings as one (event, repetition, slot) vpapi::Measurements.
 #pragma once
 
 #include <atomic>
@@ -150,9 +151,9 @@ struct PipelineOptions {
 struct PipelineResult {
   // Stage 1-3 artifacts.
   std::vector<std::string> all_event_names;
-  /// measurements[e][r][k]: normalized (and thread-median) reading of event
-  /// e, repetition r, slot k.
-  std::vector<std::vector<std::vector<double>>> measurements;
+  /// measurements.row(e, r)[k]: normalized (and thread-median) reading of
+  /// event e, repetition r, slot k.
+  vpapi::Measurements measurements;
 
   // Stage 4.
   NoiseFilterResult noise;
@@ -197,8 +198,9 @@ PipelineResult run_pipeline(const pmu::Machine& machine,
                             const PipelineOptions& options = {});
 
 /// Runs stages 4-7 (noise filter -> projection -> QRCP -> metrics) on
-/// already-collected, normalized measurement data: measurements[e][r][k]
-/// keyed by `event_names`, over the expectation basis `expectation`.
+/// already-collected, normalized measurement data, one event of
+/// `measurements` per name of `event_names`, over the expectation basis
+/// `expectation`.
 /// This is the offline-analysis entry point (see core/io.hpp): data
 /// collected on one system can be analyzed anywhere.  The returned result
 /// has the collection-stage fields (`all_event_names`, `measurements`)
@@ -206,7 +208,7 @@ PipelineResult run_pipeline(const pmu::Machine& machine,
 PipelineResult analyze_measurements(
     const linalg::Matrix& expectation,
     const std::vector<std::string>& event_names,
-    std::vector<std::vector<std::vector<double>>> measurements,
+    vpapi::Measurements measurements,
     const std::vector<MetricSignature>& signatures,
     const PipelineOptions& options = {});
 

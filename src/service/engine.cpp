@@ -1,9 +1,6 @@
 #include "service/engine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <utility>
-#include <vector>
 
 #include "core/io.hpp"
 #include "core/report.hpp"
@@ -28,18 +25,10 @@ wire::SubmitBody packed_submit_from_archive(
   body.collection_mode =
       static_cast<std::uint8_t>(archive.collection_mode);
   body.event_names = archive.event_names;
-  body.repetitions = archive.measurements.empty()
-                         ? 0
-                         : static_cast<std::uint32_t>(
-                               archive.measurements.front().size());
+  body.repetitions =
+      static_cast<std::uint32_t>(archive.measurements.repetitions());
   body.slots = static_cast<std::uint32_t>(archive.slot_names.size());
-  body.values.reserve(archive.event_names.size() * body.repetitions *
-                      body.slots);
-  for (const auto& per_event : archive.measurements) {
-    for (const auto& per_rep : per_event) {
-      body.values.insert(body.values.end(), per_rep.begin(), per_rep.end());
-    }
-  }
+  body.values = archive.measurements.values();
   return body;
 }
 
@@ -51,27 +40,6 @@ EngineOutcome fail(wire::ErrorCode code, const std::string& message) {
   out.code = code;
   out.message = core::bounded_excerpt(message, wire::kMaxErrorMessageBytes);
   return out;
-}
-
-/// Reshapes a packed value block into the measurements[e][r][k] tensor
-/// analyze_measurements expects.  Sizes were validated by decode_submit;
-/// this is pure copying.
-std::vector<std::vector<std::vector<double>>> unpack_values(
-    const wire::SubmitBody& submit) {
-  const std::size_t n_events = submit.event_names.size();
-  const std::size_t n_reps = submit.repetitions;
-  const std::size_t n_slots = submit.slots;
-  std::vector<std::vector<std::vector<double>>> m(
-      n_events, std::vector<std::vector<double>>(
-                    n_reps, std::vector<double>(n_slots)));
-  const double* src = submit.values.data();
-  for (std::size_t e = 0; e < n_events; ++e) {
-    for (std::size_t r = 0; r < n_reps; ++r) {
-      std::copy(src, src + n_slots, m[e][r].begin());
-      src += n_slots;
-    }
-  }
-  return m;
 }
 
 }  // namespace
@@ -93,9 +61,8 @@ EngineOutcome run_analysis(SharedCatalog& catalog,
   try {
     core::PipelineResult result;
     if (submit.kind == wire::SubmitKind::json) {
-      const core::MeasurementArchive archive =
-          core::load_archive(submit.archive_json);
-      result = core::analyze_archive(archive, setup->signatures, options);
+      result = core::analyze_archive(core::load_archive(submit.archive_json),
+                                     setup->signatures, options);
     } else {
       if (submit.repetitions < 2) {
         return fail(wire::ErrorCode::bad_request,
@@ -107,10 +74,12 @@ EngineOutcome run_analysis(SharedCatalog& catalog,
                     "packed SUBMIT slot count does not match category '" +
                         submit.category + "'");
       }
-      result = core::analyze_measurements(setup->benchmark.basis.e,
-                                          submit.event_names,
-                                          unpack_values(submit),
-                                          setup->signatures, options);
+      // The packed block is in the tensor's order; decode_submit sized it.
+      result = core::analyze_measurements(
+          setup->benchmark.basis.e, submit.event_names,
+          vpapi::Measurements(submit.event_names.size(), submit.repetitions,
+                              submit.slots, submit.values),
+          setup->signatures, options);
     }
     EngineOutcome out;
     out.ok = true;

@@ -2,9 +2,10 @@
 // report (or a typed failure) out.
 //
 // The engine is where a decoded wire::SubmitBody meets the analysis
-// library.  It resolves the category through the SharedCatalog, rebuilds
-// the measurement tensor (bulk move for packed submissions, the archive
-// loader for JSON ones), runs core::analyze_measurements with the caller's
+// library.  It resolves the category through the SharedCatalog, builds
+// the measurement tensor (a packed value block is already in its (event,
+// repetition, slot) order; JSON submissions go through the archive
+// loader), runs core::analyze_measurements with the caller's
 // CancelToken threaded through, and renders the result with the SAME
 // report helpers the CLI uses -- format_selected_events plus
 // format_metric_table -- so a RESULT payload is byte-identical to the

@@ -215,7 +215,9 @@ struct SubmitBody {
   std::uint8_t collection_mode = 0;
   // kind == json:
   std::string archive_json;
-  // kind == packed: measurements[e][r][k] flattened row-major.
+  // kind == packed: the measurements as one block in (event, repetition,
+  // slot) row-major order -- vpapi::Measurements' own order, so the block
+  // is the tensor's storage as is.
   std::vector<std::string> event_names;
   std::uint32_t repetitions = 0;
   std::uint32_t slots = 0;

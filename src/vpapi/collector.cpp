@@ -1,7 +1,6 @@
 #include "vpapi/collector.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -42,6 +41,22 @@ std::uint64_t EventReport::total_faults() const noexcept {
   return sum;
 }
 
+void EventReport::add(const EventReport& other) noexcept {
+  read_attempts += other.read_attempts;
+  retries += other.retries;
+  wraps_corrected += other.wraps_corrected;
+  for (std::size_t f = 0; f < faults.size(); ++f) faults[f] += other.faults[f];
+  if (other.is_quarantined()) disposition = EventDisposition::quarantined;
+}
+
+CollectionReport CollectionReport::for_events(
+    const std::vector<std::string>& names) {
+  CollectionReport report;
+  report.events.reserve(names.size());
+  for (const std::string& name : names) report.events.push_back({.name = name});
+  return report;
+}
+
 const EventReport* CollectionReport::find(const std::string& name) const {
   for (const auto& e : events) {
     if (e.name == name) return &e;
@@ -63,6 +78,28 @@ std::string CollectionReport::summary() const {
   return os.str();
 }
 
+void CollectionReport::add(const CollectionReport& other) {
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    events[e].add(other.events[e]);
+  }
+  total_retries += other.total_retries;
+  start_retries += other.start_retries;
+}
+
+void CollectionReport::resolve_dispositions() {
+  quarantined.clear();
+  for (EventReport& er : events) {
+    if (er.is_quarantined()) {
+      quarantined.push_back(er.name);
+    } else {
+      er.disposition = er.total_faults() != 0 || er.retries != 0 ||
+                               er.wraps_corrected != 0
+                           ? EventDisposition::recovered
+                           : EventDisposition::clean;
+    }
+  }
+}
+
 namespace {
 
 // Resolves event names to machine indices, throwing on unknown names.
@@ -82,15 +119,18 @@ std::vector<std::size_t> resolve_events(
   return indices;
 }
 
-/// The run a unit executes and where its rows go.  Members are in slot
-/// order; `rows[i]` is member i's row in the result, `indices[i]` its
-/// machine index.
+/// The run a unit executes and where its readings go.  Members are in slot
+/// order; `rows[i]` is member i's event in `dest`, `indices[i]` its machine
+/// index, and the unit writes repetition `rep` of those events.
 struct UnitTarget {
   const std::vector<std::string>& members;
   const std::vector<std::size_t>& indices;
   const std::vector<std::size_t>& rows;
   std::uint64_t run_id;
-  RepetitionData& dest;
+  Measurements& dest;
+  std::size_t rep;
+
+  std::span<double> row(std::size_t i) const { return dest.row(rows[i], rep); }
 };
 
 // A clean counting unit: a fresh session measuring the run's events over
@@ -109,10 +149,13 @@ void run_clean_unit(const pmu::Machine& machine,
                                "' failed: " + to_string(s));
     }
   }
-  std::vector<std::vector<double>> per_kernel(unit.members.size());
-  for (auto& v : per_kernel) v.reserve(activities.size());
+  // Readings arrive kernel by kernel.  A unit-local block takes those
+  // scattered writes and fills each row in one pass at the end: writing
+  // the rows kernel by kernel cost ~5% of a scale_10k op (perfbench A/B).
+  const std::size_t n_kernels = activities.size();
+  std::vector<double> block(unit.members.size() * n_kernels);
   std::vector<double> vals;
-  for (std::size_t k = 0; k < activities.size(); ++k) {
+  for (std::size_t k = 0; k < n_kernels; ++k) {
     Status s = session.start(set);
     if (s != Status::ok) {
       throw std::runtime_error("collect: start failed: " + to_string(s));
@@ -125,44 +168,29 @@ void run_clean_unit(const pmu::Machine& machine,
     }
     session.reset(set);
     for (std::size_t e = 0; e < vals.size(); ++e) {
-      per_kernel[e].push_back(vals[e]);
+      block[e * n_kernels + k] = vals[e];
     }
   }
   for (std::size_t e = 0; e < unit.members.size(); ++e) {
-    unit.dest.values[unit.rows[e]] = std::move(per_kernel[e]);
+    std::copy_n(block.begin() + e * n_kernels, n_kernels, unit.row(e).begin());
   }
 }
 
-/// What one resilient unit tallied, indexed like the run's members; summed
-/// into the report after the workers join.
-struct UnitTally {
-  std::vector<char> quarantined;
-  std::vector<std::uint64_t> read_attempts;
-  std::vector<std::uint64_t> retries;
-  std::vector<std::uint64_t> wraps_corrected;
-  std::vector<std::array<std::uint64_t, faults::kNumFaultKinds>> fault_counts;
-  std::uint64_t start_retries = 0;
-  std::uint64_t total_retries = 0;
-};
-
 /// A resilient counting unit.  Every decision in here is a pure function of
 /// (plan seed, event, run_id, kernel, attempt), so the outcome is identical
-/// no matter which worker thread runs the unit.  Quarantined events' rows
-/// are left empty.
+/// no matter which worker thread runs the unit.  It tallies into `out`, one
+/// unnamed entry per run member (quarantined members get that
+/// disposition), which is added into the collection's report after the
+/// workers join.  Quarantined events' rows are left partly written.
 void run_resilient_unit(const pmu::Machine& machine,
                         const std::vector<pmu::Activity>& activities,
                         const pmu::IdealTable& ideals, const UnitTarget& unit,
                         const faults::FaultPlan& plan,
-                        const ResilienceOptions& opts, UnitTally& out) {
+                        const ResilienceOptions& opts, CollectionReport& out) {
   const std::vector<std::string>& group = unit.members;
   const std::size_t n = group.size();
-  out.quarantined.assign(n, 0);
-  out.read_attempts.assign(n, 0);
-  out.retries.assign(n, 0);
-  out.wraps_corrected.assign(n, 0);
-  out.fault_counts.assign(n, {});
-  std::vector<std::vector<double>*> rows(n);
-  for (std::size_t e = 0; e < n; ++e) rows[e] = &unit.dest.values[unit.rows[e]];
+  out.events.assign(n, {});
+  std::vector<std::size_t> written(n, 0);  // kernels in each member's row
 
   Session session(machine);
   session.set_fault_context(&plan);
@@ -187,7 +215,7 @@ void run_resilient_unit(const pmu::Machine& machine,
           std::find(unit.indices.begin(), unit.indices.end(), rec.event_index);
       if (it == unit.indices.end()) continue;
       const auto e = static_cast<std::size_t>(it - unit.indices.begin());
-      ++out.fault_counts[e][static_cast<std::size_t>(rec.kind)];
+      ++out.events[e].faults[static_cast<std::size_t>(rec.kind)];
       if (suspect != nullptr && rec.kernel == kernel &&
           (rec.kind == faults::FaultKind::dropped_reading ||
            rec.kind == faults::FaultKind::stuck ||
@@ -214,7 +242,7 @@ void run_resilient_unit(const pmu::Machine& machine,
       drain_faults(0, nullptr);
       if (s == Status::ok) {
         added = true;
-        out.retries[e] += attempt;
+        out.events[e].retries += attempt;
         out.total_retries += attempt;
         break;
       }
@@ -227,12 +255,11 @@ void run_resilient_unit(const pmu::Machine& machine,
     if (added) {
       in_set.push_back(e);
     } else {
-      out.quarantined[e] = 1;
-      out.retries[e] += opts.max_retries;
+      out.events[e].disposition = EventDisposition::quarantined;
+      out.events[e].retries += opts.max_retries;
       out.total_retries += opts.max_retries;
     }
   }
-  for (const std::size_t e : in_set) rows[e]->reserve(activities.size());
 
   // --- kernel loop: retry, unwrap, screen, quarantine ----------------------
   std::vector<double> vals;
@@ -261,11 +288,11 @@ void run_resilient_unit(const pmu::Machine& machine,
         session.run_kernel(activities[k], unit.run_id, k, &ideals);
         session.stop(set);
         s = session.read(set, vals);
-        for (const std::size_t e : in_set) ++out.read_attempts[e];
+        for (const std::size_t e : in_set) ++out.events[e].read_attempts;
         drain_faults(k, &suspect);
         session.reset(set);
         if (s == Status::transient) {
-          for (const std::size_t e : in_set) ++out.retries[e];
+          for (const std::size_t e : in_set) ++out.events[e].retries;
           ++out.total_retries;
           pace(attempt);
           continue;
@@ -282,7 +309,7 @@ void run_resilient_unit(const pmu::Machine& machine,
           double v = vals[i];
           if (v < 0.0) {
             v = faults::unwrap_reading(plan.counter_width_bits, v,
-                                       &out.wraps_corrected[in_set[i]]);
+                                       &out.events[in_set[i]].wraps_corrected);
           }
           if (!std::isfinite(v) || v > plan.plausible_max) {
             implausible = true;
@@ -290,7 +317,7 @@ void run_resilient_unit(const pmu::Machine& machine,
           vals[i] = v;
         }
         if (implausible) {
-          for (const std::size_t e : in_set) ++out.retries[e];
+          for (const std::size_t e : in_set) ++out.events[e].retries;
           ++out.total_retries;
           pace(attempt);
           continue;
@@ -302,7 +329,8 @@ void run_resilient_unit(const pmu::Machine& machine,
         CATALYST_INVARIANT(vals.size() == in_set.size(),
                            "collect: reading/set size mismatch");
         for (std::size_t i = 0; i < vals.size(); ++i) {
-          rows[in_set[i]]->push_back(vals[i]);
+          unit.row(in_set[i])[k] = vals[i];
+          ++written[in_set[i]];
         }
         kernel_done = true;
         continue;
@@ -322,37 +350,20 @@ void run_resilient_unit(const pmu::Machine& machine,
           keep.push_back(e);
           continue;
         }
-        out.quarantined[e] = 1;
-        rows[e]->clear();  // discard the partial row: no torn data
+        out.events[e].disposition = EventDisposition::quarantined;
         const Status s = session.remove_event(set, group[e]);
         CATALYST_INVARIANT(s == Status::ok, "collect: remove_event failed");
       }
       in_set = std::move(keep);
     }
   }
-  // Partial rows can only belong to quarantined events, and were cleared.
+  // Partial rows can only belong to quarantined events, which the report
+  // names and every consumer drops.
   for (std::size_t e = 0; e < n; ++e) {
-    CATALYST_ENSURE(rows[e]->size() == activities.size() ||
-                        (rows[e]->empty() && out.quarantined[e] != 0),
+    CATALYST_ENSURE(written[e] == activities.size() ||
+                        out.events[e].is_quarantined(),
                     "collect: torn row escaped a unit");
   }
-}
-
-// A sampled unit: the run's sample trace (vpapi/sampling.hpp) and the
-// per-kernel rows reconstructed from it.
-RunTrace run_sampled_unit(const pmu::Machine& machine,
-                          const pmu::IdealTable& ideals, std::size_t kernels,
-                          const CollectionPlan& plan, std::uint64_t repetition,
-                          const UnitTarget& unit) {
-  RunTrace trace = sample_run(machine, unit.members, unit.indices, ideals,
-                              kernels, plan.mode, plan.schedule, repetition,
-                              unit.run_id, plan.resilience.clock);
-  std::vector<std::vector<double>> rows =
-      reconstruct_run_phases(trace, plan.schedule.kernel_span_ns, kernels);
-  for (std::size_t e = 0; e < rows.size(); ++e) {
-    unit.dest.values[unit.rows[e]] = std::move(rows[e]);
-  }
-  return trace;
 }
 
 /// Campaign-level observability rollup of a fault-injected collection.
@@ -361,21 +372,15 @@ void count_faults(const CollectionReport& report) {
   if (!obs::enabled()) return;
   obs::count(obs::names::kCollectRetries, report.total_retries);
   obs::count(obs::names::kCollectStartRetries, report.start_retries);
-  std::uint64_t wraps = 0;
-  std::array<std::uint64_t, faults::kNumFaultKinds> by_kind{};
-  for (const EventReport& er : report.events) {
-    wraps += er.wraps_corrected;
-    for (std::size_t f = 0; f < faults::kNumFaultKinds; ++f) {
-      by_kind[f] += er.faults[f];
-    }
-  }
-  obs::count(obs::names::kCollectWrapsCorrected, wraps);
+  EventReport sum;
+  for (const EventReport& er : report.events) sum.add(er);
+  obs::count(obs::names::kCollectWrapsCorrected, sum.wraps_corrected);
   obs::count(obs::names::kCollectQuarantined, report.quarantined.size());
   for (std::size_t f = 0; f < faults::kNumFaultKinds; ++f) {
-    if (by_kind[f] == 0) continue;
+    if (sum.faults[f] == 0) continue;
     obs::count(std::string(obs::names::kCollectFaultsPrefix) +
                    faults::to_string(static_cast<faults::FaultKind>(f)),
-               by_kind[f]);
+               sum.faults[f]);
   }
 }
 
@@ -414,10 +419,31 @@ Collector::Collector(const pmu::Machine& machine,
 }
 
 CollectionResult Collector::collect(const CollectionPlan& plan) const {
+  Measurements readings(events_.size(), plan.repetitions, activities_.size());
+  CollectionResult result = collect_into(plan, readings, 0);
+  std::vector<char> keep(events_.size());
+  for (std::size_t e = 0; e < events_.size(); ++e) {
+    keep[e] = !result.report.events[e].is_quarantined();
+    if (keep[e] != 0) result.event_names.push_back(events_[e]);
+  }
+  readings.keep_events(keep);  // drops quarantined events' partial rows
+  result.measurements = std::move(readings);
+  return result;
+}
+
+CollectionResult Collector::collect_into(const CollectionPlan& plan,
+                                         Measurements& out,
+                                         std::size_t first_rep) const {
   CATALYST_REQUIRE_AS(plan.repetitions != 0, std::invalid_argument,
                       "collect: need at least one repetition");
   CATALYST_REQUIRE_AS(plan.threads >= 1, std::invalid_argument,
                       "collect: need at least one thread");
+  CATALYST_REQUIRE_AS(out.size() == events_.size() &&
+                          out.slots() == activities_.size() &&
+                          first_rep + plan.repetitions <= out.repetitions(),
+                      std::invalid_argument,
+                      "collect: destination tensor does not fit the "
+                      "collection");
   const bool sampled = plan.mode != CollectionMode::counting;
   const bool faulty = plan.faults != nullptr && plan.faults->enabled();
   if (sampled) {
@@ -436,15 +462,13 @@ CollectionResult Collector::collect(const CollectionPlan& plan) const {
 
   CollectionResult result;
   result.runs_per_repetition = n_runs;
-  result.repetitions.resize(plan.repetitions);
-  for (auto& rep : result.repetitions) rep.values.resize(n_events);
   if (sampled) {
     result.trace.mode = plan.mode;
     result.trace.schedule = plan.schedule;
     result.trace.kernels = n_kernels;
     result.trace.runs.resize(total_units);
   }
-  std::vector<UnitTally> tallies(faulty ? total_units : 0);
+  std::vector<CollectionReport> tallies(faulty ? total_units : 0);
 
   obs::Span collect_span("vpapi.collect");
   collect_span.arg("mode", to_string(plan.mode));
@@ -453,23 +477,28 @@ CollectionResult Collector::collect(const CollectionPlan& plan) const {
   collect_span.arg("groups", n_runs);
   collect_span.arg("faults", faulty);
 
-  // Work list: all (repetition, run) units.  Each writes a disjoint slice of
-  // the result (its rows, its trace slot, its tally), so workers need no
-  // synchronization beyond the cursor; a worker throw unwinds through here
-  // and destroys the partial result -- no torn rows escape.
+  // Work list: all (repetition, run) units.  Each writes a disjoint slice --
+  // its rows of `out`, its trace slot, its tally -- so workers need no
+  // synchronization beyond the cursor.
   auto do_unit = [&](std::size_t u) {
     const std::size_t rep = u / n_runs;
     const std::size_t g = u % n_runs;
     const std::uint64_t repetition = plan.repetition_offset + rep;
     const UnitTarget unit{schedule_.runs[g].events, run_indices_[g],
                           run_rows_[g], repetition * n_runs + g,
-                          result.repetitions[rep]};
+                          out, first_rep + rep};
     obs::Span unit_span("collect.unit");
     unit_span.arg("rep", repetition);
     unit_span.arg("group", g);
     if (sampled) {
-      result.trace.runs[u] = run_sampled_unit(machine, ideals_, n_kernels,
-                                              plan, repetition, unit);
+      // The run's sample trace (vpapi/sampling.hpp), with the per-kernel
+      // rows reconstructed from it written in place.
+      RunTrace& trace = result.trace.runs[u];
+      trace = sample_run(machine, unit.members, unit.indices, ideals_,
+                         n_kernels, plan.mode, plan.schedule, repetition,
+                         unit.run_id, plan.resilience.clock);
+      reconstruct_run_phases(trace, plan.schedule.kernel_span_ns, out,
+                             unit.rows, unit.rep);
     } else if (faulty) {
       run_resilient_unit(machine, activities_, ideals_, unit, *plan.faults,
                          plan.resilience, tallies[u]);
@@ -483,59 +512,23 @@ CollectionResult Collector::collect(const CollectionPlan& plan) const {
   // Every count is additive and quarantine is a set union, so the report is
   // independent of unit completion order and thread count.
   CollectionReport& report = result.report;
-  report.events.resize(n_events);
-  std::vector<char> quarantined(n_events, 0);
-  for (std::size_t e = 0; e < n_events; ++e) {
-    report.events[e].name = events_[e];
-    if (!sampled && !faulty) {
-      report.events[e].read_attempts = plan.repetitions * n_kernels;
+  report = CollectionReport::for_events(events_);
+  if (!sampled && !faulty) {
+    for (EventReport& er : report.events) {
+      er.read_attempts = plan.repetitions * n_kernels;
     }
   }
   for (std::size_t u = 0; u < tallies.size(); ++u) {
-    const UnitTally& tally = tallies[u];
+    const CollectionReport& tally = tallies[u];
     const std::vector<std::size_t>& rows = run_rows_[u % n_runs];
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      EventReport& er = report.events[rows[i]];
-      er.read_attempts += tally.read_attempts[i];
-      er.retries += tally.retries[i];
-      er.wraps_corrected += tally.wraps_corrected[i];
-      for (std::size_t f = 0; f < faults::kNumFaultKinds; ++f) {
-        er.faults[f] += tally.fault_counts[i][f];
-      }
-      if (tally.quarantined[i] != 0) quarantined[rows[i]] = 1;
+      report.events[rows[i]].add(tally.events[i]);
     }
     report.start_retries += tally.start_retries;
     report.total_retries += tally.total_retries;
   }
-  for (std::size_t e = 0; e < n_events; ++e) {
-    EventReport& er = report.events[e];
-    if (quarantined[e] != 0) {
-      er.disposition = EventDisposition::quarantined;
-      report.quarantined.push_back(events_[e]);
-    } else if (er.total_faults() > 0 || er.retries > 0 ||
-               er.wraps_corrected > 0) {
-      er.disposition = EventDisposition::recovered;
-    }
-  }
+  report.resolve_dispositions();
   if (faulty) count_faults(report);
-
-  // --- data: quarantined events' rows are dropped --------------------------
-  if (report.quarantined.empty()) {
-    result.event_names = events_;
-    return result;
-  }
-  for (std::size_t e = 0; e < n_events; ++e) {
-    if (quarantined[e] == 0) result.event_names.push_back(events_[e]);
-  }
-  for (RepetitionData& rep : result.repetitions) {
-    std::size_t kept = 0;
-    for (std::size_t e = 0; e < n_events; ++e) {
-      if (quarantined[e] != 0) continue;
-      if (kept != e) rep.values[kept] = std::move(rep.values[e]);
-      ++kept;
-    }
-    rep.values.resize(kept);
-  }
   return result;
 }
 
@@ -557,6 +550,8 @@ CollectionResult collect_multiplexed(
   CollectionResult result;
   result.event_names = event_names;
   result.runs_per_repetition = 1;
+  result.measurements =
+      Measurements(event_names.size(), repetitions, activities.size());
 
   for (std::size_t rep = 0; rep < repetitions; ++rep) {
     Session session(machine);
@@ -579,9 +574,6 @@ CollectionResult collect_multiplexed(
     // bias against the trailing group that no amount of repetition
     // averages away (see Session::set_multiplex_phase).
     session.set_multiplex_phase(set, rep * activities.size());
-    RepetitionData data;
-    data.values.assign(event_names.size(), {});
-    for (auto& v : data.values) v.reserve(activities.size());
     std::vector<double> prev(event_names.size(), 0.0);
     std::vector<double> now;
     session.start(set);
@@ -592,14 +584,13 @@ CollectionResult collect_multiplexed(
       // reset the duty-cycle schedule); per-kernel values are consecutive
       // differences of the extrapolated totals.
       for (std::size_t e = 0; e < event_names.size(); ++e) {
-        data.values[e].push_back(now[e] - prev[e]);
+        result.measurements.row(e, rep)[k] = now[e] - prev[e];
       }
       // read() clears its output before filling, so the buffers can just
       // trade places instead of copying every total per kernel.
       std::swap(prev, now);
     }
     session.stop(set);
-    result.repetitions.push_back(std::move(data));
   }
   return result;
 }

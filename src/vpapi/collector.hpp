@@ -13,8 +13,9 @@
 // schedule (vpapi/scheduler.hpp) and the (event, kernel) ideal-value table.
 // Collector::collect then runs a CollectionPlan -- repetitions, worker
 // threads, collection mode, fault plan and pacing clock -- over that state
-// as many times as the caller likes.  Each (repetition, scheduled run) unit
-// is one of:
+// as many times as the caller likes, into one (event, repetition, slot)
+// Measurements tensor (vpapi/measurements.hpp).  Each (repetition,
+// scheduled run) unit writes its events' rows in place and is one of:
 //   * a clean counting run: start/run/stop/read around every kernel;
 //   * a resilient counting run, when an enabled fault plan is armed:
 //     transient failures are retried with capped exponential backoff,
@@ -37,17 +38,12 @@
 #include <vector>
 
 #include "pmu/measure.hpp"
+#include "vpapi/measurements.hpp"
 #include "vpapi/sampling.hpp"
 #include "vpapi/scheduler.hpp"
 #include "vpapi/vpapi.hpp"
 
 namespace catalyst::vpapi {
-
-/// One benchmark repetition's worth of measurements.
-/// values[e][k] = reading of event e on kernel slot k.
-struct RepetitionData {
-  std::vector<std::vector<double>> values;
-};
 
 /// How an event came out of a collection.
 enum class EventDisposition {
@@ -68,6 +64,11 @@ struct EventReport {
   EventDisposition disposition = EventDisposition::clean;
 
   std::uint64_t total_faults() const noexcept;
+  bool is_quarantined() const noexcept {
+    return disposition == EventDisposition::quarantined;
+  }
+  /// Adds `other`'s tallies; an event quarantined in either is quarantined.
+  void add(const EventReport& other) noexcept;
 };
 
 /// Structured outcome of a collection: one entry per requested event
@@ -78,9 +79,19 @@ struct CollectionReport {
   std::uint64_t start_retries = 0;   ///< Set-level start_busy retries.
   std::vector<std::string> quarantined;  ///< Names, input order.
 
+  /// An all-clean report with one entry per event of `names`.
+  static CollectionReport for_events(const std::vector<std::string>& names);
+
   const EventReport* find(const std::string& name) const;
   /// "172 events: 170 clean, 1 recovered, 1 quarantined; 12 retries".
   std::string summary() const;
+
+  /// Adds `other`'s tallies event by event; both list the same events.
+  void add(const CollectionReport& other);
+  /// The disposition rule: a quarantined event stays quarantined (and is
+  /// listed in `quarantined`, event order); any other is recovered if a
+  /// fault, retry or wrap touched it, else clean.
+  void resolve_dispositions();
 };
 
 /// Tuning of the retry/quarantine machinery and the plan's pacing clock.
@@ -120,11 +131,12 @@ struct CollectionPlan {
 
 /// Full collection result across repetitions.
 struct CollectionResult {
-  /// Row labels of `repetitions`: the requested events minus quarantined
+  /// Event labels of `measurements`: the requested events minus quarantined
   /// ones, input order.
   std::vector<std::string> event_names;
-  std::vector<RepetitionData> repetitions;  ///< One per repetition.
-  std::size_t runs_per_repetition = 0;      ///< Benchmark re-runs needed.
+  /// Reading of event e on kernel slot k at repetition r: row(e, r)[k].
+  Measurements measurements;
+  std::size_t runs_per_repetition = 0;  ///< Benchmark re-runs needed.
   /// One entry per requested event.  Clean counting units count one read
   /// attempt per kernel; sampled units read no counters.
   CollectionReport report;
@@ -159,6 +171,14 @@ class Collector {
   /// Exceptions raised inside worker threads are rethrown on the calling
   /// thread and no partial data escapes.
   CollectionResult collect(const CollectionPlan& plan = {}) const;
+
+  /// collect() into `out` (one event per collector event, one slot per
+  /// kernel): event e's readings at repetition r go to out.row(e, first_rep
+  /// + r), units writing disjoint rows.  Quarantined events' rows are left
+  /// partly written.  The result carries the report, trace and run count;
+  /// its event_names and measurements stay empty.
+  CollectionResult collect_into(const CollectionPlan& plan, Measurements& out,
+                                std::size_t first_rep) const;
 
  private:
   const pmu::Machine* machine_;

@@ -81,14 +81,23 @@ std::uint64_t dither_offset(const pmu::Machine& machine,
       u * static_cast<double>(schedule.period_ns));
 }
 
-std::vector<std::vector<double>> reconstruct_run_phases(
-    const RunTrace& run, std::uint64_t kernel_span_ns, std::size_t kernels) {
+void reconstruct_run_phases(const RunTrace& run, std::uint64_t kernel_span_ns,
+                            Measurements& out,
+                            const std::vector<std::size_t>& rows,
+                            std::size_t repetition) {
+  const std::size_t kernels = out.slots();
   CATALYST_REQUIRE_AS(kernel_span_ns > 0 && kernels > 0,
                       std::invalid_argument,
                       "reconstruct_run_phases: empty kernel geometry");
   CATALYST_REQUIRE_AS(!run.samples.empty(), std::invalid_argument,
                       "reconstruct_run_phases: trace has no samples");
   const std::size_t n = run.events.size();
+  const auto outside = [&out](std::size_t e) { return e >= out.size(); };
+  CATALYST_REQUIRE_AS(rows.size() == n && repetition < out.repetitions() &&
+                          std::ranges::none_of(rows, outside),
+                      std::invalid_argument,
+                      "reconstruct_run_phases: destination rows do not match "
+                      "the run's events");
   const std::uint64_t total_ns = kernel_span_ns * kernels;
   CATALYST_REQUIRE_AS(run.samples.back().t_ns == total_ns,
                       std::invalid_argument,
@@ -111,7 +120,6 @@ std::vector<std::vector<double>> reconstruct_run_phases(
   // implicit (t=0, v=0) sample).  Phase k's value is the difference of
   // consecutive boundary estimates; since the cumulative samples are
   // non-decreasing, so is the interpolant, and every phase value is >= 0.
-  std::vector<std::vector<double>> out(n, std::vector<double>(kernels, 0.0));
   std::vector<double> prev_boundary(n, 0.0);
   std::vector<double> boundary(n, 0.0);
   std::size_t si = 0;
@@ -126,11 +134,10 @@ std::vector<std::vector<double>> reconstruct_run_phases(
       const double v1 = si == 0 ? 0.0 : run.samples[si - 1].values[e];
       const double v2 = run.samples[si].values[e];
       boundary[e] = v1 + (v2 - v1) * w;
-      out[e][k - 1] = boundary[e] - prev_boundary[e];
+      out.row(rows[e], repetition)[k - 1] = boundary[e] - prev_boundary[e];
     }
     std::swap(prev_boundary, boundary);
   }
-  return out;
 }
 
 RunTrace sample_run(const pmu::Machine& machine,

@@ -28,15 +28,16 @@
 //     systematic bias -- the same fix the multiplexer's phase rotation
 //     applies to slice apportioning.
 //
-//   * Per-phase synthesis reconstructs per-kernel measurements from a
-//     trace alone: the cumulative count at each nominal kernel boundary is
-//     linearly interpolated between the bracketing samples, and phase k's
-//     value is the difference of consecutive boundary estimates.  With
-//     periods well under the kernel span the reconstruction converges to
-//     the counting-mode readings; as the period grows past the span,
-//     boundary smearing degrades the values -- the trade-off the
-//     collection-modes oracle sweep (bench/ablation_collection_modes)
-//     quantifies against planted ground truth.
+//   * Per-phase synthesis reconstructs per-kernel rows of the collection's
+//     Measurements tensor from a trace alone: the cumulative count at each
+//     nominal kernel boundary is linearly interpolated between the
+//     bracketing samples, and phase k's value is the difference of
+//     consecutive boundary estimates.  With periods well under the kernel
+//     span the reconstruction converges to the counting-mode readings; as
+//     the period grows past the span, boundary smearing degrades the values
+//     -- the trade-off the collection-modes oracle sweep
+//     (bench/ablation_collection_modes) quantifies against planted ground
+//     truth.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +47,7 @@
 #include "faults/faults.hpp"
 #include "pmu/machine.hpp"
 #include "pmu/measure.hpp"
+#include "vpapi/measurements.hpp"
 
 namespace catalyst::vpapi {
 
@@ -118,12 +120,14 @@ std::uint64_t dither_offset(const pmu::Machine& machine,
                             const SampleSchedule& schedule,
                             CollectionMode mode, std::uint64_t run_id);
 
-/// Per-phase synthesis for one run: measurements[e][k] reconstructed from
-/// the trace's cumulative samples by boundary interpolation (see file
-/// header).  `kernels` must match the trace's kernel count.  Throws
-/// std::invalid_argument on an empty or inconsistent trace.
-std::vector<std::vector<double>> reconstruct_run_phases(
-    const RunTrace& run, std::uint64_t kernel_span_ns, std::size_t kernels);
+/// Per-phase synthesis for one run: run event i's per-kernel values,
+/// reconstructed from the cumulative samples by boundary interpolation (see
+/// file header), go to out.row(rows[i], repetition); out.slots() kernels.
+/// Throws std::invalid_argument on an inconsistent trace or rows.
+void reconstruct_run_phases(const RunTrace& run, std::uint64_t kernel_span_ns,
+                            Measurements& out,
+                            const std::vector<std::size_t>& rows,
+                            std::size_t repetition);
 
 /// One sampled (repetition, scheduled run) unit: plays the kernel sequence
 /// on the virtual timeline at noise coordinate `run_id` and returns the

@@ -77,6 +77,21 @@ TEST(ResilientPipeline, MidRateFaultsReproduceTheCleanPipeline) {
   EXPECT_GT(resilient.collection->total_retries, 0u);
 }
 
+TEST(ResilientPipeline, WorkerThreadsWriteTheSameTensor) {
+  // Collection units write disjoint rows of one campaign tensor in place;
+  // four workers (the TSan build runs this) must give the serial bytes.
+  const Rig s;
+  const auto plan = faults::FaultPlan::mid_rate();
+  CampaignOptions threaded = faulty(plan);
+  threaded.pipeline.collection_threads = 4;
+  const auto serial =
+      run_campaign(s.machine, s.bench, s.signatures, faulty(plan));
+  const auto parallel =
+      run_campaign(s.machine, s.bench, s.signatures, threaded);
+  EXPECT_EQ(serial.result.measurements, parallel.result.measurements);
+  EXPECT_EQ(s.archive(serial), s.archive(parallel));
+}
+
 TEST(Campaign, CheckpointDirLeaseExcludesConcurrentUse) {
   const std::string dir = fresh_dir("lease_dir");
   {
@@ -335,9 +350,20 @@ TEST(ResilientPipeline, AllEventsQuarantinedAbortsWithTypedError) {
   faults::FaultPlan plan;
   plan.seed = 13;
   plan.rates.dropped_reading = 1.0;  // nothing is ever readable
-  EXPECT_THROW(
-      run_campaign(s.machine, s.bench, s.signatures, faulty(plan, 0)),
-      std::runtime_error);
+  try {
+    run_campaign(s.machine, s.bench, s.signatures, faulty(plan, 0));
+    FAIL() << "a campaign with every event quarantined must not analyze";
+  } catch (const AllEventsQuarantined& e) {
+    const std::string what = e.what();
+    const std::string n = std::to_string(s.machine.events().size());
+    EXPECT_NE(what.find("all " + n + " events were quarantined"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(n + " events: 0 clean, 0 recovered, " + n +
+                        " quarantined"),
+              std::string::npos)
+        << what;
+  }
 }
 
 }  // namespace

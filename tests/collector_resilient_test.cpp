@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace catalyst::vpapi {
@@ -43,14 +44,7 @@ CollectionPlan reps(std::size_t n, const faults::FaultPlan* faults = nullptr) {
 void expect_identical_values(const CollectionResult& a,
                              const CollectionResult& b) {
   ASSERT_EQ(a.event_names, b.event_names);
-  ASSERT_EQ(a.repetitions.size(), b.repetitions.size());
-  for (std::size_t r = 0; r < a.repetitions.size(); ++r) {
-    ASSERT_EQ(a.repetitions[r].values.size(), b.repetitions[r].values.size());
-    for (std::size_t e = 0; e < a.repetitions[r].values.size(); ++e) {
-      ASSERT_EQ(a.repetitions[r].values[e], b.repetitions[r].values[e])
-          << "rep " << r << " event " << a.event_names[e];
-    }
-  }
+  ASSERT_EQ(a.measurements, b.measurements);
 }
 
 TEST(CollectResilient, CleanPathBitIdenticalToCollect) {
@@ -118,12 +112,14 @@ TEST(CollectResilient, UnrecoverableEventIsQuarantined) {
   // The survivors' rows are bit-identical to the clean run's.
   ASSERT_EQ(resilient.event_names,
             std::vector<std::string>({"A", "B", "D", "N", "Z"}));
+  ASSERT_EQ(resilient.measurements.size(), 5u);
   for (std::size_t r = 0; r < 2; ++r) {
     std::size_t kept = 0;
     for (std::size_t e = 0; e < kEvents.size(); ++e) {
       if (kEvents[e] == "C") continue;
-      EXPECT_EQ(resilient.repetitions[r].values[kept],
-                clean.repetitions[r].values[e])
+      const auto got = resilient.measurements.row(kept, r);
+      const auto want = clean.measurements.row(e, r);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
           << kEvents[e];
       ++kept;
     }
@@ -212,10 +208,14 @@ TEST(CollectResilient, RepetitionOffsetMatchesUninterruptedRun) {
     CollectionPlan one = reps(1, &plan);
     one.repetition_offset = r;
     const auto batch = prepared.collect(one);
-    ASSERT_EQ(batch.repetitions.size(), 1u);
+    ASSERT_EQ(batch.measurements.repetitions(), 1u);
     ASSERT_EQ(batch.event_names, whole.event_names);
-    EXPECT_EQ(batch.repetitions[0].values, whole.repetitions[r].values)
-        << "repetition " << r;
+    for (std::size_t e = 0; e < whole.measurements.size(); ++e) {
+      const auto got = batch.measurements.row(e, 0);
+      const auto want = whole.measurements.row(e, r);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "repetition " << r << " event " << whole.event_names[e];
+    }
   }
 }
 

@@ -141,7 +141,7 @@ TEST(AssumeFinite, RejectsNanAndInfInRanges) {
 class NanInjection : public ::testing::Test {
  protected:
   // A real branch-category measurement set, then one reading corrupted.
-  static std::vector<std::vector<std::vector<double>>> clean_measurements(
+  static vpapi::Measurements clean_measurements(
       std::vector<std::string>* names) {
     const pmu::Machine machine = pmu::saphira_cpu();
     const cat::Benchmark bench = cat::branch_benchmark();
@@ -156,8 +156,8 @@ class NanInjection : public ::testing::Test {
 TEST_F(NanInjection, NanMeasurementIsRejectedBeforeQr) {
   std::vector<std::string> names;
   auto measurements = clean_measurements(&names);
-  ASSERT_FALSE(measurements.empty());
-  measurements[0][0][0] = std::nan("");
+  ASSERT_NE(measurements.size(), 0u);
+  measurements.row(0, 0)[0] = std::nan("");
 
   const cat::Benchmark bench = cat::branch_benchmark();
   core::PipelineOptions opt;
@@ -175,8 +175,9 @@ TEST_F(NanInjection, NanMeasurementIsRejectedBeforeQr) {
 TEST_F(NanInjection, InfMeasurementIsRejectedToo) {
   std::vector<std::string> names;
   auto measurements = clean_measurements(&names);
-  ASSERT_FALSE(measurements.empty());
-  measurements.back().back().back() = std::numeric_limits<double>::infinity();
+  ASSERT_NE(measurements.size(), 0u);
+  measurements.row(measurements.size() - 1, measurements.repetitions() - 1)
+      .back() = std::numeric_limits<double>::infinity();
 
   const cat::Benchmark bench = cat::branch_benchmark();
   core::PipelineOptions opt;

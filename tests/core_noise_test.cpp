@@ -57,19 +57,20 @@ TEST(Rnmse, ScaleInvariant) {
 }
 
 TEST(MaxRnmse, TakesWorstPair) {
-  std::vector<std::vector<double>> reps{{1, 2, 3}, {1, 2, 3}, {1, 2, 30}};
-  const double worst = max_rnmse(reps);
-  EXPECT_DOUBLE_EQ(worst, rnmse(reps[0], reps[2]));
+  const vpapi::Measurements reps{{{1, 2, 3}, {1, 2, 3}, {1, 2, 30}}};
+  const double worst = max_rnmse(reps, 0);
+  EXPECT_DOUBLE_EQ(worst, rnmse(reps.row(0, 0), reps.row(0, 2)));
   EXPECT_GT(worst, 0.0);
 }
 
 TEST(MaxRnmse, NeedsTwoReps) {
-  EXPECT_THROW(max_rnmse({{1, 2}}), std::invalid_argument);
+  EXPECT_THROW(max_rnmse(vpapi::Measurements{{{1, 2}}}, 0),
+               std::invalid_argument);
 }
 
 TEST(FilterNoise, SplitsCleanNoisyAndZero) {
   std::vector<std::string> names{"clean", "noisy", "zero"};
-  std::vector<std::vector<std::vector<double>>> meas{
+  const vpapi::Measurements meas{
       {{10, 20}, {10, 20}},       // identical -> variability 0
       {{10, 20}, {14, 26}},       // noticeably noisy
       {{0, 0}, {0, 0}},           // all zero -> discarded
@@ -86,7 +87,7 @@ TEST(FilterNoise, SplitsCleanNoisyAndZero) {
 
 TEST(FilterNoise, LenientTauKeepsNoisyEvents) {
   std::vector<std::string> names{"noisy"};
-  std::vector<std::vector<std::vector<double>>> meas{{{10, 20}, {11, 21}}};
+  const vpapi::Measurements meas{{{10, 20}, {11, 21}}};
   auto strict = filter_noise(names, meas, 1e-10);
   EXPECT_TRUE(strict.kept.empty());
   auto lenient = filter_noise(names, meas, 1e-1);

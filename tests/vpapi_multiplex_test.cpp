@@ -147,9 +147,7 @@ TEST(MultiplexCollector, WithinBudgetMatchesGroupedExactly) {
   const std::vector<std::string> events{"E1", "E2"};
   const auto grouped = collect(m, events, acts, reps(2));
   const auto muxed = collect_multiplexed(m, events, acts, 2);
-  for (std::size_t rep = 0; rep < 2; ++rep) {
-    EXPECT_EQ(muxed.repetitions[rep].values, grouped.repetitions[rep].values);
-  }
+  EXPECT_EQ(muxed.measurements, grouped.measurements);
   EXPECT_EQ(muxed.runs_per_repetition, 1u);
 }
 
@@ -169,8 +167,8 @@ TEST(MultiplexCollector, OverBudgetIsApproximateNotExact) {
   for (std::size_t e = 0; e < events.size(); ++e) {
     double truth_total = 0.0, est_total = 0.0;
     for (std::size_t k = 0; k < acts.size(); ++k) {
-      const double truth = grouped.repetitions[0].values[e][k];
-      const double est = muxed.repetitions[0].values[e][k];
+      const double truth = grouped.measurements.row(e, 0)[k];
+      const double est = muxed.measurements.row(e, 0)[k];
       truth_total += truth;
       est_total += est;
       if (truth > 0.0) {
@@ -271,7 +269,7 @@ TEST(MultiplexCollector, RotationIsFairAcrossEventsOnBurstyWork) {
     for (std::size_t rep = 0; rep < 3; ++rep) {
       double total = 0.0;
       for (std::size_t k = 0; k < acts.size(); ++k) {
-        total += muxed.repetitions[rep].values[e][k];
+        total += muxed.measurements.row(e, rep)[k];
       }
       mean += total / 3.0;
     }

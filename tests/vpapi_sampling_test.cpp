@@ -5,6 +5,7 @@
 // guarantees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -51,6 +52,17 @@ CollectionPlan plan(std::size_t n,
   p.schedule = schedule;
   p.threads = threads;
   return p;
+}
+
+/// Reconstructs a run's phases into a fresh one-repetition tensor with one
+/// event per trace event.
+Measurements reconstruct(const RunTrace& run, std::uint64_t kernel_span_ns,
+                         std::size_t kernels) {
+  Measurements out(run.events.size(), 1, kernels);
+  std::vector<std::size_t> rows(run.events.size());
+  for (std::size_t e = 0; e < rows.size(); ++e) rows[e] = e;
+  reconstruct_run_phases(run, kernel_span_ns, out, rows, 0);
+  return out;
 }
 
 TEST(SampleSchedule, ValidateRejectsDegenerateSpans) {
@@ -146,10 +158,7 @@ TEST(Reconstruct, ExactAtBoundaryAlignedSamples) {
   RunTrace run;
   run.events = {"E"};
   run.samples = {{100, {5.0}}, {200, {12.0}}, {300, {30.0}}};
-  const auto rows = reconstruct_run_phases(run, 100, 3);
-  ASSERT_EQ(rows.size(), 1u);
-  const std::vector<double> expected{5.0, 7.0, 18.0};
-  EXPECT_EQ(rows[0], expected);
+  EXPECT_EQ(reconstruct(run, 100, 3), (Measurements{{{5.0, 7.0, 18.0}}}));
 }
 
 TEST(Reconstruct, InterpolatesBetweenBracketingSamples) {
@@ -159,27 +168,37 @@ TEST(Reconstruct, InterpolatesBetweenBracketingSamples) {
   RunTrace run;
   run.events = {"E"};
   run.samples = {{150, {9.0}}, {300, {30.0}}};
-  const auto rows = reconstruct_run_phases(run, 100, 3);
-  ASSERT_EQ(rows.size(), 1u);
-  ASSERT_EQ(rows[0].size(), 3u);
-  EXPECT_DOUBLE_EQ(rows[0][0], 6.0);   // 9 * (100/150)
-  EXPECT_DOUBLE_EQ(rows[0][1], 10.0);  // 9 + 21 * (50/150) - 6
-  EXPECT_DOUBLE_EQ(rows[0][2], 14.0);  // 30 - 16
+  const Measurements out = reconstruct(run, 100, 3);
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(out.slots(), 3u);
+  EXPECT_DOUBLE_EQ(out.row(0, 0)[0], 6.0);   // 9 * (100/150)
+  EXPECT_DOUBLE_EQ(out.row(0, 0)[1], 10.0);  // 9 + 21 * (50/150) - 6
+  EXPECT_DOUBLE_EQ(out.row(0, 0)[2], 14.0);  // 30 - 16
 }
 
 TEST(Reconstruct, RejectsMalformedTraces) {
   RunTrace run;
   run.events = {"E"};
-  EXPECT_THROW(reconstruct_run_phases(run, 100, 3), std::invalid_argument);
+  EXPECT_THROW(reconstruct(run, 100, 3), std::invalid_argument);
   run.samples = {{100, {1.0}}, {300, {2.0}}};  // does not close at 200
-  EXPECT_THROW(reconstruct_run_phases(run, 100, 2), std::invalid_argument);
+  EXPECT_THROW(reconstruct(run, 100, 2), std::invalid_argument);
   run.samples = {{100, {1.0, 9.0}}, {200, {2.0, 9.0}}};  // width mismatch
-  EXPECT_THROW(reconstruct_run_phases(run, 100, 2), std::invalid_argument);
+  EXPECT_THROW(reconstruct(run, 100, 2), std::invalid_argument);
   run.samples = {{100, {1.0}}, {100, {2.0}}, {200, {3.0}}};  // stalled time
-  EXPECT_THROW(reconstruct_run_phases(run, 100, 2), std::invalid_argument);
+  EXPECT_THROW(reconstruct(run, 100, 2), std::invalid_argument);
   run.samples = {{200, {2.0}}};
-  EXPECT_THROW(reconstruct_run_phases(run, 0, 2), std::invalid_argument);
-  EXPECT_THROW(reconstruct_run_phases(run, 100, 0), std::invalid_argument);
+  EXPECT_THROW(reconstruct(run, 0, 2), std::invalid_argument);
+  EXPECT_THROW(reconstruct(run, 100, 0), std::invalid_argument);
+  // Destination rows must match the run's events and the tensor.
+  Measurements out(1, 1, 2);
+  EXPECT_THROW(reconstruct_run_phases(run, 100, out, {}, 0),
+               std::invalid_argument);
+  EXPECT_THROW(reconstruct_run_phases(run, 100, out, {1}, 0),
+               std::invalid_argument);
+  EXPECT_THROW(reconstruct_run_phases(run, 100, out, {0}, 1),
+               std::invalid_argument);
+  reconstruct_run_phases(run, 100, out, {0}, 0);
+  EXPECT_EQ(out, (Measurements{{{1.0, 1.0}}}));
 }
 
 TEST(CollectSampled, CountingModeDelegatesBitIdentically) {
@@ -191,10 +210,7 @@ TEST(CollectSampled, CountingModeDelegatesBitIdentically) {
   const auto counted = collect(m, six_events(), acts, plan(3));
   const auto sampled = collect(
       m, six_events(), acts, plan(3, CollectionMode::counting, ignored));
-  ASSERT_EQ(sampled.repetitions.size(), counted.repetitions.size());
-  for (std::size_t r = 0; r < counted.repetitions.size(); ++r) {
-    EXPECT_EQ(sampled.repetitions[r].values, counted.repetitions[r].values);
-  }
+  EXPECT_EQ(sampled.measurements, counted.measurements);
   EXPECT_EQ(sampled.runs_per_repetition, counted.runs_per_repetition);
   EXPECT_TRUE(sampled.trace.runs.empty());
   EXPECT_EQ(sampled.trace.mode, CollectionMode::counting);
@@ -212,10 +228,8 @@ TEST(CollectSampled, DividingPeriodReconstructsCountingExactly) {
   const auto counted = collect(m, six_events(), acts, plan(2));
   const auto sampled = collect(m, six_events(), acts,
                                plan(2, CollectionMode::sampling, s));
-  ASSERT_EQ(sampled.repetitions.size(), 2u);
-  for (std::size_t r = 0; r < 2; ++r) {
-    EXPECT_EQ(sampled.repetitions[r].values, counted.repetitions[r].values);
-  }
+  ASSERT_EQ(sampled.measurements.repetitions(), 2u);
+  EXPECT_EQ(sampled.measurements, counted.measurements);
   // Sampled units read no counters.
   for (const auto& e : sampled.report.events) {
     EXPECT_EQ(e.read_attempts, 0u);
@@ -242,8 +256,8 @@ TEST(CollectSampled, ClosingSampleAnchorsRunTotalsExactly) {
       for (std::size_t e = 0; e < six_events().size(); ++e) {
         double truth = 0.0, est = 0.0;
         for (std::size_t k = 0; k < acts.size(); ++k) {
-          truth += counted.repetitions[r].values[e][k];
-          est += sampled.repetitions[r].values[e][k];
+          truth += counted.measurements.row(e, r)[k];
+          est += sampled.measurements.row(e, r)[k];
         }
         EXPECT_NEAR(est, truth, 1e-6) << "mode " << to_string(mode)
                                       << " rep " << r << " event " << e;
@@ -263,10 +277,7 @@ TEST(CollectSampled, ByteIdenticalAcrossThreadCounts) {
        {CollectionMode::sampling, CollectionMode::strobed}) {
     const auto one = collect(m, six_events(), acts, plan(4, mode, s, 1));
     const auto four = collect(m, six_events(), acts, plan(4, mode, s, 4));
-    ASSERT_EQ(one.repetitions.size(), four.repetitions.size());
-    for (std::size_t r = 0; r < one.repetitions.size(); ++r) {
-      EXPECT_EQ(one.repetitions[r].values, four.repetitions[r].values);
-    }
+    EXPECT_EQ(one.measurements, four.measurements);
     ASSERT_EQ(one.trace.runs.size(), four.trace.runs.size());
     for (std::size_t u = 0; u < one.trace.runs.size(); ++u) {
       const RunTrace& a = one.trace.runs[u];
@@ -314,7 +325,12 @@ TEST(CollectSampled, RepetitionOffsetShiftsRunIds) {
   CollectionPlan second = plan(1, CollectionMode::strobed);
   second.repetition_offset = 1;
   const auto tail = collect(m, six_events(), acts, second);
-  EXPECT_EQ(tail.repetitions[0].values, whole.repetitions[1].values);
+  for (std::size_t e = 0; e < six_events().size(); ++e) {
+    const auto a = tail.measurements.row(e, 0);
+    const auto b = whole.measurements.row(e, 1);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "event " << e;
+  }
   const std::size_t n_groups = whole.trace.runs.size() / 2;
   for (std::size_t g = 0; g < n_groups; ++g) {
     EXPECT_EQ(tail.trace.runs[g].run_id, whole.trace.runs[n_groups + g].run_id);
@@ -339,9 +355,7 @@ TEST(CollectSampled, FakeClockPacesOneSleepPerKernelSpan) {
   // Pacing never touches the data: unpaced collection is identical.
   const auto unpaced =
       collect(m, six_events(), acts, plan(2, CollectionMode::sampling, s));
-  for (std::size_t r = 0; r < 2; ++r) {
-    EXPECT_EQ(paced.repetitions[r].values, unpaced.repetitions[r].values);
-  }
+  EXPECT_EQ(paced.measurements, unpaced.measurements);
 }
 
 TEST(CollectSampled, RejectsBadArguments) {

@@ -1,6 +1,8 @@
 // Unit tests for the PAPI-flavoured shim and the multiplexed collector.
 #include "vpapi/collector.hpp"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 namespace catalyst::vpapi {
@@ -163,21 +165,29 @@ TEST(Collector, CollectsAllEventsOverAllKernels) {
                                   {{"x", 3.0}, {"y", 30.0}}};
   auto res = collect(m, m.event_names(), acts, reps(2));
   EXPECT_EQ(res.event_names.size(), 5u);
-  EXPECT_EQ(res.repetitions.size(), 2u);
+  EXPECT_EQ(res.measurements.size(), 5u);
+  EXPECT_EQ(res.measurements.repetitions(), 2u);
+  EXPECT_EQ(res.measurements.slots(), 3u);
   EXPECT_EQ(res.runs_per_repetition, 3u);  // 5 events / 2 counters
   // Deterministic events agree across repetitions.
-  EXPECT_EQ(res.repetitions[0].values[0], (std::vector<double>{1, 2, 3}));
-  EXPECT_EQ(res.repetitions[1].values[0], (std::vector<double>{1, 2, 3}));
-  EXPECT_EQ(res.repetitions[0].values[1], (std::vector<double>{2, 4, 6}));
-  EXPECT_EQ(res.repetitions[0].values[2], (std::vector<double>{10, 20, 30}));
-  EXPECT_EQ(res.repetitions[0].values[4], (std::vector<double>{0, 0, 0}));
+  const auto row = [&res](std::size_t e, std::size_t r) {
+    const auto span = res.measurements.row(e, r);
+    return std::vector<double>(span.begin(), span.end());
+  };
+  EXPECT_EQ(row(0, 0), (std::vector<double>{1, 2, 3}));
+  EXPECT_EQ(row(0, 1), (std::vector<double>{1, 2, 3}));
+  EXPECT_EQ(row(1, 0), (std::vector<double>{2, 4, 6}));
+  EXPECT_EQ(row(2, 0), (std::vector<double>{10, 20, 30}));
+  EXPECT_EQ(row(4, 0), (std::vector<double>{0, 0, 0}));
 }
 
 TEST(Collector, NoisyEventDiffersAcrossRepetitions) {
   auto m = tiny_machine(2);
   std::vector<pmu::Activity> acts{{{"x", 1e6}}, {{"x", 2e6}}};
   auto res = collect(m, {"N"}, acts, reps(2));
-  EXPECT_NE(res.repetitions[0].values[0], res.repetitions[1].values[0]);
+  const auto r0 = res.measurements.row(0, 0);
+  const auto r1 = res.measurements.row(0, 1);
+  EXPECT_FALSE(std::equal(r0.begin(), r0.end(), r1.begin()));
 }
 
 TEST(Collector, UnknownEventThrows) {
@@ -201,12 +211,8 @@ TEST(Collector, ThreadedCollectionBitIdenticalToSerial) {
   for (int threads : {2, 4, 8}) {
     const auto parallel =
         collect(m, m.event_names(), acts, reps(4, threads));
-    ASSERT_EQ(parallel.repetitions.size(), serial.repetitions.size());
-    for (std::size_t rep = 0; rep < serial.repetitions.size(); ++rep) {
-      EXPECT_EQ(parallel.repetitions[rep].values,
-                serial.repetitions[rep].values)
-          << "threads=" << threads << " rep=" << rep;
-    }
+    EXPECT_EQ(parallel.measurements, serial.measurements)
+        << "threads=" << threads;
   }
 }
 
@@ -221,9 +227,81 @@ TEST(Collector, DeterministicEndToEnd) {
   std::vector<pmu::Activity> acts{{{"x", 5e5}}, {{"x", 1e6}}};
   auto r1 = collect(m, m.event_names(), acts, reps(3));
   auto r2 = collect(m, m.event_names(), acts, reps(3));
-  for (std::size_t rep = 0; rep < 3; ++rep) {
-    EXPECT_EQ(r1.repetitions[rep].values, r2.repetitions[rep].values);
+  EXPECT_EQ(r1.measurements, r2.measurements);
+}
+
+// --- the (event, repetition, slot) measurement tensor ------------------------
+
+/// A 3 x 2 x 4 tensor whose reading (e, r, k) is 100e + 10r + k.
+Measurements numbered_tensor() {
+  Measurements m(3, 2, 4);
+  for (std::size_t e = 0; e < m.size(); ++e) {
+    for (std::size_t r = 0; r < m.repetitions(); ++r) {
+      for (std::size_t k = 0; k < m.slots(); ++k) {
+        m.row(e, r)[k] = 100.0 * e + 10.0 * r + k;
+      }
+    }
   }
+  return m;
+}
+
+TEST(Measurements, RowsAndEventBlocksAddressOneRowMajorBlock) {
+  const Measurements m = numbered_tensor();
+  ASSERT_EQ(m.values().size(), 3u * 2u * 4u);
+  // (event, repetition, slot) row-major: the packed-SUBMIT order.
+  for (std::size_t i = 0; i < m.values().size(); ++i) {
+    const std::size_t e = i / 8, r = (i / 4) % 2, k = i % 4;
+    EXPECT_EQ(m.values()[i], 100.0 * e + 10.0 * r + k) << "index " << i;
+  }
+  const auto row = m.row(2, 1);
+  ASSERT_EQ(row.size(), 4u);
+  EXPECT_EQ(row.data(), m.values().data() + (2 * 2 + 1) * 4);
+  const auto block = m.event(1);
+  ASSERT_EQ(block.size(), 8u);
+  EXPECT_EQ(block.data(), m.values().data() + 8);
+  EXPECT_EQ(block[5], 111.0);  // repetition 1, slot 1
+}
+
+TEST(Measurements, AdoptsAValueBlockOnlyOfTheDeclaredShape) {
+  const Measurements m(2, 3, 2, std::vector<double>(12, 1.5));
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(m.repetitions(), 3u);
+  EXPECT_EQ(m.slots(), 2u);
+  EXPECT_THROW(Measurements(2, 3, 2, std::vector<double>(11)),
+               std::invalid_argument);
+  EXPECT_THROW(Measurements(2, 3, 2, std::vector<double>(13)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Measurements(0, 3, 2, {}));
+  // The literal form refuses ragged blocks.
+  EXPECT_THROW((Measurements{{{1.0, 2.0}}, {{1.0}}}), std::invalid_argument);
+  EXPECT_THROW((Measurements{{{1.0}}, {{1.0}, {2.0}}}),
+               std::invalid_argument);
+  EXPECT_EQ((Measurements{{{1.0, 2.0}, {3.0, 4.0}}}),
+            Measurements(1, 2, 2, {1.0, 2.0, 3.0, 4.0}));
+}
+
+TEST(Measurements, KeepEventsCompactsInOrder) {
+  Measurements none = numbered_tensor();
+  none.keep_events({1, 1, 1});
+  EXPECT_EQ(none, numbered_tensor());
+
+  Measurements some = numbered_tensor();
+  some.keep_events({1, 0, 1});
+  ASSERT_EQ(some.size(), 2u);
+  EXPECT_EQ(some.values().size(), 2u * 2u * 4u);
+  EXPECT_EQ(some.row(0, 1)[3], 13.0);   // event 0 stays first
+  EXPECT_EQ(some.row(1, 0)[0], 200.0);  // event 2 moves up
+  EXPECT_EQ(some.row(1, 1)[2], 212.0);
+
+  Measurements all = numbered_tensor();
+  all.keep_events({0, 0, 0});
+  EXPECT_EQ(all.size(), 0u);
+  EXPECT_TRUE(all.values().empty());
+  EXPECT_EQ(all.repetitions(), 2u);
+  EXPECT_EQ(all.slots(), 4u);
+
+  Measurements wrong = numbered_tensor();
+  EXPECT_THROW(wrong.keep_events({1, 1}), std::invalid_argument);
 }
 
 }  // namespace

@@ -437,13 +437,17 @@ int cmd_analyze(const Args& args) {
   core::PipelineResult result;
   std::string source;
   if (args.has("from")) {
-    const auto archive =
+    auto archive =
         core::load_archive(core::read_text_file(args.get("from", "")));
-    result = core::analyze_archive(archive, setup->signatures, options);
-    result.quarantined_events = archive.quarantined;
-    result.collection = archive.collection_report;
     source = "archive " + args.get("from", "") + " (" +
              archive.machine_name + ")";
+    std::vector<std::string> quarantined = std::move(archive.quarantined);
+    std::optional<vpapi::CollectionReport> report =
+        std::move(archive.collection_report);
+    result = core::analyze_archive(std::move(archive), setup->signatures,
+                                   options);
+    result.quarantined_events = std::move(quarantined);
+    result.collection = std::move(report);
   } else {
     result = core::run_campaign(*machine, setup->benchmark,
                                 setup->signatures, campaign.options)

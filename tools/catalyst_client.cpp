@@ -29,15 +29,19 @@
 // daemon to cut it off).  Exit 0 = every interaction matched the protocol;
 // any hang, crash, or protocol violation exits nonzero.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
+#include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/core.hpp"
@@ -125,6 +129,37 @@ class Connection {
   wire::FrameDecoder decoder_;
 };
 
+/// A command line the client refuses before connecting (exit 2).
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Parses `text` as an unsigned decimal no larger than `max`; `what` names
+/// the flag or argument in the refusal.
+std::uint64_t parse_count(const std::string& text, const std::string& what,
+                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value > max) {
+    throw UsageError(what + ": must be an integer in [0, " +
+                     std::to_string(max) + "], got '" + text + "'");
+  }
+  return value;
+}
+
+/// The numeric flags and their ranges, all checked by check_numeric_flags
+/// before any command connects.
+constexpr std::pair<const char*, std::uint64_t> kNumericFlags[] = {
+    {"trace-id", UINT64_MAX},
+    {"deadline-ms", UINT64_MAX / 1000000u},
+    {"interval-ms", INT32_MAX},
+    {"iterations", INT64_MAX},
+    {"clients", INT32_MAX},
+    {"requests", INT32_MAX},
+    {"dribble-ms", INT32_MAX},
+};
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
@@ -133,18 +168,39 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  long long get_ll(const std::string& key, long long fallback) const {
+  /// A flag of kNumericFlags; check_numeric_flags has validated it.
+  std::uint64_t get_count(const std::string& key,
+                          std::uint64_t fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stoll(it->second);
+    return it == options.end() ? fallback
+                               : parse_count(it->second, "--" + key,
+                                             UINT64_MAX);
+  }
+  void check_numeric_flags() const {
+    for (const auto& [flag, max] : kNumericFlags) {
+      if (has(flag)) parse_count(get(flag, ""), std::string("--") + flag, max);
+    }
+  }
+  /// Positional argument i as a request id.
+  std::uint64_t id(std::size_t i) const {
+    return parse_count(positional[i], "ID", UINT64_MAX);
   }
 };
+
+/// True when `token` reads as a number (so "-5" is a flag's value, not a
+/// flag).
+bool is_number(const char* token) {
+  char* end = nullptr;
+  std::strtod(token, &end);
+  return end != token && *end == '\0';
+}
 
 Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
+      if (i + 1 < argc && (argv[i + 1][0] != '-' || is_number(argv[i + 1]))) {
         args.options[a.substr(2)] = argv[++i];
       } else {
         args.options[a.substr(2)] = "";
@@ -179,12 +235,9 @@ wire::SubmitBody load_submission(const Args& args,
   if (path.empty()) throw std::runtime_error("--from ARCHIVE is required");
   const core::MeasurementArchive archive =
       core::load_archive(core::read_text_file(path));
-  const auto deadline_ms = args.get_ll("deadline-ms", 0);
-  const auto trace_id = args.get_ll("trace-id", 0);
   return service::packed_submit_from_archive(
-      archive, category,
-      static_cast<std::uint64_t>(deadline_ms) * 1000000ull,
-      static_cast<std::uint64_t>(trace_id));
+      archive, category, args.get_count("deadline-ms", 0) * 1000000ull,
+      args.get_count("trace-id", 0));
 }
 
 /// One STATS round trip on an open connection; returns the JSON document.
@@ -259,7 +312,7 @@ int cmd_submit(const Args& args, const std::string& socket_path) {
 
 int cmd_poll(const Args& args, const std::string& socket_path) {
   if (args.positional.size() < 2) return usage();
-  const auto id = static_cast<std::uint64_t>(std::stoull(args.positional[1]));
+  const std::uint64_t id = args.id(1);
   Connection conn(socket_path);
   conn.handshake();
   std::string payload;
@@ -295,7 +348,7 @@ int cmd_poll(const Args& args, const std::string& socket_path) {
 
 int cmd_cancel(const Args& args, const std::string& socket_path) {
   if (args.positional.size() < 2) return usage();
-  const auto id = static_cast<std::uint64_t>(std::stoull(args.positional[1]));
+  const std::uint64_t id = args.id(1);
   Connection conn(socket_path);
   conn.handshake();
   std::string payload;
@@ -325,7 +378,7 @@ int cmd_stats(const std::string& socket_path) {
 
 int cmd_trace(const Args& args, const std::string& socket_path) {
   if (args.positional.size() < 2) return usage();
-  const auto id = static_cast<std::uint64_t>(std::stoull(args.positional[1]));
+  const std::uint64_t id = args.id(1);
   Connection conn(socket_path);
   conn.handshake();
   std::string payload;
@@ -430,8 +483,11 @@ std::string format_ms(double ns) {
 }
 
 int cmd_top(const Args& args, const std::string& socket_path) {
-  const auto interval_ms = args.get_ll("interval-ms", 1000);
-  const auto iterations = args.get_ll("iterations", 0);  // 0 = forever.
+  const auto interval_ms =
+      static_cast<std::int64_t>(args.get_count("interval-ms", 1000));
+  // 0 iterations = forever.
+  const auto iterations =
+      static_cast<std::int64_t>(args.get_count("iterations", 0));
   const bool tty = ::isatty(STDOUT_FILENO) == 1;
 
   const std::string hist_name(obs::names::kServiceRequestNs);
@@ -452,7 +508,7 @@ int cmd_top(const Args& args, const std::string& socket_path) {
   conn.handshake();
   StatsSample prev = parse_stats(fetch_stats(conn), scalar_names, hist_name);
   auto prev_at = std::chrono::steady_clock::now();
-  for (long long i = 0; iterations == 0 || i < iterations; ++i) {
+  for (std::int64_t i = 0; iterations == 0 || i < iterations; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     const StatsSample now =
         parse_stats(fetch_stats(conn), scalar_names, hist_name);
@@ -642,13 +698,13 @@ bool soak_slow_loris(const std::string& socket_path, int dribble_ms) {
 }
 
 int cmd_soak(const Args& args, const std::string& socket_path) {
-  const int clients = static_cast<int>(args.get_ll("clients", 4));
-  const int requests = static_cast<int>(args.get_ll("requests", 8));
+  const int clients = static_cast<int>(args.get_count("clients", 4));
+  const int requests = static_cast<int>(args.get_count("requests", 8));
   const std::string category = args.get("category", "branch");
   const wire::SubmitBody body = load_submission(args, category);
   const bool with_garbage = args.has("garbage");
   const bool with_slow_loris = args.has("slow-loris");
-  const int dribble_ms = static_cast<int>(args.get_ll("dribble-ms", 150));
+  const int dribble_ms = static_cast<int>(args.get_count("dribble-ms", 150));
 
   const std::size_t total = static_cast<std::size_t>(clients) +
                             (with_garbage ? 1 : 0) +
@@ -680,6 +736,7 @@ int main(int argc, char** argv) {
   if (args.positional.empty() || socket_path.empty()) return usage();
   const std::string& cmd = args.positional[0];
   try {
+    args.check_numeric_flags();
     if (cmd == "submit") return cmd_submit(args, socket_path);
     if (cmd == "poll") return cmd_poll(args, socket_path);
     if (cmd == "cancel") return cmd_cancel(args, socket_path);
@@ -687,6 +744,9 @@ int main(int argc, char** argv) {
     if (cmd == "trace") return cmd_trace(args, socket_path);
     if (cmd == "top") return cmd_top(args, socket_path);
     if (cmd == "soak") return cmd_soak(args, socket_path);
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
