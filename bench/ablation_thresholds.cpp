@@ -55,7 +55,7 @@ void sweep_projection(const std::string& which) {
     const auto result = bench::run_category(category);
     std::cout << "  thr=" << std::scientific << std::setprecision(0) << thr
               << std::defaultfloat << "  representable="
-              << std::setw(4) << result.projection.x_event_names.size()
+              << std::setw(4) << result.projection.representable.size()
               << "  selected=" << result.xhat_events.size() << "\n";
   }
 }

@@ -2,6 +2,7 @@
 // stage's artifacts (noise survivors, projection verdicts, QR selection,
 // metric solutions).  Usage:
 //   dump_pipeline [cpu_flops|gpu_flops|branch|dcache]
+#include <algorithm>
 #include <cstring>
 #include <iomanip>
 #include <iostream>
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
             << "\n";
   std::cout << "events total: " << res.all_event_names.size()
             << ", after noise filter: " << res.noise.kept.size()
-            << ", representable: " << res.projection.x_event_names.size()
+            << ", representable: " << res.projection.representable.size()
             << ", selected: " << res.xhat_events.size() << "\n\n";
 
   std::cout << "-- noise survivors --\n";
@@ -70,14 +71,20 @@ int main(int argc, char** argv) {
               << std::defaultfloat << "\n";
   }
   std::cout << "\n-- projection verdicts (survivors of noise) --\n";
-  for (const auto& rep : res.projection.representations) {
-    std::cout << std::left << std::setw(46) << rep.event_name << " be="
+  const auto& proj = res.projection;
+  for (std::size_t e = 0; e < res.noise.kept.size(); ++e) {
+    const auto col = static_cast<linalg::index_t>(e);
+    const bool keep = std::binary_search(proj.representable.begin(),
+                                         proj.representable.end(), col);
+    const auto xe = proj.xe.col(col);
+    std::cout << std::left << std::setw(46)
+              << res.all_event_names[res.noise.kept[e]] << " be="
               << std::scientific << std::setprecision(3)
-              << rep.backward_error << std::defaultfloat
-              << (rep.representable ? "  KEEP  xe=[" : "  drop  xe=[");
-    for (std::size_t i = 0; i < rep.xe.size(); ++i) {
-      std::cout << std::setprecision(3) << rep.xe[i]
-                << (i + 1 < rep.xe.size() ? "," : "");
+              << proj.backward_errors[e] << std::defaultfloat
+              << (keep ? "  KEEP  xe=[" : "  drop  xe=[");
+    for (std::size_t i = 0; i < xe.size(); ++i) {
+      std::cout << std::setprecision(3) << xe[i]
+                << (i + 1 < xe.size() ? "," : "");
     }
     std::cout << "]\n";
   }

@@ -30,9 +30,9 @@ void emit(const std::string& which, bool show_maxnorm) {
     std::cout << "\nClassic max-norm QRCP (Algorithm 1) would select, in "
                  "order:\n";
     for (linalg::index_t i = 0; i < classic.rank; ++i) {
-      const auto idx =
-          static_cast<std::size_t>(classic.selected[static_cast<std::size_t>(i)]);
-      std::cout << "  [" << i << "] " << result.projection.x_event_names[idx]
+      std::cout << "  [" << i << "] "
+                << result.x_event(
+                       classic.selected[static_cast<std::size_t>(i)])
                 << "\n";
     }
     std::cout << "(note the preference for large-norm aggregate columns over "

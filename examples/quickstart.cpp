@@ -38,7 +38,7 @@ int main() {
 
   std::cout << result.all_event_names.size() << " events measured -> "
             << result.noise.kept.size() << " after noise filtering -> "
-            << result.projection.x_event_names.size()
+            << result.projection.representable.size()
             << " representable in the basis -> " << result.xhat_events.size()
             << " independent events selected by the specialized QRCP\n\n";
 

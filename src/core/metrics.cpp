@@ -1,83 +1,80 @@
 #include "core/metrics.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "linalg/blas.hpp"
 #include "linalg/lstsq.hpp"
-#include "linalg/qr.hpp"
 
 namespace catalyst::core {
 
-MetricDefinition solve_metric(const linalg::Matrix& xhat,
-                              const std::vector<std::string>& event_names,
-                              const MetricSignature& signature,
-                              double fitness_threshold) {
-  if (static_cast<linalg::index_t>(event_names.size()) != xhat.cols()) {
-    throw std::invalid_argument("solve_metric: name/column count mismatch");
-  }
-  if (static_cast<linalg::index_t>(signature.coordinates.size()) !=
-      xhat.rows()) {
-    throw std::invalid_argument("solve_metric: signature/basis dim mismatch");
-  }
-  MetricDefinition def;
-  def.metric_name = signature.name;
-  const auto ls = linalg::lstsq(xhat, signature.coordinates);
-  def.backward_error = ls.backward_error;
-  def.composable = ls.backward_error <= fitness_threshold;
-  def.terms.reserve(event_names.size());
-  for (std::size_t i = 0; i < event_names.size(); ++i) {
-    def.terms.push_back({event_names[i], ls.x[i]});
-  }
-  def.coefficient_stderrs =
-      coefficient_stderr(xhat, ls.x, signature.coordinates);
-  return def;
-}
+namespace {
 
-std::vector<double> coefficient_stderr(const linalg::Matrix& xhat,
-                                       std::span<const double> y,
-                                       std::span<const double> s) {
-  const linalg::index_t m = xhat.rows();
-  const linalg::index_t n = xhat.cols();
-  if (static_cast<linalg::index_t>(y.size()) != n ||
-      static_cast<linalg::index_t>(s.size()) != m) {
-    throw std::invalid_argument("coefficient_stderr: shape mismatch");
-  }
-  std::vector<double> out(static_cast<std::size_t>(n), 0.0);
-  if (m <= n || n == 0) return out;  // no residual degrees of freedom
-
-  // sigma_hat^2 from the residual.
-  linalg::Vector r(s.begin(), s.end());
-  linalg::gemv(-1.0, xhat, y, 1.0, r);
-  const double rnorm = linalg::nrm2(r);
-  const double sigma2 = rnorm * rnorm / static_cast<double>(m - n);
-
-  // [(Xhat^T Xhat)^{-1}]_ii = ||R^{-T} e_i||^2 with R from QR(Xhat).
-  const linalg::QrFactorization qr(xhat);
+/// ||R^{-T} e_i|| = sqrt([(Xhat^T Xhat)^{-1}]_ii) for each column of the QR
+/// of Xhat; nullopt where R is singular at noise scale and the coefficient's
+/// variance is not identified.
+std::vector<std::optional<double>> inverse_gram_norms(
+    const linalg::QrFactorization& qr) {
+  const linalg::index_t n = qr.cols();
+  std::vector<std::optional<double>> out(static_cast<std::size_t>(n));
   for (linalg::index_t i = 0; i < n; ++i) {
     linalg::Vector e(static_cast<std::size_t>(n), 0.0);
     e[static_cast<std::size_t>(i)] = 1.0;
     try {
       linalg::trsv_upper_t(qr.packed(), e);
     } catch (const linalg::SingularError&) {
-      // Rank-deficient Xhat: the variance of this coefficient is not
-      // identified; report 0 rather than inventing a number.
       continue;
     }
-    const double norm = linalg::nrm2(e);
-    out[static_cast<std::size_t>(i)] = std::sqrt(sigma2) * norm;
+    out[static_cast<std::size_t>(i)] = linalg::nrm2(e);
   }
   return out;
 }
+
+}  // namespace
 
 std::vector<MetricDefinition> solve_metrics(
     const linalg::Matrix& xhat, const std::vector<std::string>& event_names,
     const std::vector<MetricSignature>& signatures,
     double fitness_threshold) {
-  std::vector<MetricDefinition> defs;
-  defs.reserve(signatures.size());
-  for (const auto& s : signatures) {
-    defs.push_back(solve_metric(xhat, event_names, s, fitness_threshold));
+  const linalg::index_t m = xhat.rows();
+  const linalg::index_t n = xhat.cols();
+  if (static_cast<linalg::index_t>(event_names.size()) != n) {
+    throw std::invalid_argument("solve_metrics: name/column count mismatch");
+  }
+  linalg::Matrix s(m, static_cast<linalg::index_t>(signatures.size()));
+  for (std::size_t j = 0; j < signatures.size(); ++j) {
+    if (static_cast<linalg::index_t>(signatures[j].coordinates.size()) != m) {
+      throw std::invalid_argument(
+          "solve_metrics: signature/basis dim mismatch");
+    }
+    s.set_col(static_cast<linalg::index_t>(j), signatures[j].coordinates);
+  }
+  const linalg::LstsqBlockResult ls = linalg::lstsq(xhat, s);
+  // Without residual degrees of freedom every standard error is zero.
+  const std::vector<std::optional<double>> norms =
+      m > n && n > 0 ? inverse_gram_norms(ls.qr)
+                     : std::vector<std::optional<double>>();
+
+  std::vector<MetricDefinition> defs(signatures.size());
+  for (std::size_t j = 0; j < signatures.size(); ++j) {
+    MetricDefinition& def = defs[j];
+    def.metric_name = signatures[j].name;
+    def.backward_error = ls.backward_errors[j];
+    def.composable = def.backward_error <= fitness_threshold;
+    def.terms.reserve(event_names.size());
+    for (std::size_t i = 0; i < event_names.size(); ++i) {
+      def.terms.push_back(
+          {event_names[i], ls.x(static_cast<linalg::index_t>(i),
+                                static_cast<linalg::index_t>(j))});
+    }
+    def.coefficient_stderrs.assign(event_names.size(), 0.0);
+    if (norms.empty()) continue;
+    const double rnorm = ls.residual_norms[j];
+    const double sigma2 = rnorm * rnorm / static_cast<double>(m - n);
+    for (std::size_t i = 0; i < norms.size(); ++i) {
+      if (norms[i]) def.coefficient_stderrs[i] = std::sqrt(sigma2) * *norms[i];
+    }
   }
   return defs;
 }

@@ -36,23 +36,16 @@ struct MetricDefinition {
   std::vector<double> coefficient_stderrs;
 };
 
-/// Standard errors of least-squares coefficients: sigma_hat^2 = ||r||^2 /
-/// (m - n), stderr_i = sigma_hat * sqrt([(Xhat^T Xhat)^{-1}]_ii), computed
-/// through the QR factor without forming the normal equations.  Returns
-/// zeros when m <= n.
-std::vector<double> coefficient_stderr(const linalg::Matrix& xhat,
-                                       std::span<const double> y,
-                                       std::span<const double> s);
-
-/// Solves Xhat * y = s for one signature.  `event_names` labels Xhat's
-/// columns.  A metric is flagged composable when its backward error is at
-/// most `fitness_threshold`.
-MetricDefinition solve_metric(const linalg::Matrix& xhat,
-                              const std::vector<std::string>& event_names,
-                              const MetricSignature& signature,
-                              double fitness_threshold = 1e-6);
-
-/// Solves every signature against the same Xhat.
+/// Solves Xhat * y = s for every signature as one block against a single
+/// QR of Xhat.  `event_names` labels Xhat's columns.  A metric is flagged
+/// composable when its backward error is at most `fitness_threshold`.
+///
+/// Standard errors: sigma_hat^2 = ||r||^2 / (m - n) and stderr_i =
+/// sigma_hat * sqrt([(Xhat^T Xhat)^{-1}]_ii) = sigma_hat * ||R^{-T} e_i||,
+/// through the QR factor without forming the normal equations.  The norms
+/// ||R^{-T} e_i|| do not depend on the signature and are computed once.
+/// All zeros when m <= n; zero for a coefficient whose variance is not
+/// identified (a singular R).
 std::vector<MetricDefinition> solve_metrics(
     const linalg::Matrix& xhat, const std::vector<std::string>& event_names,
     const std::vector<MetricSignature>& signatures,

@@ -62,8 +62,13 @@ NoiseFilterResult filter_noise(const std::vector<std::string>& event_names,
                       "filter_noise: negative tau");
   NoiseFilterResult result;
   const std::size_t ne = event_names.size();
+  const std::size_t n_slots = measurements.slots();
   const std::size_t n_reps = measurements.repetitions();
   result.variabilities.reserve(ne);
+  // The kept events' averages, one slots-long column each, written while
+  // the event's rows are still in cache.
+  std::vector<double> averaged;
+  averaged.reserve(ne * n_slots);
   for (std::size_t e = 0; e < ne; ++e) {
     const std::span<const double> block = measurements.event(e);
     EventVariability v;
@@ -74,17 +79,20 @@ NoiseFilterResult filter_noise(const std::vector<std::string>& event_names,
     if (!v.all_zero && v.max_rnmse <= tau) {
       // Average across repetitions (identical vectors average to themselves;
       // noisy-but-kept events get smoothed).
-      std::vector<double> avg(measurements.slots(), 0.0);
+      averaged.resize(averaged.size() + n_slots, 0.0);
+      const std::span<double> avg(averaged.end() - n_slots, averaged.end());
       for (std::size_t r = 0; r < n_reps; ++r) {
         const std::span<const double> rep = measurements.row(e, r);
-        for (std::size_t k = 0; k < avg.size(); ++k) avg[k] += rep[k];
+        for (std::size_t k = 0; k < n_slots; ++k) avg[k] += rep[k];
       }
       for (double& x : avg) x /= static_cast<double>(n_reps);
       result.kept.push_back(e);
-      result.averaged.push_back(std::move(avg));
     }
     result.variabilities.push_back(std::move(v));
   }
+  result.averaged = linalg::Matrix(
+      static_cast<linalg::index_t>(n_slots),
+      static_cast<linalg::index_t>(result.kept.size()), std::move(averaged));
   return result;
 }
 

@@ -4,7 +4,9 @@
 // root normalized mean-square error (max RNMSE, Eq. 4) over all pairs of
 // repetition vectors, then filters events whose variability exceeds a
 // threshold tau.  Events whose measurements are all zero in every
-// repetition are discarded as irrelevant (footnote 1 of the paper).
+// repetition are discarded as irrelevant (footnote 1 of the paper).  The
+// survivors' repetition averages come out as one slots x kept matrix, the
+// block the projection (core/normalize.hpp) solves against E in one call.
 #pragma once
 
 #include <cstddef>
@@ -38,9 +40,10 @@ struct NoiseFilterResult {
   /// Indices (into the input event order) of events kept: non-zero and
   /// with max RNMSE <= tau.
   std::vector<std::size_t> kept;
-  /// Averaged measurement vector across repetitions for each kept event
-  /// (parallel to `kept`).
-  std::vector<std::vector<double>> averaged;
+  /// Slots x kept: column i is event kept[i]'s measurement vector averaged
+  /// across repetitions -- the right-hand sides of the projection's one
+  /// block solve.
+  linalg::Matrix averaged;
 };
 
 /// Runs the Section IV analysis.

@@ -2,52 +2,42 @@
 //
 // Projects each surviving raw event's averaged measurement vector me onto
 // the benchmark's expectation basis by solving E * xe = me in the
-// least-squares sense.  Events whose backward error exceeds a threshold
-// cannot be expressed in the ideal-event coordinate system (e.g. a cycles
-// counter during the FLOPs benchmark) and are disregarded; the survivors'
-// xe vectors become the columns of the matrix X that feeds the specialized
+// least-squares sense -- one block solve for every event, against a single
+// QR of E.  Events whose backward error exceeds a threshold cannot be
+// expressed in the ideal-event coordinate system (e.g. a cycles counter
+// during the FLOPs benchmark) and are disregarded; the survivors' xe
+// vectors become the columns of the matrix X that feeds the specialized
 // QRCP (Section V).
 #pragma once
 
-#include <string>
 #include <vector>
 
-#include "linalg/lstsq.hpp"
 #include "linalg/matrix.hpp"
 
 namespace catalyst::core {
 
-/// One event's projection onto the expectation basis.
-struct EventRepresentation {
-  std::string event_name;
-  linalg::Vector xe;           ///< Coordinates in the expectation basis.
-  double backward_error = 0.0; ///< Eq. 5 fitness of E*xe = me.
-  bool representable = false;  ///< backward_error <= threshold.
-};
-
-/// Outcome of the normalization stage.
+/// Outcome of the normalization stage; column i of the input is event i.
 struct NormalizationResult {
-  /// Every event's projection (parallel to the input order), for reporting.
-  std::vector<EventRepresentation> representations;
-  /// The matrix X: one column per representable event, rows = basis dims.
+  /// Basis dims x events: column i is event i's coordinates xe in the
+  /// expectation basis.
+  linalg::Matrix xe;
+  /// Eq. 5 fitness of E * xe = me, one per event.
+  std::vector<double> backward_errors;
+  /// The events whose backward error is at most the threshold, ascending:
+  /// column j of `x` is event representable[j].
+  std::vector<linalg::index_t> representable;
+  /// The matrix X: xe's representable columns.
   linalg::Matrix x;
-  /// Column labels of `x` (names of the representable events).
-  std::vector<std::string> x_event_names;
 };
 
-/// Solves E * xe = me for every event and assembles X from the events whose
-/// backward error is at most `max_backward_error`.
+/// Solves E * xe = me for every column me of `measurements` and assembles X
+/// from the events whose backward error is at most `max_backward_error`.
 ///
-/// `expectation` is the slots x ideal-events basis matrix; each
-/// `measurements[e]` must have expectation.rows() entries (normalized
-/// per-iteration readings).
-///
-/// E is factored ONCE (linalg::LstsqSolver); every per-event solve is
-/// arithmetically identical to lstsq(expectation, me).
-NormalizationResult normalize_events(
-    const linalg::Matrix& expectation,
-    const std::vector<std::string>& event_names,
-    const std::vector<std::vector<double>>& measurements,
-    double max_backward_error);
+/// `expectation` is the slots x ideal-events basis matrix; `measurements`
+/// is slots x events (normalized per-iteration readings, one column per
+/// event).  Each column's solution is independent of the others.
+NormalizationResult normalize_events(const linalg::Matrix& expectation,
+                                     const linalg::Matrix& measurements,
+                                     double max_backward_error);
 
 }  // namespace catalyst::core

@@ -14,10 +14,16 @@ std::optional<std::vector<double>> PipelineResult::averaged_measurement(
     const std::string& event_name) const {
   for (std::size_t i = 0; i < noise.kept.size(); ++i) {
     if (noise.variabilities[noise.kept[i]].event_name == event_name) {
-      return noise.averaged[i];
+      return noise.averaged.col_copy(static_cast<linalg::index_t>(i));
     }
   }
   return std::nullopt;
+}
+
+const std::string& PipelineResult::x_event(linalg::index_t j) const {
+  const linalg::index_t kept_index =
+      projection.representable.at(static_cast<std::size_t>(j));
+  return all_event_names[noise.kept[static_cast<std::size_t>(kept_index)]];
 }
 
 PipelineResult run_pipeline(const pmu::Machine& machine,
@@ -113,21 +119,15 @@ PipelineResult analyze_measurements(
 
   // --- Stage 5: expectation-basis projection --------------------------------
   check_cancel();
-  std::vector<std::string> kept_names;
-  kept_names.reserve(result.noise.kept.size());
-  for (std::size_t idx : result.noise.kept) {
-    kept_names.push_back(result.all_event_names[idx]);
-  }
   {
     obs::Span span("stage.projection");
-    result.projection =
-        normalize_events(expectation, kept_names, result.noise.averaged,
-                         options.projection_max_error);
-    span.arg("expressible", result.projection.x_event_names.size());
+    result.projection = normalize_events(expectation, result.noise.averaged,
+                                         options.projection_max_error);
+    span.arg("expressible", result.projection.representable.size());
     record_stage(span, "projection");
   }
   obs::count(obs::names::kPipelineEventsProjected,
-             result.projection.x_event_names.size());
+             result.projection.representable.size());
 
   // --- Stage 6: specialized QRCP ---------------------------------------------
   check_cancel();
@@ -147,8 +147,7 @@ PipelineResult analyze_measurements(
     CATALYST_ENSURE(j >= 0 && j < result.projection.x.cols(),
                     "analyze_measurements: QRCP selected column out of "
                     "range");
-    result.xhat_events.push_back(
-        result.projection.x_event_names[static_cast<std::size_t>(j)]);
+    result.xhat_events.push_back(result.x_event(j));
   }
 
   obs::count(obs::names::kPipelineEventsSelected, result.xhat_events.size());

@@ -189,6 +189,9 @@ struct PipelineResult {
   /// noise filter (nullopt otherwise).  Used by the Fig. 3 benches.
   std::optional<std::vector<double>> averaged_measurement(
       const std::string& event_name) const;
+
+  /// Name of the event behind column j of projection.x.
+  const std::string& x_event(linalg::index_t j) const;
 };
 
 /// Runs the full pipeline: run_campaign() with default campaign options.

@@ -111,7 +111,7 @@ std::string format_markdown_report(const std::string& title,
      << "| measured | " << result.all_event_names.size() << " |\n"
      << "| after noise filter | " << result.noise.kept.size() << " |\n"
      << "| representable in basis | "
-     << result.projection.x_event_names.size() << " |\n"
+     << result.projection.representable.size() << " |\n"
      << "| selected by specialized QRCP | " << result.xhat_events.size()
      << " |\n\n";
 

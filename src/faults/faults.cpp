@@ -1,6 +1,7 @@
 #include "faults/faults.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -103,10 +104,25 @@ double unwrap_reading(int width_bits, double reading,
 
 namespace {
 
+/// The whole of `val` as a T, read with std::from_chars: std::stod/stoi
+/// throw bare "stod"/"stoi" messages and std::stoull wraps "-1" to
+/// 2^64 - 1.  Throws std::invalid_argument naming the key and the value.
+template <typename T>
+T parse_value(const std::string& key, const std::string& val) {
+  T value{};
+  const char* end = val.data() + val.size();
+  const auto [ptr, ec] = std::from_chars(val.data(), end, value);
+  if (val.empty() || ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("parse_fault_plan: bad value for '" + key +
+                                "': '" + val + "'");
+  }
+  return value;
+}
+
 /// Rates are probabilities; anything outside [0, 1] is a spec typo, not a
 /// plan -- reject it instead of silently clamping.
 double parse_rate(const std::string& key, const std::string& val) {
-  const double rate = std::stod(val);
+  const double rate = parse_value<double>(key, val);
   if (!(rate >= 0.0 && rate <= 1.0)) {
     throw std::invalid_argument("parse_fault_plan: rate '" + key +
                                 "' must be in [0, 1], got '" + val + "'");
@@ -140,34 +156,27 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     }
     const std::string key = token.substr(0, eq);
     const std::string val = token.substr(eq + 1);
-    try {
-      if (key == "seed") {
-        plan.seed = static_cast<std::uint64_t>(std::stoull(val));
-      } else if (key == "width") {
-        plan.counter_width_bits = std::stoi(val);
-      } else if (key == "wrap") {
-        plan.rates.wrap = parse_rate(key, val);
-      } else if (key == "stuck") {
-        plan.rates.stuck = parse_rate(key, val);
-      } else if (key == "drop") {
-        plan.rates.dropped_reading = parse_rate(key, val);
-      } else if (key == "spike") {
-        plan.rates.spike = parse_rate(key, val);
-      } else if (key == "add") {
-        plan.rates.add_event_busy = parse_rate(key, val);
-      } else if (key == "start") {
-        plan.rates.start_busy = parse_rate(key, val);
-      } else if (key == "plausible_max") {
-        plan.plausible_max = std::stod(val);
-      } else {
-        throw std::invalid_argument("parse_fault_plan: unknown key '" + key +
-                                    "'");
-      }
-    } catch (const std::invalid_argument&) {
-      throw;
-    } catch (const std::exception&) {
-      throw std::invalid_argument("parse_fault_plan: bad value for '" + key +
-                                  "': '" + val + "'");
+    if (key == "seed") {
+      plan.seed = parse_value<std::uint64_t>(key, val);
+    } else if (key == "width") {
+      plan.counter_width_bits = parse_value<int>(key, val);
+    } else if (key == "wrap") {
+      plan.rates.wrap = parse_rate(key, val);
+    } else if (key == "stuck") {
+      plan.rates.stuck = parse_rate(key, val);
+    } else if (key == "drop") {
+      plan.rates.dropped_reading = parse_rate(key, val);
+    } else if (key == "spike") {
+      plan.rates.spike = parse_rate(key, val);
+    } else if (key == "add") {
+      plan.rates.add_event_busy = parse_rate(key, val);
+    } else if (key == "start") {
+      plan.rates.start_busy = parse_rate(key, val);
+    } else if (key == "plausible_max") {
+      plan.plausible_max = parse_value<double>(key, val);
+    } else {
+      throw std::invalid_argument("parse_fault_plan: unknown key '" + key +
+                                  "'");
     }
   }
   return plan;

@@ -106,17 +106,6 @@ void gemv(double alpha, const Matrix& a, std::span<const double> x,
   }
 }
 
-void gemv_t(double alpha, const Matrix& a, std::span<const double> x,
-            double beta, std::span<double> y) {
-  CATALYST_REQUIRE_AS(static_cast<index_t>(x.size()) == a.rows() &&
-                          static_cast<index_t>(y.size()) == a.cols(),
-                      DimensionError, "gemv_t: shape mismatch");
-  for (index_t j = 0; j < a.cols(); ++j) {
-    y[static_cast<std::size_t>(j)] =
-        beta * y[static_cast<std::size_t>(j)] + alpha * dot(a.col(j), x);
-  }
-}
-
 Vector matvec(const Matrix& a, std::span<const double> x) {
   Vector y(static_cast<std::size_t>(a.rows()), 0.0);
   gemv(1.0, a, x, 0.0, y);
@@ -124,24 +113,13 @@ Vector matvec(const Matrix& a, std::span<const double> x) {
 }
 
 Vector matvec_t(const Matrix& a, std::span<const double> x) {
-  Vector y(static_cast<std::size_t>(a.cols()), 0.0);
-  gemv_t(1.0, a, x, 0.0, y);
-  return y;
-}
-
-void ger(double alpha, std::span<const double> x, std::span<const double> y,
-         Matrix& a) {
-  CATALYST_REQUIRE_AS(static_cast<index_t>(x.size()) == a.rows() &&
-                          static_cast<index_t>(y.size()) == a.cols(),
-                      DimensionError, "ger: shape mismatch");
+  CATALYST_REQUIRE_AS(static_cast<index_t>(x.size()) == a.rows(),
+                      DimensionError, "matvec_t: shape mismatch");
+  Vector y(static_cast<std::size_t>(a.cols()));
   for (index_t j = 0; j < a.cols(); ++j) {
-    const double ayj = alpha * y[static_cast<std::size_t>(j)];
-    if (ayj == 0.0) continue;
-    auto cj = a.col(j);
-    for (index_t i = 0; i < a.rows(); ++i) {
-      cj[static_cast<std::size_t>(i)] += ayj * x[static_cast<std::size_t>(i)];
-    }
+    y[static_cast<std::size_t>(j)] = dot(a.col(j), x);
   }
+  return y;
 }
 
 // ----- Level 3 --------------------------------------------------------------
@@ -181,44 +159,6 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
 }
 
 // ----- Triangular solves ------------------------------------------------------
-
-void trsv_upper(const Matrix& r, std::span<double> b) {
-  const auto n = static_cast<index_t>(b.size());
-  CATALYST_REQUIRE_AS(r.rows() >= n && r.cols() >= n, DimensionError,
-                      "trsv_upper: matrix smaller than rhs");
-  const double dtol = triangular_diag_tolerance(r, n);
-  for (index_t i = n - 1; i >= 0; --i) {
-    double s = b[static_cast<std::size_t>(i)];
-    for (index_t j = i + 1; j < n; ++j) {
-      s -= r(i, j) * b[static_cast<std::size_t>(j)];
-    }
-    const double d = r(i, i);
-    if (std::fabs(d) <= dtol) {
-      throw SingularError("trsv_upper: diagonal entry " + std::to_string(i) +
-                          " is at or below noise scale");
-    }
-    b[static_cast<std::size_t>(i)] = s / d;
-  }
-}
-
-void trsv_lower(const Matrix& l, std::span<double> b) {
-  const auto n = static_cast<index_t>(b.size());
-  CATALYST_REQUIRE_AS(l.rows() >= n && l.cols() >= n, DimensionError,
-                      "trsv_lower: matrix smaller than rhs");
-  const double dtol = triangular_diag_tolerance(l, n);
-  for (index_t i = 0; i < n; ++i) {
-    double s = b[static_cast<std::size_t>(i)];
-    for (index_t j = 0; j < i; ++j) {
-      s -= l(i, j) * b[static_cast<std::size_t>(j)];
-    }
-    const double d = l(i, i);
-    if (std::fabs(d) <= dtol) {
-      throw SingularError("trsv_lower: diagonal entry " + std::to_string(i) +
-                          " is at or below noise scale");
-    }
-    b[static_cast<std::size_t>(i)] = s / d;
-  }
-}
 
 void trsv_upper_t(const Matrix& r, std::span<double> b) {
   const auto n = static_cast<index_t>(b.size());

@@ -39,19 +39,11 @@ index_t iamax(std::span<const double> x) noexcept;
 void gemv(double alpha, const Matrix& a, std::span<const double> x,
           double beta, std::span<double> y);
 
-/// y = alpha * A^T * x + beta * y
-void gemv_t(double alpha, const Matrix& a, std::span<const double> x,
-            double beta, std::span<double> y);
-
 /// Convenience: returns A * x.
 Vector matvec(const Matrix& a, std::span<const double> x);
 
 /// Convenience: returns A^T * x.
 Vector matvec_t(const Matrix& a, std::span<const double> x);
-
-/// Rank-1 update A += alpha * x * y^T.
-void ger(double alpha, std::span<const double> x, std::span<const double> y,
-         Matrix& a);
 
 // ----- Level 3 ------------------------------------------------------------
 
@@ -68,17 +60,11 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b);
 
 // ----- Triangular solves ----------------------------------------------------
 
-/// Solves R * x = b in place (b becomes x) for upper-triangular R (uses the
-/// leading n x n block of `r`, where n = b.size()).  Throws SingularError on
-/// a diagonal entry at or below the noise scale n * eps * max_i |r(i, i)|
-/// (an exactly-zero test would accept diagonals that are pure rounding
-/// debris and amplify them into garbage solutions).
-void trsv_upper(const Matrix& r, std::span<double> b);
-
-/// Solves L * x = b in place for lower-triangular L.
-void trsv_lower(const Matrix& l, std::span<double> b);
-
-/// Solves R^T * x = b in place for upper-triangular R.
+/// Solves R^T * x = b in place (b becomes x) for upper-triangular R (uses
+/// the leading n x n block of `r`, where n = b.size()).  Throws
+/// SingularError on a diagonal entry at or below the noise scale
+/// n * eps * max_i |r(i, i)| (an exactly-zero test would accept diagonals
+/// that are pure rounding debris and amplify them into garbage solutions).
 void trsv_upper_t(const Matrix& r, std::span<double> b);
 
 // ----- Norms ----------------------------------------------------------------

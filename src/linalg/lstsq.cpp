@@ -11,12 +11,11 @@ namespace catalyst::linalg {
 
 namespace {
 
-// Solves R x = y for the leading k x k block of packed R, zeroing solution
-// components whose diagonal entry is below tol (basic solution).
-// Returns true if any component was zeroed.
-bool solve_upper_regularized(const Matrix& r, std::span<double> x,
+// Solves R x = y in place for the leading k x k block of packed R, setting
+// solution components whose diagonal entry is at or below tol to zero
+// (basic solution).
+void solve_upper_regularized(const Matrix& r, std::span<double> x,
                              double tol) {
-  bool deficient = false;
   const auto n = static_cast<index_t>(x.size());
   for (index_t i = n - 1; i >= 0; --i) {
     double s = x[static_cast<std::size_t>(i)];
@@ -24,146 +23,70 @@ bool solve_upper_regularized(const Matrix& r, std::span<double> x,
       s -= r(i, j) * x[static_cast<std::size_t>(j)];
     }
     const double d = r(i, i);
-    if (std::fabs(d) <= tol) {
-      x[static_cast<std::size_t>(i)] = 0.0;
-      deficient = true;
-    } else {
-      x[static_cast<std::size_t>(i)] = s / d;
-    }
+    x[static_cast<std::size_t>(i)] = std::fabs(d) <= tol ? 0.0 : s / d;
   }
-  return deficient;
 }
 
 }  // namespace
 
-LstsqResult lstsq(const Matrix& a, std::span<const double> b, double rcond) {
+LstsqBlockResult lstsq(const Matrix& a, const Matrix& b, double rcond) {
   CATALYST_REQUIRE_AS(a.rows() >= a.cols(), DimensionError,
-                      "lstsq: system is underdetermined; use lstsq_min_norm");
-  CATALYST_REQUIRE_AS(static_cast<index_t>(b.size()) == a.rows(),
-                      DimensionError, "lstsq: rhs length mismatch");
+                      "lstsq: system is underdetermined");
+  CATALYST_REQUIRE_AS(b.rows() == a.rows(), DimensionError,
+                      "lstsq: rhs length mismatch");
+  CATALYST_REQUIRE_AS(rcond >= 0.0, ArgumentError, "lstsq: negative rcond");
   CATALYST_ASSUME_FINITE_AS(a.data(), ArgumentError,
                             "lstsq: matrix has NaN/Inf entries");
-  CATALYST_ASSUME_FINITE_AS(b, ArgumentError,
+  CATALYST_ASSUME_FINITE_AS(b.data(), ArgumentError,
                             "lstsq: rhs has NaN/Inf entries");
-  LstsqResult out;
-  QrFactorization qr(a);
-  Vector y(b.begin(), b.end());
-  qr.apply_qt(y);
-
-  const auto& diag = qr.r_diagonal_abs();
+  const auto nrhs = static_cast<std::size_t>(b.cols());
+  LstsqBlockResult out{QrFactorization(a), Matrix(a.cols(), b.cols()),
+                       std::vector<double>(nrhs), std::vector<double>(nrhs)};
+  const auto& diag = out.qr.r_diagonal_abs();
   const double dmax =
       diag.empty() ? 0.0 : *std::max_element(diag.begin(), diag.end());
   const double tol = rcond * dmax;
+  out.rank_deficient = std::any_of(diag.begin(), diag.end(),
+                                   [tol](double d) { return d <= tol; });
+  const double anorm = norm_two_estimate(a);
 
-  out.x.assign(y.begin(), y.begin() + a.cols());
-  out.rank_deficient = solve_upper_regularized(qr.packed(), out.x, tol);
+  const auto n = static_cast<std::size_t>(a.cols());
+  Vector y(static_cast<std::size_t>(a.rows()));
+  Vector r(y.size());
+  for (index_t j = 0; j < b.cols(); ++j) {
+    const std::span<const double> bj = b.col(j);
+    const std::span<double> xj = out.x.col(j);
+    std::copy(bj.begin(), bj.end(), y.begin());
+    out.qr.apply_qt(y);
+    std::copy_n(y.begin(), n, xj.begin());
+    solve_upper_regularized(out.qr.packed(), xj, tol);
 
-  // Residual: recompute explicitly (robust even when rank deficient).
-  Vector r(b.begin(), b.end());
-  gemv(-1.0, a, out.x, 1.0, r);
-  out.residual_norm = nrm2(r);
-  out.backward_error = backward_error(a, out.x, b);
-  CATALYST_ENSURE(std::isfinite(out.residual_norm) &&
-                      out.residual_norm >= 0.0 &&
-                      std::isfinite(out.backward_error),
-                  "lstsq: non-finite residual or backward error");
-  if (audit::enabled() && !out.rank_deficient) {
-    audit::check_lstsq_optimal(a, out.x, b);
-  }
-  return out;
-}
-
-LstsqResult lstsq_min_norm(const Matrix& a, std::span<const double> b,
-                           double rcond) {
-  if (a.rows() >= a.cols()) {
-    return lstsq(a, b, rcond);
-  }
-  CATALYST_REQUIRE_AS(static_cast<index_t>(b.size()) == a.rows(),
-                      DimensionError, "lstsq_min_norm: rhs length mismatch");
-  LstsqResult out;
-  // A = (QR)^T with A^T = Q R  =>  x = Q R^{-T} b is the minimum-norm
-  // solution of A x = b.
-  QrFactorization qr(a.transposed());
-
-  const auto& diag = qr.r_diagonal_abs();
-  const double dmax =
-      diag.empty() ? 0.0 : *std::max_element(diag.begin(), diag.end());
-  const double tol = rcond * dmax;
-
-  // Solve R^T z = b with regularization for tiny diagonals.
-  Vector z(b.begin(), b.end());
-  const auto m = static_cast<index_t>(z.size());
-  for (index_t i = 0; i < m; ++i) {
-    double s = z[static_cast<std::size_t>(i)];
-    for (index_t j = 0; j < i; ++j) {
-      s -= qr.packed()(j, i) * z[static_cast<std::size_t>(j)];
+    // Residual: recompute explicitly (robust even when rank deficient).
+    std::copy(bj.begin(), bj.end(), r.begin());
+    gemv(-1.0, a, xj, 1.0, r);
+    const double rnorm = nrm2(r);
+    // backward_error()'s arithmetic, with ||A||_2 estimated once.
+    const double denom = anorm * nrm2(xj) + nrm2(bj);
+    const double berr =
+        denom == 0.0 ? (rnorm == 0.0 ? 0.0 : 1.0) : rnorm / denom;
+    CATALYST_ENSURE(std::isfinite(rnorm) && rnorm >= 0.0 &&
+                        std::isfinite(berr),
+                    "lstsq: non-finite residual or backward error");
+    if (audit::enabled() && !out.rank_deficient) {
+      audit::check_lstsq_optimal(a, xj, bj);
     }
-    const double d = qr.packed()(i, i);
-    if (std::fabs(d) <= tol) {
-      z[static_cast<std::size_t>(i)] = 0.0;
-      out.rank_deficient = true;
-    } else {
-      z[static_cast<std::size_t>(i)] = s / d;
-    }
+    out.residual_norms[static_cast<std::size_t>(j)] = rnorm;
+    out.backward_errors[static_cast<std::size_t>(j)] = berr;
   }
-  // x = Q z (pad z to full length and apply Q).
-  Vector x(static_cast<std::size_t>(a.cols()), 0.0);
-  std::copy(z.begin(), z.end(), x.begin());
-  qr.apply_q(x);
-  out.x = std::move(x);
-
-  Vector r(b.begin(), b.end());
-  gemv(-1.0, a, out.x, 1.0, r);
-  out.residual_norm = nrm2(r);
-  out.backward_error = backward_error(a, out.x, b);
-  CATALYST_ENSURE(std::isfinite(out.residual_norm) &&
-                      std::isfinite(out.backward_error),
-                  "lstsq_min_norm: non-finite residual or backward error");
   return out;
 }
 
-LstsqSolver::LstsqSolver(Matrix a, double rcond) : a_(std::move(a)), qr_(a_) {
-  CATALYST_REQUIRE_AS(a_.rows() >= a_.cols(), DimensionError,
-                      "LstsqSolver: system is underdetermined");
-  CATALYST_REQUIRE_AS(rcond >= 0.0, ArgumentError,
-                      "LstsqSolver: negative rcond");
-  CATALYST_ASSUME_FINITE_AS(a_.data(), ArgumentError,
-                            "LstsqSolver: matrix has NaN/Inf entries");
-  const auto& diag = qr_.r_diagonal_abs();
-  const double dmax =
-      diag.empty() ? 0.0 : *std::max_element(diag.begin(), diag.end());
-  tol_ = rcond * dmax;
-  anorm_ = norm_two_estimate(a_);
-}
-
-LstsqResult LstsqSolver::solve(std::span<const double> b) const {
-  CATALYST_REQUIRE_AS(static_cast<index_t>(b.size()) == a_.rows(),
-                      DimensionError, "LstsqSolver: rhs length mismatch");
-  CATALYST_ASSUME_FINITE_AS(b, ArgumentError,
-                            "LstsqSolver: rhs has NaN/Inf entries");
-  LstsqResult out;
-  Vector y(b.begin(), b.end());
-  qr_.apply_qt(y);
-  out.x.assign(y.begin(), y.begin() + a_.cols());
-  out.rank_deficient = solve_upper_regularized(qr_.packed(), out.x, tol_);
-
-  Vector r(b.begin(), b.end());
-  gemv(-1.0, a_, out.x, 1.0, r);
-  out.residual_norm = nrm2(r);
-  // Same arithmetic as backward_error(), with the ||A||_2 estimate cached
-  // (it is a deterministic function of A, so the value is identical).
-  const double denom = anorm_ * nrm2(out.x) + nrm2(b);
-  out.backward_error =
-      denom == 0.0 ? (out.residual_norm == 0.0 ? 0.0 : 1.0)
-                   : out.residual_norm / denom;
-  CATALYST_ENSURE(std::isfinite(out.residual_norm) &&
-                      out.residual_norm >= 0.0 &&
-                      std::isfinite(out.backward_error),
-                  "LstsqSolver: non-finite residual or backward error");
-  if (audit::enabled() && !out.rank_deficient) {
-    audit::check_lstsq_optimal(a_, out.x, b);
-  }
-  return out;
+LstsqResult lstsq(const Matrix& a, std::span<const double> b, double rcond) {
+  Matrix column(static_cast<index_t>(b.size()), 1);
+  column.set_col(0, b);
+  LstsqBlockResult block = lstsq(a, column, rcond);
+  return {block.x.col_copy(0), block.residual_norms[0],
+          block.backward_errors[0], block.rank_deficient};
 }
 
 double backward_error(const Matrix& a, std::span<const double> y,

@@ -1,21 +1,39 @@
-// catalyst/linalg -- least-squares solvers and the paper's backward error.
+// catalyst/linalg -- the least-squares solve and the paper's backward error.
 //
-// The analysis pipeline solves two kinds of systems:
-//   1. E * xe = me  -- project a raw-event measurement onto the expectation
-//      basis (Section III-B of the paper); E is tall (kernels x ideal
-//      events) and well conditioned by construction.
-//   2. Xhat * y = s -- compose a metric signature from the QR-selected
-//      events (Section VI); Xhat is square or tall.
-// Both are solved through Householder QR.  Fitness is reported with the
-// backward error of Eq. 5:  ||A y - s|| / (||A|| * ||y|| + ||s||).
+// The analysis pipeline solves two kinds of systems, each for a block of
+// right-hand sides against one matrix:
+//   1. E * xe = me  -- project every noise-filtered event's averaged
+//      measurement onto the expectation basis (Section III-B of the paper);
+//      E is tall (kernels x ideal events) and well conditioned by
+//      construction, and the block holds one column per event.
+//   2. Xhat * y = s -- compose every metric signature from the QR-selected
+//      events (Section VI); Xhat is square or tall, and the block holds one
+//      column per signature.
+// Both go through one Householder QR of the matrix, like LAPACK's dgels with
+// several right-hand sides.  Fitness is reported with the backward error of
+// Eq. 5:  ||A y - s|| / (||A|| * ||y|| + ||s||).
 #pragma once
+
+#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
 
 namespace catalyst::linalg {
 
-/// Outcome of a least-squares solve.
+/// Outcome of a block least-squares solve: entry j of every per-column
+/// field belongs to column j of the right-hand side.
+struct LstsqBlockResult {
+  QrFactorization qr;                   ///< The one factorization of A.
+  Matrix x;                             ///< Solutions, A.cols() x B.cols().
+  std::vector<double> residual_norms;   ///< ||A x_j - b_j||_2.
+  std::vector<double> backward_errors;  ///< Eq. 5 fitness of each column.
+  /// True if a tiny R diagonal was regularized.  It depends on A alone, so
+  /// it holds for every column.
+  bool rank_deficient = false;
+};
+
+/// Outcome of a one-vector least-squares solve.
 struct LstsqResult {
   Vector x;                    ///< Solution (length = A.cols()).
   double residual_norm = 0.0;  ///< ||A x - b||_2.
@@ -23,43 +41,22 @@ struct LstsqResult {
   bool rank_deficient = false; ///< True if a tiny R diagonal was regularized.
 };
 
-/// Solves min_x ||A x - b||_2 for a square or tall A via Householder QR.
+/// Solves min_x ||A x_j - b_j||_2 for every column b_j of B, for a square or
+/// tall A.  A is factored once (Householder QR, the rank tolerance and the
+/// ||A||_2 estimate); each column then costs one Q^T application, one
+/// back-substitution and one residual, and its result does not depend on
+/// the other columns.
 ///
 /// Rank handling: diagonal entries of R with magnitude below
 /// `rcond * max_i |R(i,i)|` are treated as zero; the corresponding solution
 /// components are set to zero (a basic rather than minimum-norm solution,
 /// which matches how the paper's pipeline interprets "this event
 /// contributes nothing").
+LstsqBlockResult lstsq(const Matrix& a, const Matrix& b, double rcond = 1e-12);
+
+/// The one-column case of the block solve.
 LstsqResult lstsq(const Matrix& a, std::span<const double> b,
                   double rcond = 1e-12);
-
-/// Minimum-norm solution of an underdetermined system A x = b (m < n),
-/// via QR of A^T:  x = Q (R^T)^{-1} b.
-LstsqResult lstsq_min_norm(const Matrix& a, std::span<const double> b,
-                           double rcond = 1e-12);
-
-/// Prefactored least-squares solver: factors A once and solves many
-/// right-hand sides against it.  Each solve() is arithmetically IDENTICAL
-/// to lstsq(a, b, rcond): the QR factorization and the ||A||_2 power-
-/// iteration estimate are deterministic functions of A alone, so hoisting
-/// them out of the per-rhs loop changes nothing but time.  This is what the
-/// pipeline's projection stage uses -- one expectation matrix E, one solve
-/// per measured event.  solve() is const and safe to call concurrently.
-class LstsqSolver {
- public:
-  explicit LstsqSolver(Matrix a, double rcond = 1e-12);
-
-  LstsqResult solve(std::span<const double> b) const;
-
-  index_t rows() const noexcept { return a_.rows(); }
-  index_t cols() const noexcept { return a_.cols(); }
-
- private:
-  Matrix a_;            // the system matrix (kept for residual/audit)
-  QrFactorization qr_;  // factored once
-  double tol_ = 0.0;    // rcond * max |R(i,i)|
-  double anorm_ = 0.0;  // cached norm_two_estimate(a_)
-};
 
 /// The paper's Eq. 5: ||A y - s||_2 / (||A||_2 * ||y||_2 + ||s||_2).
 /// ||A||_2 is estimated with power iteration (see norm_two_estimate).

@@ -29,6 +29,15 @@ Matrix::Matrix(index_t rows, index_t cols, double fill)
                fill);
 }
 
+Matrix::Matrix(index_t rows, index_t cols, std::vector<double> data)
+    : rows_(rows), cols_(cols), data_(std::move(data)) {
+  CATALYST_REQUIRE_AS(rows >= 0 && cols >= 0, ArgumentError,
+                      "Matrix: negative dimension");
+  CATALYST_REQUIRE_AS(data_.size() == static_cast<std::size_t>(rows) *
+                                          static_cast<std::size_t>(cols),
+                      DimensionError, "Matrix: storage size != rows * cols");
+}
+
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   rows_ = static_cast<index_t>(rows.size());
   cols_ = rows_ == 0 ? 0 : static_cast<index_t>(rows.begin()->size());
@@ -61,29 +70,9 @@ Matrix Matrix::from_columns(const std::vector<Vector>& columns) {
   return m;
 }
 
-Matrix Matrix::from_rows(const std::vector<Vector>& rows) {
-  if (rows.empty()) return {};
-  const auto ncols = static_cast<index_t>(rows.front().size());
-  Matrix m(static_cast<index_t>(rows.size()), ncols);
-  for (index_t i = 0; i < m.rows_; ++i) {
-    const Vector& r = rows[static_cast<std::size_t>(i)];
-    if (static_cast<index_t>(r.size()) != ncols) {
-      throw DimensionError("from_rows: rows have differing lengths");
-    }
-    m.set_row(i, r);
-  }
-  return m;
-}
-
 Matrix Matrix::identity(index_t n) {
   Matrix m(n, n);
   for (index_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::column_vector(const Vector& v) {
-  Matrix m(static_cast<index_t>(v.size()), 1);
-  m.set_col(0, v);
   return m;
 }
 

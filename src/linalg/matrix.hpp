@@ -35,6 +35,10 @@ class Matrix {
   /// Creates a rows x cols matrix with every element set to `fill`.
   Matrix(index_t rows, index_t cols, double fill = 0.0);
 
+  /// Adopts `data` as the column-major storage of a rows x cols matrix.
+  /// Throws DimensionError unless data.size() == rows * cols.
+  Matrix(index_t rows, index_t cols, std::vector<double> data);
+
   /// Creates a matrix from nested initializer lists, row by row:
   /// `Matrix{{1, 2}, {3, 4}}` is [[1,2],[3,4]].
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
@@ -42,14 +46,8 @@ class Matrix {
   /// Builds a matrix column-by-column.  Every column must have equal length.
   static Matrix from_columns(const std::vector<Vector>& columns);
 
-  /// Builds a matrix row-by-row.  Every row must have equal length.
-  static Matrix from_rows(const std::vector<Vector>& rows);
-
   /// The n x n identity.
   static Matrix identity(index_t n);
-
-  /// A matrix whose single column is `v`.
-  static Matrix column_vector(const Vector& v);
 
   index_t rows() const noexcept { return rows_; }
   index_t cols() const noexcept { return cols_; }

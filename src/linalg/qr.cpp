@@ -6,7 +6,6 @@
 
 #include "core/contract.hpp"
 #include "linalg/audit.hpp"
-#include "linalg/blas.hpp"
 #include "linalg/householder.hpp"
 
 namespace catalyst::linalg {
@@ -69,30 +68,6 @@ void QrFactorization::apply_qt(std::span<double> b) const {
     auto v = cj.subspan(static_cast<std::size_t>(j + 1));
     apply_reflector_vec(b, j, v, taus_[static_cast<std::size_t>(j)]);
   }
-}
-
-void QrFactorization::apply_q(std::span<double> b) const {
-  CATALYST_REQUIRE_AS(static_cast<index_t>(b.size()) == qr_.rows(),
-                      DimensionError, "apply_q: wrong vector length");
-  for (index_t j = reflectors() - 1; j >= 0; --j) {
-    auto cj = qr_.col(j);
-    auto v = cj.subspan(static_cast<std::size_t>(j + 1));
-    apply_reflector_vec(b, j, v, taus_[static_cast<std::size_t>(j)]);
-  }
-}
-
-Vector QrFactorization::solve(std::span<const double> b) const {
-  CATALYST_REQUIRE_AS(static_cast<index_t>(b.size()) == qr_.rows(),
-                      DimensionError,
-                      "QrFactorization::solve: wrong rhs length");
-  CATALYST_REQUIRE_AS(qr_.rows() >= qr_.cols(), DimensionError,
-                      "QrFactorization::solve: underdetermined system; use "
-                      "lstsq_min_norm instead");
-  Vector y(b.begin(), b.end());
-  apply_qt(y);
-  Vector x(y.begin(), y.begin() + qr_.cols());
-  trsv_upper(qr_, x);
-  return x;
 }
 
 void QrFactorization::cache_r_diagonal() {

@@ -35,14 +35,6 @@ class QrFactorization {
   /// Applies Q^T to a vector of length rows() in place.
   void apply_qt(std::span<double> b) const;
 
-  /// Applies Q to a vector of length rows() in place.
-  void apply_q(std::span<double> b) const;
-
-  /// Solves the least-squares problem min ||A x - b||_2 assuming A has full
-  /// column rank (throws SingularError if an R diagonal entry is exactly
-  /// zero).  `b` must have length rows(); the solution has length cols().
-  Vector solve(std::span<const double> b) const;
-
   /// |R(i,i)| for i in [0, reflectors()): used by callers for rank checks.
   /// Cached at construction -- calling this in a loop costs nothing.
   const std::vector<double>& r_diagonal_abs() const noexcept {

@@ -1,6 +1,7 @@
 #include "service/engine.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "core/io.hpp"
 #include "core/report.hpp"
@@ -44,8 +45,7 @@ EngineOutcome fail(wire::ErrorCode code, const std::string& message) {
 
 }  // namespace
 
-EngineOutcome run_analysis(SharedCatalog& catalog,
-                           const wire::SubmitBody& submit,
+EngineOutcome run_analysis(SharedCatalog& catalog, wire::SubmitBody& submit,
                            const core::CancelToken* cancel) {
   obs::Span span("service.analyze");
   span.arg("category", submit.category);
@@ -78,7 +78,7 @@ EngineOutcome run_analysis(SharedCatalog& catalog,
       result = core::analyze_measurements(
           setup->benchmark.basis.e, submit.event_names,
           vpapi::Measurements(submit.event_names.size(), submit.repetitions,
-                              submit.slots, submit.values),
+                              submit.slots, std::move(submit.values)),
           setup->signatures, options);
     }
     EngineOutcome out;

@@ -32,12 +32,13 @@ struct EngineOutcome {
   std::string message;       ///< !ok: bounded human-readable reason.
 };
 
-/// Runs one analysis.  `cancel` may be null; when set, the pipeline stages
-/// poll it and a cancel/deadline surfaces as ErrorCode::cancelled /
-/// deadline_exceeded.  Thread-safe: catalog entries are immutable shared
-/// state and everything else is request-local.
-EngineOutcome run_analysis(SharedCatalog& catalog,
-                           const wire::SubmitBody& submit,
+/// Runs one analysis.  A packed submission's value block is moved into the
+/// analysis, so `submit.values` is left empty; every other field keeps its
+/// value.  `cancel` may be null; when set, the pipeline stages poll it and a
+/// cancel/deadline surfaces as ErrorCode::cancelled / deadline_exceeded.
+/// Thread-safe: catalog entries are immutable shared state and everything
+/// else is request-local.
+EngineOutcome run_analysis(SharedCatalog& catalog, wire::SubmitBody& submit,
                            const core::CancelToken* cancel);
 
 /// The CLI-identical rendering of a finished pipeline run (exposed so the

@@ -337,6 +337,9 @@ void ServiceCore::execute(Request* request) {
     request->cancel.arm_deadline(options_.clock,
                                  options_.clock->now() + timeout);
   }
+  // The value block moves into the analysis: a running request is never
+  // re-encoded (checkpoint_queued_locked walks queue_ only), and finish()
+  // and poll() read only the body's trace id and category.
   EngineOutcome outcome =
       run_analysis(catalog_, request->body, &request->cancel);
   span.end();

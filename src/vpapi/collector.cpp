@@ -13,19 +13,6 @@
 
 namespace catalyst::vpapi {
 
-std::vector<std::vector<std::string>> schedule_groups(
-    const pmu::Machine& machine, const std::vector<std::string>& event_names) {
-  const std::size_t budget = machine.physical_counters();
-  std::vector<std::vector<std::string>> groups;
-  for (const auto& name : event_names) {
-    if (groups.empty() || groups.back().size() >= budget) {
-      groups.emplace_back();
-    }
-    groups.back().push_back(name);
-  }
-  return groups;
-}
-
 std::string to_string(EventDisposition d) {
   switch (d) {
     case EventDisposition::clean: return "clean";

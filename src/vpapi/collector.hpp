@@ -145,14 +145,6 @@ struct CollectionResult {
   SampleTrace trace;
 };
 
-/// Splits `event_names` into groups no larger than the machine's physical
-/// counter budget (simple greedy chunking, preserving order).  Kept as the
-/// constraint-blind reference scheduler; the driver uses the slot-mask-aware
-/// bin packer in vpapi/scheduler.hpp, which produces these exact groups
-/// whenever no event carries a slot constraint.
-std::vector<std::vector<std::string>> schedule_groups(
-    const pmu::Machine& machine, const std::vector<std::string>& event_names);
-
 /// The grouped collection driver, prepared for one (machine, events,
 /// activities) triple.  The machine must outlive the collector.
 class Collector {

@@ -4,7 +4,7 @@
 // the number of runs IS the cost model: total kernel executions =
 // runs x kernels x repetitions.  With no placement constraints the optimum
 // is trivially ceil(events / counters) and the naive in-order chunking
-// (schedule_groups) achieves it.  Real PMUs are not that uniform: some
+// achieves it.  Real PMUs are not that uniform: some
 // events are pinned to a fixed counter or a subset of the programmable
 // slots (pmu::EventDefinition::slot_mask).  A constraint-blind scheduler
 // then either produces an unprogrammable set or -- the next-fit baseline
@@ -52,9 +52,10 @@ struct EventSetSchedule {
 
 /// First-fit bin packing of `event_names` onto runs of the machine's
 /// physical counters, honouring each event's slot_mask.  Placement is in
-/// input order, so for fully unconstrained inputs the runs equal
-/// schedule_groups() exactly.  Throws std::invalid_argument on unknown
-/// event names (masks themselves are validated at build_machine time).
+/// input order, so for fully unconstrained inputs the runs are the naive
+/// in-order chunks of physical_counters() events.  Throws
+/// std::invalid_argument on unknown event names (masks themselves are
+/// validated at build_machine time).
 EventSetSchedule schedule_event_sets(
     const pmu::Machine& machine, const std::vector<std::string>& event_names);
 

@@ -7,7 +7,6 @@
 #include "core/normalize.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/random.hpp"
-#include "linalg/lstsq.hpp"
 #include "core/report.hpp"
 #include "core/signatures.hpp"
 
@@ -23,40 +22,43 @@ TEST(Normalize, ProjectsExactEventOntoBasis) {
       {0, 0, 0, 12},
   });
   // Raw event measuring "first ideal + 2 x second ideal".
-  std::vector<std::vector<double>> meas{{24, 48, 96, 24}};
-  auto res = normalize_events(e, {"EV"}, meas, 1e-6);
-  ASSERT_EQ(res.representations.size(), 1u);
-  EXPECT_TRUE(res.representations[0].representable);
-  EXPECT_NEAR(res.representations[0].xe[0], 1.0, 1e-10);
-  EXPECT_NEAR(res.representations[0].xe[1], 2.0, 1e-10);
-  EXPECT_EQ(res.x.cols(), 1);
-  EXPECT_EQ(res.x_event_names, std::vector<std::string>{"EV"});
+  const auto meas = linalg::Matrix::from_columns({{24, 48, 96, 24}});
+  auto res = normalize_events(e, meas, 1e-6);
+  ASSERT_EQ(res.backward_errors.size(), 1u);
+  EXPECT_EQ(res.representable, std::vector<linalg::index_t>{0});
+  EXPECT_NEAR(res.xe(0, 0), 1.0, 1e-10);
+  EXPECT_NEAR(res.xe(1, 0), 2.0, 1e-10);
+  EXPECT_EQ(res.x, res.xe);
 }
 
 TEST(Normalize, RejectsUnrepresentableEvent) {
   linalg::Matrix e = linalg::Matrix::from_columns({{24, 48, 96, 0}});
   // A constant vector is far from any multiple of (24,48,96,0).
-  std::vector<std::vector<double>> meas{{50, 50, 50, 50}};
-  auto res = normalize_events(e, {"CONST"}, meas, 1e-3);
-  EXPECT_FALSE(res.representations[0].representable);
+  const auto meas = linalg::Matrix::from_columns({{50, 50, 50, 50}});
+  auto res = normalize_events(e, meas, 1e-3);
+  EXPECT_TRUE(res.representable.empty());
   EXPECT_EQ(res.x.cols(), 0);
+  EXPECT_EQ(res.x.rows(), 1);
 }
 
 TEST(Normalize, ThresholdControlsAdmission) {
   linalg::Matrix e = linalg::Matrix::from_columns({{1, 0, 0}, {0, 1, 0}});
-  std::vector<std::vector<double>> meas{{1.0, 0.0, 0.05}};  // slight residual
-  auto strict = normalize_events(e, {"E"}, meas, 1e-6);
-  EXPECT_FALSE(strict.representations[0].representable);
-  auto lenient = normalize_events(e, {"E"}, meas, 0.1);
-  EXPECT_TRUE(lenient.representations[0].representable);
+  // The second event has a slight residual.
+  const auto meas =
+      linalg::Matrix::from_columns({{2.0, 1.0, 0.0}, {1.0, 0.0, 0.05}});
+  auto strict = normalize_events(e, meas, 1e-6);
+  EXPECT_EQ(strict.representable, std::vector<linalg::index_t>{0});
+  EXPECT_EQ(strict.x, strict.xe.select_columns(strict.representable));
+  auto lenient = normalize_events(e, meas, 0.1);
+  EXPECT_EQ(lenient.representable, (std::vector<linalg::index_t>{0, 1}));
+  EXPECT_EQ(lenient.x, lenient.xe);
 }
 
 TEST(Normalize, ValidatesArguments) {
   linalg::Matrix e(3, 2);
-  EXPECT_THROW(normalize_events(e, {"a"}, {}, 0.1), std::invalid_argument);
-  EXPECT_THROW(normalize_events(e, {"a"}, {{1, 2}}, 0.1),
+  EXPECT_THROW(normalize_events(e, linalg::Matrix(2, 1), 0.1),
                std::invalid_argument);
-  EXPECT_THROW(normalize_events(e, {"a"}, {{1, 2, 3}}, -0.1),
+  EXPECT_THROW(normalize_events(e, linalg::Matrix(3, 1), -0.1),
                std::invalid_argument);
 }
 
@@ -96,13 +98,21 @@ TEST(Signatures, TableIVRelations) {
   EXPECT_EQ(sigs[4].coordinates, (linalg::Vector{1, 0, -1, 0}));
 }
 
-// --- solve_metric ----------------------------------------------------------------
+// --- solve_metrics, one signature -------------------------------------------
+
+MetricDefinition solve_one(const linalg::Matrix& xhat,
+                           const std::vector<std::string>& names,
+                           const MetricSignature& signature) {
+  auto defs = solve_metrics(xhat, names, {signature});
+  EXPECT_EQ(defs.size(), 1u);
+  return defs.at(0);
+}
 
 TEST(SolveMetric, ExactCompositionHasTinyError) {
   // Xhat columns: two events, identity-aligned.
   linalg::Matrix xhat = linalg::Matrix::from_columns({{1, 0}, {0, 1}});
   MetricSignature s{"sum", {1, 1}};
-  auto def = solve_metric(xhat, {"E1", "E2"}, s);
+  auto def = solve_one(xhat, {"E1", "E2"}, s);
   EXPECT_TRUE(def.composable);
   EXPECT_NEAR(def.terms[0].coefficient, 1.0, 1e-12);
   EXPECT_NEAR(def.terms[1].coefficient, 1.0, 1e-12);
@@ -114,7 +124,7 @@ TEST(SolveMetric, ImpossibleMetricSaturatesErrorAtOne) {
   // Executed" in Table VII.
   linalg::Matrix xhat = linalg::Matrix::from_columns({{0, 1, 0}, {0, 0, 1}});
   MetricSignature s{"CE", {1, 0, 0}};
-  auto def = solve_metric(xhat, {"E1", "E2"}, s);
+  auto def = solve_one(xhat, {"E1", "E2"}, s);
   EXPECT_FALSE(def.composable);
   EXPECT_NEAR(def.backward_error, 1.0, 1e-10);
 }
@@ -124,7 +134,7 @@ TEST(SolveMetric, FmaStyleCompromiseGivesPoint8) {
   // least squares gives y = 0.8, the Table V pattern.
   linalg::Matrix xhat = linalg::Matrix::from_columns({{1, 2}});
   MetricSignature s{"FMA instrs", {0, 2}};
-  auto def = solve_metric(xhat, {"FP"}, s);
+  auto def = solve_one(xhat, {"FP"}, s);
   EXPECT_NEAR(def.terms[0].coefficient, 0.8, 1e-12);
   EXPECT_FALSE(def.composable);
   EXPECT_GT(def.backward_error, 0.1);
@@ -133,9 +143,10 @@ TEST(SolveMetric, FmaStyleCompromiseGivesPoint8) {
 TEST(SolveMetric, ValidatesShapes) {
   linalg::Matrix xhat(3, 2);
   MetricSignature s{"m", {1, 0, 0}};
-  EXPECT_THROW(solve_metric(xhat, {"only-one"}, s), std::invalid_argument);
+  EXPECT_THROW(solve_metrics(xhat, {"only-one"}, {s}), std::invalid_argument);
   MetricSignature bad{"m", {1, 0}};
-  EXPECT_THROW(solve_metric(xhat, {"a", "b"}, bad), std::invalid_argument);
+  EXPECT_THROW(solve_metrics(xhat, {"a", "b"}, {s, bad}),
+               std::invalid_argument);
 }
 
 TEST(SolveMetrics, SolvesAllSignatures) {
@@ -153,7 +164,7 @@ TEST(CoefficientStderr, ZeroForExactOverdeterminedFit) {
   linalg::Matrix xhat = linalg::Matrix::from_columns({{1, 0, 1}, {0, 1, 1}});
   linalg::Vector y{2.0, 3.0};
   linalg::Vector s = linalg::matvec(xhat, y);
-  const auto se = coefficient_stderr(xhat, y, s);
+  const auto se = solve_one(xhat, {"A", "B"}, {"m", s}).coefficient_stderrs;
   ASSERT_EQ(se.size(), 2u);
   EXPECT_NEAR(se[0], 0.0, 1e-12);
   EXPECT_NEAR(se[1], 0.0, 1e-12);
@@ -161,9 +172,9 @@ TEST(CoefficientStderr, ZeroForExactOverdeterminedFit) {
 
 TEST(CoefficientStderr, ZeroWhenNoResidualDegreesOfFreedom) {
   linalg::Matrix xhat = linalg::Matrix::identity(3);
-  linalg::Vector y{1, 2, 3};
   linalg::Vector s{1, 2, 3.5};
-  const auto se = coefficient_stderr(xhat, y, s);
+  const auto se =
+      solve_one(xhat, {"A", "B", "C"}, {"m", s}).coefficient_stderrs;
   EXPECT_EQ(se, (std::vector<double>{0, 0, 0}));
 }
 
@@ -178,11 +189,12 @@ TEST(CoefficientStderr, ScalesWithResidualNoise) {
     for (std::size_t i = 0; i < s.size(); ++i) {
       s[i] += eps * ((i % 2 == 0) ? 1.0 : -1.0);
     }
-    const auto ls = linalg::lstsq(xhat, s);
-    return coefficient_stderr(xhat, ls.x, s);
+    return MetricSignature{"m", s};
   };
-  const auto se_small = perturbed(1e-3);
-  const auto se_big = perturbed(1e-1);
+  const auto defs = solve_metrics(xhat, {"A", "B", "C", "D"},
+                                  {perturbed(1e-3), perturbed(1e-1)});
+  const auto& se_small = defs[0].coefficient_stderrs;
+  const auto& se_big = defs[1].coefficient_stderrs;
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_GT(se_big[i], 10.0 * se_small[i]);
     EXPECT_NEAR(se_big[i] / se_small[i], 100.0, 1.0);
@@ -190,16 +202,18 @@ TEST(CoefficientStderr, ScalesWithResidualNoise) {
 }
 
 TEST(CoefficientStderr, ValidatesShapes) {
-  linalg::Matrix xhat(4, 2);
-  linalg::Vector y{1.0};
-  linalg::Vector s{1, 2, 3, 4};
-  EXPECT_THROW(coefficient_stderr(xhat, y, s), std::invalid_argument);
+  // One standard error per Xhat column; a label count that does not match
+  // the columns is refused before any is computed.
+  linalg::Matrix xhat = linalg::random_gaussian(4, 2, 5);
+  MetricSignature s{"m", {1, 2, 3, 4}};
+  EXPECT_EQ(solve_one(xhat, {"A", "B"}, s).coefficient_stderrs.size(), 2u);
+  EXPECT_THROW(solve_metrics(xhat, {"A"}, {s}), std::invalid_argument);
 }
 
 TEST(CoefficientStderr, AttachedToMetricDefinitions) {
   linalg::Matrix xhat = linalg::Matrix::from_columns({{1, 2, 0}, {0, 1, 1}});
   const auto def =
-      solve_metric(xhat, {"A", "B"}, MetricSignature{"m", {1, 2.1, 1}});
+      solve_one(xhat, {"A", "B"}, MetricSignature{"m", {1, 2.1, 1}});
   ASSERT_EQ(def.coefficient_stderrs.size(), 2u);
   EXPECT_GT(def.coefficient_stderrs[0], 0.0);  // inexact fit -> nonzero
 }

@@ -82,7 +82,8 @@ TEST(FilterNoise, SplitsCleanNoisyAndZero) {
   EXPECT_GT(res.variabilities[1].max_rnmse, 1e-2);
   EXPECT_TRUE(res.variabilities[2].all_zero);
   ASSERT_EQ(res.kept, (std::vector<std::size_t>{0}));
-  EXPECT_EQ(res.averaged[0], (std::vector<double>{10, 20}));
+  ASSERT_EQ(res.averaged.cols(), 1);
+  EXPECT_EQ(res.averaged.col_copy(0), (std::vector<double>{10, 20}));
 }
 
 TEST(FilterNoise, LenientTauKeepsNoisyEvents) {
@@ -92,8 +93,9 @@ TEST(FilterNoise, LenientTauKeepsNoisyEvents) {
   EXPECT_TRUE(strict.kept.empty());
   auto lenient = filter_noise(names, meas, 1e-1);
   ASSERT_EQ(lenient.kept.size(), 1u);
-  // Kept events carry the repetition average.
-  EXPECT_EQ(lenient.averaged[0], (std::vector<double>{10.5, 20.5}));
+  // Kept events carry the repetition average, one column each.
+  EXPECT_EQ(lenient.averaged.rows(), 2);
+  EXPECT_EQ(lenient.averaged.col_copy(0), (std::vector<double>{10.5, 20.5}));
 }
 
 TEST(FilterNoise, AllZeroDiscardedEvenWithZeroVariability) {

@@ -69,7 +69,8 @@ TEST(AuditChecks, QrFactorizationAuditsItself) {
   audit::EnabledGuard guard(true);
   audit::reset_counts();
   const QrFactorization qr(a);
-  EXPECT_NO_THROW(qr.solve(Vector(9, 1.0)));
+  Vector b(9, 1.0);
+  EXPECT_NO_THROW(qr.apply_qt(b));
   EXPECT_GE(audit::counts().orthogonality, 1u);
 }
 

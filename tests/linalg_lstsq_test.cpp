@@ -77,33 +77,6 @@ TEST(Lstsq, RhsLengthMismatchThrows) {
   EXPECT_THROW(lstsq(a, b), DimensionError);
 }
 
-TEST(LstsqMinNorm, SolvesUnderdeterminedExactly) {
-  Matrix a{{1, 0, 1}, {0, 1, 1}};  // 2x3
-  Vector b{2, 3};
-  auto res = lstsq_min_norm(a, b);
-  Vector check = matvec(a, res.x);
-  EXPECT_NEAR(check[0], 2.0, 1e-12);
-  EXPECT_NEAR(check[1], 3.0, 1e-12);
-}
-
-TEST(LstsqMinNorm, IsMinimumNormAmongSolutions) {
-  Matrix a{{1, 0, 1}, {0, 1, 1}};
-  Vector b{2, 3};
-  auto res = lstsq_min_norm(a, b);
-  // Any other solution x' = x + n with A n = 0 must be longer.  The null
-  // space here is spanned by (1, 1, -1).
-  Vector null{1, 1, -1};
-  EXPECT_NEAR(dot(res.x, null), 0.0, 1e-11);
-}
-
-TEST(LstsqMinNorm, FallsBackToLstsqForTall) {
-  Matrix a{{1, 0}, {0, 1}, {1, 1}};
-  Vector b{1, 1, 2};
-  auto res = lstsq_min_norm(a, b);
-  EXPECT_NEAR(res.x[0], 1.0, 1e-12);
-  EXPECT_NEAR(res.x[1], 1.0, 1e-12);
-}
-
 TEST(BackwardError, ZeroForExactSolve) {
   Matrix a{{1, 2}, {3, 4}};
   Vector y{1, 1};

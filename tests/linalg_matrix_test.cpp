@@ -63,14 +63,15 @@ TEST(Matrix, FromColumnsAndColCopy) {
   EXPECT_EQ(m.col_copy(1), (Vector{4, 5, 6}));
 }
 
-TEST(Matrix, FromColumnsRejectsRagged) {
-  EXPECT_THROW(Matrix::from_columns({{1, 2}, {3}}), DimensionError);
+TEST(Matrix, AdoptsColumnMajorStorageOfTheDeclaredShape) {
+  const Matrix m(2, 3, std::vector<double>{1, 2, 3, 4, 5, 6});
+  EXPECT_EQ(m, (Matrix{{1, 3, 5}, {2, 4, 6}}));
+  EXPECT_THROW(Matrix(2, 2, std::vector<double>{1, 2, 3}), DimensionError);
+  EXPECT_EQ(Matrix(4, 0, std::vector<double>{}).rows(), 4);
 }
 
-TEST(Matrix, FromRowsMatchesInitializerList) {
-  Matrix a = Matrix::from_rows({{1, 2}, {3, 4}});
-  Matrix b{{1, 2}, {3, 4}};
-  EXPECT_EQ(a, b);
+TEST(Matrix, FromColumnsRejectsRagged) {
+  EXPECT_THROW(Matrix::from_columns({{1, 2}, {3}}), DimensionError);
 }
 
 TEST(Matrix, Identity) {
@@ -188,13 +189,6 @@ TEST(Matrix, StreamOutputIsNonEmpty) {
   os << m;
   EXPECT_NE(os.str().find("1"), std::string::npos);
   EXPECT_NE(os.str().find("4"), std::string::npos);
-}
-
-TEST(Matrix, ColumnVector) {
-  Matrix v = Matrix::column_vector({1, 2, 3});
-  EXPECT_EQ(v.rows(), 3);
-  EXPECT_EQ(v.cols(), 1);
-  EXPECT_EQ(v(2, 0), 3);
 }
 
 }  // namespace

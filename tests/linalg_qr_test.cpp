@@ -8,6 +8,7 @@
 
 #include "linalg/blas.hpp"
 #include "linalg/householder.hpp"
+#include "linalg/lstsq.hpp"
 #include "linalg/random.hpp"
 
 namespace catalyst::linalg {
@@ -85,12 +86,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(64, 1, 8)));
 
 TEST(Qr, ApplyQtThenQIsIdentity) {
-  Matrix a = random_gaussian(9, 5, 11);
+  // For a square A, q_thin() is all of Q: Q (Q^T b) = b.
+  Matrix a = random_gaussian(9, 9, 11);
   QrFactorization qr(a);
   Vector b{1, 2, 3, 4, 5, 6, 7, 8, 9};
   Vector b0 = b;
   qr.apply_qt(b);
-  qr.apply_q(b);
+  b = matvec(qr.q_thin(), b);
   for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(b[i], b0[i], 1e-12);
 }
 
@@ -104,35 +106,42 @@ TEST(Qr, ApplyQtPreservesNorm) {
   EXPECT_NEAR(nrm2(b), n0, 1e-12);
 }
 
+// The solves below go through the block least-squares solve, the one
+// consumer of the factorization's Q^T and R.
+
 TEST(Qr, SolveSquareSystem) {
   Matrix a{{2, 1}, {1, 3}};
-  Vector b{5, 10};
-  Vector x = QrFactorization(a).solve(b);
-  Vector check = matvec(a, x);
-  EXPECT_NEAR(check[0], 5.0, 1e-12);
-  EXPECT_NEAR(check[1], 10.0, 1e-12);
+  Matrix b{{5, 1}, {10, 0}};  // two right-hand sides
+  const Matrix x = lstsq(a, b).x;
+  const Matrix check = matmul(a, x);
+  EXPECT_NEAR(check(0, 0), 5.0, 1e-12);
+  EXPECT_NEAR(check(1, 0), 10.0, 1e-12);
+  EXPECT_NEAR(check(0, 1), 1.0, 1e-12);
+  EXPECT_NEAR(check(1, 1), 0.0, 1e-12);
 }
 
 TEST(Qr, SolveTallSystemGivesLeastSquares) {
   // Overdetermined consistent system must be solved exactly.
   Matrix a{{1, 0}, {0, 1}, {1, 1}};
   Vector xtrue{2, -1};
-  Vector b = matvec(a, xtrue);
-  Vector x = QrFactorization(a).solve(b);
-  EXPECT_NEAR(x[0], 2.0, 1e-12);
-  EXPECT_NEAR(x[1], -1.0, 1e-12);
+  Matrix b(3, 1);
+  b.set_col(0, matvec(a, xtrue));
+  const auto res = lstsq(a, b);
+  EXPECT_NEAR(res.x(0, 0), 2.0, 1e-12);
+  EXPECT_NEAR(res.x(1, 0), -1.0, 1e-12);
+  EXPECT_NEAR(res.residual_norms[0], 0.0, 1e-12);
 }
 
 TEST(Qr, SolveUnderdeterminedThrows) {
   Matrix a(2, 4);
-  Vector b{1, 2};
-  EXPECT_THROW(QrFactorization(a).solve(b), DimensionError);
+  Matrix b(2, 3);
+  EXPECT_THROW(lstsq(a, b), DimensionError);
 }
 
 TEST(Qr, SolveWrongRhsLengthThrows) {
   Matrix a(3, 2);
-  Vector b{1, 2};
-  EXPECT_THROW(QrFactorization(a).solve(b), DimensionError);
+  Matrix b(2, 3);
+  EXPECT_THROW(lstsq(a, b), DimensionError);
 }
 
 TEST(Qr, RDiagonalAbsOfIdentity) {

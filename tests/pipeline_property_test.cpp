@@ -53,10 +53,10 @@ class PipelineInvariants : public ::testing::TestWithParam<Combo> {
 TEST_P(PipelineInvariants, StagesOnlyShrinkTheEventSet) {
   const auto result = run();
   EXPECT_LE(result.noise.kept.size(), result.all_event_names.size());
-  EXPECT_LE(result.projection.x_event_names.size(),
+  EXPECT_LE(result.projection.representable.size(),
             result.noise.kept.size());
   EXPECT_LE(result.xhat_events.size(),
-            result.projection.x_event_names.size());
+            result.projection.representable.size());
 }
 
 TEST_P(PipelineInvariants, SelectionBoundedByBasisDimension) {

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "vpapi/collector.hpp"
 #include "vpapi/scheduler.hpp"
 
 namespace catalyst::vpapi {
@@ -70,17 +69,21 @@ void check_invariants(const pmu::Machine& machine,
 }
 
 TEST(Scheduler, UnconstrainedEqualsNaiveChunking) {
-  // No masks: first-fit in input order degenerates to schedule_groups()
-  // exactly -- same groups, same order -- which is what keeps counting-mode
-  // run ids (and so the paper tables) byte-stable.
+  // No masks: first-fit in input order degenerates to the naive in-order
+  // chunking exactly -- same groups, same order -- which is what keeps
+  // counting-mode run ids (and so the paper tables) byte-stable.
   const auto m = masked_machine(3, std::vector<std::uint64_t>(8, 0));
   const auto names = all_names(8);
   const auto schedule = schedule_event_sets(m, names);
   check_invariants(m, names, schedule);
-  const auto groups = schedule_groups(m, names);
+  const std::vector<std::vector<std::string>> groups{
+      {"M0", "M1", "M2"}, {"M3", "M4", "M5"}, {"M6", "M7"}};
+  const std::vector<std::vector<std::size_t>> slots{
+      {0, 1, 2}, {0, 1, 2}, {0, 1}};
   ASSERT_EQ(schedule.runs.size(), groups.size());
   for (std::size_t r = 0; r < groups.size(); ++r) {
     EXPECT_EQ(schedule.runs[r].events, groups[r]);
+    EXPECT_EQ(schedule.runs[r].slots, slots[r]);
   }
   // ceil(8/3) = 3: unconstrained packing is optimal, baseline agrees.
   EXPECT_EQ(schedule.runs.size(), 3u);

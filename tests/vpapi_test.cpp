@@ -146,16 +146,16 @@ TEST(SessionTest, TwoSetsRunIndependently) {
 
 TEST(Scheduler, GroupsRespectCounterBudget) {
   auto m = tiny_machine(2);
-  auto groups = schedule_groups(m, {"A", "B", "C", "N", "Z"});
-  ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0].size(), 2u);
-  EXPECT_EQ(groups[1].size(), 2u);
-  EXPECT_EQ(groups[2].size(), 1u);
+  const auto schedule = schedule_event_sets(m, {"A", "B", "C", "N", "Z"});
+  ASSERT_EQ(schedule.runs.size(), 3u);
+  EXPECT_EQ(schedule.runs[0].events, (std::vector<std::string>{"A", "B"}));
+  EXPECT_EQ(schedule.runs[1].events, (std::vector<std::string>{"C", "N"}));
+  EXPECT_EQ(schedule.runs[2].events, (std::vector<std::string>{"Z"}));
 }
 
 TEST(Scheduler, EmptyListGivesNoGroups) {
   auto m = tiny_machine(2);
-  EXPECT_TRUE(schedule_groups(m, {}).empty());
+  EXPECT_TRUE(schedule_event_sets(m, {}).runs.empty());
 }
 
 TEST(Collector, CollectsAllEventsOverAllKernels) {

@@ -117,13 +117,16 @@ Args parse_args(int argc, char** argv) {
 /// --faults [SPEC]: "" / flag alone means the canonical mid-rate plan;
 /// otherwise the spec grammar of faults::parse_fault_plan ("off", "mid",
 /// "seed=...,drop=...,...").  Returns nullopt when the flag is absent or
-/// the plan parses to disabled.
+/// the plan parses to disabled; throws UsageError on a bad spec.
 std::optional<faults::FaultPlan> fault_plan_from_args(const Args& args) {
   if (!args.has("faults")) return std::nullopt;
   const std::string spec = args.get("faults", "");
-  faults::FaultPlan plan =
-      spec.empty() ? faults::FaultPlan::mid_rate()
-                   : faults::parse_fault_plan(spec);
+  faults::FaultPlan plan = faults::FaultPlan::mid_rate();
+  try {
+    if (!spec.empty()) plan = faults::parse_fault_plan(spec);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(std::string("--faults: ") + e.what());
+  }
   if (!plan.enabled()) return std::nullopt;
   return plan;
 }
@@ -311,7 +314,7 @@ void write_trace_artifacts(const TraceArgs& t, const std::string& tool,
     m.funnel = {
         {"measured", result.all_event_names.size()},
         {"noise_kept", result.noise.kept.size()},
-        {"projected", result.projection.x_event_names.size()},
+        {"projected", result.projection.representable.size()},
         {"selected", result.xhat_events.size()},
         {"metrics", result.metrics.size()},
         {"quarantined", result.quarantined_events.size()},
@@ -466,7 +469,7 @@ int cmd_analyze(const Args& args) {
     std::cout << source << ", benchmark " << setup->benchmark.name << ": "
               << result.all_event_names.size() << " events -> "
               << result.noise.kept.size() << " after noise filter -> "
-              << result.projection.x_event_names.size()
+              << result.projection.representable.size()
               << " representable -> " << result.xhat_events.size()
               << " selected\n\n";
     if (result.collection.has_value()) {

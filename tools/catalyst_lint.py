@@ -95,6 +95,15 @@ Rules:
                     document or a substring scan for a key forks that
                     format.
 
+  unchecked-number-parse
+                    No std::sto* (stoi/stol/stoul/stoull/stod/...),
+                    std::ato* or bare atoi/atol/atof in src/ or tools/.  The
+                    sto* family throws bare "stoi"/"stod" messages that name
+                    neither the flag nor the value, accepts trailing junk
+                    ("3x" reads 3) and the unsigned ones wrap "-1" to
+                    2^64 - 1; ato* reports no error at all.  Parse with
+                    std::from_chars over the whole text and name the flag or
+                    key in the refusal.  bench/ is out of scope.
   -- lock discipline (the src/sync capability layer) --
 
   raw-sync-primitive
@@ -170,6 +179,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 # Trees the handwritten-json rule covers besides src/.
 JSON_CHECKED_TREES = (REPO_ROOT / "tools", REPO_ROOT / "bench")
+# Of those, the ones the unchecked-number-parse rule covers too.
+NUMBER_PARSE_CHECKED_PREFIXES = ("tools/",)
 TESTS = REPO_ROOT / "tests"
 SELFTEST_DIR = TESTS / "lint_selftest"
 
@@ -236,10 +247,9 @@ HANDWRITTEN_JSON_RE = re.compile(r'\\"[A-Za-z_][\w.\-]*\\"\s*:')
 # Maps source file -> function names whose definitions are checked.
 LINALG_PUBLIC_ENTRIES = {
     "src/linalg/blas.cpp": [
-        "gemv", "gemv_t", "ger", "gemm",
-        "trsv_upper", "trsv_lower", "trsv_upper_t",
+        "gemv", "matvec_t", "gemm", "trsv_upper_t",
     ],
-    "src/linalg/lstsq.cpp": ["lstsq", "lstsq_min_norm", "backward_error"],
+    "src/linalg/lstsq.cpp": ["lstsq", "backward_error"],
 }
 
 # Evidence that a function body validates its inputs: a contract macro or one
@@ -272,6 +282,7 @@ KNOWN_RULES = {
     "seed-echo-in-tests",
     "metric-name-literal",
     "handwritten-json",
+    "unchecked-number-parse",
     "raw-sync-primitive",
     "mutex-missing-guarded-by",
     "manual-lock-unlock",
@@ -496,6 +507,10 @@ METRIC_NAME_DEF_RE = re.compile(r'\bstring_view\s+k\w+\s*=\s*"([^"]*)"')
 # snake.case dotted identifier; a trailing '.' marks a dynamic-suffix prefix
 # (e.g. "collect.faults.").
 METRIC_NAME_OK_RE = re.compile(r"^[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)*\.?$")
+# std::stoi & co., std::atoi & co., and the bare C ato* calls.
+NUMBER_PARSE_RE = re.compile(
+    r"\bstd\s*::\s*(?:sto(?:i|l|ll|ul|ull|f|d|ld)|ato(?:i|l|ll|f))\s*\("
+    r"|(?<![\w.>])(?:::\s*)?ato(?:i|l|ll|f)\s*\(")
 
 
 def pass_rng(model: FileModel, findings: list[Finding]):
@@ -706,6 +721,14 @@ def pass_handwritten_json(model: FileModel, findings: list[Finding]):
                    "(read one with json::parse)")
 
 
+def pass_unchecked_number_parse(model: FileModel, findings: list[Finding]):
+    for lineno, line in enumerate(model.code_lines, 1):
+        if NUMBER_PARSE_RE.search(line):
+            report(model, findings, "unchecked-number-parse", lineno,
+                   "std::sto*/ato* number parse; read the whole text with "
+                   "std::from_chars and name the flag or key in the error")
+
+
 PER_FILE_PASSES = (
     pass_rng,
     pass_sleep,
@@ -715,6 +738,7 @@ PER_FILE_PASSES = (
     pass_clock_in_sampling,
     pass_metric_name_literal,
     pass_handwritten_json,
+    pass_unchecked_number_parse,
     pass_using_namespace,
     pass_pragma_once,
     pass_float_equality,
@@ -848,6 +872,8 @@ def lint_repo() -> list[Finding]:
     for tree in JSON_CHECKED_TREES:
         for model in load_models(tree):
             pass_handwritten_json(model, findings)
+            if model.rel.startswith(NUMBER_PARSE_CHECKED_PREFIXES):
+                pass_unchecked_number_parse(model, findings)
             pass_directive_audit(model, findings)
     pass_linalg_shape_contracts({m.rel: m for m in src_models}, findings)
     pass_seed_echo_in_tests(test_models, findings)

@@ -3,8 +3,8 @@
 //   catalyst_verify one --seed N [--noise L] [--orphan [--gamma G]]
 //                       [--verbose]
 //   catalyst_verify sweep --seeds N [--start S] [--noise L]
-//                       [--min-exact FRAC]
-//   catalyst_verify metamorphic --seed N [--noise L]
+//                       [--min-exact FRAC] [--orphan [--gamma G]]
+//   catalyst_verify metamorphic --seed N [--noise L] [--orphan [--gamma G]]
 //
 // `one` generates the synthetic model for a seed, runs the full analysis
 // pipeline, and judges every planted metric (exact / alternative /
@@ -16,11 +16,16 @@
 //
 // Exit codes: 0 recovered (exact/alternative only), 2 detectable
 // degradation, 3 silent wrongness or a broken metamorphic invariant,
-// 64 usage error.  Every failure line carries the seed and a one-line
-// reproduction command.
+// 64 usage error (a flag the command does not read or a malformed number,
+// named in the message).  Every failure line carries the seed and a
+// one-line reproduction command.
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,23 +35,67 @@ namespace {
 
 using namespace catalyst;
 
+/// Flags that never take a value: the token after one is the next argument.
+constexpr const char* kSwitches[] = {"orphan", "verbose"};
+
+/// The flags each command reads; any other flag is a usage error.
+std::vector<std::string> flags_of(const std::string& cmd) {
+  std::vector<std::string> flags = {"noise", "orphan", "gamma"};
+  if (cmd == "one") {
+    flags.insert(flags.end(), {"seed", "verbose"});
+  } else if (cmd == "sweep") {
+    flags.insert(flags.end(), {"seeds", "start", "min-exact"});
+  } else {
+    flags.push_back("seed");
+  }
+  return flags;
+}
+
+/// True when the whole of `text` is a T.  std::from_chars, not std::sto*:
+/// std::stoull reads "-1" as 2^64 - 1 and "3x" as 3.
+template <typename T>
+bool parse_whole(const std::string& text, T& value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+/// The parsed command line.  A malformed number throws
+/// std::invalid_argument naming the flag.
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
   bool has(const std::string& key) const { return options.count(key) > 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
   double get_double(const std::string& key, double fallback) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    double value = 0.0;
+    if (!parse_whole(it->second, value) || !std::isfinite(value)) {
+      throw std::invalid_argument("--" + key + ": expected a number, got '" +
+                                  it->second + "'");
+    }
+    return value;
   }
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback : std::stoull(it->second);
+    if (it == options.end()) return fallback;
+    std::uint64_t value = 0;
+    if (!parse_whole(it->second, value)) {
+      throw std::invalid_argument("--" + key +
+                                  ": must be an integer in [0, " +
+                                  std::to_string(UINT64_MAX) + "], got '" +
+                                  it->second + "'");
+    }
+    return value;
   }
 };
+
+/// True when the whole of `token` is a number: a negative one is a flag's
+/// value (refused by the flag's range), not the next flag.
+bool is_number(const std::string& token) {
+  double value = 0.0;
+  return parse_whole(token, value);
+}
 
 Args parse_args(int argc, char** argv) {
   Args args;
@@ -54,9 +103,13 @@ Args parse_args(int argc, char** argv) {
     std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
       const auto eq = a.find('=');
+      const bool is_switch =
+          std::find(std::begin(kSwitches), std::end(kSwitches), a.substr(2)) !=
+          std::end(kSwitches);
       if (eq != std::string::npos) {
         args.options[a.substr(2, eq - 2)] = a.substr(eq + 1);
-      } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+      } else if (!is_switch && i + 1 < argc &&
+                 (argv[i + 1][0] != '-' || is_number(argv[i + 1]))) {
         args.options[a.substr(2)] = argv[++i];
       } else {
         args.options[a.substr(2)] = "";
@@ -66,6 +119,22 @@ Args parse_args(int argc, char** argv) {
     }
   }
   return args;
+}
+
+/// Throws std::invalid_argument naming the first flag or argument `cmd`
+/// does not read.
+void check_args(const std::string& cmd, const Args& args) {
+  if (args.positional.size() > 1) {
+    throw std::invalid_argument("unexpected argument '" + args.positional[1] +
+                                "'");
+  }
+  const std::vector<std::string> known = flags_of(cmd);
+  for (const auto& option : args.options) {
+    if (std::find(known.begin(), known.end(), option.first) == known.end()) {
+      throw std::invalid_argument("--" + option.first + ": not a flag of '" +
+                                  cmd + "'");
+    }
+  }
 }
 
 modelgen::GeneratorSpec spec_from_args(const Args& args, std::uint64_t seed) {
@@ -171,7 +240,8 @@ int usage() {
                "  one         --seed N [--noise L] [--orphan [--gamma G]]\n"
                "  sweep       --seeds N [--start S] [--noise L] "
                "[--min-exact F]\n"
-               "  metamorphic --seed N [--noise L]\n";
+               "  metamorphic --seed N [--noise L]\n"
+               "  (sweep and metamorphic take --orphan [--gamma G] too)\n";
   return 64;
 }
 
@@ -182,10 +252,13 @@ int main(int argc, char** argv) {
   if (args.positional.empty()) return usage();
   try {
     const std::string& cmd = args.positional[0];
+    if (cmd != "one" && cmd != "sweep" && cmd != "metamorphic") {
+      return usage();
+    }
+    check_args(cmd, args);
     if (cmd == "one") return cmd_one(args);
     if (cmd == "sweep") return cmd_sweep(args);
-    if (cmd == "metamorphic") return cmd_metamorphic(args);
-    return usage();
+    return cmd_metamorphic(args);
   } catch (const std::exception& e) {
     std::cerr << "catalyst_verify: " << e.what() << "\n";
     return 64;

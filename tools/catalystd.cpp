@@ -7,6 +7,9 @@
 //             [--max-session-bytes N] [--max-frame-bytes N]
 //             [--max-sessions N] [--stats] [--flight-dump PATH]
 //
+// A malformed or out-of-range number, a missing value or an unknown flag
+// exits 2 with a message naming the flag, before the socket is bound.
+//
 // Speaks catalyst-wire-v1 (protocol version 2: STATS/TRACE telemetry
 // frames) over a Unix-domain socket (see src/service/wire.hpp).
 // SIGTERM/SIGINT trigger the graceful sequence: stop accepting, drain
@@ -27,8 +30,11 @@
 // ServiceCore worker loops.  All spawned through core::parallel_for -- the
 // one sanctioned thread-spawn point in the tree.
 #include <atomic>
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "core/io.hpp"
@@ -115,44 +121,72 @@ int usage() {
   return 2;
 }
 
+/// The whole of `text` as an integer in [lo, hi].  std::from_chars, not
+/// std::stoi: "abc" must not abort the daemon and "-1" must not wrap to
+/// 2^64 - 1.  Throws std::invalid_argument naming the flag.
+template <typename T>
+T parse_integer(const std::string& flag, const std::string& text, T lo, T hi) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end || value < lo ||
+      value > hi) {
+    throw std::invalid_argument(flag + ": must be an integer in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got '" + text + "'");
+  }
+  return value;
+}
+
+/// Fills `flags` from the command line.  Throws std::invalid_argument
+/// naming the flag on an unknown flag, a missing value or a number out of
+/// its range; returns false when --socket is missing.
 bool parse_flags(int argc, char** argv, Flags& flags) {
+  // Durations stay within what std::chrono::nanoseconds can hold.
+  constexpr long long kMaxMs = INT64_MAX / 1000000;
+  constexpr std::size_t kMaxCount = INT32_MAX;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (a == "--socket" && (v = value())) {
-      flags.socket_path = v;
-    } else if (a == "--checkpoint-dir" && (v = value())) {
-      flags.checkpoint_dir = v;
-    } else if (a == "--flight-dump" && (v = value())) {
-      flags.flight_dump_path = v;
-    } else if (a == "--workers" && (v = value())) {
-      flags.workers = std::stoi(v);
-    } else if (a == "--queue" && (v = value())) {
-      flags.queue = std::stoul(v);
-    } else if (a == "--max-inflight" && (v = value())) {
-      flags.max_inflight = std::stoul(v);
-    } else if (a == "--max-session-bytes" && (v = value())) {
-      flags.max_session_bytes = std::stoull(v);
-    } else if (a == "--max-frame-bytes" && (v = value())) {
-      flags.max_frame_bytes = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (a == "--max-sessions" && (v = value())) {
-      flags.max_sessions = std::stoul(v);
-    } else if (a == "--idle-timeout-ms" && (v = value())) {
-      flags.idle_timeout_ms = std::stoll(v);
-    } else if (a == "--partial-frame-timeout-ms" && (v = value())) {
-      flags.partial_frame_timeout_ms = std::stoll(v);
-    } else if (a == "--session-deadline-ms" && (v = value())) {
-      flags.session_deadline_ms = std::stoll(v);
-    } else if (a == "--analysis-timeout-ms" && (v = value())) {
-      flags.analysis_timeout_ms = std::stoll(v);
-    } else if (a == "--stats") {
+    if (a == "--stats") {
       flags.stats = true;
+      continue;
+    }
+    if (i + 1 >= argc) {
+      throw std::invalid_argument(a.rfind("--", 0) == 0
+                                      ? a + ": missing value"
+                                      : "unexpected argument '" + a + "'");
+    }
+    const std::string v = argv[++i];
+    if (a == "--socket") {
+      flags.socket_path = v;
+    } else if (a == "--checkpoint-dir") {
+      flags.checkpoint_dir = v;
+    } else if (a == "--flight-dump") {
+      flags.flight_dump_path = v;
+    } else if (a == "--workers") {
+      flags.workers = parse_integer(a, v, 1, 1024);
+    } else if (a == "--queue") {
+      flags.queue = parse_integer<std::size_t>(a, v, 1, kMaxCount);
+    } else if (a == "--max-inflight") {
+      flags.max_inflight = parse_integer<std::size_t>(a, v, 1, kMaxCount);
+    } else if (a == "--max-session-bytes") {
+      flags.max_session_bytes =
+          parse_integer<std::uint64_t>(a, v, 1, UINT64_MAX);
+    } else if (a == "--max-frame-bytes") {
+      flags.max_frame_bytes = parse_integer<std::uint32_t>(
+          a, v, 1, service::wire::kMaxPayloadBytes);
+    } else if (a == "--max-sessions") {
+      flags.max_sessions = parse_integer<std::size_t>(a, v, 1, kMaxCount);
+    } else if (a == "--idle-timeout-ms") {
+      flags.idle_timeout_ms = parse_integer(a, v, 0LL, kMaxMs);
+    } else if (a == "--partial-frame-timeout-ms") {
+      flags.partial_frame_timeout_ms = parse_integer(a, v, 0LL, kMaxMs);
+    } else if (a == "--session-deadline-ms") {
+      flags.session_deadline_ms = parse_integer(a, v, 0LL, kMaxMs);
+    } else if (a == "--analysis-timeout-ms") {
+      flags.analysis_timeout_ms = parse_integer(a, v, 0LL, kMaxMs);
     } else {
-      std::cerr << "unknown flag " << a << "\n";
-      return false;
+      throw std::invalid_argument(a + ": unknown flag");
     }
   }
   return !flags.socket_path.empty();
@@ -162,8 +196,12 @@ bool parse_flags(int argc, char** argv, Flags& flags) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!parse_flags(argc, argv, flags)) return usage();
-  if (flags.workers < 1) flags.workers = 1;
+  try {
+    if (!parse_flags(argc, argv, flags)) return usage();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "catalystd: error: " << e.what() << "\n";
+    return usage();
+  }
   // Live telemetry is part of the daemon's contract (STATS/TRACE frames,
   // flight recorder), so tracing is on unconditionally; --stats only adds
   // the exit-time summary on stderr.
