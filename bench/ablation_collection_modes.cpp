@@ -28,12 +28,12 @@
 // statistical estimate.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "json/json.hpp"
+#include "harness_common.hpp"
 #include "modelgen/modelgen.hpp"
 #include "vpapi/sampling.hpp"
 
@@ -115,8 +115,9 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      seeds = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc &&
+        catalyst::bench::parse_number(argv[i + 1], seeds)) {
+      ++i;
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {

@@ -1,62 +1,38 @@
 // Diagnostic tool: runs the full pipeline for one benchmark and dumps every
 // stage's artifacts (noise survivors, projection verdicts, QR selection,
 // metric solutions).  Usage:
-//   dump_pipeline [cpu_flops|gpu_flops|branch|dcache]
+//   dump_pipeline [cpu_flops|gpu_flops|branch|dcache|icache|gpu_dcache|
+//                  vesuvio_flops]
+// vesuvio_flops is the cpu_flops benchmark on the Vesuvio machine.
 #include <algorithm>
-#include <cstring>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 
-#include "cat/cat.hpp"
-#include "core/core.hpp"
-#include "pmu/pmu.hpp"
+#include "harness_common.hpp"
 
 using namespace catalyst;
 
 int main(int argc, char** argv) {
   const std::string which = argc > 1 ? argv[1] : "cpu_flops";
 
-  pmu::Machine machine = which == "gpu_flops"        ? pmu::tempest_gpu()
-                         : which == "vesuvio_flops" ? pmu::vesuvio_cpu()
-                                                     : pmu::saphira_cpu();
-  core::PipelineOptions opt;
-  cat::Benchmark bench;
-  std::vector<core::MetricSignature> sigs;
-  if (which == "cpu_flops" || which == "vesuvio_flops") {
-    bench = cat::cpu_flops_benchmark();
-    sigs = core::cpu_flops_signatures();
-  } else if (which == "gpu_flops") {
-    bench = cat::gpu_flops_benchmark();
-    sigs = core::gpu_flops_signatures();
-  } else if (which == "branch") {
-    bench = cat::branch_benchmark();
-    sigs = core::branch_signatures();
-  } else if (which == "icache") {
-    bench = cat::icache_benchmark();
-    sigs = core::icache_signatures();
-    opt.tau = 1e-1;
-    opt.alpha = 5e-2;
-    opt.projection_max_error = 1e-1;
-    opt.fitness_threshold = 5e-2;
-  } else if (which == "dcache") {
-    cat::DcacheOptions dopt;
-    dopt.threads = 3;
-    bench = cat::dcache_benchmark(dopt);
-    sigs = core::dcache_signatures();
-    opt.tau = 1e-1;
-    opt.alpha = 5e-2;
-    opt.projection_max_error = 1e-1;
-    opt.fitness_threshold = 5e-2;
-  } else {
+  const bool vesuvio = which == "vesuvio_flops";
+  std::optional<bench::Category> category;
+  try {
+    category.emplace(
+        bench::make_category(vesuvio ? std::string("cpu_flops") : which));
+  } catch (const std::invalid_argument&) {
     std::cerr << "unknown benchmark " << which << "\n";
     return 1;
   }
+  if (vesuvio) category->machine = pmu::vesuvio_cpu();
+  const auto res = bench::run_category(*category);
 
-  const auto res = core::run_pipeline(machine, bench, sigs, opt);
-
-  std::cout << "== " << bench.name << " on " << machine.name() << " ==\n";
+  std::cout << "== " << category->benchmark.name << " on "
+            << category->machine.name() << " ==\n";
   std::cout << "basis: "
-            << core::basis_verdict(core::diagnose_basis(bench.basis))
+            << core::basis_verdict(
+                   core::diagnose_basis(category->benchmark.basis))
             << "\n";
   std::cout << "events total: " << res.all_event_names.size()
             << ", after noise filter: " << res.noise.kept.size()

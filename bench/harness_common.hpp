@@ -1,17 +1,34 @@
 // Shared setup for the bench harness binaries: one canonical configuration
 // per benchmark category, matching the thresholds the paper reports
 // (tau = 1e-10 / alpha = 5e-4 for compute events; tau = 1e-1 / alpha = 5e-2
-// for the data cache).
+// for the data cache), and the one number parser their flags go through.
 #pragma once
 
+#include <charconv>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "cat/cat.hpp"
 #include "core/core.hpp"
 #include "pmu/pmu.hpp"
 
 namespace catalyst::bench {
+
+/// Reads all of `text` as one number with std::from_chars: no leading '+'
+/// or blank, no trailing junk, no "-1" wrapped into an unsigned.  Returns
+/// false and leaves `out` alone when the text is not exactly one number in
+/// T's range.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) return false;
+  out = value;
+  return true;
+}
 
 struct Category {
   std::string name;

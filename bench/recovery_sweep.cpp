@@ -12,10 +12,10 @@
 // the gamma table crosses the QRCP rounding tolerance at alpha/2 = 0.025.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "harness_common.hpp"
 #include "modelgen/modelgen.hpp"
 
 namespace {
@@ -54,8 +54,9 @@ void print_row(double knob, int seeds, const Census& c) {
 int main(int argc, char** argv) {
   int seeds = 40;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      seeds = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc &&
+        catalyst::bench::parse_number(argv[i + 1], seeds)) {
+      ++i;
     } else {
       std::fprintf(stderr, "usage: %s [--seeds N]\n", argv[0]);
       return 64;

@@ -2,10 +2,14 @@
 // with an ablation against classic max-norm pivoting (Algorithm 1).
 //
 // Usage: sec5_qrcp_events [category] [--pivot=maxnorm]
-//   category: cpu_flops|gpu_flops|branch|dcache (default: all)
+//   category: cpu_flops|gpu_flops|branch|dcache|icache|gpu_dcache
+//   (default: all)
 //   --pivot=maxnorm: additionally show what the classic rule would select,
 //   demonstrating the Section II failure mode (cycle-like columns first).
-#include <cstring>
+// Any other flag, a second category or an unknown one prints the usage
+// and exits 2.
+#include <algorithm>
+#include <array>
 #include <iostream>
 
 #include "harness_common.hpp"
@@ -13,6 +17,9 @@
 using namespace catalyst;
 
 namespace {
+
+constexpr std::array<const char*, 6> kCategories = {
+    "cpu_flops", "gpu_flops", "branch", "dcache", "icache", "gpu_dcache"};
 
 void emit(const std::string& which, bool show_maxnorm) {
   const auto category = bench::make_category(which);
@@ -47,18 +54,24 @@ int main(int argc, char** argv) {
   std::string which = "all";
   bool maxnorm = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--pivot=maxnorm") == 0) {
+    const std::string arg = argv[i];
+    const bool known_category =
+        std::find(kCategories.begin(), kCategories.end(), arg) !=
+        kCategories.end();
+    if (arg == "--pivot=maxnorm") {
       maxnorm = true;
+    } else if (known_category && which == "all") {
+      which = arg;
     } else {
-      which = argv[i];
+      std::cerr << "usage: sec5_qrcp_events [cpu_flops|gpu_flops|branch|"
+                   "dcache|icache|gpu_dcache] [--pivot=maxnorm]\n";
+      return 2;
     }
   }
   if (which != "all") {
     emit(which, maxnorm);
     return 0;
   }
-  for (const char* c : {"cpu_flops", "gpu_flops", "branch", "dcache", "icache", "gpu_dcache"}) {
-    emit(c, maxnorm);
-  }
+  for (const char* c : kCategories) emit(c, maxnorm);
   return 0;
 }

@@ -35,6 +35,7 @@
 #include "core/io.hpp"
 #include "core/parallel.hpp"
 #include "faults/faults.hpp"
+#include "harness_common.hpp"
 #include "json/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -64,14 +65,14 @@ bool parse(int argc, char** argv, Config& cfg) {
     const char* v = nullptr;
     if (a == "--category" && (v = value())) {
       cfg.category = v;
-    } else if (a == "--clients" && (v = value())) {
-      cfg.clients = std::stoi(v);
-    } else if (a == "--requests" && (v = value())) {
-      cfg.requests = std::stoi(v);
-    } else if (a == "--workers" && (v = value())) {
-      cfg.workers = std::stoi(v);
-    } else if (a == "--target" && (v = value())) {
-      cfg.target_rate = std::stod(v);
+    } else if (a == "--clients" && (v = value()) &&
+               bench::parse_number(v, cfg.clients)) {
+    } else if (a == "--requests" && (v = value()) &&
+               bench::parse_number(v, cfg.requests)) {
+    } else if (a == "--workers" && (v = value()) &&
+               bench::parse_number(v, cfg.workers)) {
+    } else if (a == "--target" && (v = value()) &&
+               bench::parse_number(v, cfg.target_rate)) {
     } else if (a == "--json-out" && (v = value())) {
       cfg.json_out = v;
     } else {

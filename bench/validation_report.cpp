@@ -38,7 +38,10 @@ int main(int argc, char** argv) {
   std::size_t workloads = 10;
   std::string which = "all";
   if (argc > 1) which = argv[1];
-  if (argc > 2) workloads = static_cast<std::size_t>(std::stoul(argv[2]));
+  if (argc > 3 || (argc > 2 && !bench::parse_number(argv[2], workloads))) {
+    std::cerr << "usage: validation_report [category] [num_workloads]\n";
+    return 2;
+  }
   if (which != "all") {
     emit(which, workloads);
     return 0;

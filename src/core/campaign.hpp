@@ -92,7 +92,7 @@ struct CheckpointOptions {
 };
 
 /// Everything a campaign needs beyond the machine + benchmark pair.
-/// `pipeline.collection_threads` sets the collection's worker threads.
+/// `pipeline.threads` sets the worker threads of collection and projection.
 struct CampaignOptions {
   PipelineOptions pipeline;
   /// Fault injection; nullptr (or a disabled plan) runs clean.  Only the

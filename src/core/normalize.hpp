@@ -35,9 +35,11 @@ struct NormalizationResult {
 ///
 /// `expectation` is the slots x ideal-events basis matrix; `measurements`
 /// is slots x events (normalized per-iteration readings, one column per
-/// event).  Each column's solution is independent of the others.
+/// event).  Each column's solution is independent of the others, so the
+/// solve runs on up to `threads` workers with bit-identical results.
 NormalizationResult normalize_events(const linalg::Matrix& expectation,
                                      const linalg::Matrix& measurements,
-                                     double max_backward_error);
+                                     double max_backward_error,
+                                     int threads = 1);
 
 }  // namespace catalyst::core

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/contract.hpp"
+#include "core/parallel.hpp"
 #include "linalg/audit.hpp"
 #include "linalg/blas.hpp"
 
@@ -29,7 +30,8 @@ void solve_upper_regularized(const Matrix& r, std::span<double> x,
 
 }  // namespace
 
-LstsqBlockResult lstsq(const Matrix& a, const Matrix& b, double rcond) {
+LstsqBlockResult lstsq(const Matrix& a, const Matrix& b, double rcond,
+                       int threads) {
   CATALYST_REQUIRE_AS(a.rows() >= a.cols(), DimensionError,
                       "lstsq: system is underdetermined");
   CATALYST_REQUIRE_AS(b.rows() == a.rows(), DimensionError,
@@ -50,34 +52,43 @@ LstsqBlockResult lstsq(const Matrix& a, const Matrix& b, double rcond) {
                                    [tol](double d) { return d <= tol; });
   const double anorm = norm_two_estimate(a);
 
+  // Every column's arithmetic reads only A's factorization, so the
+  // columns run in fixed chunks on the worker pool, each with its own
+  // scratch vectors, and X is the same bytes for any thread count.
   const auto n = static_cast<std::size_t>(a.cols());
-  Vector y(static_cast<std::size_t>(a.rows()));
-  Vector r(y.size());
-  for (index_t j = 0; j < b.cols(); ++j) {
-    const std::span<const double> bj = b.col(j);
-    const std::span<double> xj = out.x.col(j);
-    std::copy(bj.begin(), bj.end(), y.begin());
-    out.qr.apply_qt(y);
-    std::copy_n(y.begin(), n, xj.begin());
-    solve_upper_regularized(out.qr.packed(), xj, tol);
+  const auto chunks = static_cast<std::size_t>(
+      (b.cols() + kLstsqChunkColumns - 1) / kLstsqChunkColumns);
+  core::parallel_for(chunks, threads, [&](std::size_t chunk) {
+    const index_t first = static_cast<index_t>(chunk) * kLstsqChunkColumns;
+    const index_t last = std::min(b.cols(), first + kLstsqChunkColumns);
+    Vector y(static_cast<std::size_t>(a.rows()));
+    Vector r(y.size());
+    for (index_t j = first; j < last; ++j) {
+      const std::span<const double> bj = b.col(j);
+      const std::span<double> xj = out.x.col(j);
+      std::copy(bj.begin(), bj.end(), y.begin());
+      out.qr.apply_qt(y);
+      std::copy_n(y.begin(), n, xj.begin());
+      solve_upper_regularized(out.qr.packed(), xj, tol);
 
-    // Residual: recompute explicitly (robust even when rank deficient).
-    std::copy(bj.begin(), bj.end(), r.begin());
-    gemv(-1.0, a, xj, 1.0, r);
-    const double rnorm = nrm2(r);
-    // backward_error()'s arithmetic, with ||A||_2 estimated once.
-    const double denom = anorm * nrm2(xj) + nrm2(bj);
-    const double berr =
-        denom == 0.0 ? (rnorm == 0.0 ? 0.0 : 1.0) : rnorm / denom;
-    CATALYST_ENSURE(std::isfinite(rnorm) && rnorm >= 0.0 &&
-                        std::isfinite(berr),
-                    "lstsq: non-finite residual or backward error");
-    if (audit::enabled() && !out.rank_deficient) {
-      audit::check_lstsq_optimal(a, xj, bj);
+      // Residual: recompute explicitly (robust even when rank deficient).
+      std::copy(bj.begin(), bj.end(), r.begin());
+      gemv(-1.0, a, xj, 1.0, r);
+      const double rnorm = nrm2(r);
+      // backward_error()'s arithmetic, with ||A||_2 estimated once.
+      const double denom = anorm * nrm2(xj) + nrm2(bj);
+      const double berr =
+          denom == 0.0 ? (rnorm == 0.0 ? 0.0 : 1.0) : rnorm / denom;
+      CATALYST_ENSURE(std::isfinite(rnorm) && rnorm >= 0.0 &&
+                          std::isfinite(berr),
+                      "lstsq: non-finite residual or backward error");
+      if (audit::enabled() && !out.rank_deficient) {
+        audit::check_lstsq_optimal(a, xj, bj);
+      }
+      out.residual_norms[static_cast<std::size_t>(j)] = rnorm;
+      out.backward_errors[static_cast<std::size_t>(j)] = berr;
     }
-    out.residual_norms[static_cast<std::size_t>(j)] = rnorm;
-    out.backward_errors[static_cast<std::size_t>(j)] = berr;
-  }
+  });
   return out;
 }
 

@@ -215,12 +215,10 @@ GeneratedModel reseed_noise(const GeneratedModel& model,
   return transformed;
 }
 
-GeneratedModel with_collection_threads(const GeneratedModel& model,
-                                       int threads) {
-  CATALYST_REQUIRE(threads >= 1,
-                   "with_collection_threads: need at least one thread");
+GeneratedModel with_threads(const GeneratedModel& model, int threads) {
+  CATALYST_REQUIRE(threads >= 1, "with_threads: need at least one thread");
   GeneratedModel transformed = model;
-  transformed.options.collection_threads = threads;
+  transformed.options.threads = threads;
   return transformed;
 }
 

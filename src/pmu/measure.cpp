@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/contract.hpp"
+#include "core/parallel.hpp"
 
 namespace catalyst::pmu {
 
@@ -118,37 +119,40 @@ double measure_event(const Machine& machine, const EventDefinition& event,
                             kernel_index);
 }
 
-void IdealTable::fill_row(const Machine& machine,
-                          const std::vector<Activity>& activities,
-                          std::size_t event_index) {
-  const EventDefinition& event = machine.event(event_index);
-  std::vector<double>& row = rows_[event_index];
-  row.reserve(activities.size());
-  for (const Activity& act : activities) {
-    row.push_back(event.ideal(act));
-  }
-  present_[event_index] = 1;
+void IdealTable::fill(const Machine& machine,
+                      const std::vector<Activity>& activities,
+                      const std::vector<std::size_t>& listed, int threads) {
+  values_.resize(listed.size() * num_kernels_);
+  // Each row is a pure function of its event, written to its own slice of
+  // the one block, so the table is the same for any thread count.
+  core::parallel_for(listed.size(), threads, [&](std::size_t row) {
+    const EventDefinition& event = machine.event(listed[row]);
+    double* out = values_.data() + row * num_kernels_;
+    for (const Activity& act : activities) *out++ = event.ideal(act);
+  });
 }
 
 IdealTable::IdealTable(const Machine& machine,
                        const std::vector<Activity>& activities)
-    : rows_(machine.num_events()),
-      present_(machine.num_events(), 0),
-      num_kernels_(activities.size()) {
-  for (std::size_t e = 0; e < machine.num_events(); ++e) {
-    fill_row(machine, activities, e);
-  }
+    : row_of_(machine.num_events()), num_kernels_(activities.size()) {
+  for (std::size_t e = 0; e < row_of_.size(); ++e) row_of_[e] = e;
+  fill(machine, activities, row_of_, 1);
 }
 
 IdealTable::IdealTable(const Machine& machine,
                        const std::vector<Activity>& activities,
-                       const std::vector<std::size_t>& event_indices)
-    : rows_(machine.num_events()),
-      present_(machine.num_events(), 0),
-      num_kernels_(activities.size()) {
+                       const std::vector<std::size_t>& event_indices,
+                       int threads)
+    : row_of_(machine.num_events(), kNoRow), num_kernels_(activities.size()) {
+  std::vector<std::size_t> listed;
+  listed.reserve(event_indices.size());
   for (std::size_t e : event_indices) {
-    if (!present_[e]) fill_row(machine, activities, e);
+    if (row_of_.at(e) == kNoRow) {
+      row_of_[e] = listed.size();
+      listed.push_back(e);
+    }
   }
+  fill(machine, activities, listed, threads);
 }
 
 std::vector<double> measure_vector(const Machine& machine,

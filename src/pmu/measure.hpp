@@ -63,30 +63,35 @@ class IdealTable {
   /// Eagerly evaluates every event of the machine over `activities`.
   IdealTable(const Machine& machine, const std::vector<Activity>& activities);
 
-  /// Eagerly evaluates only the listed machine event indices; lookups for
+  /// Eagerly evaluates only the listed machine event indices, on up to
+  /// `threads` workers (the table is the same for any count); lookups for
   /// other events report !has() and callers fall back to evaluating fresh.
   IdealTable(const Machine& machine, const std::vector<Activity>& activities,
-             const std::vector<std::size_t>& event_indices);
+             const std::vector<std::size_t>& event_indices, int threads = 1);
 
   /// True when `event_index` has a precomputed row.
   bool has(std::size_t event_index) const noexcept {
-    return event_index < present_.size() && present_[event_index] != 0;
+    return event_index < row_of_.size() && row_of_[event_index] != kNoRow;
   }
 
   /// Precomputed ideal of event `event_index` over activities[kernel_index].
   /// Only valid when has(event_index) and kernel_index < num_kernels().
   double ideal(std::size_t event_index, std::size_t kernel_index) const {
-    return rows_[event_index][kernel_index];
+    return values_[row_of_[event_index] * num_kernels_ + kernel_index];
   }
 
   std::size_t num_kernels() const noexcept { return num_kernels_; }
 
  private:
-  void fill_row(const Machine& machine, const std::vector<Activity>& activities,
-                std::size_t event_index);
+  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
-  std::vector<std::vector<double>> rows_;  ///< [event][kernel], sparse rows.
-  std::vector<char> present_;              ///< Row computed?
+  /// Evaluates the listed events' rows into values_, on up to `threads`
+  /// workers; row_of_ must already map each of them to its row.
+  void fill(const Machine& machine, const std::vector<Activity>& activities,
+            const std::vector<std::size_t>& listed, int threads);
+
+  std::vector<std::size_t> row_of_;  ///< Machine event -> row, or kNoRow.
+  std::vector<double> values_;       ///< Rows x kernels, one block.
   std::size_t num_kernels_ = 0;
 };
 

@@ -57,6 +57,9 @@ EngineOutcome run_analysis(SharedCatalog& catalog, wire::SubmitBody& submit,
   }
   core::PipelineOptions options = setup->options;
   options.cancel = cancel;
+  // catalystd already runs one analysis per worker across requests, so an
+  // analysis stays on its worker's thread.
+  options.threads = 1;
 
   try {
     core::PipelineResult result;

@@ -375,7 +375,7 @@ void count_faults(const CollectionReport& report) {
 
 Collector::Collector(const pmu::Machine& machine,
                      std::vector<std::string> event_names,
-                     std::vector<pmu::Activity> activities)
+                     std::vector<pmu::Activity> activities, int threads)
     : machine_(&machine),
       events_(std::move(event_names)),
       activities_(std::move(activities)) {
@@ -402,7 +402,7 @@ Collector::Collector(const pmu::Machine& machine,
   // (event, kernel) table is evaluated once and shared by every unit of
   // every collect() call.  It is immutable from here on, so worker threads
   // read it without synchronization.
-  ideals_ = pmu::IdealTable(machine, activities_, indices);
+  ideals_ = pmu::IdealTable(machine, activities_, indices, threads);
 }
 
 CollectionResult Collector::collect(const CollectionPlan& plan) const {
@@ -523,7 +523,8 @@ CollectionResult collect(const pmu::Machine& machine,
                          const std::vector<std::string>& event_names,
                          const std::vector<pmu::Activity>& activities,
                          const CollectionPlan& plan) {
-  return Collector(machine, event_names, activities).collect(plan);
+  return Collector(machine, event_names, activities, plan.threads)
+      .collect(plan);
 }
 
 CollectionResult collect_multiplexed(

@@ -149,9 +149,11 @@ struct CollectionResult {
 /// activities) triple.  The machine must outlive the collector.
 class Collector {
  public:
-  /// Throws std::invalid_argument on unknown event names.
+  /// Builds the schedule and the ideal table, the table's rows on up to
+  /// `threads` workers.  Throws std::invalid_argument on unknown event
+  /// names.
   Collector(const pmu::Machine& machine, std::vector<std::string> event_names,
-            std::vector<pmu::Activity> activities);
+            std::vector<pmu::Activity> activities, int threads = 1);
 
   /// Measures every event over the kernel sequence, `plan.repetitions`
   /// times.  Each (repetition, scheduled run) pair is a distinct run with
@@ -184,8 +186,8 @@ class Collector {
   pmu::IdealTable ideals_;
 };
 
-/// One-shot convenience: Collector(machine, event_names, activities)
-/// .collect(plan).
+/// One-shot convenience: Collector(machine, event_names, activities,
+/// plan.threads).collect(plan).
 CollectionResult collect(const pmu::Machine& machine,
                          const std::vector<std::string>& event_names,
                          const std::vector<pmu::Activity>& activities,

@@ -82,10 +82,11 @@ TEST(ResilientPipeline, WorkerThreadsWriteTheSameTensor) {
   // four workers (the TSan build runs this) must give the serial bytes.
   const Rig s;
   const auto plan = faults::FaultPlan::mid_rate();
+  CampaignOptions one = faulty(plan);
+  one.pipeline.threads = 1;
   CampaignOptions threaded = faulty(plan);
-  threaded.pipeline.collection_threads = 4;
-  const auto serial =
-      run_campaign(s.machine, s.bench, s.signatures, faulty(plan));
+  threaded.pipeline.threads = 4;
+  const auto serial = run_campaign(s.machine, s.bench, s.signatures, one);
   const auto parallel =
       run_campaign(s.machine, s.bench, s.signatures, threaded);
   EXPECT_EQ(serial.result.measurements, parallel.result.measurements);

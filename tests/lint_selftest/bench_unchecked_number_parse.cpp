@@ -1,0 +1,18 @@
+// Fixture: bench/ programs parse their flags with bench::parse_number, not
+// the throwing or silent C/C++ helpers (linted as a bench/ file).
+#include <cstdlib>
+#include <string>
+
+int selftest_seeds(const char* text) {
+  return std::atoi(text);  // expect: unchecked-number-parse
+}
+
+int selftest_clients(const std::string& text) {
+  return std::stoi(text);  // expect: unchecked-number-parse
+}
+
+int selftest_clean(const char* text) {
+  int seeds = 0;
+  catalyst::bench::parse_number(text, seeds);  // clean
+  return seeds;
+}

@@ -1,8 +1,13 @@
-// Fixture: std::thread constructed outside core/parallel.hpp.
-// expect: raw-thread-spawn
+// Fixture: std::thread constructed, or the hardware thread count read,
+// outside core/parallel.hpp.
 #include <thread>
 
 void selftest_spawn() {
-  std::thread t([] {});
+  std::thread t([] {});  // expect: raw-thread-spawn
   t.join();
+}
+
+unsigned selftest_workers() {
+  using std::thread;                      // expect: raw-thread-spawn
+  return thread::hardware_concurrency();  // expect: raw-thread-spawn
 }

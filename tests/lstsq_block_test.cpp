@@ -197,6 +197,33 @@ TEST(LstsqBlock, EveryColumnIsAudited) {
   EXPECT_EQ(linalg::audit::counts().lstsq, 5u);
 }
 
+TEST(LstsqBlock, ChunkedSolveMatchesSerialSolve) {
+  // Three full chunks and a ragged fourth: every thread count gives the
+  // serial block's bytes (itself pinned to the per-column reference
+  // above), and every column is audited exactly once on the worker pool.
+  const index_t cols = 3 * linalg::kLstsqChunkColumns + 5;
+  for (std::uint64_t seed : sweep_seeds(1, 3)) {
+    const Matrix a = linalg::random_gaussian(71, 64, seed);
+    const Matrix b = right_hand_sides(a, cols, seed);
+    const linalg::LstsqBlockResult serial = linalg::lstsq(a, b);
+    for (int threads : {2, 3, 4}) {
+      linalg::audit::EnabledGuard guard(true);
+      linalg::audit::reset_counts();
+      const linalg::LstsqBlockResult chunked =
+          linalg::lstsq(a, b, linalg::kLstsqRcond, threads);
+      EXPECT_EQ(linalg::audit::counts().lstsq, static_cast<std::size_t>(cols))
+          << seed_banner(seed) << "threads=" << threads;
+      EXPECT_TRUE(SameBytes(chunked.x.data(), serial.x.data()))
+          << seed_banner(seed) << "threads=" << threads;
+      EXPECT_TRUE(SameBytes(chunked.residual_norms, serial.residual_norms))
+          << seed_banner(seed) << "threads=" << threads;
+      EXPECT_TRUE(SameBytes(chunked.backward_errors, serial.backward_errors))
+          << seed_banner(seed) << "threads=" << threads;
+      EXPECT_EQ(chunked.rank_deficient, serial.rank_deficient);
+    }
+  }
+}
+
 // --- the stages built on it -----------------------------------------------
 
 TEST(LstsqBlock, SolveMetricsMatchesPerSignatureSolve) {

@@ -303,7 +303,6 @@ void write_trace_artifacts(const TraceArgs& t, const std::string& tool,
     std::ostringstream cfg;
     cfg << category << "|machine=" << machine_name << "|tau=" << options.tau
         << "|alpha=" << options.alpha << "|reps=" << options.repetitions
-        << "|threads=" << options.collection_threads
         << "|detrend=" << (options.detrend_drifting ? 1 : 0);
     m.config = cfg.str();
     m.config_hash = obs::config_hash(m.config);

@@ -39,12 +39,14 @@ Rules:
                     injectable faults::Clock (obs::Tracer::set_clock) so span
                     timings are deterministic under FakeClock and
                     observability can never perturb results.
-  raw-thread-spawn  No raw std::thread construction in src/ outside the
-                    shared worker-pool helper (src/core/parallel.hpp).  All
-                    parallelism must flow through core::parallel_for so
+  raw-thread-spawn  No raw std::thread (construction or
+                    hardware_concurrency) in src/ outside the shared
+                    worker-pool helper (src/core/parallel.hpp).  All
+                    parallelism must flow through core::parallel_for, and
+                    every thread count through core::resolve_threads, so
                     the determinism contract (fixed work partitioning,
                     first-exception propagation, full join before return)
-                    holds everywhere at once.
+                    and the default worker count hold everywhere at once.
   raw-socket-io     No raw POSIX socket/stream syscalls (socket/bind/listen/
                     accept/connect/read/write/recv/send/poll/pipe) in src/
                     outside src/service/io*.  All byte movement must go
@@ -97,13 +99,15 @@ Rules:
 
   unchecked-number-parse
                     No std::sto* (stoi/stol/stoul/stoull/stod/...),
-                    std::ato* or bare atoi/atol/atof in src/ or tools/.  The
-                    sto* family throws bare "stoi"/"stod" messages that name
-                    neither the flag nor the value, accepts trailing junk
-                    ("3x" reads 3) and the unsigned ones wrap "-1" to
-                    2^64 - 1; ato* reports no error at all.  Parse with
-                    std::from_chars over the whole text and name the flag or
-                    key in the refusal.  bench/ is out of scope.
+                    std::ato* or bare atoi/atol/atof in src/, tools/ or
+                    bench/.  The sto* family throws bare "stoi"/"stod"
+                    messages that name neither the flag nor the value,
+                    accepts trailing junk ("3x" reads 3) and the unsigned
+                    ones wrap "-1" to 2^64 - 1; ato* reports no error at
+                    all.  Parse with std::from_chars over the whole text
+                    (bench/ programs share bench::parse_number) and name
+                    the flag or key in the refusal.  A selftest fixture
+                    named bench_*.cpp is linted as a bench/ file.
   -- lock discipline (the src/sync capability layer) --
 
   raw-sync-primitive
@@ -177,10 +181,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
-# Trees the handwritten-json rule covers besides src/.
-JSON_CHECKED_TREES = (REPO_ROOT / "tools", REPO_ROOT / "bench")
-# Of those, the ones the unchecked-number-parse rule covers too.
-NUMBER_PARSE_CHECKED_PREFIXES = ("tools/",)
+# Trees the handwritten-json and unchecked-number-parse rules cover besides
+# src/.
+PROGRAM_TREES = (REPO_ROOT / "tools", REPO_ROOT / "bench")
 TESTS = REPO_ROOT / "tests"
 SELFTEST_DIR = TESTS / "lint_selftest"
 
@@ -474,7 +477,8 @@ SAMPLING_CLOCK_RE = re.compile(
     r"\b(?:std\s*::\s*)?chrono\s*::\s*"
     r"(?:steady_clock|system_clock|high_resolution_clock)\b")
 USING_NS_RE = re.compile(r"^\s*using\s+namespace\b")
-THREAD_SPAWN_RE = re.compile(r"\bstd\s*::\s*thread\b")
+THREAD_SPAWN_RE = re.compile(
+    r"\bstd\s*::\s*thread\b|\bhardware_concurrency\b")
 # ==/!= where either side is a float literal other than 0.0 / 0. / .0
 FLOAT_LIT = r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFlL]?"
 FLOAT_EQ_RE = re.compile(rf"(?:[=!]=\s*({FLOAT_LIT}))|(?:({FLOAT_LIT})\s*[=!]=)")
@@ -748,6 +752,12 @@ PER_FILE_PASSES = (
     pass_mutex_guarded_by,
 )
 
+# The per-file passes that also run over tools/ and bench/.
+PROGRAM_TREE_PASSES = (
+    pass_handwritten_json,
+    pass_unchecked_number_parse,
+)
+
 
 # --- repo-level passes -----------------------------------------------------
 
@@ -869,11 +879,10 @@ def lint_repo() -> list[Finding]:
     for model in src_models:
         for p in PER_FILE_PASSES:
             p(model, findings)
-    for tree in JSON_CHECKED_TREES:
+    for tree in PROGRAM_TREES:
         for model in load_models(tree):
-            pass_handwritten_json(model, findings)
-            if model.rel.startswith(NUMBER_PARSE_CHECKED_PREFIXES):
-                pass_unchecked_number_parse(model, findings)
+            for p in PROGRAM_TREE_PASSES:
+                p(model, findings)
             pass_directive_audit(model, findings)
     pass_linalg_shape_contracts({m.rel: m for m in src_models}, findings)
     pass_seed_echo_in_tests(test_models, findings)
@@ -897,11 +906,14 @@ def selftest() -> int:
         n_fixtures += 1
         raw = path.read_text()
         expected = sorted(EXPECT_RE.findall(raw))
-        # Virtual src/ path: allowlists and src-only rules behave exactly as
-        # they would on a real (non-allow-listed) source file.
-        model = FileModel(f"src/lint_selftest/{path.name}", raw)
+        # Virtual path: allowlists and tree-scoped rules behave exactly as
+        # they would on a real (non-allow-listed) source file -- in bench/
+        # for a bench_* fixture, in src/ otherwise.
+        in_bench = path.name.startswith("bench_")
+        tree = "bench" if in_bench else "src"
+        model = FileModel(f"{tree}/lint_selftest/{path.name}", raw)
         findings: list[Finding] = []
-        for p in PER_FILE_PASSES:
+        for p in PROGRAM_TREE_PASSES if in_bench else PER_FILE_PASSES:
             p(model, findings)
         pass_directive_audit(model, findings)
         got = sorted(f.rule for f in findings)
