@@ -24,14 +24,13 @@ double l1_hit_ratio(PrefetchPolicy policy, ChainOrder order,
     level.prefetch = policy;
     level.prefetch_degree = 4;  // a typical streamer depth
   }
-  CacheHierarchy hierarchy(cfg);
   ChaseConfig chase;
   chase.num_pointers = num_pointers;
   chase.stride_bytes = 64;
   chase.order = order;
   chase.warmup_traversals = 1;
   chase.measured_traversals = 2;
-  const auto res = run_chase(hierarchy, chase);
+  const auto res = run_chase(cfg, chase);
   return static_cast<double>(res.level_stats[0].demand_hits) /
          static_cast<double>(res.total_accesses);
 }

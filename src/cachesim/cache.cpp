@@ -1,5 +1,6 @@
 #include "cachesim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace catalyst::cachesim {
@@ -13,59 +14,37 @@ CacheLevel::CacheLevel(const LevelConfig& config) : config_(config) {
   ways_.assign(sets * config_.associativity, Way{});
 }
 
-CacheLevel::Way* CacheLevel::find(std::uint64_t line) {
-  const std::uint64_t set = set_index(line);
-  Way* base = ways_.data() + set * config_.associativity;
+CacheLevel::Way* CacheLevel::lookup(std::uint64_t line,
+                                    Way** victim) noexcept {
+  Way* set = ways_.data() + set_of(line);
+  Way* lru = set;
   for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == line) return &base[w];
+    if (set[w].lru_stamp != 0 && set[w].tag == line) return &set[w];
+    if (set[w].lru_stamp < lru->lru_stamp) lru = &set[w];
   }
+  *victim = lru;
   return nullptr;
-}
-
-const CacheLevel::Way* CacheLevel::find(std::uint64_t line) const {
-  const std::uint64_t set = set_index(line);
-  const Way* base = ways_.data() + set * config_.associativity;
-  for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == line) return &base[w];
-  }
-  return nullptr;
-}
-
-CacheLevel::Way* CacheLevel::victim(std::uint64_t line) {
-  const std::uint64_t set = set_index(line);
-  Way* base = ways_.data() + set * config_.associativity;
-  Way* v = base;
-  for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    if (!base[w].valid) return &base[w];
-    if (base[w].lru_stamp < v->lru_stamp) v = &base[w];
-  }
-  return v;
 }
 
 bool CacheLevel::access(std::uint64_t addr) {
   const std::uint64_t line = addr >> line_shift_;
   ++clock_;
-  if (Way* w = find(line)) {
+  Way* victim = nullptr;
+  if (Way* w = lookup(line, &victim)) {
     w->lru_stamp = clock_;
     ++stats_.demand_hits;
     return true;
   }
   ++stats_.demand_misses;
-  Way* v = victim(line);
-  v->tag = line;
-  v->valid = true;
-  v->lru_stamp = clock_;
+  *victim = Way{line, clock_};
   if (config_.prefetch == PrefetchPolicy::next_line) {
     // Install the next `prefetch_degree` sequential lines (if absent)
     // without touching the demand statistics -- a simple hardware streamer.
     for (std::uint32_t d = 1; d <= config_.prefetch_degree; ++d) {
       const std::uint64_t next = line + d;
       ++clock_;
-      if (!find(next)) {
-        Way* p = victim(next);
-        p->tag = next;
-        p->valid = true;
-        p->lru_stamp = clock_;
+      if (lookup(next, &victim) == nullptr) {
+        *victim = Way{next, clock_};
         ++stats_.prefetches_issued;
       }
     }
@@ -74,26 +53,11 @@ bool CacheLevel::access(std::uint64_t addr) {
 }
 
 bool CacheLevel::contains(std::uint64_t addr) const {
-  return find(addr >> line_shift_) != nullptr;
-}
-
-void CacheLevel::install(std::uint64_t addr) {
   const std::uint64_t line = addr >> line_shift_;
-  ++clock_;
-  if (Way* w = find(line)) {
-    w->lru_stamp = clock_;
-    return;
-  }
-  Way* v = victim(line);
-  v->tag = line;
-  v->valid = true;
-  v->lru_stamp = clock_;
-}
-
-void CacheLevel::reset() {
-  for (Way& w : ways_) w = Way{};
-  clock_ = 0;
-  stats_ = LevelStats{};
+  const Way* set = ways_.data() + set_of(line);
+  return std::any_of(set, set + config_.associativity, [&](const Way& w) {
+    return w.lru_stamp != 0 && w.tag == line;
+  });
 }
 
 CacheHierarchy::CacheHierarchy(const HierarchyConfig& config) {
@@ -110,11 +74,6 @@ std::optional<std::size_t> CacheHierarchy::access(std::uint64_t addr) {
   }
   ++memory_accesses_;
   return std::nullopt;
-}
-
-void CacheHierarchy::reset() {
-  for (auto& l : levels_) l.reset();
-  memory_accesses_ = 0;
 }
 
 }  // namespace catalyst::cachesim

@@ -35,27 +35,22 @@ class CacheLevel {
   /// Probes without updating LRU or stats (for assertions in tests).
   bool contains(std::uint64_t addr) const;
 
-  /// Installs a line without counting a demand access (used for fills
-  /// initiated by an inner level's miss path and for prefetches).
-  void install(std::uint64_t addr);
-
-  /// Invalidates everything and zeroes statistics.
-  void reset();
-
  private:
+  // Stamps come from a clock that is bumped before every use, so a valid
+  // way's stamp is never 0 and the smallest stamp in a set is its first
+  // invalid way, else its least recently used one.
   struct Way {
     std::uint64_t tag = 0;
-    std::uint64_t lru_stamp = 0;  // larger == more recently used
-    bool valid = false;
+    std::uint64_t lru_stamp = 0;  // larger == more recently used; 0 == invalid
   };
 
-  std::uint64_t set_index(std::uint64_t line) const noexcept {
-    return line & set_mask_;
+  std::size_t set_of(std::uint64_t line) const noexcept {
+    return (line & set_mask_) * config_.associativity;
   }
 
-  Way* find(std::uint64_t line);
-  const Way* find(std::uint64_t line) const;
-  Way* victim(std::uint64_t line);
+  /// One scan of the line's set: the way holding `line`, or nullptr with
+  /// `*victim` set to the way a fill would replace.
+  Way* lookup(std::uint64_t line, Way** victim) noexcept;
 
   LevelConfig config_;
   std::uint64_t set_mask_;
@@ -85,8 +80,6 @@ class CacheHierarchy {
 
   /// Total demand accesses that missed every level (served by memory).
   std::uint64_t memory_accesses() const noexcept { return memory_accesses_; }
-
-  void reset();
 
  private:
   std::vector<CacheLevel> levels_;

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "cachesim/cache.hpp"
@@ -50,12 +52,26 @@ struct ChaseResult {
 /// guarantees a single cycle covering every element).
 std::vector<std::uint64_t> build_chain(const ChaseConfig& config);
 
-/// Runs the chase against a hierarchy: `warmup_traversals` untimed walks to
-/// reach steady state, then `measured_traversals` counted walks.  The
-/// hierarchy's stats are reset after warmup so the result reflects only the
-/// measured phase.  When `tlb` is non-null every access is also translated
-/// through it and the measured-phase TLB statistics are reported.
-ChaseResult run_chase(CacheHierarchy& hierarchy, const ChaseConfig& config,
-                      TlbHierarchy* tlb = nullptr);
+/// The measured-phase cache counts of a chase over a cold hierarchy, in
+/// closed form from per-set occupancy (DESIGN.md, "Closed-form chase
+/// counts"): each set sees the same cycle of c lines every traversal, so
+/// under LRU it always hits (c <= ways) or always misses.  `chain` is
+/// build_chain(config).  Returns nullopt -- simulate instead -- unless no
+/// level prefetches, the stride is a multiple of the line size and no level
+/// has fewer sets than the one above.  tlb is left zero.  Throws
+/// ConfigError / std::invalid_argument for a bad hierarchy / traversal
+/// count.
+std::optional<ChaseResult> chase_counts(std::span<const std::uint64_t> chain,
+                                        const HierarchyConfig& hierarchy,
+                                        const ChaseConfig& config);
+
+/// Runs the chase on a cold hierarchy: `warmup_traversals` uncounted walks,
+/// then `measured_traversals` counted ones; the result is a pure function
+/// of the inputs.  Cache counts come from chase_counts when it applies,
+/// else from a per-access walk of a CacheHierarchy.  A non-null `tlb` adds
+/// the measured-phase statistics of a per-access TlbHierarchy walk.
+ChaseResult run_chase(const HierarchyConfig& hierarchy,
+                      const ChaseConfig& config,
+                      const TlbConfig* tlb = nullptr);
 
 }  // namespace catalyst::cachesim

@@ -38,10 +38,4 @@ std::optional<std::size_t> TlbHierarchy::access(std::uint64_t addr) {
   return std::nullopt;
 }
 
-void TlbHierarchy::reset() {
-  l1_.reset();
-  l2_.reset();
-  stats_ = TlbStats{};
-}
-
 }  // namespace catalyst::cachesim

@@ -65,7 +65,6 @@ class TlbHierarchy {
   std::optional<std::size_t> access(std::uint64_t addr);
 
   const TlbStats& stats() const noexcept { return stats_; }
-  void reset();
 
  private:
   CacheLevel l1_;

@@ -104,16 +104,14 @@ Benchmark dcache_benchmark(const DcacheOptions& options) {
     slot.thread_activities.resize(static_cast<std::size_t>(options.threads));
   }
 
-  // Each chase thread owns a private hierarchy (core-private L1/L2 and, for
-  // simplicity, an L3 slice) and a disjoint buffer; threads are simulated
-  // concurrently, one OS thread per chase thread.
+  // Each chase thread has a private hierarchy (core-private L1/L2 and, for
+  // simplicity, an L3 slice) and a disjoint buffer; every chase starts
+  // cold.  Threads are simulated concurrently, one OS thread per chase
+  // thread.
+  const cachesim::TlbConfig tlb = cachesim::TlbConfig::saphira();
   auto run_thread = [&](int t) {
-    cachesim::CacheHierarchy hierarchy(options.hierarchy);
-    cachesim::TlbHierarchy tlb(cachesim::TlbConfig::saphira());
     for (std::size_t s = 0; s < plans.size(); ++s) {
       const auto& p = plans[s];
-      hierarchy.reset();
-      tlb.reset();
       cachesim::ChaseConfig cfg;
       cfg.num_pointers = p.num_pointers;
       cfg.stride_bytes = p.stride;
@@ -122,34 +120,29 @@ Benchmark dcache_benchmark(const DcacheOptions& options) {
       cfg.seed = options.seed + static_cast<std::uint64_t>(t) * 1000 + s;
       cfg.warmup_traversals = options.warmup_traversals;
       cfg.measured_traversals = options.measured_traversals;
-      const auto res = run_chase(hierarchy, cfg, &tlb);
+      const auto res = run_chase(options.hierarchy, cfg, &tlb);
 
+      const auto count = [](std::uint64_t n) { return static_cast<double>(n); };
       pmu::Activity act;
-      const double accesses = static_cast<double>(res.total_accesses);
-      act[sig::l1d_demand_hit] =
-          static_cast<double>(res.level_stats[0].demand_hits);
-      act[sig::l1d_demand_miss] =
-          static_cast<double>(res.level_stats[0].demand_misses);
-      act[sig::l2d_demand_hit] =
-          static_cast<double>(res.level_stats[1].demand_hits);
-      act[sig::l2d_demand_miss] =
-          static_cast<double>(res.level_stats[1].demand_misses);
-      act[sig::l3d_demand_hit] =
-          static_cast<double>(res.level_stats[2].demand_hits);
-      act[sig::l3d_demand_miss] = static_cast<double>(res.memory_accesses);
-      act[sig::dtlb_hit] = static_cast<double>(res.tlb.l1_hits);
-      act[sig::dtlb_miss] = static_cast<double>(res.tlb.l1_misses);
-      act[sig::stlb_hit] = static_cast<double>(res.tlb.l2_hits);
-      act[sig::dtlb_walk] = static_cast<double>(res.tlb.walks);
+      const double accesses = count(res.total_accesses);
+      act[sig::l1d_demand_hit] = count(res.level_stats[0].demand_hits);
+      act[sig::l1d_demand_miss] = count(res.level_stats[0].demand_misses);
+      act[sig::l2d_demand_hit] = count(res.level_stats[1].demand_hits);
+      act[sig::l2d_demand_miss] = count(res.level_stats[1].demand_misses);
+      act[sig::l3d_demand_hit] = count(res.level_stats[2].demand_hits);
+      act[sig::l3d_demand_miss] = count(res.memory_accesses);
+      act[sig::dtlb_hit] = count(res.tlb.l1_hits);
+      act[sig::dtlb_miss] = count(res.tlb.l1_misses);
+      act[sig::stlb_hit] = count(res.tlb.l2_hits);
+      act[sig::dtlb_walk] = count(res.tlb.walks);
       act[sig::loads] = accesses;
       act[sig::instructions] = std::round(2.2 * accesses);
       act[sig::uops] = std::round(2.5 * accesses);
       // Latency-weighted cycle model: hits get cheaper service than misses.
-      act[sig::cycles] = std::round(
-          4.0 * static_cast<double>(res.level_stats[0].demand_hits) +
-          14.0 * static_cast<double>(res.level_stats[1].demand_hits) +
-          40.0 * static_cast<double>(res.level_stats[2].demand_hits) +
-          180.0 * static_cast<double>(res.memory_accesses));
+      act[sig::cycles] = std::round(4.0 * act[sig::l1d_demand_hit] +
+                                    14.0 * act[sig::l2d_demand_hit] +
+                                    40.0 * act[sig::l3d_demand_hit] +
+                                    180.0 * act[sig::l3d_demand_miss]);
       bench.slots[s].thread_activities[static_cast<std::size_t>(t)] =
           std::move(act);
       // Every thread chases the same traversal count, so the normalizer is

@@ -4,9 +4,9 @@
 // memory regimes, at two strides (64 B and 128 B), with several concurrent
 // threads chasing disjoint buffers (the paper keeps the median reading
 // across threads to suppress noise).  Unlike the compute benchmarks, the
-// ground-truth activity here is *simulated*: each slot actually runs the
-// chase on a catalyst::cachesim hierarchy and records the per-level demand
-// hit/miss counts as signals.
+// ground-truth activity here comes from the cache model: each slot's
+// cachesim::run_chase (exact LRU counts, in closed form for the caches and
+// per access for the TLB) gives the per-level demand hit/miss signals.
 //
 // The expectation basis (L1DM, L1DH, L2DH, L3DH) holds the idealized
 // per-access counts: 1.0 for the level that serves the regime's accesses,

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "cachesim/cache.hpp"
 #include "cachesim/pointer_chase.hpp"
 #include "pmu/signals.hpp"
 
@@ -11,12 +10,8 @@ namespace catalyst::cat {
 
 Benchmark gpu_dcache_benchmark(const GpuDcacheOptions& options) {
   namespace sig = pmu::sig;
-  options.tcc.validate();
   if (options.footprints_bytes.empty()) {
     throw std::invalid_argument("gpu_dcache_benchmark: no footprints");
-  }
-  if (options.measured_traversals <= 0 || options.warmup_traversals < 0) {
-    throw std::invalid_argument("gpu_dcache_benchmark: bad traversal counts");
   }
 
   Benchmark bench;
@@ -42,7 +37,6 @@ Benchmark gpu_dcache_benchmark(const GpuDcacheOptions& options) {
     bench.basis.e(s, 0) = fits ? 1.0 : 0.0;
     bench.basis.e(s, 1) = fits ? 0.0 : 1.0;
 
-    cachesim::CacheHierarchy tcc(hierarchy_config);
     cachesim::ChaseConfig chase;
     chase.num_pointers =
         std::max<std::uint64_t>(4, footprint / options.stride_bytes);
@@ -50,7 +44,7 @@ Benchmark gpu_dcache_benchmark(const GpuDcacheOptions& options) {
     chase.seed = options.seed + static_cast<std::uint64_t>(s);
     chase.warmup_traversals = options.warmup_traversals;
     chase.measured_traversals = options.measured_traversals;
-    const auto res = run_chase(tcc, chase);
+    const auto res = run_chase(hierarchy_config, chase);
 
     KernelSlot slot;
     slot.name = "gpu_dcache/fp" + std::to_string(footprint / (1024 * 1024)) +
@@ -66,9 +60,8 @@ Benchmark gpu_dcache_benchmark(const GpuDcacheOptions& options) {
     act[sig::gpu_vmem] = accesses;
     act[sig::gpu_waves] = 64.0;
     act[sig::gpu_salu_total] = std::round(0.3 * accesses);
-    act[sig::gpu_cycles] = std::round(
-        40.0 * static_cast<double>(res.level_stats[0].demand_hits) +
-        300.0 * static_cast<double>(res.level_stats[0].demand_misses));
+    act[sig::gpu_cycles] = std::round(40.0 * act[sig::gpu_tcc_hit] +
+                                      300.0 * act[sig::gpu_tcc_miss]);
     slot.thread_activities.push_back(std::move(act));
     bench.slots.push_back(std::move(slot));
   }

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "cachesim/cache.hpp"
+#include "cachesim/pointer_chase.hpp"
 #include "pmu/signals.hpp"
 
 namespace catalyst::cat {
@@ -18,15 +18,11 @@ IcacheOptions::IcacheOptions() {
 
 Benchmark icache_benchmark(const IcacheOptions& options) {
   namespace sig = pmu::sig;
-  options.hierarchy.validate();
   if (options.hierarchy.levels.size() != 3) {
     throw std::invalid_argument("icache_benchmark: need a 3-level hierarchy");
   }
   if (options.footprints_bytes.empty()) {
     throw std::invalid_argument("icache_benchmark: no footprints");
-  }
-  if (options.measured_traversals <= 0 || options.warmup_traversals < 0) {
-    throw std::invalid_argument("icache_benchmark: bad traversal counts");
   }
 
   Benchmark bench;
@@ -61,38 +57,26 @@ Benchmark icache_benchmark(const IcacheOptions& options) {
     bench.basis.e(s, 1) = fits_l1 ? 1.0 : 0.0;
     bench.basis.e(s, 2) = (!fits_l1 && fits_l2) ? 1.0 : 0.0;
 
-    // Ground truth: replay the fetch stream on the simulator.
-    cachesim::CacheHierarchy hierarchy(options.hierarchy);
-    auto traverse = [&] {
-      for (std::uint64_t l = 0; l < lines; ++l) {
-        hierarchy.access(l * options.fetch_bytes);
-      }
-    };
-    for (int t = 0; t < options.warmup_traversals; ++t) traverse();
-    cachesim::LevelStats before[3];
-    for (int lvl = 0; lvl < 3; ++lvl) {
-      before[lvl] = hierarchy.level(static_cast<std::size_t>(lvl)).stats();
-    }
-    for (int t = 0; t < options.measured_traversals; ++t) traverse();
-
-    const double fetches =
-        static_cast<double>(options.measured_traversals) *
-        static_cast<double>(lines);
-    const auto delta = [&](int lvl, bool hits) {
-      const auto& now = hierarchy.level(static_cast<std::size_t>(lvl)).stats();
-      return static_cast<double>(
-          hits ? now.demand_hits - before[lvl].demand_hits
-               : now.demand_misses - before[lvl].demand_misses);
-    };
+    // Ground truth: the fetch stream is a sequential chase, one pointer
+    // per fetch line, looped over the footprint.
+    cachesim::ChaseConfig fetch;
+    fetch.num_pointers = lines;
+    fetch.stride_bytes = options.fetch_bytes;
+    fetch.order = cachesim::ChainOrder::sequential;
+    fetch.warmup_traversals = options.warmup_traversals;
+    fetch.measured_traversals = options.measured_traversals;
+    const auto res = run_chase(options.hierarchy, fetch);
+    const double fetches = static_cast<double>(res.total_accesses);
+    const auto count = [](std::uint64_t n) { return static_cast<double>(n); };
 
     KernelSlot slot;
     slot.name = "icache/fp" + std::to_string(footprint / 1024) + "K";
     slot.normalizer = fetches;
     pmu::Activity act;
-    act[sig::l1i_hit] = delta(0, true);
-    act[sig::l1i_miss] = delta(0, false);
-    act[sig::l2i_hit] = delta(1, true);
-    act[sig::l2i_miss] = delta(1, false);
+    act[sig::l1i_hit] = count(res.level_stats[0].demand_hits);
+    act[sig::l1i_miss] = count(res.level_stats[0].demand_misses);
+    act[sig::l2i_hit] = count(res.level_stats[1].demand_hits);
+    act[sig::l2i_miss] = count(res.level_stats[1].demand_misses);
     // Straight-line code: ~4 instructions per fetched 16-byte window.
     act[sig::instructions] = std::round(fetches * 16.0);
     act[sig::uops] = std::round(fetches * 17.5);

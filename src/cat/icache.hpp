@@ -8,11 +8,11 @@
 // expectation basis spans (L1IM, L1IH, L2IH): L1 instruction-fetch demand
 // misses/hits and instruction fetches served by L2.
 //
-// Ground truth comes from the cache simulator: the fetch stream (sequential
-// line addresses over the footprint, looped) is replayed against an
-// L1I/L2/L3 hierarchy.  Sequential cyclic access over an LRU cache larger
-// than capacity is the worst case (near-zero hits), giving the sharp
-// capacity cliffs instruction benchmarks are known for.
+// Ground truth comes from the cache model: the fetch stream (sequential
+// line addresses over the footprint, looped) is a sequential run_chase on
+// an L1I/L2/L3 hierarchy.  Sequential cyclic access over an LRU cache
+// larger than capacity is the worst case (near-zero hits), giving the
+// sharp capacity cliffs instruction benchmarks are known for.
 #pragma once
 
 #include "cachesim/config.hpp"

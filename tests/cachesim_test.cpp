@@ -99,22 +99,6 @@ TEST(CacheLevelTest, ContainsDoesNotPerturb) {
   EXPECT_EQ(c.stats().demand_misses, misses);
 }
 
-TEST(CacheLevelTest, InstallDoesNotCountDemand) {
-  CacheLevel c(small_level(256, 32, 2));
-  c.install(0);
-  EXPECT_EQ(c.stats().accesses(), 0u);
-  EXPECT_TRUE(c.contains(0));
-  EXPECT_TRUE(c.access(0));  // now a demand hit
-}
-
-TEST(CacheLevelTest, ResetClearsContentsAndStats) {
-  CacheLevel c(small_level(256, 32, 2));
-  c.access(0);
-  c.reset();
-  EXPECT_FALSE(c.contains(0));
-  EXPECT_EQ(c.stats().accesses(), 0u);
-}
-
 TEST(CacheLevelTest, WorkingSetWithinCapacityAllHitsSteadyState) {
   // 8 lines capacity; touch 8 distinct lines twice: second pass all hits.
   CacheLevel c(small_level(256, 32, 2));
@@ -196,13 +180,12 @@ TEST(Chain, RejectsDegenerateConfigs) {
 }
 
 TEST(Chase, FitsInL1AllL1Hits) {
-  CacheHierarchy h(HierarchyConfig::tiny());
   ChaseConfig cfg;
   cfg.num_pointers = 8;  // 8 * 32 B = 256 B = exactly L1 capacity
   cfg.stride_bytes = 32;
   cfg.warmup_traversals = 2;
   cfg.measured_traversals = 4;
-  auto res = run_chase(h, cfg);
+  auto res = run_chase(HierarchyConfig::tiny(), cfg);
   EXPECT_EQ(res.total_accesses, 32u);
   EXPECT_EQ(res.level_stats[0].demand_hits, 32u);
   EXPECT_EQ(res.level_stats[0].demand_misses, 0u);
@@ -210,13 +193,12 @@ TEST(Chase, FitsInL1AllL1Hits) {
 }
 
 TEST(Chase, L2RegimeMostlyL2Hits) {
-  CacheHierarchy h(HierarchyConfig::tiny());
   ChaseConfig cfg;
   cfg.num_pointers = 24;  // 768 B: > L1 (256 B), < L2 (1 KiB)
   cfg.stride_bytes = 32;
   cfg.warmup_traversals = 3;
   cfg.measured_traversals = 4;
-  auto res = run_chase(h, cfg);
+  auto res = run_chase(HierarchyConfig::tiny(), cfg);
   // Beyond L1 capacity a random single-cycle chase mostly misses L1...
   EXPECT_GT(res.level_stats[0].demand_misses, res.level_stats[0].demand_hits);
   // ...and is served by L2 with no memory traffic.
@@ -225,25 +207,23 @@ TEST(Chase, L2RegimeMostlyL2Hits) {
 }
 
 TEST(Chase, MemoryRegimeReachesMemory) {
-  CacheHierarchy h(HierarchyConfig::tiny());
   ChaseConfig cfg;
   cfg.num_pointers = 1024;  // 32 KiB >> L3 (4 KiB)
   cfg.stride_bytes = 32;
   cfg.warmup_traversals = 1;
   cfg.measured_traversals = 2;
-  auto res = run_chase(h, cfg);
+  auto res = run_chase(HierarchyConfig::tiny(), cfg);
   EXPECT_GT(res.memory_accesses, res.total_accesses / 2);
 }
 
 TEST(Chase, ConservationAcrossLevels) {
   // Every measured access either hits some level or reaches memory.
-  CacheHierarchy h(HierarchyConfig::tiny());
   ChaseConfig cfg;
   cfg.num_pointers = 100;
   cfg.stride_bytes = 32;
   cfg.warmup_traversals = 2;
   cfg.measured_traversals = 3;
-  auto res = run_chase(h, cfg);
+  auto res = run_chase(HierarchyConfig::tiny(), cfg);
   std::uint64_t hits = 0;
   for (const auto& ls : res.level_stats) hits += ls.demand_hits;
   EXPECT_EQ(hits + res.memory_accesses, res.total_accesses);
@@ -252,17 +232,15 @@ TEST(Chase, ConservationAcrossLevels) {
 TEST(Chase, StrideAffectsFootprint) {
   // Same pointer count, doubled stride => doubled footprint: a chain that
   // fits L1 at stride 32 spills at stride 64 when it exceeds capacity.
-  CacheHierarchy h1(HierarchyConfig::tiny());
-  CacheHierarchy h2(HierarchyConfig::tiny());
   ChaseConfig cfg;
   cfg.num_pointers = 8;
   cfg.stride_bytes = 32;
   cfg.warmup_traversals = 2;
   cfg.measured_traversals = 2;
-  auto res32 = run_chase(h1, cfg);
+  auto res32 = run_chase(HierarchyConfig::tiny(), cfg);
   cfg.stride_bytes = 64;  // footprint 512 B > L1 but lines are 32 B:
                           // 8 distinct lines still fit 8-line L1.
-  auto res64 = run_chase(h2, cfg);
+  auto res64 = run_chase(HierarchyConfig::tiny(), cfg);
   // Stride 32 packs the 8 elements into all 4 sets: everything fits L1.
   EXPECT_EQ(res32.level_stats[0].demand_misses, 0u);
   // Stride 64 skips every other set: the 8 lines land in only 2 of the 4
@@ -305,14 +283,13 @@ TEST(Prefetch, SequentialScanHitRateBoostedRandomChaseImmune) {
   auto run = [](ChainOrder order) {
     HierarchyConfig h = HierarchyConfig::tiny();
     h.levels[0].prefetch = PrefetchPolicy::next_line;
-    CacheHierarchy hierarchy(h);
     ChaseConfig cfg;
     cfg.num_pointers = 32;  // 1 KiB at stride 32 = 4x tiny L1
     cfg.stride_bytes = 32;
     cfg.order = order;
     cfg.warmup_traversals = 2;
     cfg.measured_traversals = 4;
-    const auto res = run_chase(hierarchy, cfg);
+    const auto res = run_chase(h, cfg);
     return static_cast<double>(res.level_stats[0].demand_hits) /
            static_cast<double>(res.total_accesses);
   };
@@ -339,13 +316,12 @@ TEST_P(ChaseRegimeSweep, SteadyStateServedByExpectedLevel) {
   // (num_pointers, expected-serving-level) pairs for tiny():
   // level index 0..2, 3 means memory.
   const auto [n, expected] = GetParam();
-  CacheHierarchy h(HierarchyConfig::tiny());
   ChaseConfig cfg;
   cfg.num_pointers = n;
   cfg.stride_bytes = 32;
   cfg.warmup_traversals = 4;
   cfg.measured_traversals = 4;
-  auto res = run_chase(h, cfg);
+  auto res = run_chase(HierarchyConfig::tiny(), cfg);
   // Find where the majority of accesses were served.
   std::uint64_t best_count = res.memory_accesses;
   int best = 3;

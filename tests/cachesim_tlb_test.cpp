@@ -53,26 +53,24 @@ TEST(TlbTest, StlbCatchesDtlbEvictions) {
 
 TEST(TlbTest, HugeFootprintWalksEveryPage) {
   // 64 pages >> 16-entry STLB with a random chase: steady-state walks.
-  TlbHierarchy tlb(TlbConfig::tiny());
-  CacheHierarchy caches(HierarchyConfig::tiny());
+  const TlbConfig tlb = TlbConfig::tiny();
   ChaseConfig cfg;
   cfg.num_pointers = 64;
   cfg.stride_bytes = 64;  // one page per element
   cfg.warmup_traversals = 2;
   cfg.measured_traversals = 2;
-  const auto res = run_chase(caches, cfg, &tlb);
+  const auto res = run_chase(HierarchyConfig::tiny(), cfg, &tlb);
   EXPECT_GT(res.tlb.walks, res.total_accesses / 2);
 }
 
 TEST(TlbTest, SmallFootprintNeverWalksSteadyState) {
-  TlbHierarchy tlb(TlbConfig::tiny());
-  CacheHierarchy caches(HierarchyConfig::tiny());
+  const TlbConfig tlb = TlbConfig::tiny();
   ChaseConfig cfg;
   cfg.num_pointers = 8;
   cfg.stride_bytes = 32;  // 4 pages at 64 B pages: fits the 4-entry DTLB
   cfg.warmup_traversals = 2;
   cfg.measured_traversals = 3;
-  const auto res = run_chase(caches, cfg, &tlb);
+  const auto res = run_chase(HierarchyConfig::tiny(), cfg, &tlb);
   EXPECT_EQ(res.tlb.walks, 0u);
   EXPECT_EQ(res.tlb.accesses(), res.total_accesses);
 }
@@ -87,20 +85,11 @@ TEST(TlbTest, StatsConservation) {
   EXPECT_EQ(s.l2_hits + s.walks, s.l1_misses);
 }
 
-TEST(TlbTest, ResetClearsEverything) {
-  TlbHierarchy tlb(TlbConfig::tiny());
-  tlb.access(0);
-  tlb.reset();
-  EXPECT_EQ(tlb.stats().accesses(), 0u);
-  EXPECT_FALSE(tlb.access(0).has_value());  // cold again
-}
-
 TEST(TlbTest, ChaseWithoutTlbReportsZeroTlbStats) {
-  CacheHierarchy caches(HierarchyConfig::tiny());
   ChaseConfig cfg;
   cfg.num_pointers = 16;
   cfg.stride_bytes = 32;
-  const auto res = run_chase(caches, cfg);
+  const auto res = run_chase(HierarchyConfig::tiny(), cfg);
   EXPECT_EQ(res.tlb.accesses(), 0u);
   EXPECT_EQ(res.tlb.walks, 0u);
 }

@@ -120,20 +120,24 @@ TEST_F(SyncTest, DisabledValidatorTracksNothing) {
 }
 
 TEST_F(SyncTest, ResetForgetsTheOrderGraph) {
+  // Driven through the validator's hooks, which is all a guard does to it:
+  // taking two real mutexes in both orders would be a lock-order inversion
+  // to TSan's own deadlock detector.
   order::set_enabled(true);
-  csync::Mutex a("sync_test.reset.a");
-  csync::Mutex b("sync_test.reset.b");
-  {
-    const csync::LockGuard ga(a);
-    const csync::LockGuard gb(b);  // a -> b
-  }
+  const int a = 0;
+  const int b = 0;
+  order::on_acquire(&a, "sync_test.reset.a");
+  order::on_acquire(&b, "sync_test.reset.b");  // a -> b
+  order::on_release(&b);
+  order::on_release(&a);
   order::reset();
-  {
-    // Without the reset this is the death-test inversion; after it the
-    // graph is empty and the reverse order is a fresh commitment.
-    const csync::LockGuard gb(b);
-    const csync::LockGuard ga(a);
-  }
+  // Without the reset this is the death-test inversion; after it the graph
+  // is empty and the reverse order is a fresh commitment.
+  order::on_acquire(&b, "sync_test.reset.b");
+  order::on_acquire(&a, "sync_test.reset.a");
+  EXPECT_EQ(order::this_thread_held(), 2u);
+  order::on_release(&a);
+  order::on_release(&b);
   EXPECT_EQ(order::this_thread_held(), 0u);
 }
 

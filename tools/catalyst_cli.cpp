@@ -21,6 +21,7 @@
 // not a positive number, or a combination that cannot run exits 2.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -276,14 +277,33 @@ TraceArgs trace_args_from(const Args& args) {
   return t;
 }
 
+/// A category's setup with the wall time of building it -- mostly the
+/// ground-truth benchmark, which runs before any pipeline stage.
+struct TimedSetup {
+  std::optional<service::CategorySetup> setup;
+  std::int64_t build_ns = 0;
+};
+
+TimedSetup timed_category_setup(const std::string& category) {
+  faults::RealClock clock;
+  const auto start = clock.now();
+  TimedSetup timed{service::category_setup(category), 0};
+  timed.build_ns = (clock.now() - start).count();
+  return timed;
+}
+
 /// Writes the requested trace/manifest/stats artifacts after a run.  The
 /// manifest's git_sha comes from CATALYST_GIT_SHA (scripts/run_bench.sh and
 /// scripts/check.sh export it) so the binary never shells out to git.
+/// --stats lists the category's benchmark build as a benchmark_build row
+/// ahead of the pipeline stages; the manifest's stages are the pipeline's
+/// alone.
 void write_trace_artifacts(const TraceArgs& t, const std::string& tool,
                            const std::string& category,
                            const std::string& machine_name,
                            const core::PipelineOptions& options,
-                           const core::PipelineResult& result) {
+                           const core::PipelineResult& result,
+                           std::int64_t benchmark_build_ns) {
   if (!t.any()) return;
   obs::Tracer& tracer = obs::Tracer::instance();
   const std::vector<obs::SpanRecord> spans = tracer.buffer().snapshot();
@@ -325,7 +345,11 @@ void write_trace_artifacts(const TraceArgs& t, const std::string& tool,
     std::cout << "wrote run manifest to " << t.manifest_out << "\n";
   }
   if (t.stats) {
-    std::cout << obs::format_stats(metrics, result.stage_timings,
+    std::vector<obs::StageTiming> rows = {
+        {"benchmark_build", benchmark_build_ns}};
+    rows.insert(rows.end(), result.stage_timings.begin(),
+                result.stage_timings.end());
+    std::cout << obs::format_stats(metrics, rows,
                                    tracer.buffer().published(),
                                    tracer.buffer().dropped());
   }
@@ -409,7 +433,8 @@ int cmd_signatures(const Args& args) {
 
 int cmd_analyze(const Args& args) {
   if (args.positional.size() < 2) return usage();
-  auto setup = category_setup(args.positional[1]);
+  TimedSetup timed = timed_category_setup(args.positional[1]);
+  auto& setup = timed.setup;
   if (!setup) {
     std::cerr << "unknown category " << args.positional[1] << "\n";
     return 2;
@@ -485,13 +510,14 @@ int cmd_analyze(const Args& args) {
                                    : core::presets_to_table(presets));
   }
   write_trace_artifacts(trace, "catalyst analyze", args.positional[1],
-                        machine_name, options, result);
+                        machine_name, options, result, timed.build_ns);
   return 0;
 }
 
 int cmd_collect(const Args& args) {
   if (args.positional.size() < 2 || !args.has("out")) return usage();
-  auto setup = category_setup(args.positional[1]);
+  TimedSetup timed = timed_category_setup(args.positional[1]);
+  auto& setup = timed.setup;
   if (!setup) {
     std::cerr << "unknown category " << args.positional[1] << "\n";
     return 2;
@@ -527,7 +553,8 @@ int cmd_collect(const Args& args) {
   }
   std::cout << " to " << out_path << "\n";
   write_trace_artifacts(trace, "catalyst collect", args.positional[1],
-                        machine_name, options.pipeline, out.result);
+                        machine_name, options.pipeline, out.result,
+                        timed.build_ns);
   return 0;
 }
 
