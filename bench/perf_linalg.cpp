@@ -108,15 +108,33 @@ void BM_NormTwoEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_NormTwoEstimate);
 
+// Tall Gaussian (3n x n) matrices, plus 71 x 64: the expectation basis of
+// the scale_10k preset, whose generator takes 500 spectra of that shape.
+void svd_shapes(benchmark::internal::Benchmark* b) {
+  for (const int n : {8, 16, 32, 64}) b->Args({3 * n, n});
+  b->Args({71, 64});
+}
+
 void BM_JacobiSvd(benchmark::State& state) {
-  const auto n = static_cast<linalg::index_t>(state.range(0));
-  const linalg::Matrix a = linalg::random_gaussian(3 * n, n, 8);
+  const linalg::Matrix a =
+      linalg::random_gaussian(state.range(0), state.range(1), 8);
   for (auto _ : state) {
     auto res = linalg::svd(a);
     benchmark::DoNotOptimize(res.singular_values.data());
   }
 }
-BENCHMARK(BM_JacobiSvd)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+BENCHMARK(BM_JacobiSvd)->Apply(svd_shapes);
+
+// The values-only twin of BM_JacobiSvd: the same sweeps without U and V.
+void BM_SingularValues(benchmark::State& state) {
+  const linalg::Matrix a =
+      linalg::random_gaussian(state.range(0), state.range(1), 8);
+  for (auto _ : state) {
+    auto sv = linalg::singular_values(a);
+    benchmark::DoNotOptimize(sv.data());
+  }
+}
+BENCHMARK(BM_SingularValues)->Apply(svd_shapes);
 
 void BM_PivotRules(benchmark::State& state) {
   const linalg::Matrix a = linalg::random_gaussian(16, 512, 9);

@@ -27,6 +27,12 @@ struct SvdResult {
 /// when every column pair satisfies |a_i . a_j| <= tol * ||a_i|| * ||a_j||.
 SvdResult svd(const Matrix& a, double tol = 1e-12, int max_sweeps = 60);
 
+/// The singular values alone, descending: the same Jacobi sweeps as svd()
+/// without accumulating V or building U, so the result is bit-identical to
+/// svd(a, tol, max_sweeps).singular_values at a fraction of the cost.
+Vector singular_values(const Matrix& a, double tol = 1e-12,
+                       int max_sweeps = 60);
+
 /// 2-norm condition number sigma_max / sigma_min (inf for singular input,
 /// 0x0 input returns 0).
 double cond2(const Matrix& a);

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/contract.hpp"
+#include "core/parallel.hpp"
 #include "linalg/lstsq.hpp"
 #include "linalg/svd.hpp"
 
@@ -31,63 +34,119 @@ std::string scaffold_signal(std::size_t j) {
   return "syn.scaffold" + std::to_string(j);
 }
 
-/// Draws the slots x dims expectation matrix: a diagonally-dominant
-/// small-integer head (rows 0..dims-1) plus fully random extra rows,
-/// redrawn until the spectrum is well-conditioned.  Conditioning is capped
-/// so benign measurement noise cannot be amplified past the QRCP rounding
-/// tolerance when events are projected onto the basis.
+/// One candidate expectation matrix: a diagonally-dominant small-integer
+/// head (rows 0..dims-1) plus fully random extra rows.
+linalg::Matrix draw_candidate(Rng& rng, std::size_t slots, std::size_t dims) {
+  linalg::Matrix e(static_cast<linalg::index_t>(slots),
+                   static_cast<linalg::index_t>(dims), 0.0);
+  for (std::size_t k = 0; k < slots; ++k) {
+    for (std::size_t d = 0; d < dims; ++d) {
+      int v;
+      if (k < dims) {
+        v = k == d ? rint(rng, 3, 5)
+                   : (rint(rng, 0, 9) < 4 ? rint(rng, 1, 2) : 0);
+      } else {
+        v = rint(rng, 0, 4);
+      }
+      e(static_cast<linalg::index_t>(k), static_cast<linalg::index_t>(d)) =
+          static_cast<double>(v);
+    }
+  }
+  return e;
+}
+
+/// Expectation candidates drawn per batch before their spectra are taken
+/// on the worker pool.  A constant, not an option: the batch bounds how
+/// many candidate matrices are alive at once.
+constexpr int kDrawBatch = 16;
+
+/// Draws the slots x dims expectation matrix, redrawn until the spectrum is
+/// well-conditioned.  Conditioning is capped so benign measurement noise
+/// cannot be amplified past the QRCP rounding tolerance when events are
+/// projected onto the basis.
+///
+/// The attempts are drawn serially in batches, the batch's spectra are
+/// computed in parallel, and the batch is then scanned in attempt order
+/// with the rule of one attempt at a time: the first well-conditioned
+/// attempt wins, else the strictly best one.  An early win restores the
+/// RNG state saved after the winning draw, so the RNG ends exactly where a
+/// one-at-a-time loop would leave it, for any thread count.
 linalg::Matrix draw_expectation(Rng& rng, std::size_t slots,
                                 std::size_t dims) {
   constexpr double kMaxCondition = 30.0;
   constexpr int kMaxTries = 500;
+  const int threads = core::resolve_threads(0);
+  std::vector<linalg::Matrix> batch;
+  std::vector<Rng> rng_after;
+  std::vector<double> ratios;
   linalg::Matrix best;
   double best_ratio = -1.0;
-  for (int attempt = 0; attempt < kMaxTries; ++attempt) {
-    linalg::Matrix e(static_cast<linalg::index_t>(slots),
-                     static_cast<linalg::index_t>(dims), 0.0);
-    for (std::size_t k = 0; k < slots; ++k) {
-      for (std::size_t d = 0; d < dims; ++d) {
-        int v;
-        if (k < dims) {
-          v = k == d ? rint(rng, 3, 5)
-                     : (rint(rng, 0, 9) < 4 ? rint(rng, 1, 2) : 0);
-        } else {
-          v = rint(rng, 0, 4);
-        }
-        e(static_cast<linalg::index_t>(k), static_cast<linalg::index_t>(d)) =
-            static_cast<double>(v);
+  for (int first = 0; first < kMaxTries; first += kDrawBatch) {
+    const auto count =
+        static_cast<std::size_t>(std::min(kDrawBatch, kMaxTries - first));
+    batch.clear();
+    rng_after.clear();
+    for (std::size_t k = 0; k < count; ++k) {
+      batch.push_back(draw_candidate(rng, slots, dims));
+      rng_after.push_back(rng);
+    }
+    ratios.assign(count, 0.0);
+    core::parallel_for(count, threads, [&](std::size_t k) {
+      const linalg::Vector sv = linalg::singular_values(batch[k]);
+      ratios[k] = sv.front() > 0.0 ? sv.back() / sv.front() : 0.0;
+    });
+    for (std::size_t k = 0; k < count; ++k) {
+      if (ratios[k] >= 1.0 / kMaxCondition) {
+        rng = rng_after[k];
+        return std::move(batch[k]);
+      }
+      if (ratios[k] > best_ratio) {
+        best_ratio = ratios[k];
+        best = std::move(batch[k]);
       }
     }
-    const auto sv = linalg::svd(e).singular_values;
-    const double ratio = sv.front() > 0.0 ? sv.back() / sv.front() : 0.0;
-    if (ratio >= 1.0 / kMaxCondition) return e;
-    if (ratio > best_ratio) {
-      best_ratio = ratio;
-      best = e;
-    }
   }
-  return best;  // astronomically unlikely; the best-conditioned draw.
+  return best;  // every attempt was ill-conditioned; the best one.
+}
+
+void draw_scaffold_column(Rng& rng, std::span<double> g) {
+  for (double& v : g) v = static_cast<double>(rint(rng, 1, 9));
 }
 
 /// Draws one scaffold slot-value vector, redrawn until it is clearly
 /// OUTSIDE the basis span (its least-squares fitness is several times the
 /// projection cutoff), so the projection stage provably rejects it.
+///
+/// All tries are drawn up front as the columns of one block and fitted by
+/// one factorization of E; the scan then applies the one-try-at-a-time
+/// rule in order.  On an early win the RNG is rewound and the draws up to
+/// the winner replayed, so it ends where a one-at-a-time loop would.
 linalg::Vector draw_scaffold(Rng& rng, const linalg::Matrix& e,
                              double projection_max_error) {
-  constexpr int kMaxTries = 500;
-  linalg::Vector best;
+  constexpr linalg::index_t kMaxTries = 500;
+  const Rng start = rng;
+  linalg::Matrix g(e.rows(), kMaxTries);
+  for (linalg::index_t t = 0; t < kMaxTries; ++t) {
+    draw_scaffold_column(rng, g.col(t));
+  }
+  const std::vector<double> errs = linalg::lstsq(e, g).backward_errors;
+  linalg::index_t best = -1;
   double best_err = -1.0;
-  for (int attempt = 0; attempt < kMaxTries; ++attempt) {
-    linalg::Vector g(static_cast<std::size_t>(e.rows()));
-    for (double& v : g) v = static_cast<double>(rint(rng, 1, 9));
-    const double err = linalg::lstsq(e, g).backward_error;
-    if (err > 4.0 * projection_max_error) return g;
+  for (linalg::index_t t = 0; t < kMaxTries; ++t) {
+    const double err = errs[static_cast<std::size_t>(t)];
+    if (err > 4.0 * projection_max_error) {
+      rng = start;
+      for (linalg::index_t r = 0; r <= t; ++r) {
+        draw_scaffold_column(rng, g.col(r));
+      }
+      return g.col_copy(t);
+    }
     if (err > best_err) {
       best_err = err;
-      best = g;
+      best = t;
     }
   }
-  return best;
+  return best < 0 ? linalg::Vector{} : g.col_copy(best);
 }
 
 }  // namespace

@@ -206,53 +206,6 @@ std::string metrics_compiled_out_json() {
   return json::dump(doc, 2) + "\n";
 }
 
-std::string to_prometheus_text(const MetricsSnapshot& metrics) {
-  // "a.b_c" -> "catalyst_a_b_c": dots become underscores, everything else
-  // in our names (snake.case identifiers) is already legal.
-  const auto mangle = [](std::string_view name) {
-    std::string out = "catalyst_";
-    for (const char c : name) out += c == '.' ? '_' : c;
-    return out;
-  };
-  std::string out;
-  char buf[96];
-  for (const auto& [name, value] : metrics.counters) {
-    const std::string m = mangle(name);
-    out += "# TYPE " + m + " counter\n";
-    std::snprintf(buf, sizeof buf, " %" PRIu64 "\n", value);
-    out += m + buf;
-  }
-  for (const auto& [name, value] : metrics.gauges) {
-    const std::string m = mangle(name);
-    out += "# TYPE " + m + " gauge\n";
-    std::snprintf(buf, sizeof buf, " %" PRId64 "\n", value);
-    out += m + buf;
-  }
-  for (const HistogramSnapshot& h : metrics.histograms) {
-    const std::string m = mangle(h.name);
-    out += "# TYPE " + m + " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (h.buckets[i] == 0) continue;
-      cumulative += h.buckets[i];
-      const double bound = histogram_upper_bound(i);
-      if (std::isfinite(bound)) {
-        std::snprintf(buf, sizeof buf, "_bucket{le=\"%.17g\"} %" PRIu64 "\n",
-                      bound, cumulative);
-        out += m + buf;
-      }
-    }
-    std::snprintf(buf, sizeof buf, "_bucket{le=\"+Inf\"} %" PRIu64 "\n",
-                  h.total_count);
-    out += m + buf;
-    std::snprintf(buf, sizeof buf, "_sum %.17g\n", h.sum);
-    out += m + buf;
-    std::snprintf(buf, sizeof buf, "_count %" PRIu64 "\n", h.total_count);
-    out += m + buf;
-  }
-  return out;
-}
-
 std::string trace_fragment_json(const std::vector<SpanRecord>& spans,
                                 std::uint64_t trace_id,
                                 std::size_t* matched) {

@@ -77,11 +77,6 @@ std::string to_run_manifest(const RunManifest& manifest);
 /// of a STATS frame can recompute percentiles without sharing this header.
 std::string to_metrics_json(const MetricsSnapshot& metrics);
 
-/// Prometheus text exposition (version 0.0.4): counters and gauges as
-/// single samples, histograms as cumulative le-bucket series with _sum and
-/// _count.  Names are mangled "a.b_c" -> "catalyst_a_b_c".
-std::string to_prometheus_text(const MetricsSnapshot& metrics);
-
 /// Chrome trace JSON of just the spans stamped with `trace_id` (a packed
 /// "trace=<id>" arg) -- one request's end-to-end fragment.  Returns the
 /// number of matching spans through `matched` when non-null.

@@ -102,8 +102,8 @@ INSTANTIATE_TEST_SUITE_P(
                       TableCase{"TableVI", "gpu_flops"},
                       TableCase{"TableVII", "branch"},
                       TableCase{"TableVIII", "dcache"}),
-    [](const ::testing::TestParamInfo<TableCase>& info) {
-      return std::string(info.param.name);
+    [](const ::testing::TestParamInfo<TableCase>& param_info) {
+      return std::string(param_info.param.name);
     });
 
 }  // namespace

@@ -115,8 +115,8 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"table8_dcache_saphira.txt",
                    "Table VIII: data-cache metrics (saphira)", "saphira",
                    "dcache"}),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      std::string name = info.param.file;
+    [](const ::testing::TestParamInfo<GoldenCase>& param_info) {
+      std::string name = param_info.param.file;
       name = name.substr(0, name.find('.'));
       return name;
     });

@@ -100,6 +100,48 @@ TEST(Svd, RejectsBadArguments) {
   EXPECT_THROW(svd(a, 1e-12, 0), ArgumentError);
 }
 
+// singular_values() runs the same sweeps as svd() without the vectors, so
+// the values must match bit for bit, not merely to a tolerance.
+void expect_values_bit_equal(const Matrix& a, double tol = 1e-12,
+                             int max_sweeps = 60) {
+  const Vector values = singular_values(a, tol, max_sweeps);
+  const Vector reference = svd(a, tol, max_sweeps).singular_values;
+  ASSERT_EQ(values.size(), reference.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(values[i], reference[i]) << "sigma_" << i;
+  }
+}
+
+TEST(SingularValues, BitEqualToSvdAcrossShapes) {
+  expect_values_bit_equal(random_gaussian(40, 16, 5));   // tall
+  expect_values_bit_equal(random_gaussian(12, 12, 8));   // square
+  expect_values_bit_equal(random_gaussian(16, 40, 6));   // wide
+  expect_values_bit_equal(random_rank_deficient(15, 10, 4, 31));
+  expect_values_bit_equal(random_rank_deficient(10, 15, 4, 32));
+  expect_values_bit_equal(random_with_condition(30, 8, 1e8, 33));
+  expect_values_bit_equal(Matrix(7, 5, 0.0));             // zero
+  expect_values_bit_equal(Matrix{{2.5}});                 // 1 x 1
+  // A sweep budget too small to converge stops both at the same point.
+  expect_values_bit_equal(random_gaussian(20, 12, 34), 1e-12, 2);
+}
+
+TEST(SingularValues, BitEqualToSvdOnTheModelgenShape) {
+  // The scale_10k expectation-basis shape: 71 slots x 64 dimensions of
+  // small non-negative integers.
+  Matrix a = random_uniform(71, 64, 0.0, 5.0, 35);
+  for (index_t j = 0; j < a.cols(); ++j) {
+    for (double& v : a.col(j)) v = std::floor(v);
+  }
+  expect_values_bit_equal(a);
+}
+
+TEST(SingularValues, EmptyAndBadArguments) {
+  EXPECT_TRUE(singular_values(Matrix{}).empty());
+  Matrix a(2, 2, 1.0);
+  EXPECT_THROW(singular_values(a, 0.0), ArgumentError);
+  EXPECT_THROW(singular_values(a, 1e-12, 0), ArgumentError);
+}
+
 TEST(Cond2, IdentityHasConditionOne) {
   EXPECT_NEAR(cond2(Matrix::identity(5)), 1.0, 1e-12);
 }

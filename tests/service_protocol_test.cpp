@@ -53,7 +53,9 @@ TEST(Wire, FrameSurvivesBytewiseDelivery) {
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     EXPECT_FALSE(decoder.next().has_value()) << "frame completed early";
     decoder.feed(&bytes[i], 1);
-    if (i + 1 < bytes.size()) EXPECT_TRUE(decoder.mid_frame());
+    if (i + 1 < bytes.size()) {
+      EXPECT_TRUE(decoder.mid_frame());
+    }
   }
   const auto frame = decoder.next();
   ASSERT_TRUE(frame.has_value());
