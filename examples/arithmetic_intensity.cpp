@@ -83,7 +83,7 @@ int main() {
 
     session.reset(set);
     session.start(set);
-    session.run_kernel(act, run++, 0);
+    session.run_kernel(machine.densify(act), run++, 0);
     session.stop(set);
     std::vector<double> vals;
     session.read(set, vals);

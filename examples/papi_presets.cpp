@@ -55,7 +55,8 @@ int main() {
             << machine.physical_counters() << " physical counters\n";
 
   session.start(set);
-  session.run_kernel(app, /*repetition=*/0, /*kernel_index=*/0);
+  session.run_kernel(machine.densify(app), /*repetition=*/0,
+                     /*kernel_index=*/0);
   session.stop(set);
 
   std::vector<double> values;

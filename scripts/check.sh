@@ -9,8 +9,8 @@
 #   2. Release build + ctest    the default configuration users get
 #   3. ASan+UBSan build + ctest heap/UB errors the Release build hides
 #   4. TSan build + ctest       data races in the worker pool: collection,
-#                               ideal table, chunked lstsq, cache chase,
-#                               catalystd workers
+#                               chunked lstsq, cache chase, catalystd
+#                               workers
 #   4b. tsan_linalg             the linalg suite alone under TSan (chunked
 #                               block lstsq, the whole pipeline at 1-4
 #                               threads and the default, QRCP run from
@@ -152,9 +152,9 @@ stage_tsan() {
 
 stage_tsan_linalg() {
     # Focused race hunt on the linalg-labelled suite (which drives the
-    # chunked block lstsq, pipeline_property_test's threaded collection,
-    # ideal table and projection, and QRCP run from several threads at
-    # once) under TSan.  Reuses the full-TSan tree so the
+    # chunked block lstsq, pipeline_property_test's threaded collection
+    # and projection, and QRCP run from several threads at once) under
+    # TSan.  Reuses the full-TSan tree so the
     # targeted run is cheap after (or instead of) the whole-suite tsan
     # stage.
     local dir=build-check-tsan

@@ -334,8 +334,8 @@ CampaignResult run_campaign(const pmu::Machine& machine,
   const std::vector<std::string> all_events = machine.event_names();
   const std::size_t n_events = all_events.size();
   const std::size_t n_slots = benchmark.slots.size();
-  // One prepared collector per benchmark thread: events, schedule and ideal
-  // table are built once and reused by every batch.
+  // One prepared collector per benchmark thread: events, schedule and dense
+  // kernel activities are built once and reused by every batch.
   obs::Span prepare_span("stage.collect");
   prepare_span.arg("prepare", n_threads);
   std::vector<vpapi::Collector> collectors;
@@ -346,7 +346,7 @@ CampaignResult run_campaign(const pmu::Machine& machine,
     for (const auto& slot : benchmark.slots) {
       acts.push_back(slot.thread_activities[t]);
     }
-    collectors.emplace_back(machine, all_events, std::move(acts), threads);
+    collectors.emplace_back(machine, all_events, acts);
   }
   prepare_span.end();
   // Per-slot normalization is a multiply in the hot loop, not a divide.
@@ -445,8 +445,8 @@ CampaignResult run_campaign(const pmu::Machine& machine,
     }
     merged.add(*batch);
   }
-  // The analysis needs none of the collectors' state; their ideal tables
-  // (events x kernels) are freed before its peak instead of after it.
+  // The analysis needs none of the collectors' state; their schedules and
+  // event lists are freed before its peak instead of after it.
   collectors.clear();
   per_thread.clear();
   obs::count(obs::names::kCampaignBatches, out.batches_total);

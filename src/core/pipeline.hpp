@@ -133,8 +133,8 @@ struct PipelineOptions {
   /// Pivot rule for the event-selection QR (ablation hook; the default is
   /// the paper-faithful specialized scheme).
   PivotRule pivot_rule = PivotRule::original_score;
-  /// Worker threads for the per-event stages: collection, the collector's
-  /// ideal table and the projection solve.  0 (the default) uses half the
+  /// Worker threads for the per-event stages: collection and the
+  /// projection solve.  0 (the default) uses half the
   /// hardware threads, at least one, and a negative value is refused with
   /// std::invalid_argument (core::resolve_threads); results are
   /// bit-identical for any value, so the count is never part of a run's

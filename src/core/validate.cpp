@@ -31,7 +31,8 @@ ValidationReport validate_metric(
     }
     session.start(set);
     // Each workload is its own run: distinct noise coordinates.
-    session.run_kernel(mix.activity, /*repetition=*/w, /*kernel_index=*/0);
+    session.run_kernel(machine.densify(mix.activity), /*repetition=*/w,
+                       /*kernel_index=*/0);
     session.stop(set);
     std::vector<double> vals;
     session.read(set, vals);

@@ -12,7 +12,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -35,9 +37,11 @@ class Machine {
   /// Base seed for all noise on this machine.
   std::uint64_t noise_seed() const noexcept { return noise_seed_; }
 
-  /// Registers an event; throws std::invalid_argument on duplicate names.
-  /// Also caches fnv1a(name) on the event so the measurement hot path never
-  /// re-hashes, and indexes the name for O(1) find().
+  /// Registers an event; throws std::invalid_argument on an empty or
+  /// duplicate name or a non-finite coefficient.  Also caches fnv1a(name) on
+  /// the event so the measurement hot path never re-hashes, indexes the name
+  /// for O(1) find(), and interns each term's signal name into a dense
+  /// signal id (see densify()).
   void add_event(EventDefinition event);
 
   std::size_t num_events() const noexcept { return events_.size(); }
@@ -54,12 +58,39 @@ class Machine {
   /// All event names, in registration order.
   std::vector<std::string> event_names() const;
 
+  /// Distinct signals the machine's events read.  Signal ids are 0 ..
+  /// num_signals() - 1, in order of first appearance across add_event.
+  std::size_t num_signals() const noexcept { return signal_ids_.size(); }
+
+  /// Dense form of `activity`: entry i is the count of signal id i, 0.0
+  /// where the activity lacks it.  Signals no event reads are dropped.
+  std::vector<double> densify(const Activity& activity) const;
+
+  /// Ideal (noise-free, unrounded) reading of event `event_index` over a
+  /// dense activity.  The sum runs in term order like
+  /// EventDefinition::ideal, and a finite coefficient times an absent
+  /// signal's 0.0 leaves it unchanged, so
+  /// ideal(e, densify(act)) has the bits of event(e).ideal(act).  Throws
+  /// std::invalid_argument on a bad index or a span whose size is not
+  /// num_signals().
+  double ideal(std::size_t event_index, std::span<const double> signals) const;
+
  private:
+  struct DenseTerm {
+    std::uint32_t signal = 0;
+    double coefficient = 0.0;
+  };
+
   std::string name_;
   std::size_t physical_counters_;
   std::uint64_t noise_seed_;
   std::vector<EventDefinition> events_;
   std::unordered_map<std::string, std::size_t> index_;  ///< name -> events_ i.
+  std::unordered_map<std::string, std::uint32_t> signal_ids_;
+  /// Every event's terms by signal id, event after event; event e's are
+  /// terms_[term_begin_[e], term_begin_[e + 1]).
+  std::vector<DenseTerm> terms_;
+  std::vector<std::size_t> term_begin_{0};
 };
 
 /// Builds the Sapphire-Rapids-flavoured CPU model (~350 events, 8 counters).

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/contract.hpp"
-#include "core/parallel.hpp"
 
 namespace catalyst::pmu {
 
@@ -117,65 +116,6 @@ double measure_event(const Machine& machine, const EventDefinition& event,
                      std::uint64_t kernel_index) {
   return measure_from_ideal(machine, event, event.ideal(activity), rep,
                             kernel_index);
-}
-
-void IdealTable::fill(const Machine& machine,
-                      const std::vector<Activity>& activities,
-                      const std::vector<std::size_t>& listed, int threads) {
-  values_.resize(listed.size() * num_kernels_);
-  // Each row is a pure function of its event, written to its own slice of
-  // the one block, so the table is the same for any thread count.
-  core::parallel_for(listed.size(), threads, [&](std::size_t row) {
-    const EventDefinition& event = machine.event(listed[row]);
-    double* out = values_.data() + row * num_kernels_;
-    for (const Activity& act : activities) *out++ = event.ideal(act);
-  });
-}
-
-IdealTable::IdealTable(const Machine& machine,
-                       const std::vector<Activity>& activities)
-    : row_of_(machine.num_events()), num_kernels_(activities.size()) {
-  for (std::size_t e = 0; e < row_of_.size(); ++e) row_of_[e] = e;
-  fill(machine, activities, row_of_, 1);
-}
-
-IdealTable::IdealTable(const Machine& machine,
-                       const std::vector<Activity>& activities,
-                       const std::vector<std::size_t>& event_indices,
-                       int threads)
-    : row_of_(machine.num_events(), kNoRow), num_kernels_(activities.size()) {
-  std::vector<std::size_t> listed;
-  listed.reserve(event_indices.size());
-  for (std::size_t e : event_indices) {
-    if (row_of_.at(e) == kNoRow) {
-      row_of_[e] = listed.size();
-      listed.push_back(e);
-    }
-  }
-  fill(machine, activities, listed, threads);
-}
-
-std::vector<double> measure_vector(const Machine& machine,
-                                   const EventDefinition& event,
-                                   const std::vector<Activity>& activities,
-                                   std::uint64_t rep) {
-  std::vector<double> out;
-  out.reserve(activities.size());
-  for (std::size_t k = 0; k < activities.size(); ++k) {
-    out.push_back(measure_event(machine, event, activities[k], rep, k));
-  }
-  return out;
-}
-
-std::vector<std::vector<double>> measure_all(
-    const Machine& machine, const std::vector<Activity>& activities,
-    std::uint64_t rep) {
-  std::vector<std::vector<double>> out;
-  out.reserve(machine.num_events());
-  for (const auto& e : machine.events()) {
-    out.push_back(measure_vector(machine, e, activities, rep));
-  }
-  return out;
 }
 
 }  // namespace catalyst::pmu

@@ -10,14 +10,14 @@
 // so any single reading can be reproduced in isolation; there is no hidden
 // global state and no dependence on measurement order or thread scheduling.
 // A reading changes if and only if one of those four coordinates changes --
-// in particular it does NOT depend on whether the ideal value was evaluated
-// fresh or served from an IdealTable, nor on which event set or session
-// performed the measurement.
+// in particular it does NOT depend on whether the ideal value came from the
+// event's signal map (EventDefinition::ideal) or the machine's dense signal
+// ids (Machine::ideal), nor on which event set or session performed the
+// measurement.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "pmu/machine.hpp"
 
@@ -43,71 +43,11 @@ double measure_event(const Machine& machine, const EventDefinition& event,
 
 /// Same reading, but with the ideal (noise-free, unrounded) value already in
 /// hand.  `measure_event(m, e, act, r, k)` is exactly
-/// `measure_from_ideal(m, e, e.ideal(act), r, k)`; collection paths that
-/// revisit the same (event, kernel) pair across repetitions use this with an
-/// IdealTable so the repetition-invariant functional is evaluated once.
+/// `measure_from_ideal(m, e, e.ideal(act), r, k)`; the collection paths
+/// pass the machine's dense-id ideal (Machine::ideal), which has the same
+/// bits.
 double measure_from_ideal(const Machine& machine, const EventDefinition& event,
                           double ideal, std::uint64_t rep,
                           std::uint64_t kernel_index);
-
-/// Precomputed ideal readings over a kernel sequence:
-/// `ideal(e, k)` = machine event e's noise-free functional over
-/// activities[k].  Ideal values are repetition-invariant, so one table built
-/// up front serves every (repetition, group) unit of a collection sweep --
-/// and, being immutable after construction, can be shared across worker
-/// threads without synchronization.
-class IdealTable {
- public:
-  IdealTable() = default;
-
-  /// Eagerly evaluates every event of the machine over `activities`.
-  IdealTable(const Machine& machine, const std::vector<Activity>& activities);
-
-  /// Eagerly evaluates only the listed machine event indices, on up to
-  /// `threads` workers (the table is the same for any count); lookups for
-  /// other events report !has() and callers fall back to evaluating fresh.
-  IdealTable(const Machine& machine, const std::vector<Activity>& activities,
-             const std::vector<std::size_t>& event_indices, int threads = 1);
-
-  /// True when `event_index` has a precomputed row.
-  bool has(std::size_t event_index) const noexcept {
-    return event_index < row_of_.size() && row_of_[event_index] != kNoRow;
-  }
-
-  /// Precomputed ideal of event `event_index` over activities[kernel_index].
-  /// Only valid when has(event_index) and kernel_index < num_kernels().
-  double ideal(std::size_t event_index, std::size_t kernel_index) const {
-    return values_[row_of_[event_index] * num_kernels_ + kernel_index];
-  }
-
-  std::size_t num_kernels() const noexcept { return num_kernels_; }
-
- private:
-  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
-
-  /// Evaluates the listed events' rows into values_, on up to `threads`
-  /// workers; row_of_ must already map each of them to its row.
-  void fill(const Machine& machine, const std::vector<Activity>& activities,
-            const std::vector<std::size_t>& listed, int threads);
-
-  std::vector<std::size_t> row_of_;  ///< Machine event -> row, or kNoRow.
-  std::vector<double> values_;       ///< Rows x kernels, one block.
-  std::size_t num_kernels_ = 0;
-};
-
-/// Measurement vector of one event across a sequence of kernel activities
-/// (one entry per activity), at repetition `rep`.
-std::vector<double> measure_vector(const Machine& machine,
-                                   const EventDefinition& event,
-                                   const std::vector<Activity>& activities,
-                                   std::uint64_t rep);
-
-/// Measurement matrix columns for every event of the machine:
-/// result[e][k] = reading of event e over activities[k].
-/// This is the "measure everything at once" shortcut used by tests; the
-/// realistic multiplexed collection path lives in catalyst::vpapi.
-std::vector<std::vector<double>> measure_all(
-    const Machine& machine, const std::vector<Activity>& activities,
-    std::uint64_t rep);
 
 }  // namespace catalyst::pmu

@@ -106,6 +106,17 @@ std::vector<std::size_t> resolve_events(
   return indices;
 }
 
+// Each kernel's activity in the machine's dense signal ids.
+std::vector<std::vector<double>> densify_all(
+    const pmu::Machine& machine, const std::vector<pmu::Activity>& activities) {
+  std::vector<std::vector<double>> signals;
+  signals.reserve(activities.size());
+  for (const pmu::Activity& act : activities) {
+    signals.push_back(machine.densify(act));
+  }
+  return signals;
+}
+
 /// The run a unit executes and where its readings go.  Members are in slot
 /// order; `rows[i]` is member i's event in `dest`, `indices[i]` its machine
 /// index, and the unit writes repetition `rep` of those events.
@@ -122,11 +133,12 @@ struct UnitTarget {
 
 // A clean counting unit: a fresh session measuring the run's events over
 // the full kernel sequence, start/run/stop/read/reset around each kernel,
-// the way CAT instruments its microkernels.  `ideals` is immutable and
-// shared by every unit (and worker thread) of the collection.
+// the way CAT instruments its microkernels.  `signals` (kernel k's dense
+// activity) is immutable and shared by every unit (and worker thread) of
+// the collection.
 void run_clean_unit(const pmu::Machine& machine,
-                    const std::vector<pmu::Activity>& activities,
-                    const pmu::IdealTable& ideals, const UnitTarget& unit) {
+                    const std::vector<std::vector<double>>& signals,
+                    const UnitTarget& unit) {
   Session session(machine);
   const int set = session.create_eventset();
   for (const auto& name : unit.members) {
@@ -139,7 +151,7 @@ void run_clean_unit(const pmu::Machine& machine,
   // Readings arrive kernel by kernel.  A unit-local block takes those
   // scattered writes and fills each row in one pass at the end: writing
   // the rows kernel by kernel cost ~5% of a scale_10k op (perfbench A/B).
-  const std::size_t n_kernels = activities.size();
+  const std::size_t n_kernels = signals.size();
   std::vector<double> block(unit.members.size() * n_kernels);
   std::vector<double> vals;
   for (std::size_t k = 0; k < n_kernels; ++k) {
@@ -147,7 +159,7 @@ void run_clean_unit(const pmu::Machine& machine,
     if (s != Status::ok) {
       throw std::runtime_error("collect: start failed: " + to_string(s));
     }
-    session.run_kernel(activities[k], unit.run_id, k, &ideals);
+    session.run_kernel(signals[k], unit.run_id, k);
     session.stop(set);
     s = session.read(set, vals);
     if (s != Status::ok) {
@@ -170,8 +182,8 @@ void run_clean_unit(const pmu::Machine& machine,
 /// disposition), which is added into the collection's report after the
 /// workers join.  Quarantined events' rows are left partly written.
 void run_resilient_unit(const pmu::Machine& machine,
-                        const std::vector<pmu::Activity>& activities,
-                        const pmu::IdealTable& ideals, const UnitTarget& unit,
+                        const std::vector<std::vector<double>>& signals,
+                        const UnitTarget& unit,
                         const faults::FaultPlan& plan,
                         const ResilienceOptions& opts, CollectionReport& out) {
   const std::vector<std::string>& group = unit.members;
@@ -251,7 +263,7 @@ void run_resilient_unit(const pmu::Machine& machine,
   // --- kernel loop: retry, unwrap, screen, quarantine ----------------------
   std::vector<double> vals;
   std::vector<char> suspect(n, 0);
-  for (std::size_t k = 0; k < activities.size() && !in_set.empty(); ++k) {
+  for (std::size_t k = 0; k < signals.size() && !in_set.empty(); ++k) {
     bool kernel_done = false;
     while (!kernel_done && !in_set.empty()) {
       std::fill(suspect.begin(), suspect.end(), 0);
@@ -272,7 +284,7 @@ void run_resilient_unit(const pmu::Machine& machine,
         if (s != Status::ok) {
           throw std::runtime_error("collect: start failed: " + to_string(s));
         }
-        session.run_kernel(activities[k], unit.run_id, k, &ideals);
+        session.run_kernel(signals[k], unit.run_id, k);
         session.stop(set);
         s = session.read(set, vals);
         for (const std::size_t e : in_set) ++out.events[e].read_attempts;
@@ -347,7 +359,7 @@ void run_resilient_unit(const pmu::Machine& machine,
   // Partial rows can only belong to quarantined events, which the report
   // names and every consumer drops.
   for (std::size_t e = 0; e < n; ++e) {
-    CATALYST_ENSURE(written[e] == activities.size() ||
+    CATALYST_ENSURE(written[e] == signals.size() ||
                         out.events[e].is_quarantined(),
                     "collect: torn row escaped a unit");
   }
@@ -375,10 +387,10 @@ void count_faults(const CollectionReport& report) {
 
 Collector::Collector(const pmu::Machine& machine,
                      std::vector<std::string> event_names,
-                     std::vector<pmu::Activity> activities, int threads)
+                     const std::vector<pmu::Activity>& activities)
     : machine_(&machine),
       events_(std::move(event_names)),
-      activities_(std::move(activities)) {
+      signals_(densify_all(machine, activities)) {
   const std::vector<std::size_t> indices =
       resolve_events(machine, events_, "collect");
   std::unordered_map<std::string, std::size_t> row_of;
@@ -398,15 +410,10 @@ Collector::Collector(const pmu::Machine& machine,
       run_indices_[g].push_back(indices[row]);
     }
   }
-  // An event's ideal reading over a kernel is repetition-invariant, so the
-  // (event, kernel) table is evaluated once and shared by every unit of
-  // every collect() call.  It is immutable from here on, so worker threads
-  // read it without synchronization.
-  ideals_ = pmu::IdealTable(machine, activities_, indices, threads);
 }
 
 CollectionResult Collector::collect(const CollectionPlan& plan) const {
-  Measurements readings(events_.size(), plan.repetitions, activities_.size());
+  Measurements readings(events_.size(), plan.repetitions, signals_.size());
   CollectionResult result = collect_into(plan, readings, 0);
   std::vector<char> keep(events_.size());
   for (std::size_t e = 0; e < events_.size(); ++e) {
@@ -426,7 +433,7 @@ CollectionResult Collector::collect_into(const CollectionPlan& plan,
   CATALYST_REQUIRE_AS(plan.threads >= 1, std::invalid_argument,
                       "collect: need at least one thread");
   CATALYST_REQUIRE_AS(out.size() == events_.size() &&
-                          out.slots() == activities_.size() &&
+                          out.slots() == signals_.size() &&
                           first_rep + plan.repetitions <= out.repetitions(),
                       std::invalid_argument,
                       "collect: destination tensor does not fit the "
@@ -435,7 +442,7 @@ CollectionResult Collector::collect_into(const CollectionPlan& plan,
   const bool faulty = plan.faults != nullptr && plan.faults->enabled();
   if (sampled) {
     plan.schedule.validate();
-    CATALYST_REQUIRE_AS(!activities_.empty(), std::invalid_argument,
+    CATALYST_REQUIRE_AS(!signals_.empty(), std::invalid_argument,
                         "collect: sampled modes need kernel activities");
     CATALYST_REQUIRE_AS(!faulty, std::invalid_argument,
                         "collect: fault injection is counting-mode only (a "
@@ -444,7 +451,7 @@ CollectionResult Collector::collect_into(const CollectionPlan& plan,
   const pmu::Machine& machine = *machine_;
   const std::size_t n_events = events_.size();
   const std::size_t n_runs = schedule_.runs.size();
-  const std::size_t n_kernels = activities_.size();
+  const std::size_t n_kernels = signals_.size();
   const std::size_t total_units = plan.repetitions * n_runs;
 
   CollectionResult result;
@@ -481,16 +488,16 @@ CollectionResult Collector::collect_into(const CollectionPlan& plan,
       // The run's sample trace (vpapi/sampling.hpp), with the per-kernel
       // rows reconstructed from it written in place.
       RunTrace& trace = result.trace.runs[u];
-      trace = sample_run(machine, unit.members, unit.indices, ideals_,
-                         n_kernels, plan.mode, plan.schedule, repetition,
-                         unit.run_id, plan.resilience.clock);
+      trace = sample_run(machine, unit.members, unit.indices, signals_,
+                         plan.mode, plan.schedule, repetition, unit.run_id,
+                         plan.resilience.clock);
       reconstruct_run_phases(trace, plan.schedule.kernel_span_ns, out,
                              unit.rows, unit.rep);
     } else if (faulty) {
-      run_resilient_unit(machine, activities_, ideals_, unit, *plan.faults,
+      run_resilient_unit(machine, signals_, unit, *plan.faults,
                          plan.resilience, tallies[u]);
     } else {
-      run_clean_unit(machine, activities_, ideals_, unit);
+      run_clean_unit(machine, signals_, unit);
     }
   };
   core::parallel_for(total_units, plan.threads, do_unit);
@@ -523,8 +530,7 @@ CollectionResult collect(const pmu::Machine& machine,
                          const std::vector<std::string>& event_names,
                          const std::vector<pmu::Activity>& activities,
                          const CollectionPlan& plan) {
-  return Collector(machine, event_names, activities, plan.threads)
-      .collect(plan);
+  return Collector(machine, event_names, activities).collect(plan);
 }
 
 CollectionResult collect_multiplexed(
@@ -532,9 +538,10 @@ CollectionResult collect_multiplexed(
     const std::vector<pmu::Activity>& activities, std::size_t repetitions) {
   CATALYST_REQUIRE_AS(repetitions != 0, std::invalid_argument,
                       "collect_multiplexed: need at least one repetition");
-  const std::vector<std::size_t> event_indices =
-      resolve_events(machine, event_names, "collect_multiplexed");
-  const pmu::IdealTable ideals(machine, activities, event_indices);
+  // Refuses unknown names before any session is built.
+  resolve_events(machine, event_names, "collect_multiplexed");
+  const std::vector<std::vector<double>> signals =
+      densify_all(machine, activities);
   CollectionResult result;
   result.event_names = event_names;
   result.runs_per_repetition = 1;
@@ -566,7 +573,7 @@ CollectionResult collect_multiplexed(
     std::vector<double> now;
     session.start(set);
     for (std::size_t k = 0; k < activities.size(); ++k) {
-      session.run_kernel(activities[k], rep, k, &ideals);
+      session.run_kernel(signals[k], rep, k);
       session.read(set, now);
       // The multiplexed set keeps running across kernels (stopping would
       // reset the duty-cycle schedule); per-kernel values are consecutive

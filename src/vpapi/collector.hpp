@@ -10,7 +10,8 @@
 //
 // One driver does all of it.  A Collector is prepared once per (machine,
 // events, activities): it resolves the events, builds the event-set
-// schedule (vpapi/scheduler.hpp) and the (event, kernel) ideal-value table.
+// schedule (vpapi/scheduler.hpp) and densifies each kernel's activity into
+// the machine's signal ids (pmu::Machine::densify).
 // Collector::collect then runs a CollectionPlan -- repetitions, worker
 // threads, collection mode, fault plan and pacing clock -- over that state
 // as many times as the caller likes, into one (event, repetition, slot)
@@ -149,11 +150,10 @@ struct CollectionResult {
 /// activities) triple.  The machine must outlive the collector.
 class Collector {
  public:
-  /// Builds the schedule and the ideal table, the table's rows on up to
-  /// `threads` workers.  Throws std::invalid_argument on unknown event
-  /// names.
+  /// Builds the schedule and densifies `activities`, one kernel slot each.
+  /// Throws std::invalid_argument on unknown event names.
   Collector(const pmu::Machine& machine, std::vector<std::string> event_names,
-            std::vector<pmu::Activity> activities, int threads = 1);
+            const std::vector<pmu::Activity>& activities);
 
   /// Measures every event over the kernel sequence, `plan.repetitions`
   /// times.  Each (repetition, scheduled run) pair is a distinct run with
@@ -177,17 +177,18 @@ class Collector {
  private:
   const pmu::Machine* machine_;
   std::vector<std::string> events_;
-  std::vector<pmu::Activity> activities_;
+  /// Kernel k's activity in the machine's dense signal ids, densified once
+  /// and read (never written) by every unit and worker thread.
+  std::vector<std::vector<double>> signals_;
   EventSetSchedule schedule_;
   /// Per scheduled run: its members' rows in events_ and machine indices
   /// (constrained events may be packed out of input order).
   std::vector<std::vector<std::size_t>> run_rows_;
   std::vector<std::vector<std::size_t>> run_indices_;
-  pmu::IdealTable ideals_;
 };
 
-/// One-shot convenience: Collector(machine, event_names, activities,
-/// plan.threads).collect(plan).
+/// One-shot convenience: Collector(machine, event_names,
+/// activities).collect(plan).
 CollectionResult collect(const pmu::Machine& machine,
                          const std::vector<std::string>& event_names,
                          const std::vector<pmu::Activity>& activities,

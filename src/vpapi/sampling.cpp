@@ -143,11 +143,12 @@ void reconstruct_run_phases(const RunTrace& run, std::uint64_t kernel_span_ns,
 RunTrace sample_run(const pmu::Machine& machine,
                     const std::vector<std::string>& events,
                     const std::vector<std::size_t>& event_indices,
-                    const pmu::IdealTable& ideals, std::size_t kernels,
+                    const std::vector<std::vector<double>>& signals,
                     CollectionMode mode, const SampleSchedule& schedule,
                     std::uint64_t repetition, std::uint64_t run_id,
                     faults::Clock* clock) {
   const std::size_t n = events.size();
+  const std::size_t kernels = signals.size();
   const std::uint64_t total_ns = schedule.kernel_span_ns * kernels;
 
   // Whole-kernel readings at this unit's noise coordinates -- identical to
@@ -161,8 +162,8 @@ RunTrace sample_run(const pmu::Machine& machine,
     readings[e].reserve(kernels);
     prefix[e].assign(kernels + 1, 0.0);
     for (std::size_t k = 0; k < kernels; ++k) {
-      const double r = pmu::measure_from_ideal(machine, event,
-                                               ideals.ideal(mi, k), run_id, k);
+      const double r = pmu::measure_from_ideal(
+          machine, event, machine.ideal(mi, signals[k]), run_id, k);
       readings[e].push_back(r);
       prefix[e][k + 1] = prefix[e][k] + r;
     }

@@ -132,17 +132,18 @@ void reconstruct_run_phases(const RunTrace& run, std::uint64_t kernel_span_ns,
 /// One sampled (repetition, scheduled run) unit: plays the kernel sequence
 /// on the virtual timeline at noise coordinate `run_id` and returns the
 /// run's sample trace.  `events` are the run's members in slot order and
-/// `event_indices` their machine indices; `ideals` must cover them over
-/// `kernels` kernel slots.  Readings at each kernel are the ones a counting
-/// session would read at the same run id; reconstruct_run_phases turns the
-/// trace back into per-kernel rows.  `clock` paces virtual time (one sleep
-/// per kernel span); nullptr skips pacing -- values never depend on it.
-/// The grouped driver (vpapi/collector.hpp) runs one of these per unit in
-/// the sampling and strobed modes.
+/// `event_indices` their machine indices; `signals[k]` is kernel k's
+/// activity in the machine's dense signal ids (pmu::Machine::densify).
+/// Readings at each kernel are the ones a counting session would read at
+/// the same run id; reconstruct_run_phases turns the trace back into
+/// per-kernel rows.  `clock` paces virtual time (one sleep per kernel
+/// span); nullptr skips pacing -- values never depend on it.  The grouped
+/// driver (vpapi/collector.hpp) runs one of these per unit in the sampling
+/// and strobed modes.
 RunTrace sample_run(const pmu::Machine& machine,
                     const std::vector<std::string>& events,
                     const std::vector<std::size_t>& event_indices,
-                    const pmu::IdealTable& ideals, std::size_t kernels,
+                    const std::vector<std::vector<double>>& signals,
                     CollectionMode mode, const SampleSchedule& schedule,
                     std::uint64_t repetition, std::uint64_t run_id,
                     faults::Clock* clock);

@@ -1,6 +1,9 @@
 #include "vpapi/vpapi.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+
+#include "core/contract.hpp"
 
 namespace catalyst::vpapi {
 
@@ -318,21 +321,20 @@ Status Session::reset(int set) {
   return Status::ok;
 }
 
-void Session::run_kernel(const pmu::Activity& activity,
+void Session::run_kernel(std::span<const double> signals,
                          std::uint64_t repetition,
-                         std::uint64_t kernel_index,
-                         const pmu::IdealTable* ideals) {
-  // The reading is the same either way; the table only skips re-evaluating
-  // the repetition-invariant linear functional.
-  const bool table_usable =
-      ideals != nullptr && kernel_index < ideals->num_kernels();
+                         std::uint64_t kernel_index) {
+  CATALYST_REQUIRE_AS(signals.size() == machine_->num_signals(),
+                      std::invalid_argument,
+                      "Session::run_kernel: need " +
+                          std::to_string(machine_->num_signals()) +
+                          " dense signals, got " +
+                          std::to_string(signals.size()));
   auto measure = [&](EventSet& es, const Slot& slot) {
-    const auto& event = machine_->event(slot.machine_index);
-    const double ideal = table_usable && ideals->has(slot.machine_index)
-                             ? ideals->ideal(slot.machine_index, kernel_index)
-                             : event.ideal(activity);
-    const double reading = pmu::measure_from_ideal(*machine_, event, ideal,
-                                                   repetition, kernel_index);
+    const double reading = pmu::measure_from_ideal(
+        *machine_, machine_->event(slot.machine_index),
+        machine_->ideal(slot.machine_index, signals), repetition,
+        kernel_index);
     // With no plan armed the reading is untouched -- bit-identical to a
     // fault-free session.
     return fault_plan_ == nullptr

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -141,18 +142,12 @@ class Session {
   Status stop(int set);
   Status reset(int set);
 
-  /// Accrues counts on all running sets for one kernel execution.
-  ///
-  /// When `ideals` is given and holds a row for a counted event (with
-  /// `kernel_index` inside its kernel range), the event's repetition-
-  /// invariant ideal value is taken from the table instead of being
-  /// re-evaluated from `activity`; the reading is bit-identical either way
-  /// (see pmu::measure_from_ideal).  Collection sweeps that revisit the same
-  /// kernel sequence across repetitions build the table once and pass it
-  /// here.
-  void run_kernel(const pmu::Activity& activity, std::uint64_t repetition,
-                  std::uint64_t kernel_index,
-                  const pmu::IdealTable* ideals = nullptr);
+  /// Accrues counts on all running sets for one kernel execution whose
+  /// activity is `signals` in the machine's dense signal ids
+  /// (pmu::Machine::densify).  Throws std::invalid_argument when
+  /// signals.size() is not machine().num_signals().
+  void run_kernel(std::span<const double> signals, std::uint64_t repetition,
+                  std::uint64_t kernel_index);
 
   /// Reads accumulated values, one per added event in list_events order;
   /// preset entries return their linear combination.  Returns

@@ -4,7 +4,6 @@
 //     (rel_sigma / abs_sigma / spike_prob), so noise-class tests stay
 //     meaningful,
 //   * collection is bit-identical across thread counts,
-//   * the ideal-value cache never changes a reading,
 //   * exceptions from collector worker threads reach the caller.
 #include <gtest/gtest.h>
 
@@ -129,46 +128,6 @@ TEST(MeasureFromIdeal, MatchesMeasureEventExactly) {
                        pmu::measure_from_ideal(m, m.event(0), ideal, r, k));
     }
   }
-}
-
-TEST(IdealTable, CachedAndFreshRunKernelReadingsAreBitIdentical) {
-  // A noisy machine driven twice through identical sessions, once with the
-  // precomputed ideal table and once without: reads must match exactly.
-  pmu::Machine m("tbl", 4, 77);
-  m.add_event({"D", "", {{"x", 2.0}}, pmu::NoiseModel::none()});
-  m.add_event({"R", "", {{"x", 1.0}}, pmu::NoiseModel::relative(0.05)});
-  m.add_event({"S", "", {{"y", 1.0}}, pmu::NoiseModel::spiky(0.5, 1e4)});
-  const std::vector<pmu::Activity> acts{
-      {{"x", 1e6}, {"y", 2e6}}, {{"x", 3e6}}, {{"y", 5e5}}};
-  const pmu::IdealTable table(m, acts);
-
-  auto run = [&](const pmu::IdealTable* ideals) {
-    vpapi::Session session(m);
-    const int set = session.create_eventset();
-    for (const char* n : {"D", "R", "S"}) session.add_event(set, n);
-    session.start(set);
-    for (std::size_t k = 0; k < acts.size(); ++k) {
-      session.run_kernel(acts[k], /*repetition=*/3, k, ideals);
-    }
-    session.stop(set);
-    std::vector<double> vals;
-    session.read(set, vals);
-    return vals;
-  };
-
-  EXPECT_EQ(run(&table), run(nullptr));
-}
-
-TEST(IdealTable, SubsetConstructorOnlyFillsRequestedRows) {
-  pmu::Machine m("tbl", 4, 77);
-  m.add_event({"A", "", {{"x", 1.0}}, {}});
-  m.add_event({"B", "", {{"x", 2.0}}, {}});
-  const std::vector<pmu::Activity> acts{{{"x", 10.0}}};
-  const pmu::IdealTable table(m, acts, {1});
-  EXPECT_FALSE(table.has(0));
-  ASSERT_TRUE(table.has(1));
-  EXPECT_DOUBLE_EQ(table.ideal(1, 0), 20.0);
-  EXPECT_EQ(table.num_kernels(), 1u);
 }
 
 TEST(CollectorDeterminism, SingleAndMultiThreadedResultsAreBitIdentical) {

@@ -90,7 +90,11 @@ vpapi::Measurements measure_reps(const pmu::NoiseModel& noise,
   std::vector<pmu::Activity> acts{{{"x", 1e6}}, {{"x", 2e6}}, {{"x", 3e6}}};
   std::vector<std::vector<double>> reps;
   for (std::size_t r = 0; r < n_reps; ++r) {
-    reps.push_back(pmu::measure_vector(m, m.event(0), acts, r));
+    std::vector<double> row;
+    for (std::size_t k = 0; k < acts.size(); ++k) {
+      row.push_back(pmu::measure_event(m, m.event(0), acts[k], r, k));
+    }
+    reps.push_back(std::move(row));
   }
   return tensor(reps);
 }

@@ -190,9 +190,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomSlotPermutation,
                          ::testing::ValuesIn(testing::sweep_seeds(1, 8)));
 
 // --- thread-count invariance ----------------------------------------------
-// Collection, the collector's ideal table and the chunked projection solve
-// run on the worker pool (core::parallel_for); every thread count must give
-// the serial run's bytes.
+// Collection and the chunked projection solve run on the worker pool
+// (core::parallel_for); every thread count must give the serial run's
+// bytes.
 
 ::testing::AssertionResult SameBytes(std::span<const double> a,
                                      std::span<const double> b) {

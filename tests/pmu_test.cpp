@@ -6,10 +6,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 namespace catalyst::pmu {
 namespace {
+
+// One event's readings over a kernel sequence at repetition `rep`.
+std::vector<double> readings(const Machine& m, const EventDefinition& event,
+                             const std::vector<Activity>& acts,
+                             std::uint64_t rep) {
+  std::vector<double> out;
+  for (std::size_t k = 0; k < acts.size(); ++k) {
+    out.push_back(measure_event(m, event, acts[k], rep, k));
+  }
+  return out;
+}
 
 TEST(Event, IdealIsLinearFunctional) {
   EventDefinition e;
@@ -36,6 +50,39 @@ TEST(MachineTest, RejectsDuplicateEventNames) {
   m.add_event(EventDefinition{"E1", "", {}, {}});
   EXPECT_THROW(m.add_event(EventDefinition{"E1", "", {}, {}}),
                std::invalid_argument);
+}
+
+TEST(MachineTest, RejectsNonFiniteCoefficients) {
+  // In the dense sum an absent signal contributes coefficient * 0.0, which
+  // is NaN for +/-inf; the machine refuses such an event outright and is
+  // left as it was.
+  Machine m("test", 4, 1);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(m.add_event(EventDefinition{
+                     "E", "", {{"x", 1.0}, {"y", bad}}, {}}),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(m.num_events(), 0u);
+  EXPECT_EQ(m.num_signals(), 0u);
+  m.add_event(EventDefinition{"E", "", {{"x", 1.0}}, {}});
+  EXPECT_EQ(m.num_signals(), 1u);
+}
+
+TEST(MachineTest, DensifyUsesFirstAppearanceIdsAndZeroFill) {
+  Machine m("test", 4, 1);
+  m.add_event(EventDefinition{"E1", "", {{"b", 1.0}, {"a", 2.0}}, {}});
+  m.add_event(EventDefinition{"E2", "", {{"a", 1.0}, {"c", -1.0}}, {}});
+  ASSERT_EQ(m.num_signals(), 3u);
+  // ids: b = 0, a = 1, c = 2; "zzz" is read by no event and is dropped.
+  EXPECT_EQ(m.densify({{"a", 5.0}, {"zzz", 9.0}}),
+            (std::vector<double>{0.0, 5.0, 0.0}));
+  const std::vector<double> sig = m.densify({{"a", 5.0}, {"b", 1.0}});
+  EXPECT_DOUBLE_EQ(m.ideal(0, sig), 11.0);
+  EXPECT_DOUBLE_EQ(m.ideal(1, sig), 5.0);
+  EXPECT_THROW(m.ideal(2, sig), std::invalid_argument);
+  EXPECT_THROW(m.ideal(0, std::vector<double>(2)), std::invalid_argument);
 }
 
 TEST(MachineTest, RejectsZeroCounters) {
@@ -147,8 +194,8 @@ TEST(Measure, DriftIsCaughtByRnmseStyleComparison) {
   m.add_event(EventDefinition{"E", "", {{"x", 1.0}},
                               NoiseModel::drifting(1e-2)});
   std::vector<Activity> acts{{{"x", 1e6}}, {{"x", 2e6}}};
-  const auto v0 = measure_vector(m, m.event(0), acts, 0);
-  const auto v4 = measure_vector(m, m.event(0), acts, 4);
+  const auto v0 = readings(m, m.event(0), acts, 0);
+  const auto v4 = readings(m, m.event(0), acts, 4);
   double max_rel = 0.0;
   for (std::size_t i = 0; i < v0.size(); ++i) {
     max_rel = std::max(max_rel, std::fabs(v4[i] - v0[i]) / v0[i]);
@@ -161,9 +208,12 @@ TEST(Measure, VectorAndAllShapes) {
   m.add_event(EventDefinition{"E1", "", {{"x", 1.0}}, {}});
   m.add_event(EventDefinition{"E2", "", {{"x", 3.0}}, {}});
   std::vector<Activity> acts{{{"x", 1.0}}, {{"x", 2.0}}, {{"x", 3.0}}};
-  auto vec = measure_vector(m, m.event(1), acts, 0);
+  auto vec = readings(m, m.event(1), acts, 0);
   EXPECT_EQ(vec, (std::vector<double>{3, 6, 9}));
-  auto all = measure_all(m, acts, 0);
+  std::vector<std::vector<double>> all;
+  for (const EventDefinition& e : m.events()) {
+    all.push_back(readings(m, e, acts, 0));
+  }
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0], (std::vector<double>{1, 2, 3}));
   EXPECT_EQ(all[1], (std::vector<double>{3, 6, 9}));

@@ -122,7 +122,7 @@ TEST(DerivedEvents, ReadComputesLinearCombination) {
   const int set = s.create_eventset();
   ASSERT_EQ(s.add_event(set, "PAPI_XY"), vpapi::Status::ok);
   s.start(set);
-  s.run_kernel({{"x", 5.0}, {"y", 7.0}}, 0, 0);
+  s.run_kernel(m.densify({{"x", 5.0}, {"y", 7.0}}), 0, 0);
   s.stop(set);
   std::vector<double> vals;
   ASSERT_EQ(s.read(set, vals), vpapi::Status::ok);
@@ -168,7 +168,7 @@ TEST(DerivedEvents, RemovePresetFreesOnlyUnsharedCounters) {
   EXPECT_EQ(s.counters_in_use(set), 1u);
   std::vector<double> vals;
   s.start(set);
-  s.run_kernel({{"x", 3.0}}, 0, 0);
+  s.run_kernel(m.densify({{"x", 3.0}}), 0, 0);
   s.stop(set);
   ASSERT_EQ(s.read(set, vals), vpapi::Status::ok);
   ASSERT_EQ(vals.size(), 1u);
@@ -184,7 +184,7 @@ TEST(DerivedEvents, DuplicateConstituentCountedOnce) {
   ASSERT_EQ(s.add_event(set, "P"), vpapi::Status::ok);
   EXPECT_EQ(s.counters_in_use(set), 1u);
   s.start(set);
-  s.run_kernel({{"x", 10.0}}, 0, 0);
+  s.run_kernel(m.densify({{"x", 10.0}}), 0, 0);
   s.stop(set);
   std::vector<double> vals;
   s.read(set, vals);
@@ -214,7 +214,7 @@ TEST(DerivedEvents, EndToEndFromPipeline) {
   const int set = session.create_eventset();
   ASSERT_EQ(session.add_event(set, "PAPI_DP_OPS"), vpapi::Status::ok);
   session.start(set);
-  session.run_kernel(app, 0, 0);
+  session.run_kernel(machine.densify(app), 0, 0);
   session.stop(set);
   std::vector<double> vals;
   ASSERT_EQ(session.read(set, vals), vpapi::Status::ok);

@@ -155,7 +155,8 @@ TEST(SessionModel, RandomOperationSequencesMatchReference) {
           pmu::Activity act{{"x", double(step + 1)},
                             {"y", double(step % 7)},
                             {"z", double(step % 3)}};
-          session.run_kernel(act, 0, static_cast<std::uint64_t>(step));
+          session.run_kernel(machine.densify(act), 0,
+                             static_cast<std::uint64_t>(step));
           for (auto& set : model.sets) {
             if (!set.running) continue;
             for (const auto& raw : set.raw_counters) {

@@ -65,7 +65,7 @@ TEST(Multiplex, WithinBudgetBehavesExactly) {
   s.add_event(set, "E1");
   s.add_event(set, "E2");
   s.start(set);
-  for (int k = 0; k < 5; ++k) s.run_kernel({{"x", 10.0}}, 0, k);
+  for (int k = 0; k < 5; ++k) s.run_kernel(m.densify({{"x", 10.0}}), 0, k);
   s.stop(set);
   std::vector<double> vals;
   s.read(set, vals);
@@ -83,7 +83,9 @@ TEST(Multiplex, EstimatesConvergeOnSteadyWorkload) {
   for (int k = 1; k <= 6; ++k) s.add_event(set, "E" + std::to_string(k));
   s.start(set);
   const int kernels = 300;  // 300 slices, 2 live slots each, 6 slots
-  for (int k = 0; k < kernels; ++k) s.run_kernel({{"x", 10.0}}, 0, k);
+  for (int k = 0; k < kernels; ++k) {
+    s.run_kernel(m.densify({{"x", 10.0}}), 0, k);
+  }
   s.stop(set);
   std::vector<double> vals;
   s.read(set, vals);
@@ -106,7 +108,7 @@ TEST(Multiplex, EstimatesAreNoisyOnVaryingWorkload) {
   for (int k = 0; k < 31; ++k) {  // odd count: uneven slice coverage
     const double x = (k % 5 == 0) ? 100.0 : 1.0;  // bursty
     truth_x += x;
-    s.run_kernel({{"x", x}}, 0, k);
+    s.run_kernel(m.densify({{"x", x}}), 0, k);
   }
   s.stop(set);
   std::vector<double> vals;
@@ -127,9 +129,9 @@ TEST(Multiplex, ResetClearsSliceAccounting) {
   s.enable_multiplexing(set);
   for (int k = 1; k <= 6; ++k) s.add_event(set, "E" + std::to_string(k));
   s.start(set);
-  for (int k = 0; k < 12; ++k) s.run_kernel({{"x", 1.0}}, 0, k);
+  for (int k = 0; k < 12; ++k) s.run_kernel(m.densify({{"x", 1.0}}), 0, k);
   s.reset(set);
-  for (int k = 0; k < 60; ++k) s.run_kernel({{"x", 10.0}}, 0, k);
+  for (int k = 0; k < 60; ++k) s.run_kernel(m.densify({{"x", 10.0}}), 0, k);
   s.stop(set);
   std::vector<double> vals;
   s.read(set, vals);
@@ -210,7 +212,7 @@ TEST(Multiplex, PhaseRotationBalancesSliceShares) {
       }
       s.start(set);
       for (std::size_t k = 0; k < kernels; ++k) {
-        s.run_kernel({{"x", 1.0}}, rep, static_cast<std::size_t>(k));
+        s.run_kernel(m.densify({{"x", 1.0}}), rep, static_cast<std::size_t>(k));
       }
       s.stop(set);
       const auto counts = s.slice_counts(set);
@@ -238,7 +240,7 @@ TEST(Multiplex, PhaseIsNoOpWithinBudget) {
   EXPECT_EQ(s.set_multiplex_phase(set, 7), Status::ok);
   s.start(set);
   EXPECT_EQ(s.set_multiplex_phase(set, 1), Status::is_running);
-  for (int k = 0; k < 5; ++k) s.run_kernel({{"x", 10.0}}, 0, k);
+  for (int k = 0; k < 5; ++k) s.run_kernel(m.densify({{"x", 10.0}}), 0, k);
   s.stop(set);
   std::vector<double> vals;
   s.read(set, vals);

@@ -74,8 +74,8 @@ TEST(SessionTest, CountsAccumulateAcrossKernels) {
   s.add_event(set, "A");
   s.add_event(set, "B");
   s.start(set);
-  s.run_kernel({{"x", 10.0}}, 0, 0);
-  s.run_kernel({{"x", 5.0}}, 0, 1);
+  s.run_kernel(m.densify({{"x", 10.0}}), 0, 0);
+  s.run_kernel(m.densify({{"x", 5.0}}), 0, 1);
   s.stop(set);
   std::vector<double> vals;
   ASSERT_EQ(s.read(set, vals), Status::ok);
@@ -90,9 +90,9 @@ TEST(SessionTest, StoppedSetDoesNotCount) {
   const int set = s.create_eventset();
   s.add_event(set, "A");
   s.start(set);
-  s.run_kernel({{"x", 10.0}}, 0, 0);
+  s.run_kernel(m.densify({{"x", 10.0}}), 0, 0);
   s.stop(set);
-  s.run_kernel({{"x", 100.0}}, 0, 1);  // not counted
+  s.run_kernel(m.densify({{"x", 100.0}}), 0, 1);  // not counted
   std::vector<double> vals;
   s.read(set, vals);
   EXPECT_DOUBLE_EQ(vals[0], 10.0);
@@ -104,9 +104,9 @@ TEST(SessionTest, ResetZeroesCounts) {
   const int set = s.create_eventset();
   s.add_event(set, "A");
   s.start(set);
-  s.run_kernel({{"x", 10.0}}, 0, 0);
+  s.run_kernel(m.densify({{"x", 10.0}}), 0, 0);
   s.reset(set);
-  s.run_kernel({{"x", 3.0}}, 0, 1);
+  s.run_kernel(m.densify({{"x", 3.0}}), 0, 1);
   s.stop(set);
   std::vector<double> vals;
   s.read(set, vals);
@@ -132,9 +132,9 @@ TEST(SessionTest, TwoSetsRunIndependently) {
   s.add_event(s1, "A");
   s.add_event(s2, "C");
   s.start(s1);
-  s.run_kernel({{"x", 4.0}, {"y", 9.0}}, 0, 0);
+  s.run_kernel(m.densify({{"x", 4.0}, {"y", 9.0}}), 0, 0);
   s.start(s2);
-  s.run_kernel({{"x", 1.0}, {"y", 1.0}}, 0, 1);
+  s.run_kernel(m.densify({{"x", 1.0}, {"y", 1.0}}), 0, 1);
   s.stop(s1);
   s.stop(s2);
   std::vector<double> v1, v2;

@@ -277,33 +277,31 @@ TraceArgs trace_args_from(const Args& args) {
   return t;
 }
 
-/// A category's setup with the wall time of building it -- mostly the
-/// ground-truth benchmark, which runs before any pipeline stage.
-struct TimedSetup {
-  std::optional<service::CategorySetup> setup;
-  std::int64_t build_ns = 0;
-};
-
-TimedSetup timed_category_setup(const std::string& category) {
+/// Runs `build` and appends its wall time to `rows` as row `name`.  The
+/// CLI times the two builds that run before any pipeline stage this way:
+/// the category's ground-truth benchmark (benchmark_build) and the machine
+/// with its interned signal ids (machine_build).
+template <class Build>
+auto timed(std::vector<obs::StageTiming>& rows, const char* name,
+           Build&& build) {
   faults::RealClock clock;
   const auto start = clock.now();
-  TimedSetup timed{service::category_setup(category), 0};
-  timed.build_ns = (clock.now() - start).count();
-  return timed;
+  auto built = build();
+  rows.push_back({name, (clock.now() - start).count()});
+  return built;
 }
 
 /// Writes the requested trace/manifest/stats artifacts after a run.  The
 /// manifest's git_sha comes from CATALYST_GIT_SHA (scripts/run_bench.sh and
 /// scripts/check.sh export it) so the binary never shells out to git.
-/// --stats lists the category's benchmark build as a benchmark_build row
-/// ahead of the pipeline stages; the manifest's stages are the pipeline's
-/// alone.
+/// --stats lists `setup_rows` (the timed() builds) ahead of the pipeline
+/// stages; the manifest's stages are the pipeline's alone.
 void write_trace_artifacts(const TraceArgs& t, const std::string& tool,
                            const std::string& category,
                            const std::string& machine_name,
                            const core::PipelineOptions& options,
                            const core::PipelineResult& result,
-                           std::int64_t benchmark_build_ns) {
+                           std::vector<obs::StageTiming> setup_rows) {
   if (!t.any()) return;
   obs::Tracer& tracer = obs::Tracer::instance();
   const std::vector<obs::SpanRecord> spans = tracer.buffer().snapshot();
@@ -345,8 +343,7 @@ void write_trace_artifacts(const TraceArgs& t, const std::string& tool,
     std::cout << "wrote run manifest to " << t.manifest_out << "\n";
   }
   if (t.stats) {
-    std::vector<obs::StageTiming> rows = {
-        {"benchmark_build", benchmark_build_ns}};
+    std::vector<obs::StageTiming> rows = std::move(setup_rows);
     rows.insert(rows.end(), result.stage_timings.begin(),
                 result.stage_timings.end());
     std::cout << obs::format_stats(metrics, rows,
@@ -433,15 +430,17 @@ int cmd_signatures(const Args& args) {
 
 int cmd_analyze(const Args& args) {
   if (args.positional.size() < 2) return usage();
-  TimedSetup timed = timed_category_setup(args.positional[1]);
-  auto& setup = timed.setup;
+  std::vector<obs::StageTiming> setup_rows;
+  auto setup = timed(setup_rows, "benchmark_build",
+                     [&] { return category_setup(args.positional[1]); });
   if (!setup) {
     std::cerr << "unknown category " << args.positional[1] << "\n";
     return 2;
   }
   const std::string machine_name =
       args.get("machine", setup->default_machine);
-  const auto machine = machine_by_name(machine_name);
+  const auto machine = timed(setup_rows, "machine_build",
+                             [&] { return machine_by_name(machine_name); });
   if (!machine) {
     std::cerr << "unknown machine " << machine_name << "\n";
     return 2;
@@ -510,20 +509,22 @@ int cmd_analyze(const Args& args) {
                                    : core::presets_to_table(presets));
   }
   write_trace_artifacts(trace, "catalyst analyze", args.positional[1],
-                        machine_name, options, result, timed.build_ns);
+                        machine_name, options, result, std::move(setup_rows));
   return 0;
 }
 
 int cmd_collect(const Args& args) {
   if (args.positional.size() < 2 || !args.has("out")) return usage();
-  TimedSetup timed = timed_category_setup(args.positional[1]);
-  auto& setup = timed.setup;
+  std::vector<obs::StageTiming> setup_rows;
+  auto setup = timed(setup_rows, "benchmark_build",
+                     [&] { return category_setup(args.positional[1]); });
   if (!setup) {
     std::cerr << "unknown category " << args.positional[1] << "\n";
     return 2;
   }
   const std::string machine_name = args.get("machine", setup->default_machine);
-  const auto machine = machine_by_name(machine_name);
+  const auto machine = timed(setup_rows, "machine_build",
+                             [&] { return machine_by_name(machine_name); });
   if (!machine) return usage();
   const std::string out_path = args.get("out", "");
   Campaign campaign;
@@ -554,7 +555,7 @@ int cmd_collect(const Args& args) {
   std::cout << " to " << out_path << "\n";
   write_trace_artifacts(trace, "catalyst collect", args.positional[1],
                         machine_name, options.pipeline, out.result,
-                        timed.build_ns);
+                        std::move(setup_rows));
   return 0;
 }
 
