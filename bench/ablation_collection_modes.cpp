@@ -28,12 +28,11 @@
 // statistical estimate.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "json/json.hpp"
-#include "harness_common.hpp"
 #include "modelgen/modelgen.hpp"
 #include "vpapi/sampling.hpp"
 
@@ -110,30 +109,25 @@ void print_row(const char* mode, double ratio, const Census& c) {
 
 }  // namespace
 
+constexpr catalyst::flags::Flag kFlags[] = {
+    {"seeds", catalyst::flags::Kind::integer, "N", "", 1, INT32_MAX},
+    {"quick", catalyst::flags::Kind::toggle, "", ""},
+    {"json", catalyst::flags::Kind::text, "FILE", ""},
+};
+
 int main(int argc, char** argv) {
-  int seeds = 12;
-  bool quick = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc &&
-        catalyst::bench::parse_number(argv[i + 1], seeds)) {
-      ++i;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--seeds N] [--quick] [--json FILE]\n",
-                   argv[0]);
-      return 64;
-    }
-  }
-  if (quick) seeds = seeds < 6 ? seeds : 6;
-  if (seeds < 1) {
-    std::fprintf(stderr, "--seeds must be >= 1\n");
+  catalyst::flags::Args args;
+  try {
+    args = catalyst::flags::parse(kFlags, "", argc, argv);
+  } catch (const catalyst::flags::Error& e) {
+    std::fprintf(stderr, "%s: %s\nusage: %s [--seeds N] [--quick] "
+                 "[--json FILE]\n", argv[0], e.what(), argv[0]);
     return 64;
   }
+  int seeds = static_cast<int>(args.integer("seeds", 12));
+  const bool quick = args.has("quick");
+  const std::string json_path = args.text("json", "");
+  if (quick) seeds = seeds < 6 ? seeds : 6;
 
   // Period/span ratios pinned to straddle the whole recovery transition
   // (empirically stable -- the sweep is deterministic): <= 0.008 the

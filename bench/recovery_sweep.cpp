@@ -12,10 +12,9 @@
 // the gamma table crosses the QRCP rounding tolerance at alpha/2 = 0.025.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
-#include "harness_common.hpp"
+#include "flags.hpp"
 #include "modelgen/modelgen.hpp"
 
 namespace {
@@ -51,21 +50,20 @@ void print_row(double knob, int seeds, const Census& c) {
 
 }  // namespace
 
+constexpr catalyst::flags::Flag kFlags[] = {
+    {"seeds", catalyst::flags::Kind::integer, "N", "", 1, INT32_MAX},
+};
+
 int main(int argc, char** argv) {
-  int seeds = 40;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc &&
-        catalyst::bench::parse_number(argv[i + 1], seeds)) {
-      ++i;
-    } else {
-      std::fprintf(stderr, "usage: %s [--seeds N]\n", argv[0]);
-      return 64;
-    }
-  }
-  if (seeds < 1) {
-    std::fprintf(stderr, "--seeds must be >= 1\n");
+  catalyst::flags::Args args;
+  try {
+    args = catalyst::flags::parse(kFlags, "", argc, argv);
+  } catch (const catalyst::flags::Error& e) {
+    std::fprintf(stderr, "%s: %s\nusage: %s [--seeds N]\n", argv[0],
+                 e.what(), argv[0]);
     return 64;
   }
+  const int seeds = static_cast<int>(args.integer("seeds", 40));
 
   std::printf("Recovery-rate sweep: %d seeded models per row\n\n", seeds);
 

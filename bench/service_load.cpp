@@ -35,7 +35,7 @@
 #include "core/io.hpp"
 #include "core/parallel.hpp"
 #include "faults/faults.hpp"
-#include "harness_common.hpp"
+#include "flags.hpp"
 #include "json/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -56,33 +56,30 @@ struct Config {
   double target_rate = 1000.0;  ///< analyses/sec floor; 0 = report only.
 };
 
+constexpr flags::Flag kFlags[] = {
+    {"category", flags::Kind::text, "C", ""},
+    {"clients", flags::Kind::integer, "N", "", 1, INT32_MAX},
+    {"requests", flags::Kind::integer, "M", "", 1, INT32_MAX},
+    {"workers", flags::Kind::integer, "W", "", 0, 1024},
+    {"target", flags::Kind::real, "RATE", ""},
+    {"json-out", flags::Kind::text, "PATH", ""},
+};
+
 bool parse(int argc, char** argv, Config& cfg) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (a == "--category" && (v = value())) {
-      cfg.category = v;
-    } else if (a == "--clients" && (v = value()) &&
-               bench::parse_number(v, cfg.clients)) {
-    } else if (a == "--requests" && (v = value()) &&
-               bench::parse_number(v, cfg.requests)) {
-    } else if (a == "--workers" && (v = value()) &&
-               bench::parse_number(v, cfg.workers)) {
-    } else if (a == "--target" && (v = value()) &&
-               bench::parse_number(v, cfg.target_rate)) {
-    } else if (a == "--json-out" && (v = value())) {
-      cfg.json_out = v;
-    } else {
-      std::cerr << "usage: service_load [--category C] [--clients N]\n"
-                   "                    [--requests M] [--workers W]\n"
-                   "                    [--target RATE] [--json-out PATH]\n";
-      return false;
-    }
+  try {
+    const flags::Args args = flags::parse(kFlags, "", argc, argv);
+    cfg.category = args.text("category", cfg.category);
+    cfg.json_out = args.text("json-out", cfg.json_out);
+    cfg.clients = static_cast<int>(args.integer("clients", cfg.clients));
+    cfg.requests = static_cast<int>(args.integer("requests", cfg.requests));
+    cfg.workers = static_cast<int>(args.integer("workers", cfg.workers));
+    cfg.target_rate = args.real("target", cfg.target_rate);
+    return true;
+  } catch (const flags::Error& e) {
+    std::cerr << "service_load: " << e.what() << "\nflags:\n";
+    flags::print_flags(std::cerr, kFlags);
+    return false;
   }
-  return cfg.clients > 0 && cfg.requests > 0 && cfg.workers >= 0;
 }
 
 /// Histogram quantile: upper bound of the bucket where the cumulative

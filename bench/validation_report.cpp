@@ -7,6 +7,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "flags.hpp"
 #include "harness_common.hpp"
 
 using namespace catalyst;
@@ -38,8 +39,14 @@ int main(int argc, char** argv) {
   std::size_t workloads = 10;
   std::string which = "all";
   if (argc > 1) which = argv[1];
-  if (argc > 3 || (argc > 2 && !bench::parse_number(argv[2], workloads))) {
-    std::cerr << "usage: validation_report [category] [num_workloads]\n";
+  try {
+    if (argc > 3) throw flags::Error("too many arguments");
+    if (argc > 2) {
+      workloads = flags::integer_value("num_workloads", argv[2], 1, INT32_MAX);
+    }
+  } catch (const flags::Error& e) {
+    std::cerr << "validation_report: " << e.what()
+              << "\nusage: validation_report [category] [num_workloads]\n";
     return 2;
   }
   if (which != "all") {

@@ -292,13 +292,30 @@ vpapi::CollectionReport median_normalize(
 
 }  // namespace
 
+void validate(const CampaignOptions& options) {
+  if (options.pipeline.repetitions < 2) {
+    throw std::invalid_argument(
+        "run_campaign: need >= 2 repetitions for the RNMSE filter");
+  }
+  if (options.collection_mode == vpapi::CollectionMode::counting) return;
+  options.sample_schedule.validate();
+  if (options.fault_plan != nullptr && options.fault_plan->enabled()) {
+    throw std::invalid_argument(
+        "run_campaign: fault injection is counting-mode only (the sampling "
+        "collector has no per-kernel retry point)");
+  }
+  if (!options.checkpoint.directory.empty()) {
+    throw std::invalid_argument(
+        "run_campaign: checkpointing is counting-mode only (sample traces "
+        "do not fit the checkpoint format)");
+  }
+}
+
 CampaignResult run_campaign(const pmu::Machine& machine,
                             const cat::Benchmark& benchmark,
                             const std::vector<MetricSignature>& signatures,
                             const CampaignOptions& options) {
-  CATALYST_REQUIRE_AS(options.pipeline.repetitions >= 2, std::invalid_argument,
-                      "run_campaign: need >= 2 repetitions for the RNMSE "
-                      "filter");
+  validate(options);
   const int threads = resolve_threads(options.pipeline.threads);
   CATALYST_REQUIRE_AS(!benchmark.slots.empty(), std::invalid_argument,
                       "run_campaign: benchmark has no slots");
@@ -307,18 +324,6 @@ CampaignResult run_campaign(const pmu::Machine& machine,
                       "run_campaign: machine publishes no events");
   const bool sampled =
       options.collection_mode != vpapi::CollectionMode::counting;
-  if (sampled) {
-    options.sample_schedule.validate();
-    CATALYST_REQUIRE_AS(
-        options.fault_plan == nullptr || !options.fault_plan->enabled(),
-        std::invalid_argument,
-        "run_campaign: fault injection is counting-mode only (the sampling "
-        "collector has no per-kernel retry point)");
-    CATALYST_REQUIRE_AS(
-        options.checkpoint.directory.empty(), std::invalid_argument,
-        "run_campaign: checkpointing is counting-mode only (sample traces "
-        "do not fit the checkpoint format)");
-  }
   const std::size_t n_threads =
       benchmark.slots.front().thread_activities.size();
   for (const auto& slot : benchmark.slots) {

@@ -105,8 +105,8 @@ struct CampaignOptions {
   /// Checkpointing is counting-only for now: a sampling batch's trace does
   /// not fit the catalyst-checkpoint-v1 row format, and silently dropping
   /// it on resume would desynchronize the archive from the measurements.
-  /// run_campaign throws std::invalid_argument on a non-counting mode with
-  /// a checkpoint directory (or an enabled fault plan).
+  /// validate() refuses a non-counting mode with a checkpoint directory (or
+  /// an enabled fault plan).
   CheckpointOptions checkpoint;
   /// How the collection stage reads the counters (vpapi/sampling.hpp).
   vpapi::CollectionMode collection_mode = vpapi::CollectionMode::counting;
@@ -125,6 +125,13 @@ struct CampaignResult {
   std::size_t batches_total = 0;
   std::size_t batches_resumed = 0;  ///< Batches satisfied from checkpoints.
 };
+
+/// The one owner of the rules on how campaign options combine: at least 2
+/// repetitions (the RNMSE filter needs them), and in a sampled mode a valid
+/// sample schedule, no armed fault plan and no checkpoint directory.
+/// Throws std::invalid_argument under every contract policy, so a front end
+/// can refuse the combination before it runs anything.
+void validate(const CampaignOptions& options);
 
 /// The checkpoint format marker ("catalyst-checkpoint-v1").
 extern const char* const kCheckpointFormat;
@@ -146,8 +153,8 @@ class AllEventsQuarantined : public std::runtime_error {
 /// Runs the collection in per-repetition batches (checkpointing + resuming
 /// per CampaignOptions::checkpoint), merges them, and runs the analysis
 /// stages on the surviving events.  Throws std::invalid_argument on option
-/// combinations it cannot honour and AllEventsQuarantined if every event
-/// ends up quarantined.
+/// combinations it cannot honour (validate() first) and
+/// AllEventsQuarantined if every event ends up quarantined.
 CampaignResult run_campaign(const pmu::Machine& machine,
                             const cat::Benchmark& benchmark,
                             const std::vector<MetricSignature>& signatures,

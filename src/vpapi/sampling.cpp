@@ -27,15 +27,17 @@ CollectionMode collection_mode_from_string(const std::string& name) {
 }
 
 void SampleSchedule::validate() const {
-  CATALYST_REQUIRE_AS(kernel_span_ns > 0, std::invalid_argument,
-                      "SampleSchedule: kernel_span_ns must be positive");
-  CATALYST_REQUIRE_AS(period_ns > 0, std::invalid_argument,
-                      "SampleSchedule: period_ns must be positive");
-  CATALYST_REQUIRE_AS(short_period_ns > 0, std::invalid_argument,
-                      "SampleSchedule: short_period_ns must be positive");
-  CATALYST_REQUIRE_AS(short_period_ns <= period_ns, std::invalid_argument,
-                      "SampleSchedule: the strobed short period must not "
-                      "exceed the long period");
+  const auto require = [](bool ok, const char* message) {
+    if (!ok) throw std::invalid_argument(message);
+  };
+  require(kernel_span_ns > 0,
+          "SampleSchedule: kernel_span_ns must be positive");
+  require(period_ns > 0, "SampleSchedule: period_ns must be positive");
+  require(short_period_ns > 0,
+          "SampleSchedule: short_period_ns must be positive");
+  require(short_period_ns <= period_ns,
+          "SampleSchedule: the strobed short period must not exceed the "
+          "long period");
 }
 
 std::vector<std::uint64_t> sample_times(const SampleSchedule& schedule,

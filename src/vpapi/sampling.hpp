@@ -75,7 +75,7 @@ struct SampleSchedule {
   bool dither = true;
 
   /// Structural validation (positive spans, short <= long); throws
-  /// std::invalid_argument.
+  /// std::invalid_argument under every contract policy.
   void validate() const;
 };
 

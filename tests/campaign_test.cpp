@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "cat/cat.hpp"
+#include "core/contract.hpp"
 #include "core/core.hpp"
 #include "pmu/pmu.hpp"
 
@@ -292,6 +293,36 @@ TEST(SampledCampaign, RefusesCountingOnlyFeatures) {
   options.sample_schedule.period_ns = 0;
   EXPECT_THROW(run_campaign(s.machine, s.bench, s.signatures, options),
                std::invalid_argument);
+}
+
+// validate() is the boundary check front ends call before they run
+// anything, so it refuses with std::invalid_argument whatever the contract
+// policy -- never an abort, never a logged-and-ignored violation.
+TEST(CampaignValidate, RefusesUnderEveryContractPolicy) {
+  const faults::FaultPlan plan = faults::FaultPlan::mid_rate();
+  for (const auto policy : {contract::ViolationPolicy::throw_exception,
+                            contract::ViolationPolicy::abort_with_trace,
+                            contract::ViolationPolicy::log_and_continue}) {
+    const contract::PolicyGuard guard(policy);
+    CampaignOptions options;
+    EXPECT_NO_THROW(validate(options));
+    options.pipeline.repetitions = 1;
+    EXPECT_THROW(validate(options), std::invalid_argument);
+    options.pipeline.repetitions = 2;
+    // Counting mode ignores the schedule and owns faults and checkpoints.
+    options.sample_schedule.period_ns = 0;
+    options.fault_plan = &plan;
+    options.checkpoint.directory = "ckpt";
+    EXPECT_NO_THROW(validate(options));
+    options.collection_mode = vpapi::CollectionMode::strobed;
+    EXPECT_THROW(validate(options), std::invalid_argument);
+    options.sample_schedule = vpapi::SampleSchedule{};
+    EXPECT_THROW(validate(options), std::invalid_argument);
+    options.fault_plan = nullptr;
+    EXPECT_THROW(validate(options), std::invalid_argument);
+    options.checkpoint.directory.clear();
+    EXPECT_NO_THROW(validate(options));
+  }
 }
 
 TEST(SampledCampaign, ConfigKeyGrowsModeKnobsOnlyWhenSampled) {

@@ -1,5 +1,5 @@
-// Fixture: bench/ programs parse their flags with bench::parse_number, not
-// the throwing or silent C/C++ helpers (linted as a bench/ file).
+// Fixture: bench/ programs parse their flags with flags::parse, not the
+// throwing or silent C/C++ helpers (linted as a bench/ file).
 #include <cstdlib>
 #include <string>
 
@@ -12,7 +12,6 @@ int selftest_clients(const std::string& text) {
 }
 
 int selftest_clean(const char* text) {
-  int seeds = 0;
-  catalyst::bench::parse_number(text, seeds);  // clean
-  return seeds;
+  return static_cast<int>(
+      catalyst::flags::integer_value("--seeds", text, 1, 100));  // clean
 }

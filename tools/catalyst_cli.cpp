@@ -17,22 +17,26 @@
 // re-runs only the mathematical stages on the archived data.  Both build
 // their campaign from the same collection flags (campaign_from_args):
 // --reps, --faults, --checkpoint-dir/--resume, --mode and the sample
-// schedule.  A flag the subcommand does not read, a numeric value that is
-// not a positive number, or a combination that cannot run exits 2.
+// schedule.
+//
+// kFlags is the one table of what each subcommand reads: flags::parse
+// checks the whole command line against it before any command runs, and
+// usage() prints its flag lines from it.  An unknown flag, a missing value,
+// a malformed or out-of-range number, and a combination core::validate
+// refuses all exit 2 naming the flag; the commands read typed values that
+// can no longer fail.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <sstream>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/core.hpp"
+#include "flags.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -42,91 +46,59 @@
 namespace {
 
 using namespace catalyst;
+using flags::Kind;
 
-/// A flag the command cannot honour (bad value, incompatible combination):
-/// main() prints it and exits 2.
-class UsageError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
+constexpr std::string_view kCommands =
+    "list-machines list-events signatures analyze collect full-report "
+    "validate";
+
+constexpr std::uint64_t kMaxCount = INT32_MAX;
+
+constexpr flags::Flag kFlags[] = {
+    {"filter", Kind::text, "SUBSTR", "list-events"},
+    {"machine", Kind::text, "M", "analyze collect full-report validate"},
+    {"tau", Kind::positive, "X", "analyze"},
+    {"alpha", Kind::positive, "Y", "analyze"},
+    {"rounded", Kind::toggle, "", "analyze"},
+    {"presets", Kind::toggle, "", "analyze"},
+    {"presets", Kind::text, "FILE", "full-report"},
+    {"json", Kind::toggle, "", "analyze"},
+    {"markdown", Kind::toggle, "", "analyze"},
+    {"from", Kind::text, "ARCHIVE", "analyze"},
+    {"detrend", Kind::toggle, "", "analyze"},
+    {"out", Kind::text, "FILE", "collect full-report"},
+    {"workloads", Kind::integer, "N", "validate", 1, kMaxCount},
+    {"reps", Kind::integer, "N", "analyze collect", 2, kMaxCount},
+    {"faults", Kind::optional, "SPEC", "analyze collect"},
+    {"checkpoint-dir", Kind::text, "DIR", "analyze collect"},
+    {"resume", Kind::toggle, "", "analyze collect"},
+    {"mode", Kind::text, "MODE", "analyze collect"},
+    {"kernel-span-us", Kind::positive, "N", "analyze collect"},
+    {"sample-period-us", Kind::positive, "N", "analyze collect"},
+    {"strobe-short-us", Kind::positive, "N", "analyze collect"},
+    {"no-dither", Kind::toggle, "", "analyze collect"},
+    {"trace-out", Kind::text, "FILE", "analyze collect"},
+    {"manifest-out", Kind::text, "FILE", "analyze collect"},
+    {"stats", Kind::toggle, "", "analyze collect"},
 };
 
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;  // --key[=value] or --key value
-  bool has(const std::string& key) const { return options.count(key) > 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  /// The value of a numeric flag: a finite number > 0.  Throws UsageError
-  /// naming the flag and the value otherwise.
-  double get_positive(const std::string& key, double fallback) const {
-    auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    double value = 0.0;
-    if (!parse_number(it->second, value)) {
-      throw UsageError("--" + key + ": expected a number, got '" +
-                       it->second + "'");
-    }
-    if (!(std::isfinite(value) && value > 0.0)) {
-      throw UsageError("--" + key + ": must be a positive number, got '" +
-                       it->second + "'");
-    }
-    return value;
-  }
-  /// True when the whole of `text` is a number (strtod syntax).
-  static bool parse_number(const std::string& text, double& value) {
-    char* end = nullptr;
-    value = std::strtod(text.c_str(), &end);
-    return end != text.c_str() && *end == '\0';
-  }
-};
-
-/// Flags that never take a separate value: the token after one is the next
-/// positional or flag (`analyze --rounded branch`).  `--flag=value` still
-/// sets a value.
-constexpr const char* kValuelessFlags[] = {
-    "rounded", "presets", "json",      "markdown",
-    "detrend", "resume",  "no-dither", "stats"};
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      const auto eq = a.find('=');
-      double number = 0.0;
-      const bool valueless =
-          std::find(std::begin(kValuelessFlags), std::end(kValuelessFlags),
-                    a.substr(2)) != std::end(kValuelessFlags);
-      if (eq != std::string::npos) {
-        args.options[a.substr(2, eq - 2)] = a.substr(eq + 1);
-      } else if (!valueless && i + 1 < argc &&
-                 (argv[i + 1][0] != '-' ||
-                  Args::parse_number(argv[i + 1], number))) {
-        args.options[a.substr(2)] = argv[++i];
-      } else {
-        args.options[a.substr(2)] = "";
-      }
-    } else {
-      args.positional.push_back(a);
-    }
-  }
-  return args;
-}
+/// The flags campaign_from_args reads: `analyze --from` refuses them.
+constexpr const char* kCollectionFlags[] = {
+    "reps", "faults", "checkpoint-dir", "resume", "mode", "kernel-span-us",
+    "sample-period-us", "strobe-short-us", "no-dither"};
 
 /// --faults [SPEC]: "" / flag alone means the canonical mid-rate plan;
 /// otherwise the spec grammar of faults::parse_fault_plan ("off", "mid",
 /// "seed=...,drop=...,...").  Returns nullopt when the flag is absent or
-/// the plan parses to disabled; throws UsageError on a bad spec.
-std::optional<faults::FaultPlan> fault_plan_from_args(const Args& args) {
+/// the plan parses to disabled; throws flags::Error on a bad spec.
+std::optional<faults::FaultPlan> fault_plan_from_args(const flags::Args& args) {
   if (!args.has("faults")) return std::nullopt;
-  const std::string spec = args.get("faults", "");
+  const std::string spec = args.text("faults", "");
   faults::FaultPlan plan = faults::FaultPlan::mid_rate();
   try {
     if (!spec.empty()) plan = faults::parse_fault_plan(spec);
   } catch (const std::invalid_argument& e) {
-    throw UsageError(std::string("--faults: ") + e.what());
+    throw flags::Error(std::string("--faults: ") + e.what());
   }
   if (!plan.enabled()) return std::nullopt;
   return plan;
@@ -145,108 +117,57 @@ struct Campaign {
   Campaign& operator=(const Campaign&) = delete;
 };
 
-/// The flags campaign_from_args reads.
-constexpr const char* kCollectionFlags[] = {
-    "reps", "faults", "checkpoint-dir", "resume", "mode", "kernel-span-us",
-    "sample-period-us", "strobe-short-us", "no-dither"};
-
-/// The observability flags trace_args_from reads.
-constexpr const char* kTraceFlags[] = {"trace-out", "manifest-out", "stats"};
-
-/// The flags each subcommand reads; any other flag exits 2.  nullopt for a
-/// name that is not a subcommand.
-std::optional<std::vector<std::string>> flags_of(const std::string& cmd) {
-  std::vector<std::string> flags;
-  if (cmd == "list-events") {
-    flags = {"filter"};
-  } else if (cmd == "analyze") {
-    flags = {"machine", "tau",      "alpha", "rounded", "presets",
-             "json",    "markdown", "from",  "detrend"};
-  } else if (cmd == "collect") {
-    flags = {"machine", "out"};
-  } else if (cmd == "full-report") {
-    flags = {"machine", "out", "presets"};
-  } else if (cmd == "validate") {
-    flags = {"machine", "workloads"};
-  } else if (cmd != "list-machines" && cmd != "signatures") {
-    return std::nullopt;
-  }
-  if (cmd == "analyze" || cmd == "collect") {
-    flags.insert(flags.end(), std::begin(kCollectionFlags),
-                 std::end(kCollectionFlags));
-    flags.insert(flags.end(), std::begin(kTraceFlags), std::end(kTraceFlags));
-  }
-  return flags;
-}
-
-/// Throws UsageError naming the first flag subcommand `cmd` does not read.
-void check_flags(const std::string& cmd, const Args& args) {
-  const auto known = flags_of(cmd);
-  if (!known) return;  // not a subcommand: main() prints the usage
-  for (const auto& option : args.options) {
-    if (std::find(known->begin(), known->end(), option.first) ==
-        known->end()) {
-      throw UsageError("--" + option.first + ": not a flag of '" + cmd +
-                       "'");
-    }
-  }
-}
-
 /// --reps, --faults, --checkpoint-dir/--resume, --mode and the sample
 /// schedule flags on top of the category defaults.  `out` is the archive
 /// path (empty for analyze), whose OUT.ckpt is --resume's default
-/// checkpoint directory.  Throws UsageError on values or combinations that
-/// cannot run.
-void campaign_from_args(const Args& args, const core::PipelineOptions& base,
+/// checkpoint directory.  Throws flags::Error on combinations that cannot
+/// run.
+void campaign_from_args(const flags::Args& args,
+                        const core::PipelineOptions& base,
                         const std::string& out, Campaign& campaign) {
   core::CampaignOptions& options = campaign.options;
   options.pipeline = base;
-  options.pipeline.repetitions = static_cast<std::size_t>(
-      args.get_positive("reps", double(base.repetitions)));
+  options.pipeline.repetitions = args.integer("reps", base.repetitions);
   campaign.plan = fault_plan_from_args(args);
   if (campaign.plan.has_value()) {
     options.fault_plan = &*campaign.plan;
     options.resilience.clock = &campaign.clock;  // real backoff pacing
   }
-  options.checkpoint.directory = args.get("checkpoint-dir", "");
+  options.checkpoint.directory = args.text("checkpoint-dir", "");
   options.checkpoint.resume = args.has("resume");
   if (options.checkpoint.resume && options.checkpoint.directory.empty()) {
     if (out.empty()) {
-      throw UsageError("--resume needs --checkpoint-dir DIR");
+      throw flags::Error("--resume needs --checkpoint-dir DIR");
     }
     options.checkpoint.directory = out + ".ckpt";
   }
 
   try {
     options.collection_mode =
-        vpapi::collection_mode_from_string(args.get("mode", "counting"));
+        vpapi::collection_mode_from_string(args.text("mode", "counting"));
   } catch (const std::invalid_argument& e) {
-    throw UsageError(std::string("--mode: ") + e.what());
+    throw flags::Error(std::string("--mode: ") + e.what());
   }
-  if (options.collection_mode == vpapi::CollectionMode::counting) return;
-  if (campaign.plan.has_value() || !options.checkpoint.directory.empty()) {
-    throw UsageError(
-        "sampling modes do not combine with --faults or --checkpoint-dir "
-        "(counting-mode features)");
+  if (options.collection_mode != vpapi::CollectionMode::counting) {
+    vpapi::SampleSchedule& schedule = options.sample_schedule;
+    const auto nanoseconds = [&args](const char* flag, std::uint64_t ns) {
+      return static_cast<std::uint64_t>(
+          args.real(flag, double(ns) / 1000.0) * 1000.0);
+    };
+    schedule.kernel_span_ns =
+        nanoseconds("kernel-span-us", schedule.kernel_span_ns);
+    schedule.period_ns = nanoseconds("sample-period-us", schedule.period_ns);
+    // The short period only matters for strobed runs; cap the default at
+    // the long period so a fine --sample-period-us alone stays valid.
+    schedule.short_period_ns = nanoseconds(
+        "strobe-short-us",
+        std::min(schedule.short_period_ns, schedule.period_ns));
+    schedule.dither = !args.has("no-dither");
   }
-  vpapi::SampleSchedule& schedule = options.sample_schedule;
-  const auto nanoseconds = [&args](const char* flag, std::uint64_t ns) {
-    return static_cast<std::uint64_t>(
-        args.get_positive(flag, double(ns) / 1000.0) * 1000.0);
-  };
-  schedule.kernel_span_ns =
-      nanoseconds("kernel-span-us", schedule.kernel_span_ns);
-  schedule.period_ns = nanoseconds("sample-period-us", schedule.period_ns);
-  // The short period only matters for strobed runs; cap the default at the
-  // long period so a fine --sample-period-us alone stays valid.
-  schedule.short_period_ns = nanoseconds(
-      "strobe-short-us",
-      std::min(schedule.short_period_ns, schedule.period_ns));
-  schedule.dither = !args.has("no-dither");
   try {
-    schedule.validate();
+    core::validate(options);
   } catch (const std::invalid_argument& e) {
-    throw UsageError(e.what());
+    throw flags::Error(e.what());
   }
 }
 
@@ -262,10 +183,10 @@ struct TraceArgs {
   }
 };
 
-TraceArgs trace_args_from(const Args& args) {
+TraceArgs trace_args_from(const flags::Args& args) {
   TraceArgs t;
-  t.trace_out = args.get("trace-out", "");
-  t.manifest_out = args.get("manifest-out", "");
+  t.trace_out = args.text("trace-out", "");
+  t.manifest_out = args.text("manifest-out", "");
   t.stats = args.has("stats");
   if (t.any()) {
 #if defined(CATALYST_OBS_DISABLED)
@@ -359,31 +280,24 @@ using service::category_setup;
 using service::machine_by_name;
 
 int usage() {
-  std::cerr <<
-      "usage:\n"
-      "  catalyst list-machines\n"
-      "  catalyst list-events <machine> [--filter SUBSTR]\n"
-      "  catalyst signatures <category>\n"
-      "  catalyst analyze <category> [--machine M] [--tau X] [--alpha Y]\n"
-      "                   [--rounded] [--presets] [--json] [--markdown]\n"
-      "                   [--from ARCHIVE] [--detrend] [COLLECTION FLAGS]\n"
-      "                   [--trace-out FILE] [--manifest-out FILE] [--stats]\n"
-      "  catalyst collect <category> [--machine M] --out FILE\n"
-      "                   [COLLECTION FLAGS]\n"
-      "                   [--trace-out FILE] [--manifest-out FILE] [--stats]\n"
-      "  collection flags: [--reps N] [--faults [SPEC]]\n"
-      "                   [--checkpoint-dir DIR] [--resume]\n"
-      "                   [--mode counting|sampling|strobed]\n"
-      "                   [--kernel-span-us N] [--sample-period-us N]\n"
-      "                   [--strobe-short-us N] [--no-dither]\n"
-      "                   (collect's --resume defaults the checkpoint dir to\n"
-      "                    OUT.ckpt; SPEC: \"mid\" or \"drop=0.01,...\";\n"
-      "                    sampling modes exclude --faults/--checkpoint-dir)\n"
-      "  catalyst full-report [--machine M] [--out FILE] [--presets=FILE]\n"
-      "  catalyst validate <category> [--machine M] [--workloads N]\n"
-      "categories: cpu_flops | gpu_flops | branch | dcache | icache |\n"
-      "            gpu_dcache\n"
-      "machines:   saphira | tempest | vesuvio\n";
+  std::cerr << "usage:\n"
+               "  catalyst list-machines\n"
+               "  catalyst list-events <machine> [flags]\n"
+               "  catalyst signatures <category>\n"
+               "  catalyst analyze <category> [flags]\n"
+               "  catalyst collect <category> --out FILE [flags]\n"
+               "  catalyst full-report [flags]\n"
+               "  catalyst validate <category> [flags]\n"
+               "flags, and the commands that read them:\n";
+  flags::print_flags(std::cerr, kFlags);
+  std::cerr << "--from analyzes an archive, so it takes no collection flag\n"
+               "(--reps through --no-dither); collect's --resume defaults\n"
+               "the checkpoint dir to OUT.ckpt; SPEC: \"mid\" or\n"
+               "\"drop=0.01,...\"; MODE: counting|sampling|strobed, and the\n"
+               "sampling modes exclude --faults/--checkpoint-dir.\n"
+               "categories: cpu_flops | gpu_flops | branch | dcache |\n"
+               "            icache | gpu_dcache\n"
+               "machines:   saphira | tempest | vesuvio\n";
   return 2;
 }
 
@@ -397,14 +311,14 @@ int cmd_list_machines() {
   return 0;
 }
 
-int cmd_list_events(const Args& args) {
+int cmd_list_events(const flags::Args& args) {
   if (args.positional.size() < 2) return usage();
   const auto machine = machine_by_name(args.positional[1]);
   if (!machine) {
     std::cerr << "unknown machine " << args.positional[1] << "\n";
     return 2;
   }
-  const std::string filter = args.get("filter", "");
+  const std::string filter = args.text("filter", "");
   std::size_t shown = 0;
   for (const auto& e : machine->events()) {
     if (!filter.empty() && e.name.find(filter) == std::string::npos) continue;
@@ -415,7 +329,7 @@ int cmd_list_events(const Args& args) {
   return 0;
 }
 
-int cmd_signatures(const Args& args) {
+int cmd_signatures(const flags::Args& args) {
   if (args.positional.size() < 2) return usage();
   const auto setup = category_setup(args.positional[1]);
   if (!setup) {
@@ -428,7 +342,7 @@ int cmd_signatures(const Args& args) {
   return 0;
 }
 
-int cmd_analyze(const Args& args) {
+int cmd_analyze(const flags::Args& args) {
   if (args.positional.size() < 2) return usage();
   std::vector<obs::StageTiming> setup_rows;
   auto setup = timed(setup_rows, "benchmark_build",
@@ -438,19 +352,19 @@ int cmd_analyze(const Args& args) {
     return 2;
   }
   const std::string machine_name =
-      args.get("machine", setup->default_machine);
+      args.text("machine", setup->default_machine);
   const auto machine = timed(setup_rows, "machine_build",
                              [&] { return machine_by_name(machine_name); });
   if (!machine) {
     std::cerr << "unknown machine " << machine_name << "\n";
     return 2;
   }
-  setup->options.tau = args.get_positive("tau", setup->options.tau);
-  setup->options.alpha = args.get_positive("alpha", setup->options.alpha);
+  setup->options.tau = args.real("tau", setup->options.tau);
+  setup->options.alpha = args.real("alpha", setup->options.alpha);
   if (args.has("detrend")) setup->options.detrend_drifting = true;
   for (const char* flag : kCollectionFlags) {
     if (args.has("from") && args.has(flag)) {
-      throw UsageError(std::string("--") + flag +
+      throw flags::Error(std::string("--") + flag +
                        " is a collection flag; --from analyzes an archive "
                        "that was already collected");
     }
@@ -464,8 +378,8 @@ int cmd_analyze(const Args& args) {
   std::string source;
   if (args.has("from")) {
     auto archive =
-        core::load_archive(core::read_text_file(args.get("from", "")));
-    source = "archive " + args.get("from", "") + " (" +
+        core::load_archive(core::read_text_file(args.text("from", "")));
+    source = "archive " + args.text("from", "") + " (" +
              archive.machine_name + ")";
     std::vector<std::string> quarantined = std::move(archive.quarantined);
     std::optional<vpapi::CollectionReport> report =
@@ -513,7 +427,7 @@ int cmd_analyze(const Args& args) {
   return 0;
 }
 
-int cmd_collect(const Args& args) {
+int cmd_collect(const flags::Args& args) {
   if (args.positional.size() < 2 || !args.has("out")) return usage();
   std::vector<obs::StageTiming> setup_rows;
   auto setup = timed(setup_rows, "benchmark_build",
@@ -522,11 +436,11 @@ int cmd_collect(const Args& args) {
     std::cerr << "unknown category " << args.positional[1] << "\n";
     return 2;
   }
-  const std::string machine_name = args.get("machine", setup->default_machine);
+  const std::string machine_name = args.text("machine", setup->default_machine);
   const auto machine = timed(setup_rows, "machine_build",
                              [&] { return machine_by_name(machine_name); });
   if (!machine) return usage();
-  const std::string out_path = args.get("out", "");
+  const std::string out_path = args.text("out", "");
   Campaign campaign;
   campaign_from_args(args, setup->options, out_path, campaign);
   const core::CampaignOptions& options = campaign.options;
@@ -559,11 +473,8 @@ int cmd_collect(const Args& args) {
   return 0;
 }
 
-int cmd_full_report(const Args& args) {
-  if (args.has("presets") && args.get("presets", "").empty()) {
-    throw UsageError("--presets: full-report writes to --presets=FILE");
-  }
-  const std::string machine_name = args.get("machine", "saphira");
+int cmd_full_report(const flags::Args& args) {
+  const std::string machine_name = args.text("machine", "saphira");
   const auto machine = machine_by_name(machine_name);
   if (!machine) {
     std::cerr << "unknown machine " << machine_name << "\n";
@@ -600,23 +511,23 @@ int cmd_full_report(const Args& args) {
          << core::presets_to_table(all_presets) << "```\n";
 
   if (args.has("out")) {
-    core::write_text_file(args.get("out", ""), report.str());
+    core::write_text_file(args.text("out", ""), report.str());
     std::cout << "wrote report (" << all_presets.size() << " presets, "
               << categories.size() << " categories) to "
-              << args.get("out", "") << "\n";
+              << args.text("out", "") << "\n";
   } else {
     std::cout << report.str();
   }
   if (args.has("presets")) {
-    core::write_text_file(args.get("presets", ""),
+    core::write_text_file(args.text("presets", ""),
                           core::presets_to_json(all_presets));
     std::cout << "wrote " << all_presets.size() << " presets to "
-              << args.get("presets", "") << "\n";
+              << args.text("presets", "") << "\n";
   }
   return 0;
 }
 
-int cmd_validate(const Args& args) {
+int cmd_validate(const flags::Args& args) {
   if (args.positional.size() < 2) return usage();
   auto setup = category_setup(args.positional[1]);
   if (!setup) {
@@ -624,10 +535,9 @@ int cmd_validate(const Args& args) {
     return 2;
   }
   const auto machine =
-      machine_by_name(args.get("machine", setup->default_machine));
+      machine_by_name(args.text("machine", setup->default_machine));
   if (!machine) return usage();
-  const auto workloads =
-      static_cast<std::size_t>(args.get_positive("workloads", 10));
+  const std::size_t workloads = args.integer("workloads", 10);
 
   const auto result = core::run_pipeline(*machine, setup->benchmark,
                                          setup->signatures, setup->options);
@@ -645,11 +555,10 @@ int cmd_validate(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-  if (args.positional.empty()) return usage();
-  const std::string& cmd = args.positional[0];
   try {
-    check_flags(cmd, args);
+    const flags::Args args = flags::parse(kFlags, kCommands, argc, argv);
+    if (args.positional.empty()) return usage();
+    const std::string& cmd = args.positional[0];
     if (cmd == "list-machines") return cmd_list_machines();
     if (cmd == "list-events") return cmd_list_events(args);
     if (cmd == "signatures") return cmd_signatures(args);
@@ -657,7 +566,7 @@ int main(int argc, char** argv) {
     if (cmd == "collect") return cmd_collect(args);
     if (cmd == "full-report") return cmd_full_report(args);
     if (cmd == "validate") return cmd_validate(args);
-  } catch (const UsageError& e) {
+  } catch (const flags::Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   } catch (const std::exception& e) {

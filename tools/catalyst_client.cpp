@@ -29,12 +29,10 @@
 // daemon to cut it off).  Exit 0 = every interaction matched the protocol;
 // any hang, crash, or protocol violation exits nonzero.
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -46,6 +44,7 @@
 
 #include "core/core.hpp"
 #include "core/parallel.hpp"
+#include "flags.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "service/engine.hpp"
@@ -129,115 +128,54 @@ class Connection {
   wire::FrameDecoder decoder_;
 };
 
-/// A command line the client refuses before connecting (exit 2).
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
+using flags::Kind;
+
+constexpr std::string_view kCommands =
+    "submit poll cancel stats trace top soak";
+
+constexpr flags::Flag kFlags[] = {
+    {"socket", Kind::text, "PATH", ""},
+    {"from", Kind::text, "ARCHIVE", "submit soak"},
+    {"wait", Kind::toggle, "", "submit"},
+    {"deadline-ms", Kind::integer, "N", "submit soak", 0,
+     UINT64_MAX / 1000000u},
+    {"trace-id", Kind::integer, "N", "submit soak", 0, UINT64_MAX},
+    {"interval-ms", Kind::integer, "N", "top", 0, INT32_MAX},
+    {"iterations", Kind::integer, "N", "top", 0, INT64_MAX},
+    {"clients", Kind::integer, "N", "soak", 0, INT32_MAX},
+    {"requests", Kind::integer, "M", "soak", 0, INT32_MAX},
+    {"category", Kind::text, "C", "soak"},
+    {"garbage", Kind::toggle, "", "soak"},
+    {"slow-loris", Kind::toggle, "", "soak"},
+    {"dribble-ms", Kind::integer, "N", "soak", 0, INT32_MAX},
 };
 
-/// Parses `text` as an unsigned decimal no larger than `max`; `what` names
-/// the flag or argument in the refusal.
-std::uint64_t parse_count(const std::string& text, const std::string& what,
-                          std::uint64_t max) {
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end || value > max) {
-    throw UsageError(what + ": must be an integer in [0, " +
-                     std::to_string(max) + "], got '" + text + "'");
-  }
-  return value;
-}
-
-/// The numeric flags and their ranges, all checked by check_numeric_flags
-/// before any command connects.
-constexpr std::pair<const char*, std::uint64_t> kNumericFlags[] = {
-    {"trace-id", UINT64_MAX},
-    {"deadline-ms", UINT64_MAX / 1000000u},
-    {"interval-ms", INT32_MAX},
-    {"iterations", INT64_MAX},
-    {"clients", INT32_MAX},
-    {"requests", INT32_MAX},
-    {"dribble-ms", INT32_MAX},
-};
-
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;
-  bool has(const std::string& key) const { return options.count(key) > 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  /// A flag of kNumericFlags; check_numeric_flags has validated it.
-  std::uint64_t get_count(const std::string& key,
-                          std::uint64_t fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback
-                               : parse_count(it->second, "--" + key,
-                                             UINT64_MAX);
-  }
-  void check_numeric_flags() const {
-    for (const auto& [flag, max] : kNumericFlags) {
-      if (has(flag)) parse_count(get(flag, ""), std::string("--") + flag, max);
-    }
-  }
-  /// Positional argument i as a request id.
-  std::uint64_t id(std::size_t i) const {
-    return parse_count(positional[i], "ID", UINT64_MAX);
-  }
-};
-
-/// True when `token` reads as a number (so "-5" is a flag's value, not a
-/// flag).
-bool is_number(const char* token) {
-  char* end = nullptr;
-  std::strtod(token, &end);
-  return end != token && *end == '\0';
-}
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      if (i + 1 < argc && (argv[i + 1][0] != '-' || is_number(argv[i + 1]))) {
-        args.options[a.substr(2)] = argv[++i];
-      } else {
-        args.options[a.substr(2)] = "";
-      }
-    } else {
-      args.positional.push_back(a);
-    }
-  }
-  return args;
+/// Positional argument 1 as a request id.
+std::uint64_t request_id(const flags::Args& args) {
+  return flags::integer_value("ID", args.positional[1], 0, UINT64_MAX);
 }
 
 int usage() {
-  std::cerr
-      << "usage:\n"
-         "  catalyst_client --socket PATH submit CATEGORY --from ARCHIVE\n"
-         "                  [--wait] [--deadline-ms N] [--trace-id N]\n"
-         "  catalyst_client --socket PATH poll ID\n"
-         "  catalyst_client --socket PATH cancel ID\n"
-         "  catalyst_client --socket PATH stats\n"
-         "  catalyst_client --socket PATH trace ID\n"
-         "  catalyst_client --socket PATH top [--interval-ms N]\n"
-         "                  [--iterations N]\n"
-         "  catalyst_client --socket PATH soak --clients N --requests M\n"
-         "                  --category C --from ARCHIVE [--garbage]\n"
-         "                  [--slow-loris]\n";
+  std::cerr << "usage:\n"
+               "  catalyst_client --socket PATH submit CATEGORY\n"
+               "                  --from ARCHIVE\n"
+               "  catalyst_client --socket PATH poll|cancel|trace ID\n"
+               "  catalyst_client --socket PATH stats|top\n"
+               "  catalyst_client --socket PATH soak --from ARCHIVE\n"
+               "flags, and the commands that read them (blank: every one):\n";
+  flags::print_flags(std::cerr, kFlags);
   return 2;
 }
 
-wire::SubmitBody load_submission(const Args& args,
+wire::SubmitBody load_submission(const flags::Args& args,
                                  const std::string& category) {
-  const std::string path = args.get("from", "");
+  const std::string path = args.text("from", "");
   if (path.empty()) throw std::runtime_error("--from ARCHIVE is required");
   const core::MeasurementArchive archive =
       core::load_archive(core::read_text_file(path));
   return service::packed_submit_from_archive(
-      archive, category, args.get_count("deadline-ms", 0) * 1000000ull,
-      args.get_count("trace-id", 0));
+      archive, category, args.integer("deadline-ms", 0) * 1000000ull,
+      args.integer("trace-id", 0));
 }
 
 /// One STATS round trip on an open connection; returns the JSON document.
@@ -265,7 +203,7 @@ wire::Frame poll_until_done(Connection& conn, std::uint64_t id) {
   }
 }
 
-int cmd_submit(const Args& args, const std::string& socket_path) {
+int cmd_submit(const flags::Args& args, const std::string& socket_path) {
   if (args.positional.size() < 2) return usage();
   const std::string category = args.positional[1];
   const wire::SubmitBody body = load_submission(args, category);
@@ -310,9 +248,9 @@ int cmd_submit(const Args& args, const std::string& socket_path) {
   return 1;
 }
 
-int cmd_poll(const Args& args, const std::string& socket_path) {
+int cmd_poll(const flags::Args& args, const std::string& socket_path) {
   if (args.positional.size() < 2) return usage();
-  const std::uint64_t id = args.id(1);
+  const std::uint64_t id = request_id(args);
   Connection conn(socket_path);
   conn.handshake();
   std::string payload;
@@ -346,9 +284,9 @@ int cmd_poll(const Args& args, const std::string& socket_path) {
   }
 }
 
-int cmd_cancel(const Args& args, const std::string& socket_path) {
+int cmd_cancel(const flags::Args& args, const std::string& socket_path) {
   if (args.positional.size() < 2) return usage();
-  const std::uint64_t id = args.id(1);
+  const std::uint64_t id = request_id(args);
   Connection conn(socket_path);
   conn.handshake();
   std::string payload;
@@ -376,9 +314,9 @@ int cmd_stats(const std::string& socket_path) {
   return 0;
 }
 
-int cmd_trace(const Args& args, const std::string& socket_path) {
+int cmd_trace(const flags::Args& args, const std::string& socket_path) {
   if (args.positional.size() < 2) return usage();
-  const std::uint64_t id = args.id(1);
+  const std::uint64_t id = request_id(args);
   Connection conn(socket_path);
   conn.handshake();
   std::string payload;
@@ -482,12 +420,12 @@ std::string format_ms(double ns) {
   return buf;
 }
 
-int cmd_top(const Args& args, const std::string& socket_path) {
+int cmd_top(const flags::Args& args, const std::string& socket_path) {
   const auto interval_ms =
-      static_cast<std::int64_t>(args.get_count("interval-ms", 1000));
+      static_cast<std::int64_t>(args.integer("interval-ms", 1000));
   // 0 iterations = forever.
   const auto iterations =
-      static_cast<std::int64_t>(args.get_count("iterations", 0));
+      static_cast<std::int64_t>(args.integer("iterations", 0));
   const bool tty = ::isatty(STDOUT_FILENO) == 1;
 
   const std::string hist_name(obs::names::kServiceRequestNs);
@@ -697,14 +635,14 @@ bool soak_slow_loris(const std::string& socket_path, int dribble_ms) {
   }
 }
 
-int cmd_soak(const Args& args, const std::string& socket_path) {
-  const int clients = static_cast<int>(args.get_count("clients", 4));
-  const int requests = static_cast<int>(args.get_count("requests", 8));
-  const std::string category = args.get("category", "branch");
+int cmd_soak(const flags::Args& args, const std::string& socket_path) {
+  const int clients = static_cast<int>(args.integer("clients", 4));
+  const int requests = static_cast<int>(args.integer("requests", 8));
+  const std::string category = args.text("category", "branch");
   const wire::SubmitBody body = load_submission(args, category);
   const bool with_garbage = args.has("garbage");
   const bool with_slow_loris = args.has("slow-loris");
-  const int dribble_ms = static_cast<int>(args.get_count("dribble-ms", 150));
+  const int dribble_ms = static_cast<int>(args.integer("dribble-ms", 150));
 
   const std::size_t total = static_cast<std::size_t>(clients) +
                             (with_garbage ? 1 : 0) +
@@ -731,12 +669,11 @@ int cmd_soak(const Args& args, const std::string& socket_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-  const std::string socket_path = args.get("socket", "");
-  if (args.positional.empty() || socket_path.empty()) return usage();
-  const std::string& cmd = args.positional[0];
   try {
-    args.check_numeric_flags();
+    const flags::Args args = flags::parse(kFlags, kCommands, argc, argv);
+    const std::string socket_path = args.text("socket", "");
+    if (args.positional.empty() || socket_path.empty()) return usage();
+    const std::string& cmd = args.positional[0];
     if (cmd == "submit") return cmd_submit(args, socket_path);
     if (cmd == "poll") return cmd_poll(args, socket_path);
     if (cmd == "cancel") return cmd_cancel(args, socket_path);
@@ -744,7 +681,7 @@ int main(int argc, char** argv) {
     if (cmd == "trace") return cmd_trace(args, socket_path);
     if (cmd == "top") return cmd_top(args, socket_path);
     if (cmd == "soak") return cmd_soak(args, socket_path);
-  } catch (const UsageError& e) {
+  } catch (const flags::Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   } catch (const std::exception& e) {

@@ -100,14 +100,19 @@ Rules:
   unchecked-number-parse
                     No std::sto* (stoi/stol/stoul/stoull/stod/...),
                     std::ato* or bare atoi/atol/atof in src/, tools/ or
-                    bench/.  The sto* family throws bare "stoi"/"stod"
-                    messages that name neither the flag nor the value,
-                    accepts trailing junk ("3x" reads 3) and the unsigned
-                    ones wrap "-1" to 2^64 - 1; ato* reports no error at
-                    all.  Parse with std::from_chars over the whole text
-                    (bench/ programs share bench::parse_number) and name
-                    the flag or key in the refusal.  A selftest fixture
-                    named bench_*.cpp is linted as a bench/ file.
+                    bench/, and no strtod/strtof/strtol/strtoul/strtoull
+                    (with or without std::) in tools/ or bench/.  The sto*
+                    family throws bare "stoi"/"stod" messages that name
+                    neither the flag nor the value, accepts trailing junk
+                    ("3x" reads 3) and the unsigned ones wrap "-1" to
+                    2^64 - 1; ato* reports no error at all; strto* skips
+                    leading blanks and reads hex, so each caller grows its
+                    own number grammar.  Tools and bench programs parse
+                    their flags through the one table-driven grammar of
+                    tools/flags.hpp (flags::parse, flags::integer_value);
+                    elsewhere read the whole text with std::from_chars and
+                    name the flag or key in the refusal.  A selftest
+                    fixture named bench_*.cpp is linted as a bench/ file.
   -- lock discipline (the src/sync capability layer) --
 
   raw-sync-primitive
@@ -515,6 +520,9 @@ METRIC_NAME_OK_RE = re.compile(r"^[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)*\.?$")
 NUMBER_PARSE_RE = re.compile(
     r"\bstd\s*::\s*(?:sto(?:i|l|ll|ul|ull|f|d|ld)|ato(?:i|l|ll|f))\s*\("
     r"|(?<![\w.>])(?:::\s*)?ato(?:i|l|ll|f)\s*\(")
+# The C strto* family: refused in tools/ and bench/ only.
+STRTO_RE = re.compile(
+    r"(?<![\w.>])(?:(?:std\s*)?::\s*)?strto(?:f|d|ld|l|ll|ul|ull)\s*\(")
 
 
 def pass_rng(model: FileModel, findings: list[Finding]):
@@ -726,11 +734,16 @@ def pass_handwritten_json(model: FileModel, findings: list[Finding]):
 
 
 def pass_unchecked_number_parse(model: FileModel, findings: list[Finding]):
+    program = model.rel.startswith(("tools/", "bench/"))
     for lineno, line in enumerate(model.code_lines, 1):
         if NUMBER_PARSE_RE.search(line):
             report(model, findings, "unchecked-number-parse", lineno,
                    "std::sto*/ato* number parse; read the whole text with "
                    "std::from_chars and name the flag or key in the error")
+        elif program and STRTO_RE.search(line):
+            report(model, findings, "unchecked-number-parse", lineno,
+                   "strto* number parse in a tool or bench program; parse "
+                   "flags through flags::parse (tools/flags.hpp)")
 
 
 PER_FILE_PASSES = (

@@ -19,132 +19,40 @@
 // 64 usage error (a flag the command does not read or a malformed number,
 // named in the message).  Every failure line carries the seed and a
 // one-line reproduction command.
-#include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <iostream>
-#include <map>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "flags.hpp"
 #include "modelgen/modelgen.hpp"
 
 namespace {
 
 using namespace catalyst;
+using flags::Kind;
 
-/// Flags that never take a value: the token after one is the next argument.
-constexpr const char* kSwitches[] = {"orphan", "verbose"};
+constexpr std::string_view kCommands = "one sweep metamorphic";
 
-/// The flags each command reads; any other flag is a usage error.
-std::vector<std::string> flags_of(const std::string& cmd) {
-  std::vector<std::string> flags = {"noise", "orphan", "gamma"};
-  if (cmd == "one") {
-    flags.insert(flags.end(), {"seed", "verbose"});
-  } else if (cmd == "sweep") {
-    flags.insert(flags.end(), {"seeds", "start", "min-exact"});
-  } else {
-    flags.push_back("seed");
-  }
-  return flags;
-}
-
-/// True when the whole of `text` is a T.  std::from_chars, not std::sto*:
-/// std::stoull reads "-1" as 2^64 - 1 and "3x" as 3.
-template <typename T>
-bool parse_whole(const std::string& text, T& value) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  return !text.empty() && ec == std::errc() && ptr == end;
-}
-
-/// The parsed command line.  A malformed number throws
-/// std::invalid_argument naming the flag.
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;
-  bool has(const std::string& key) const { return options.count(key) > 0; }
-  double get_double(const std::string& key, double fallback) const {
-    auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    double value = 0.0;
-    if (!parse_whole(it->second, value) || !std::isfinite(value)) {
-      throw std::invalid_argument("--" + key + ": expected a number, got '" +
-                                  it->second + "'");
-    }
-    return value;
-  }
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    std::uint64_t value = 0;
-    if (!parse_whole(it->second, value)) {
-      throw std::invalid_argument("--" + key +
-                                  ": must be an integer in [0, " +
-                                  std::to_string(UINT64_MAX) + "], got '" +
-                                  it->second + "'");
-    }
-    return value;
-  }
+constexpr flags::Flag kFlags[] = {
+    {"seed", Kind::integer, "N", "one metamorphic", 0, UINT64_MAX},
+    {"seeds", Kind::integer, "N", "sweep", 0, UINT64_MAX},
+    {"start", Kind::integer, "S", "sweep", 0, UINT64_MAX},
+    {"min-exact", Kind::real, "FRAC", "sweep"},
+    {"noise", Kind::real, "L", ""},
+    {"orphan", Kind::toggle, "", ""},
+    {"gamma", Kind::real, "G", ""},
+    {"verbose", Kind::toggle, "", "one"},
 };
 
-/// True when the whole of `token` is a number: a negative one is a flag's
-/// value (refused by the flag's range), not the next flag.
-bool is_number(const std::string& token) {
-  double value = 0.0;
-  return parse_whole(token, value);
-}
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      const auto eq = a.find('=');
-      const bool is_switch =
-          std::find(std::begin(kSwitches), std::end(kSwitches), a.substr(2)) !=
-          std::end(kSwitches);
-      if (eq != std::string::npos) {
-        args.options[a.substr(2, eq - 2)] = a.substr(eq + 1);
-      } else if (!is_switch && i + 1 < argc &&
-                 (argv[i + 1][0] != '-' || is_number(argv[i + 1]))) {
-        args.options[a.substr(2)] = argv[++i];
-      } else {
-        args.options[a.substr(2)] = "";
-      }
-    } else {
-      args.positional.push_back(a);
-    }
-  }
-  return args;
-}
-
-/// Throws std::invalid_argument naming the first flag or argument `cmd`
-/// does not read.
-void check_args(const std::string& cmd, const Args& args) {
-  if (args.positional.size() > 1) {
-    throw std::invalid_argument("unexpected argument '" + args.positional[1] +
-                                "'");
-  }
-  const std::vector<std::string> known = flags_of(cmd);
-  for (const auto& option : args.options) {
-    if (std::find(known.begin(), known.end(), option.first) == known.end()) {
-      throw std::invalid_argument("--" + option.first + ": not a flag of '" +
-                                  cmd + "'");
-    }
-  }
-}
-
-modelgen::GeneratorSpec spec_from_args(const Args& args, std::uint64_t seed) {
+modelgen::GeneratorSpec spec_from_args(const flags::Args& args,
+                                       std::uint64_t seed) {
   modelgen::GeneratorSpec spec;
   spec.seed = seed;
-  spec.noise_level = args.get_double("noise", spec.noise_level);
+  spec.noise_level = args.real("noise", spec.noise_level);
   if (args.has("orphan")) {
     spec.orphan_dimension = true;
-    spec.correlation_gamma =
-        args.get_double("gamma", spec.correlation_gamma);
+    spec.correlation_gamma = args.real("gamma", spec.correlation_gamma);
   }
   return spec;
 }
@@ -159,8 +67,8 @@ int exit_code_for(modelgen::Verdict overall) {
   return 3;
 }
 
-int cmd_one(const Args& args) {
-  const std::uint64_t seed = args.get_u64("seed", 1);
+int cmd_one(const flags::Args& args) {
+  const std::uint64_t seed = args.integer("seed", 1);
   const auto model = modelgen::generate(spec_from_args(args, seed));
   const auto outcome = modelgen::run_and_verify(model);
   std::cout << outcome.describe();
@@ -174,10 +82,10 @@ int cmd_one(const Args& args) {
   return exit_code_for(outcome.overall);
 }
 
-int cmd_sweep(const Args& args) {
-  const std::uint64_t count = args.get_u64("seeds", 200);
-  const std::uint64_t start = args.get_u64("start", 1);
-  const double min_exact = args.get_double("min-exact", 0.95);
+int cmd_sweep(const flags::Args& args) {
+  const std::uint64_t count = args.integer("seeds", 200);
+  const std::uint64_t start = args.integer("start", 1);
+  const double min_exact = args.real("min-exact", 0.95);
   std::size_t census[4] = {0, 0, 0, 0};
   std::size_t exact_models = 0;
   bool any_wrong = false;
@@ -204,8 +112,8 @@ int cmd_sweep(const Args& args) {
   return rate >= min_exact ? 0 : 2;
 }
 
-int cmd_metamorphic(const Args& args) {
-  const std::uint64_t seed = args.get_u64("seed", 1);
+int cmd_metamorphic(const flags::Args& args) {
+  const std::uint64_t seed = args.integer("seed", 1);
   // The base runs 4 workers and the threads variant 1, so that transform
   // compares two counts whatever the host's hardware thread count.
   const auto model =
@@ -239,26 +147,26 @@ int cmd_metamorphic(const Args& args) {
 }
 
 int usage() {
-  std::cerr << "usage: catalyst_verify one|sweep|metamorphic [options]\n"
-               "  one         --seed N [--noise L] [--orphan [--gamma G]]\n"
-               "  sweep       --seeds N [--start S] [--noise L] "
-               "[--min-exact F]\n"
-               "  metamorphic --seed N [--noise L]\n"
-               "  (sweep and metamorphic take --orphan [--gamma G] too)\n";
+  std::cerr << "usage: catalyst_verify one|sweep|metamorphic [flags]\n"
+               "flags, and the commands that read them (blank: every one):\n";
+  flags::print_flags(std::cerr, kFlags);
+  std::cerr << "--gamma applies with --orphan.\n";
   return 64;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-  if (args.positional.empty()) return usage();
   try {
+    const flags::Args args = flags::parse(kFlags, kCommands, argc, argv);
+    if (args.positional.empty()) return usage();
     const std::string& cmd = args.positional[0];
     if (cmd != "one" && cmd != "sweep" && cmd != "metamorphic") {
       return usage();
     }
-    check_args(cmd, args);
+    if (args.positional.size() > 1) {
+      throw flags::Error("unexpected argument '" + args.positional[1] + "'");
+    }
     if (cmd == "one") return cmd_one(args);
     if (cmd == "sweep") return cmd_sweep(args);
     return cmd_metamorphic(args);

@@ -30,7 +30,6 @@
 // ServiceCore worker loops.  All spawned through core::parallel_for -- the
 // one sanctioned thread-spawn point in the tree.
 #include <atomic>
-#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <iostream>
@@ -39,6 +38,7 @@
 
 #include "core/io.hpp"
 #include "core/parallel.hpp"
+#include "flags.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -87,121 +87,56 @@ void dump_flight(const std::string& path) noexcept {
   }
 }
 
-struct Flags {
-  std::string socket_path;
-  std::string checkpoint_dir;
-  std::string flight_dump_path;
-  int workers = 1;
-  std::size_t queue = 64;
-  std::size_t max_inflight = 8;
-  std::uint64_t max_session_bytes = 256ull * 1024 * 1024;
-  std::uint32_t max_frame_bytes = wire_default_frame_cap();
-  std::size_t max_sessions = 64;
-  long long idle_timeout_ms = 30000;
-  long long partial_frame_timeout_ms = 5000;
-  long long session_deadline_ms = 0;
-  long long analysis_timeout_ms = 0;
-  bool stats = false;
+using flags::Kind;
 
-  static std::uint32_t wire_default_frame_cap() {
-    return service::wire::kMaxPayloadBytes;
-  }
+// Durations stay within what std::chrono::nanoseconds can hold.
+constexpr std::uint64_t kMaxMs = INT64_MAX / 1000000;
+constexpr std::uint64_t kMaxCount = INT32_MAX;
+
+constexpr flags::Flag kFlags[] = {
+    {"socket", Kind::text, "PATH", ""},
+    {"workers", Kind::integer, "N", "", 1, 1024},
+    {"queue", Kind::integer, "N", "", 1, kMaxCount},
+    {"checkpoint-dir", Kind::text, "DIR", ""},
+    {"idle-timeout-ms", Kind::integer, "N", "", 0, kMaxMs},
+    {"partial-frame-timeout-ms", Kind::integer, "N", "", 0, kMaxMs},
+    {"session-deadline-ms", Kind::integer, "N", "", 0, kMaxMs},
+    {"analysis-timeout-ms", Kind::integer, "N", "", 0, kMaxMs},
+    {"max-inflight", Kind::integer, "N", "", 1, kMaxCount},
+    {"max-session-bytes", Kind::integer, "N", "", 1, UINT64_MAX},
+    {"max-frame-bytes", Kind::integer, "N", "", 1,
+     service::wire::kMaxPayloadBytes},
+    {"max-sessions", Kind::integer, "N", "", 1, kMaxCount},
+    {"stats", Kind::toggle, "", ""},
+    {"flight-dump", Kind::text, "PATH", ""},
 };
 
 int usage() {
-  std::cerr
-      << "usage: catalystd --socket PATH [--workers N] [--queue N]\n"
-         "                 [--checkpoint-dir DIR] [--idle-timeout-ms N]\n"
-         "                 [--partial-frame-timeout-ms N]\n"
-         "                 [--session-deadline-ms N]\n"
-         "                 [--analysis-timeout-ms N] [--max-inflight N]\n"
-         "                 [--max-session-bytes N] [--max-frame-bytes N]\n"
-         "                 [--max-sessions N] [--stats]\n"
-         "                 [--flight-dump PATH]\n";
+  std::cerr << "usage: catalystd --socket PATH [flags]\nflags:\n";
+  flags::print_flags(std::cerr, kFlags);
   return 2;
-}
-
-/// The whole of `text` as an integer in [lo, hi].  std::from_chars, not
-/// std::stoi: "abc" must not abort the daemon and "-1" must not wrap to
-/// 2^64 - 1.  Throws std::invalid_argument naming the flag.
-template <typename T>
-T parse_integer(const std::string& flag, const std::string& text, T lo, T hi) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end || value < lo ||
-      value > hi) {
-    throw std::invalid_argument(flag + ": must be an integer in [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "], got '" + text + "'");
-  }
-  return value;
-}
-
-/// Fills `flags` from the command line.  Throws std::invalid_argument
-/// naming the flag on an unknown flag, a missing value or a number out of
-/// its range; returns false when --socket is missing.
-bool parse_flags(int argc, char** argv, Flags& flags) {
-  // Durations stay within what std::chrono::nanoseconds can hold.
-  constexpr long long kMaxMs = INT64_MAX / 1000000;
-  constexpr std::size_t kMaxCount = INT32_MAX;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--stats") {
-      flags.stats = true;
-      continue;
-    }
-    if (i + 1 >= argc) {
-      throw std::invalid_argument(a.rfind("--", 0) == 0
-                                      ? a + ": missing value"
-                                      : "unexpected argument '" + a + "'");
-    }
-    const std::string v = argv[++i];
-    if (a == "--socket") {
-      flags.socket_path = v;
-    } else if (a == "--checkpoint-dir") {
-      flags.checkpoint_dir = v;
-    } else if (a == "--flight-dump") {
-      flags.flight_dump_path = v;
-    } else if (a == "--workers") {
-      flags.workers = parse_integer(a, v, 1, 1024);
-    } else if (a == "--queue") {
-      flags.queue = parse_integer<std::size_t>(a, v, 1, kMaxCount);
-    } else if (a == "--max-inflight") {
-      flags.max_inflight = parse_integer<std::size_t>(a, v, 1, kMaxCount);
-    } else if (a == "--max-session-bytes") {
-      flags.max_session_bytes =
-          parse_integer<std::uint64_t>(a, v, 1, UINT64_MAX);
-    } else if (a == "--max-frame-bytes") {
-      flags.max_frame_bytes = parse_integer<std::uint32_t>(
-          a, v, 1, service::wire::kMaxPayloadBytes);
-    } else if (a == "--max-sessions") {
-      flags.max_sessions = parse_integer<std::size_t>(a, v, 1, kMaxCount);
-    } else if (a == "--idle-timeout-ms") {
-      flags.idle_timeout_ms = parse_integer(a, v, 0LL, kMaxMs);
-    } else if (a == "--partial-frame-timeout-ms") {
-      flags.partial_frame_timeout_ms = parse_integer(a, v, 0LL, kMaxMs);
-    } else if (a == "--session-deadline-ms") {
-      flags.session_deadline_ms = parse_integer(a, v, 0LL, kMaxMs);
-    } else if (a == "--analysis-timeout-ms") {
-      flags.analysis_timeout_ms = parse_integer(a, v, 0LL, kMaxMs);
-    } else {
-      throw std::invalid_argument(a + ": unknown flag");
-    }
-  }
-  return !flags.socket_path.empty();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags;
+  flags::Args args;
   try {
-    if (!parse_flags(argc, argv, flags)) return usage();
-  } catch (const std::invalid_argument& e) {
+    args = flags::parse(kFlags, "", argc, argv);
+  } catch (const flags::Error& e) {
     std::cerr << "catalystd: error: " << e.what() << "\n";
     return usage();
   }
+  if (!args.has("socket")) return usage();
+  const std::string socket_path = args.text("socket", "");
+  const std::string checkpoint_dir = args.text("checkpoint-dir", "");
+  const std::string flight_dump_path = args.text("flight-dump", "");
+  const auto workers = static_cast<int>(args.integer("workers", 1));
+  const std::size_t queue = args.integer("queue", 64);
+  const auto ms = [&args](std::string_view flag, std::uint64_t fallback) {
+    return std::chrono::milliseconds(
+        static_cast<std::int64_t>(args.integer(flag, fallback)));
+  };
   // Live telemetry is part of the daemon's contract (STATS/TRACE frames,
   // flight recorder), so tracing is on unconditionally; --stats only adds
   // the exit-time summary on stderr.
@@ -211,35 +146,35 @@ int main(int argc, char** argv) {
     faults::RealClock clock;
 
     service::ServiceCore::Options core_options;
-    core_options.workers = flags.workers;
-    core_options.queue_capacity = flags.queue;
-    core_options.max_inflight_per_session = flags.max_inflight;
-    core_options.max_bytes_per_session = flags.max_session_bytes;
-    core_options.default_analysis_timeout =
-        std::chrono::milliseconds(flags.analysis_timeout_ms);
-    core_options.checkpoint_dir = flags.checkpoint_dir;
+    core_options.workers = workers;
+    core_options.queue_capacity = queue;
+    core_options.max_inflight_per_session = args.integer("max-inflight", 8);
+    core_options.max_bytes_per_session =
+        args.integer("max-session-bytes", 256ull * 1024 * 1024);
+    core_options.default_analysis_timeout = ms("analysis-timeout-ms", 0);
+    core_options.checkpoint_dir = checkpoint_dir;
     core_options.clock = &clock;
     service::ServiceCore core(core_options);
     if (core.restored_requests() > 0) {
       std::cerr << "catalystd: restored " << core.restored_requests()
-                << " checkpointed request(s) from " << flags.checkpoint_dir
-                << "\n";
+                << " checkpointed request(s) from " << checkpoint_dir << "\n";
     }
 
     service::Server::Options server_options;
-    server_options.socket_path = flags.socket_path;
-    server_options.max_sessions = flags.max_sessions;
+    server_options.socket_path = socket_path;
+    server_options.max_sessions = args.integer("max-sessions", 64);
     server_options.clock = &clock;
-    server_options.session_limits.max_frame_payload = flags.max_frame_bytes;
-    server_options.session_limits.idle_timeout =
-        std::chrono::milliseconds(flags.idle_timeout_ms);
+    server_options.session_limits.max_frame_payload =
+        static_cast<std::uint32_t>(args.integer(
+            "max-frame-bytes", service::wire::kMaxPayloadBytes));
+    server_options.session_limits.idle_timeout = ms("idle-timeout-ms", 30000);
     server_options.session_limits.partial_frame_timeout =
-        std::chrono::milliseconds(flags.partial_frame_timeout_ms);
+        ms("partial-frame-timeout-ms", 5000);
     server_options.session_limits.session_deadline =
-        std::chrono::milliseconds(flags.session_deadline_ms);
-    server_options.on_wake = [&flags]() {
+        ms("session-deadline-ms", 0);
+    server_options.on_wake = [&flight_dump_path]() {
       if (g_dump_flight.exchange(false, std::memory_order_relaxed)) {
-        dump_flight(flags.flight_dump_path);
+        dump_flight(flight_dump_path);
       }
     };
     service::Server server(core, server_options);
@@ -250,14 +185,14 @@ int main(int argc, char** argv) {
     std::signal(SIGUSR1, handle_sigusr1);
     std::signal(SIGPIPE, SIG_IGN);
 
-    std::cerr << "catalystd: listening on " << flags.socket_path << " ("
-              << flags.workers << " worker(s), queue " << flags.queue
+    std::cerr << "catalystd: listening on " << socket_path << " ("
+              << workers << " worker(s), queue " << queue
               << ")\n";
 
     // Unit 0 = event loop; units 1..workers = analysis workers.  The event
     // loop returns only after shutdown drains the core, at which point
     // begin_shutdown() has already woken every worker out of its wait.
-    const std::size_t units = static_cast<std::size_t>(flags.workers) + 1;
+    const std::size_t units = static_cast<std::size_t>(workers) + 1;
     core::parallel_for(units, static_cast<int>(units), [&](std::size_t unit) {
       // Either side dying must release the other: a crashed event loop
       // wakes the workers out of their queue wait; a crashed worker flips
@@ -283,7 +218,7 @@ int main(int argc, char** argv) {
 
     std::cerr << "catalystd: drained, " << server.sessions_served()
               << " session(s) served; bye\n";
-    if (flags.stats) {
+    if (args.has("stats")) {
       const obs::MetricsSnapshot metrics = obs::Metrics::instance().snapshot();
       std::cerr << obs::format_stats(metrics, {},
                                      obs::Tracer::instance().buffer()
@@ -295,7 +230,7 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::cerr << "catalystd: fatal: " << e.what() << "\n";
     // Crash-path dump: leave behind what the daemon was doing when it died.
-    dump_flight(flags.flight_dump_path);
+    dump_flight(flight_dump_path);
     return 1;
   }
 }
