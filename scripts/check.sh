@@ -300,7 +300,7 @@ stage_service_soak() {
         || { cat "$dir/configure.log"; return 1; }
     cmake --build "$dir" -j "$JOBS" \
         --target catalystd catalyst_client catalyst service_protocol_test \
-                 service_telemetry_test service_telemetry_disabled_test \
+                 service_telemetry_test \
         > "$dir/build.log" 2>&1 || { tail -n 60 "$dir/build.log"; return 1; }
     local start tmp rc=0
     start="$(date +%s)"

@@ -129,8 +129,8 @@ struct CampaignResult {
 /// The one owner of the rules on how campaign options combine: at least 2
 /// repetitions (the RNMSE filter needs them), and in a sampled mode a valid
 /// sample schedule, no armed fault plan and no checkpoint directory.
-/// Throws std::invalid_argument under every contract policy, so a front end
-/// can refuse the combination before it runs anything.
+/// Throws std::invalid_argument, so a front end can refuse the combination
+/// before it runs anything.
 void validate(const CampaignOptions& options);
 
 /// The checkpoint format marker ("catalyst-checkpoint-v1").

@@ -1,76 +1,6 @@
 #include "core/contract.hpp"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
-#include "sync/mutex.hpp"
-
-#if defined(__has_include)
-#if __has_include(<execinfo.h>)
-#include <execinfo.h>
-#define CATALYST_HAVE_BACKTRACE 1
-#endif
-#endif
-
-namespace catalyst::contract {
-
-namespace {
-
-ViolationPolicy policy_from_env() noexcept {
-  const char* env = std::getenv("CATALYST_CONTRACT_POLICY");
-  if (env == nullptr) return ViolationPolicy::throw_exception;
-  if (std::strcmp(env, "abort") == 0) return ViolationPolicy::abort_with_trace;
-  if (std::strcmp(env, "log") == 0) return ViolationPolicy::log_and_continue;
-  // "throw" and anything unrecognized fall back to the safe default.
-  return ViolationPolicy::throw_exception;
-}
-
-std::atomic<ViolationPolicy>& policy_slot() noexcept {
-  static std::atomic<ViolationPolicy> policy{policy_from_env()};
-  return policy;
-}
-
-std::atomic<std::size_t>& logged_count_slot() noexcept {
-  static std::atomic<std::size_t> count{0};
-  return count;
-}
-
-// Serializes violation emission: a multi-line report (message + stack
-// trace) must not interleave with one from another thread.  Policy and the
-// logged counter stay atomic -- they are single-word reads on hot paths.
-sync::Mutex& emit_mutex() noexcept {
-  static sync::Mutex mutex{"core.contract.emit"};
-  return mutex;
-}
-
-void print_stack_trace() noexcept {
-#ifdef CATALYST_HAVE_BACKTRACE
-  void* frames[64];
-  const int depth = backtrace(frames, 64);
-  std::fputs("stack trace:\n", stderr);
-  backtrace_symbols_fd(frames, depth, 2 /* stderr */);
-#else
-  std::fputs("stack trace unavailable on this platform\n", stderr);
-#endif
-}
-
-}  // namespace
-
-ViolationPolicy violation_policy() noexcept {
-  return policy_slot().load(std::memory_order_relaxed);
-}
-
-void set_violation_policy(ViolationPolicy policy) noexcept {
-  policy_slot().store(policy, std::memory_order_relaxed);
-}
-
-std::size_t logged_violation_count() noexcept {
-  return logged_count_slot().load(std::memory_order_relaxed);
-}
-
-namespace detail {
+namespace catalyst::contract::detail {
 
 std::string format_violation(const char* kind, const char* expr,
                              const char* file, int line,
@@ -90,30 +20,4 @@ std::string format_violation(const char* kind, const char* expr,
   return out;
 }
 
-bool report_violation(const char* kind, const char* expr, const char* file,
-                      int line, const std::string& msg) {
-  switch (violation_policy()) {
-    case ViolationPolicy::throw_exception:
-      return true;  // the macro throws at the call site, preserving the type
-    case ViolationPolicy::abort_with_trace: {
-      const std::string text = format_violation(kind, expr, file, line, msg);
-      const sync::LockGuard lock(emit_mutex());
-      std::fprintf(stderr, "%s\n", text.c_str());
-      print_stack_trace();
-      std::abort();
-    }
-    case ViolationPolicy::log_and_continue: {
-      const std::string text = format_violation(kind, expr, file, line, msg);
-      {
-        const sync::LockGuard lock(emit_mutex());
-        std::fprintf(stderr, "%s (continuing)\n", text.c_str());
-      }
-      logged_count_slot().fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-  }
-  return true;  // unreachable; keeps -Wreturn-type quiet
-}
-
-}  // namespace detail
-}  // namespace catalyst::contract
+}  // namespace catalyst::contract::detail

@@ -1,5 +1,5 @@
 // catalyst/contract -- repo-wide precondition / postcondition / invariant
-// checking with a runtime-configurable violation policy.
+// checking.
 //
 // The analysis pipeline is only trustworthy if every stage preserves its
 // numerical assumptions (finite measurement vectors, consistent shapes,
@@ -11,25 +11,13 @@
 //   CATALYST_INVARIANT(cond, msg)      -- internal consistency mid-algorithm
 //   CATALYST_ASSUME_FINITE(value, msg) -- no NaN/Inf in a scalar or range
 //
-// Each macro has an `_AS(cond, ExcType, msg)` variant that throws a caller
-// chosen exception type under the throw policy, so migrated legacy checks
-// keep their documented exception types (linalg::DimensionError,
-// std::invalid_argument, cachesim::ConfigError, ...).  The `msg` expression
-// is evaluated only on violation, so string building costs nothing on the
-// success path.
-//
-// What happens on violation is decided at runtime (see ViolationPolicy):
-//   * throw_exception  -- throw ExcType(message)               [default]
-//   * abort_with_trace -- print message + stack trace, abort()
-//   * log_and_continue -- print message to stderr, keep going
-// The policy can also be set through the CATALYST_CONTRACT_POLICY
-// environment variable ("throw", "abort", "log") before first use.
-//
-// Zero-cost compiled-out mode: building with -DCATALYST_CONTRACTS_DISABLED
-// (CMake: -DCATALYST_CONTRACTS=OFF) expands every macro to a no-op that does
-// not even evaluate the condition.  That build trades all input validation
-// for speed and is only for trusted, pre-validated inputs; the default build
-// keeps contracts on everywhere, including Release.
+// A failed check throws.  Each macro has an `_AS(cond, ExcType, msg)`
+// variant that throws a caller chosen exception type, so migrated legacy
+// checks keep their documented exception types (linalg::DimensionError,
+// std::invalid_argument, cachesim::ConfigError, ...); the un-suffixed
+// macros throw ContractViolation.  The `msg` expression is evaluated only on
+// violation, so string building costs nothing on the success path.  Every
+// build compiles every check in, Release included.
 #pragma once
 
 #include <cmath>
@@ -42,45 +30,11 @@
 
 namespace catalyst::contract {
 
-/// What a failed contract check does.  One process-wide setting; the
-/// default is throw_exception (safe for library use and unit-testable).
-enum class ViolationPolicy {
-  throw_exception,   ///< Throw the check's exception type.
-  abort_with_trace,  ///< Print the violation + stack trace, std::abort().
-  log_and_continue,  ///< Print the violation to stderr and proceed.
-};
-
 /// Default exception type thrown by the un-suffixed macros.
 class ContractViolation : public std::runtime_error {
  public:
   explicit ContractViolation(const std::string& what)
       : std::runtime_error(what) {}
-};
-
-/// Current process-wide policy.  First call honours the
-/// CATALYST_CONTRACT_POLICY environment variable.
-ViolationPolicy violation_policy() noexcept;
-
-/// Overrides the process-wide policy (takes effect immediately, thread-safe).
-void set_violation_policy(ViolationPolicy policy) noexcept;
-
-/// Number of violations swallowed so far under log_and_continue; lets tests
-/// (and health checks) observe that a logged violation actually fired.
-std::size_t logged_violation_count() noexcept;
-
-/// RAII policy override, restoring the previous policy on scope exit.
-class PolicyGuard {
- public:
-  explicit PolicyGuard(ViolationPolicy policy) noexcept
-      : previous_(violation_policy()) {
-    set_violation_policy(policy);
-  }
-  ~PolicyGuard() { set_violation_policy(previous_); }
-  PolicyGuard(const PolicyGuard&) = delete;
-  PolicyGuard& operator=(const PolicyGuard&) = delete;
-
- private:
-  ViolationPolicy previous_;
 };
 
 // ----- Numeric helpers shared by contract call sites -------------------------
@@ -116,41 +70,18 @@ std::string format_violation(const char* kind, const char* expr,
                              const char* file, int line,
                              const std::string& msg);
 
-/// Applies the current policy to a violation.  Returns true when the caller
-/// should throw (throw_exception policy); aborts under abort_with_trace;
-/// logs and returns false under log_and_continue.
-bool report_violation(const char* kind, const char* expr, const char* file,
-                      int line, const std::string& msg);
-
 }  // namespace detail
 }  // namespace catalyst::contract
 
 // ----- The macros ------------------------------------------------------------
 
-#ifdef CATALYST_CONTRACTS_DISABLED
-
-// Compiled-out mode: no-ops that do not evaluate the condition or message.
-// sizeof keeps both expressions as unevaluated operands, so variables that
-// exist only to feed a contract stay odr-referenced (no -Wunused-variable)
-// and the expressions stay type-checked, without generating any code.
-#define CATALYST_CONTRACT_CHECK_AS(kind, cond, ExcType, msg) \
-  ((void)sizeof((cond) ? 1 : 0), (void)sizeof(msg))
-
-#else
-
-#define CATALYST_CONTRACT_CHECK_AS(kind, cond, ExcType, msg)                 \
-  do {                                                                       \
-    if (!(cond)) {                                                           \
-      const ::std::string catalyst_contract_msg_ = (msg);                    \
-      if (::catalyst::contract::detail::report_violation(                    \
-              kind, #cond, __FILE__, __LINE__, catalyst_contract_msg_)) {    \
-        throw ExcType(::catalyst::contract::detail::format_violation(        \
-            kind, #cond, __FILE__, __LINE__, catalyst_contract_msg_));       \
-      }                                                                      \
-    }                                                                        \
+#define CATALYST_CONTRACT_CHECK_AS(kind, cond, ExcType, msg)              \
+  do {                                                                    \
+    if (!(cond)) {                                                        \
+      throw ExcType(::catalyst::contract::detail::format_violation(       \
+          kind, #cond, __FILE__, __LINE__, (msg)));                       \
+    }                                                                     \
   } while (0)
-
-#endif  // CATALYST_CONTRACTS_DISABLED
 
 /// Precondition: validates caller-supplied inputs.
 #define CATALYST_REQUIRE_AS(cond, ExcType, msg) \

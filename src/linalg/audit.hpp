@@ -27,7 +27,7 @@ class QrFactorization;
 
 namespace audit {
 
-/// Thrown (under the default contract policy) when an enabled audit fails.
+/// Thrown when an enabled audit fails.
 class AuditError : public LinalgError {
  public:
   explicit AuditError(const std::string& what) : LinalgError(what) {}

@@ -196,16 +196,6 @@ std::string to_metrics_json(const MetricsSnapshot& metrics) {
   return json::dump(doc, 2) + "\n";
 }
 
-std::string metrics_compiled_out_json() {
-  json::Value doc = json::Value::object();
-  doc["format"] = kMetricsFormat;
-  doc["compiled_out"] = true;
-  doc["counters"] = json::Value::object();
-  doc["gauges"] = json::Value::object();
-  doc["histograms"] = json::Value::array();
-  return json::dump(doc, 2) + "\n";
-}
-
 std::string trace_fragment_json(const std::vector<SpanRecord>& spans,
                                 std::uint64_t trace_id,
                                 std::size_t* matched) {

@@ -55,12 +55,6 @@ inline constexpr const char* kRunManifestFormat = "catalyst-run-manifest-v1";
 /// The metrics exposition's "format" field (JSON form).
 inline constexpr const char* kMetricsFormat = "catalyst-metrics-v1";
 
-/// What a CATALYST_OBS=OFF daemon answers to a STATS scrape: still a valid
-/// catalyst-metrics-v1 document (schema checkers and `catalyst_client top`
-/// parse it like any other), but explicitly flagged so a scraper can tell
-/// "no load" apart from "observability compiled out".
-std::string metrics_compiled_out_json();
-
 /// Hex fnv1a-64 of a configuration string (the manifest's config_hash).
 std::string config_hash(const std::string& config);
 

@@ -145,9 +145,6 @@ void Metrics::reset() {
   histograms_.clear();
 }
 
-#if !defined(CATALYST_OBS_DISABLED)
-inline namespace live {
-
 void count(std::string_view counter, std::uint64_t delta) {
   if (!enabled()) return;
   Metrics::instance().add(counter, delta);
@@ -162,8 +159,5 @@ void gauge(std::string_view gauge_name, std::int64_t value) {
   if (!enabled()) return;
   Metrics::instance().set_gauge(gauge_name, value);
 }
-
-}  // namespace live
-#endif  // !CATALYST_OBS_DISABLED
 
 }  // namespace catalyst::obs

@@ -3,10 +3,10 @@
 //
 // Instrumented code reports through the free functions obs::count() /
 // obs::observe() / obs::gauge() (declared in obs/trace.hpp), which are
-// no-ops unless tracing is enabled -- and compile out entirely under
-// CATALYST_OBS=OFF.  Exporters and the CLI's --stats read an immutable
-// MetricsSnapshot; live scrapers (the catalystd STATS frame) diff two
-// snapshots with MetricsSnapshot::delta_since for rate computation.
+// no-ops unless tracing is enabled.  Exporters and the CLI's --stats read
+// an immutable MetricsSnapshot; live scrapers (the catalystd STATS frame)
+// diff two snapshots with MetricsSnapshot::delta_since for rate
+// computation.
 //
 // Updates take a mutex: every call site is a per-stage / per-retry event,
 // not a per-reading hot path, so contention is negligible and the registry

@@ -7,14 +7,10 @@
 // trace_event JSON (load in chrome://tracing or Perfetto) or a compact run
 // manifest.
 //
-// Overhead contract:
-//   * compile time: -DCATALYST_OBS=OFF defines CATALYST_OBS_DISABLED and the
-//     whole API (Span, enabled(), count(), observe()) collapses to inline
-//     no-ops -- the enabled/disabled variants live in distinct inline
-//     namespaces so mixed translation units can never ODR-collide;
-//   * run time: when compiled in but not enabled (no CATALYST_TRACE=1, no
-//     --trace-out), a Span costs one relaxed atomic load; when enabled, the
-//     bench/obs_overhead budget is <2% of pipeline wall time.
+// Overhead contract: tracing is always compiled in and gated at run time.
+// When not enabled (no CATALYST_TRACE=1, no --trace-out), a Span costs one
+// relaxed atomic load; when enabled, the bench/obs_overhead budget is <2% of
+// pipeline wall time.
 //
 // Determinism contract: tracing never perturbs results.  Spans touch no
 // RNG, no measurement state, and no fault draws; timestamps come from the
@@ -205,45 +201,6 @@ void format_arg(char* args, std::size_t capacity, const char* key,
 
 }  // namespace detail
 
-#if defined(CATALYST_OBS_DISABLED)
-
-// Compile-time-disabled API: every call is an inline no-op the optimizer
-// deletes.  The inline namespace differs from the live variant so a program
-// mixing CATALYST_OBS_DISABLED and enabled translation units (e.g. the
-// obs_disabled_test binary against the regular library) never folds the two
-// Span definitions together.
-inline namespace noop {
-
-constexpr bool enabled() noexcept { return false; }
-
-class Span {
- public:
-  explicit Span(const char* /*name*/) noexcept {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  ~Span() = default;
-
-  template <typename T>
-  void arg(const char* /*key*/, const T& /*value*/) noexcept {}
-  void end() noexcept {}
-  std::int64_t elapsed_ns() const noexcept { return 0; }
-  std::int64_t duration_ns() const noexcept { return 0; }
-  bool active() const noexcept { return false; }
-};
-
-inline void count(std::string_view /*counter*/,
-                  std::uint64_t /*delta*/ = 1) noexcept {}
-inline void observe(std::string_view /*histogram*/, double /*value*/) noexcept {
-}
-inline void gauge(std::string_view /*gauge_name*/,
-                  std::int64_t /*value*/) noexcept {}
-
-}  // namespace noop
-
-#else
-
-inline namespace live {
-
 /// True when tracing is active for this process (CATALYST_TRACE=1 or an
 /// explicit Tracer::enable()).  One relaxed atomic load.
 inline bool enabled() noexcept { return Tracer::instance().runtime_enabled(); }
@@ -305,9 +262,5 @@ void count(std::string_view counter, std::uint64_t delta = 1);
 void observe(std::string_view histogram, double value);
 /// Sets a point-in-time gauge (queue depth, inflight sessions, ...).
 void gauge(std::string_view gauge_name, std::int64_t value);
-
-}  // namespace live
-
-#endif  // CATALYST_OBS_DISABLED
 
 }  // namespace catalyst::obs

@@ -61,29 +61,41 @@ EngineOutcome run_analysis(SharedCatalog& catalog, wire::SubmitBody& submit,
   // analysis stays on its worker's thread.
   options.threads = 1;
 
+  const linalg::Matrix& basis = setup->benchmark.basis.e;
   try {
-    core::PipelineResult result;
+    core::MeasurementArchive archive;  // a JSON SUBMIT's decoded payload
+    const std::vector<std::string>* event_names = &submit.event_names;
+    vpapi::Measurements measurements;
     if (submit.kind == wire::SubmitKind::json) {
-      result = core::analyze_archive(core::load_archive(submit.archive_json),
-                                     setup->signatures, options);
+      // The archive carries its own expectation matrix; the analysis runs
+      // against the catalog's, so an archive whose basis differs is refused
+      // rather than analyzed against a basis it was not collected under.
+      archive = core::load_archive(submit.archive_json);
+      if (archive.expectation != basis) {
+        return fail(wire::ErrorCode::bad_request,
+                    "JSON SUBMIT slots or basis do not match category '" +
+                        submit.category + "'");
+      }
+      event_names = &archive.event_names;
+      measurements = std::move(archive.measurements);
     } else {
       if (submit.repetitions < 2) {
         return fail(wire::ErrorCode::bad_request,
                     "packed SUBMIT needs >= 2 repetitions");
       }
-      if (submit.slots != static_cast<std::size_t>(
-                              setup->benchmark.basis.e.rows())) {
+      if (submit.slots != static_cast<std::size_t>(basis.rows())) {
         return fail(wire::ErrorCode::bad_request,
                     "packed SUBMIT slot count does not match category '" +
                         submit.category + "'");
       }
       // The packed block is in the tensor's order; decode_submit sized it.
-      result = core::analyze_measurements(
-          setup->benchmark.basis.e, submit.event_names,
+      measurements =
           vpapi::Measurements(submit.event_names.size(), submit.repetitions,
-                              submit.slots, std::move(submit.values)),
-          setup->signatures, options);
+                              submit.slots, std::move(submit.values));
     }
+    const core::PipelineResult result = core::analyze_measurements(
+        basis, *event_names, std::move(measurements), setup->signatures,
+        options);
     EngineOutcome out;
     out.ok = true;
     out.text = render_result(result);

@@ -85,30 +85,7 @@ struct PollOutcome {
   std::string message;
 };
 
-// Renders the STATS answer / TRACE fragment for the obs mode the calling
-// translation unit was compiled under.  The two variants live in distinct
-// inline namespaces (the obs noop/live idiom) so a CATALYST_OBS=OFF TU and
-// a regular TU linked into one binary never ODR-collide: each calls its
-// own symbol.  Under OFF, STATS still gets a *valid* catalyst-metrics-v1
-// document -- explicitly flagged compiled_out, so a scraper can tell "no
-// load" apart from "observability compiled out".
-#if defined(CATALYST_OBS_DISABLED)
-inline namespace telemetry_noop {
-
-inline std::string render_stats_exposition() {
-  return obs::metrics_compiled_out_json();
-}
-
-inline std::string render_trace_fragment(std::uint64_t trace_id,
-                                         std::size_t* matched = nullptr) {
-  return obs::trace_fragment_json(std::vector<obs::SpanRecord>{}, trace_id,
-                                  matched);
-}
-
-}  // namespace telemetry_noop
-#else
-inline namespace telemetry_live {
-
+/// The STATS answer: the process's catalyst-metrics-v1 exposition.
 inline std::string render_stats_exposition() {
   return obs::to_metrics_json(obs::Metrics::instance().snapshot());
 }
@@ -121,9 +98,6 @@ inline std::string render_trace_fragment(std::uint64_t trace_id,
   return obs::trace_fragment_json(obs::Tracer::instance().buffer().snapshot(),
                                   trace_id, matched);
 }
-
-}  // namespace telemetry_live
-#endif  // CATALYST_OBS_DISABLED
 
 /// The session-facing face of the core.  Sessions hold a RequestBroker*,
 /// never a ServiceCore*, so protocol tests drive them with a scripted fake.

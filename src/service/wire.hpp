@@ -199,8 +199,10 @@ enum class SubmitKind : std::uint8_t {
 };
 
 /// A decoded SUBMIT.  `category` names a catalog entry (the server resolves
-/// benchmark basis, signatures, and default thresholds from it -- clients
-/// never ship a basis, so a request cannot smuggle an inconsistent one).
+/// benchmark basis, signatures, and default thresholds from it -- every
+/// analysis runs against the catalog's basis, and a JSON archive whose own
+/// expectation matrix differs from it is refused as bad_request, so a
+/// request cannot smuggle an inconsistent one).
 struct SubmitBody {
   SubmitKind kind = SubmitKind::packed;
   std::string category;

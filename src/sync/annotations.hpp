@@ -9,9 +9,7 @@
 //
 // On compilers without the attributes (gcc, msvc) every macro expands to
 // nothing, so annotated code is plain C++ everywhere and analyzed C++ under
-// clang.  Defining CATALYST_SYNC_NO_ANNOTATIONS forces the empty expansion
-// even under clang (used by tests to prove annotated and unannotated builds
-// behave identically).
+// clang.
 //
 // Naming follows the Clang documentation's mutex.h reference sheet; only
 // the spellings this codebase uses are provided.  The annotated wrapper
@@ -19,10 +17,10 @@
 // keeps raw std::mutex & friends from bypassing them.
 #pragma once
 
-#if defined(__clang__) && !defined(CATALYST_SYNC_NO_ANNOTATIONS)
+#if defined(__clang__)
 #define CATALYST_TSA(x) __attribute__((x))
 #else
-#define CATALYST_TSA(x)  // not clang (or annotations forced off): plain C++
+#define CATALYST_TSA(x)  // not clang: plain C++
 #endif
 
 /// Marks a class as a lockable capability ("mutex", "shared_mutex", ...).

@@ -15,11 +15,9 @@
 //     -- and the validator aborts, printing BOTH held-lock stacks: the one
 //     recorded when the opposite order was first seen, and the current one.
 //
-// Cost model (same shape as catalyst::obs):
-//   * compiled out (CATALYST_SYNC_DISABLE_VALIDATOR): sync::Mutex never
-//     calls these hooks; the validator is zero-cost and this header is
-//     declarations only;
-//   * compiled in, disabled (default): one relaxed atomic load per lock;
+// Cost model (same shape as catalyst::obs): the validator is always
+// compiled in and gated at run time.
+//   * disabled (default): one relaxed atomic load per lock;
 //   * enabled (CATALYST_LOCK_ORDER=1 or set_enabled(true)): a thread-local
 //     stack push plus a global-graph update under an internal mutex --
 //     debug-build tooling, not a production hot path.

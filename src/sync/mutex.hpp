@@ -1,8 +1,8 @@
 // catalyst/sync -- annotated synchronization primitives.
 //
 // Thin wrappers over the std primitives carrying Clang thread-safety
-// capability annotations (sync/annotations.hpp) and, when compiled in,
-// runtime lock-order validation hooks (sync/lock_order.hpp).  These are the
+// capability annotations (sync/annotations.hpp) and runtime lock-order
+// validation hooks (sync/lock_order.hpp).  These are the
 // ONLY lock types allowed outside src/sync/ -- catalyst-lint's
 // raw-sync-primitive rule fences raw std::mutex & friends -- so every lock
 // in the tree is simultaneously:
@@ -17,11 +17,6 @@
 // order graph by that label, so the name IS the lock's identity in deadlock
 // reports.  Short-lived per-call locks (merge accumulators) get one too --
 // instances share a graph node, which is exactly right for order analysis.
-//
-// The validated and unchecked variants live in distinct inline namespaces
-// (the obs noop/live split): a binary mixing CATALYST_SYNC_DISABLE_VALIDATOR
-// translation units with regular ones never ODR-collides.  Both variants
-// have identical layout (std lock + name pointer).
 #pragma once
 
 #include <chrono>
@@ -34,30 +29,6 @@
 
 namespace catalyst::sync {
 
-#if defined(CATALYST_SYNC_DISABLE_VALIDATOR)
-inline namespace unchecked {
-
-namespace detail {
-inline void hook_acquire(const void*, const char*) noexcept {}
-inline void hook_try_acquire(const void*, const char*) noexcept {}
-inline void hook_release(const void*) noexcept {}
-}  // namespace detail
-
-#else
-inline namespace checked {
-
-namespace detail {
-inline void hook_acquire(const void* m, const char* name) noexcept {
-  order::on_acquire(m, name);
-}
-inline void hook_try_acquire(const void* m, const char* name) noexcept {
-  order::on_try_acquire(m, name);
-}
-inline void hook_release(const void* m) noexcept { order::on_release(m); }
-}  // namespace detail
-
-#endif  // CATALYST_SYNC_DISABLE_VALIDATOR
-
 /// Annotated exclusive mutex.  Non-recursive, non-copyable.
 class CATALYST_CAPABILITY("mutex") Mutex {
  public:
@@ -69,16 +40,16 @@ class CATALYST_CAPABILITY("mutex") Mutex {
   void lock() CATALYST_ACQUIRE() {
     // Order validation runs BEFORE blocking: the inversion must be reported
     // by the thread about to deadlock, not discovered post-mortem.
-    detail::hook_acquire(this, name_);
+    order::on_acquire(this, name_);
     m_.lock();
   }
   void unlock() CATALYST_RELEASE() {
     m_.unlock();
-    detail::hook_release(this);
+    order::on_release(this);
   }
   bool try_lock() CATALYST_TRY_ACQUIRE(true) {
     if (!m_.try_lock()) return false;
-    detail::hook_try_acquire(this, name_);
+    order::on_try_acquire(this, name_);
     return true;
   }
 
@@ -100,20 +71,20 @@ class CATALYST_CAPABILITY("shared_mutex") SharedMutex {
   SharedMutex& operator=(const SharedMutex&) = delete;
 
   void lock() CATALYST_ACQUIRE() {
-    detail::hook_acquire(this, name_);
+    order::on_acquire(this, name_);
     m_.lock();
   }
   void unlock() CATALYST_RELEASE() {
     m_.unlock();
-    detail::hook_release(this);
+    order::on_release(this);
   }
   void lock_shared() CATALYST_ACQUIRE_SHARED() {
-    detail::hook_acquire(this, name_);
+    order::on_acquire(this, name_);
     m_.lock_shared();
   }
   void unlock_shared() CATALYST_RELEASE_SHARED() {
     m_.unlock_shared();
-    detail::hook_release(this);
+    order::on_release(this);
   }
 
   const char* name() const noexcept { return name_; }
@@ -232,7 +203,5 @@ class CondVar {
  private:
   std::condition_variable_any cv_;
 };
-
-}  // inline namespace (checked / unchecked)
 
 }  // namespace catalyst::sync

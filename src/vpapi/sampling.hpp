@@ -75,7 +75,7 @@ struct SampleSchedule {
   bool dither = true;
 
   /// Structural validation (positive spans, short <= long); throws
-  /// std::invalid_argument under every contract policy.
+  /// std::invalid_argument.
   void validate() const;
 };
 

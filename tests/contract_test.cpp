@@ -1,7 +1,7 @@
-// Tests for the catalyst::contract layer: macro semantics, the three
-// violation policies, the numeric helpers, and the acceptance-criterion
-// scenario -- a NaN measurement is rejected at the pipeline boundary with a
-// contract violation instead of propagating into the QR stage.
+// Tests for the catalyst::contract layer: macro semantics, the numeric
+// helpers, and the acceptance-criterion scenario -- a NaN measurement is
+// rejected at the pipeline boundary with a contract violation instead of
+// propagating into the QR stage.
 #include "core/contract.hpp"
 
 #include <gtest/gtest.h>
@@ -19,8 +19,6 @@ namespace catalyst {
 namespace {
 
 using contract::ContractViolation;
-using contract::PolicyGuard;
-using contract::ViolationPolicy;
 
 TEST(ContractMacros, PassingChecksAreSilent) {
   EXPECT_NO_THROW(CATALYST_REQUIRE(1 + 1 == 2, "arithmetic works"));
@@ -67,39 +65,6 @@ TEST(ContractMacros, MessageExpressionIsLazilyEvaluated) {
   EXPECT_EQ(evaluations, 0);
   EXPECT_THROW(CATALYST_REQUIRE(false, expensive()), ContractViolation);
   EXPECT_EQ(evaluations, 1);
-}
-
-TEST(ContractPolicy, DefaultIsThrow) {
-  EXPECT_EQ(contract::violation_policy(), ViolationPolicy::throw_exception);
-}
-
-TEST(ContractPolicy, LogAndContinueSwallowsAndCounts) {
-  PolicyGuard guard(ViolationPolicy::log_and_continue);
-  const std::size_t before = contract::logged_violation_count();
-  EXPECT_NO_THROW(CATALYST_REQUIRE(false, "logged, not thrown"));
-  EXPECT_NO_THROW(CATALYST_ENSURE_AS(false, std::invalid_argument, "ditto"));
-  EXPECT_EQ(contract::logged_violation_count(), before + 2);
-}
-
-TEST(ContractPolicy, GuardRestoresPreviousPolicy) {
-  const ViolationPolicy before = contract::violation_policy();
-  {
-    PolicyGuard guard(ViolationPolicy::log_and_continue);
-    EXPECT_EQ(contract::violation_policy(),
-              ViolationPolicy::log_and_continue);
-  }
-  EXPECT_EQ(contract::violation_policy(), before);
-}
-
-using ContractDeathTest = ::testing::Test;
-
-TEST(ContractDeathTest, AbortWithTracePolicyAborts) {
-  EXPECT_DEATH(
-      {
-        contract::set_violation_policy(ViolationPolicy::abort_with_trace);
-        CATALYST_REQUIRE(false, "fatal by policy");
-      },
-      "precondition violated");
 }
 
 TEST(ContractHelpers, AllFiniteVariants) {

@@ -75,8 +75,6 @@ TEST_F(ObsPipelineTest, TracingNeverPerturbsResults) {
   EXPECT_TRUE(plain.stage_timings.empty());
 }
 
-#if !defined(CATALYST_OBS_DISABLED)
-
 TEST_F(ObsPipelineTest, EveryPipelineStageEmitsASpan) {
   faults::FakeClock clock;
   obs::Tracer::instance().set_clock(&clock);
@@ -169,8 +167,6 @@ TEST_F(ObsPipelineTest, RetryAndBackoffSpansAppearUnderFaults) {
   EXPECT_GT(retry_spans, 0u);
   EXPECT_LE(retry_spans, out.report.total_retries);
 }
-
-#endif  // !CATALYST_OBS_DISABLED
 
 TEST_F(ObsPipelineTest, MarkdownReportRendersStageTimingsWhenPresent) {
   core::PipelineResult result = run_branch();

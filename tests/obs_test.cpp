@@ -115,8 +115,6 @@ TEST_F(ObsTest, ThisThreadIdIsStablePerThreadAndUniqueAcross) {
   EXPECT_NE(other, 0u);
 }
 
-#if !defined(CATALYST_OBS_DISABLED)
-
 TEST_F(ObsTest, SpanUnderFakeClockIsDeterministic) {
   faults::FakeClock clock;  // virtual time: each now() reads then +1us
   Tracer::instance().set_clock(&clock);
@@ -189,8 +187,6 @@ TEST_F(ObsTest, CountAndObserveAreGatedOnEnabled) {
   ASSERT_NE(snap.histogram("lat"), nullptr);
   EXPECT_EQ(snap.histogram("lat")->total_count, 1u);
 }
-
-#endif  // !CATALYST_OBS_DISABLED
 
 TEST_F(ObsTest, HistogramBucketGeometry) {
   EXPECT_EQ(histogram_bucket(0.0), 0u);

@@ -780,6 +780,26 @@ TEST(ServiceCore, BadSubmissionsFailTypedNotThrown) {
   EXPECT_EQ(p3.code, wire::ErrorCode::bad_request);
 }
 
+TEST(ServiceCore, JsonSubmitWithAnotherBasisIsRefused) {
+  // A JSON archive carries its own expectation matrix, but the analysis
+  // runs against the catalog's: an archive whose basis differs from the
+  // category's is refused, not analyzed against a basis it does not hold.
+  faults::FakeClock clock;
+  ServiceCore core(sync_core_options(&clock));
+  core::MeasurementArchive archive = branch_archive();
+  archive.expectation(0, 0) += 1.0;
+  wire::SubmitBody body;
+  body.kind = wire::SubmitKind::json;
+  body.category = "branch";
+  body.archive_json = core::save_archive(archive);
+  const SubmitOutcome submitted = core.submit(7, std::move(body));
+  ASSERT_EQ(submitted.kind, SubmitOutcome::Kind::accepted);
+  ASSERT_TRUE(core.run_one());
+  const PollOutcome done = core.poll(7, submitted.request_id);
+  ASSERT_EQ(done.kind, PollOutcome::Kind::failed);
+  EXPECT_EQ(done.code, wire::ErrorCode::bad_request);
+}
+
 TEST(ServiceCore, ForgetSessionReleasesItsWork) {
   faults::FakeClock clock;
   ServiceCore core(sync_core_options(&clock));

@@ -150,9 +150,16 @@ void campaign_from_args(const flags::Args& args,
   }
   if (options.collection_mode != vpapi::CollectionMode::counting) {
     vpapi::SampleSchedule& schedule = options.sample_schedule;
+    // Microseconds in, whole nanoseconds out: a value below 1 ns or at
+    // 2^64 ns and above has no uint64_t nanosecond count.
     const auto nanoseconds = [&args](const char* flag, std::uint64_t ns) {
-      return static_cast<std::uint64_t>(
-          args.real(flag, double(ns) / 1000.0) * 1000.0);
+      const double value = args.real(flag, double(ns) / 1000.0) * 1000.0;
+      if (!(value >= 1.0 && value < 18446744073709551616.0)) {
+        throw flags::Error(std::string("--") + flag +
+                           ": must be between 1 ns (0.001) and 2^64 ns, "
+                           "got '" + args.text(flag, "") + "'");
+      }
+      return static_cast<std::uint64_t>(value);
     };
     schedule.kernel_span_ns =
         nanoseconds("kernel-span-us", schedule.kernel_span_ns);
@@ -188,13 +195,7 @@ TraceArgs trace_args_from(const flags::Args& args) {
   t.trace_out = args.text("trace-out", "");
   t.manifest_out = args.text("manifest-out", "");
   t.stats = args.has("stats");
-  if (t.any()) {
-#if defined(CATALYST_OBS_DISABLED)
-    std::cerr << "warning: catalyst was built with CATALYST_OBS=OFF; "
-                 "trace/manifest/stats output will be empty\n";
-#endif
-    obs::Tracer::instance().enable();
-  }
+  if (t.any()) obs::Tracer::instance().enable();
   return t;
 }
 

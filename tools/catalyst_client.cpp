@@ -351,7 +351,6 @@ struct StatsSample {
   std::map<std::string, std::uint64_t> scalars;  ///< Counters + gauges.
   std::uint64_t hist_count = 0;
   std::vector<std::pair<std::size_t, std::uint64_t>> hist_buckets;
-  bool compiled_out = false;
 };
 
 StatsSample parse_stats(const std::string& text,
@@ -359,8 +358,6 @@ StatsSample parse_stats(const std::string& text,
                         const std::string& histogram_name) {
   const json::Value doc = json::parse(text);
   StatsSample sample;
-  sample.compiled_out =
-      doc.contains("compiled_out") && doc.at("compiled_out").as_bool();
   for (const std::string& name : scalar_names) {
     if (doc.at("counters").contains(name)) {
       sample.scalars[name] = doc.at("counters").at(name).as_u64();
@@ -468,14 +465,6 @@ int cmd_top(const flags::Args& args, const std::string& socket_path) {
     if (tty) std::cout << "\x1b[H\x1b[2J";
     std::cout << "catalystd top -- " << socket_path << "  (every "
               << interval_ms << "ms)\n";
-    if (now.compiled_out) {
-      std::cout << "observability compiled out (CATALYST_OBS=OFF); the\n"
-                   "daemon answers STATS but records nothing.\n";
-      std::cout.flush();
-      prev = now;
-      prev_at = now_at;
-      continue;
-    }
     const std::uint64_t window_count =
         now.hist_count > prev.hist_count ? now.hist_count - prev.hist_count
                                          : 0;

@@ -86,10 +86,16 @@ int cmd_sweep(const flags::Args& args) {
   const std::uint64_t count = args.integer("seeds", 200);
   const std::uint64_t start = args.integer("start", 1);
   const double min_exact = args.real("min-exact", 0.95);
+  // The last seed, start + count - 1, must itself be a 64-bit seed.
+  if (count > 0 && count - 1 > UINT64_MAX - start) {
+    throw flags::Error("--start " + std::to_string(start) + " with --seeds " +
+                       std::to_string(count) + ": seeds pass 2^64 - 1");
+  }
   std::size_t census[4] = {0, 0, 0, 0};
   std::size_t exact_models = 0;
   bool any_wrong = false;
-  for (std::uint64_t seed = start; seed < start + count; ++seed) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t seed = start + i;
     const auto model = modelgen::generate(spec_from_args(args, seed));
     const auto outcome = modelgen::run_and_verify(model);
     census[static_cast<int>(outcome.overall)]++;

@@ -162,9 +162,6 @@ def check_metrics(doc, baseline) -> int:
     expect(doc.get("format") == METRICS_FORMAT,
            f"metrics 'format' must be '{METRICS_FORMAT}', got "
            f"{doc.get('format')!r}")
-    compiled_out = doc.get("compiled_out", False)
-    expect(isinstance(compiled_out, bool),
-           "'compiled_out' must be a boolean when present")
     counters = check_counter_map(doc, "counters")
     for name, value in counters.items():
         expect(is_uint(value),
@@ -205,10 +202,6 @@ def check_metrics(doc, baseline) -> int:
                    f"{where}.buckets[{j}]: zero-count buckets are elided "
                    "by the exposition, so a 0 here is malformed")
             prev_index = pair[0]
-    if compiled_out:
-        expect(not counters and not gauges and not hists,
-               "a compiled-out exposition must carry empty "
-               "counters/gauges/histograms")
     if baseline is not None:
         base_counters = baseline.get("counters", {})
         expect(isinstance(base_counters, dict),
@@ -220,7 +213,6 @@ def check_metrics(doc, baseline) -> int:
                    f"{before} -> {after}")
     print(f"metrics OK: {len(counters)} counters, {len(gauges)} gauges, "
           f"{len(hists)} histograms"
-          + (", compiled out" if compiled_out else "")
           + (f", monotone vs baseline ({len(baseline.get('counters', {}))} "
              "counters)" if baseline is not None else ""))
     return 0
