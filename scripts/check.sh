@@ -20,7 +20,8 @@
 #   5b. collection_modes        counting-vs-sampling recovery oracle, quick
 #                               ratchet tier (bench/ablation_collection_modes
 #                               --quick), budget-enforced (<60s)
-#   6. obs                      trace + run-manifest artifacts are schema-valid
+#   6. obs                      an untraced run's peak RSS stays under 16 MB;
+#                               trace + run-manifest artifacts are schema-valid
 #                               (clean and under injected faults)
 #   7. clang-tidy               if clang-tidy is installed (SKIPPED otherwise)
 #
@@ -207,6 +208,7 @@ stage_collection_modes() {
 }
 
 stage_obs() {
+    # Not observing must stay cheap: an untraced run's peak RSS is bounded.
     # The observability artifacts (--trace-out / --manifest-out) must be
     # schema-valid both on a clean run and under the canonical mid-rate
     # fault plan (where retry/backoff spans appear).  Then a short-lived
@@ -224,7 +226,28 @@ stage_obs() {
     local tmp
     tmp="$(mktemp -d)" || return 1
     local rc=0
-    "$dir/tools/catalyst" analyze branch \
+    # Fixed cost of not observing: an untraced one-shot run leaves the trace
+    # ring's record pages unfaulted, so its peak RSS (the child's
+    # ru_maxrss, in KiB on Linux) stays under 16 MB.  Linux carries the
+    # spawning process's RSS into the child's ru_maxrss at exec, so the
+    # reading is bounded below by this interpreter's; -I -S and no imports
+    # beyond os/sys keep that floor (printed too) at about 8 MB.
+    python3 -I -S - "$dir/tools/catalyst" <<'EOF' || rc=1
+import os, sys
+limit_mb = 16
+def peak_mb(argv):
+    null = os.open(os.devnull, os.O_WRONLY)
+    pid = os.posix_spawn(argv[0], argv, os.environ,
+                         file_actions=[(os.POSIX_SPAWN_DUP2, null, 1)])
+    _, status, usage = os.wait4(pid, 0)
+    return usage.ru_maxrss / 1024, os.waitstatus_to_exitcode(status)
+floor_mb, _ = peak_mb(["/bin/true"])
+peak, code = peak_mb([sys.argv[1], "analyze", "branch"])
+print(f"untraced analyze branch: peak RSS {peak:.1f} MB (limit {limit_mb} MB, "
+      f"spawner floor {floor_mb:.1f} MB), exit {code}")
+sys.exit(0 if code == 0 and peak <= limit_mb else 1)
+EOF
+    [ "$rc" -eq 0 ] && "$dir/tools/catalyst" analyze branch \
         --trace-out "$tmp/trace.json" --manifest-out "$tmp/manifest.json" \
         --stats > "$tmp/report.md" || rc=1
     [ "$rc" -eq 0 ] && python3 tools/trace_schema_check.py --kind trace \

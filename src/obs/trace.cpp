@@ -2,15 +2,20 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
 namespace catalyst::obs {
 
+// The seq words are value-initialized (zero: I2's "never written"); the
+// record bytes are default-initialized, which for unsigned char writes
+// nothing (I6).
 TraceBuffer::TraceBuffer(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
+      seq_(new std::atomic<std::uint64_t>[capacity_]()),
+      records_(new unsigned char[capacity_ * sizeof(SpanRecord)]) {}
 
 // The writer/reader halves of the seqlock protocol documented on the
-// TraceBuffer class (invariants I1-I5 in trace.hpp).  The protocol fence
+// TraceBuffer class (invariants I1-I6 in trace.hpp).  The protocol fence
 // below is what licenses ordering-bearing atomics here: catalyst-lint
 // forbids acquire/release/seq_cst atomics outside src/sync unless they sit
 // inside a documented begin-protocol/end-protocol region.
@@ -18,12 +23,13 @@ TraceBuffer::TraceBuffer(std::size_t capacity)
 void TraceBuffer::publish(const SpanRecord& rec) noexcept {
   const std::uint64_t ticket =
       cursor_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket % capacity_];
+  const std::size_t slot = ticket % capacity_;
   // Seqlock writer (I2/I3): odd marks the slot mid-write; readers who
   // observe different values before and after their copy discard it.
-  slot.seq.store(2 * ticket + 1, std::memory_order_release);
-  slot.rec = rec;
-  slot.seq.store(2 * ticket + 2, std::memory_order_release);
+  seq_[slot].store(2 * ticket + 1, std::memory_order_release);
+  std::memcpy(records_.get() + slot * sizeof(SpanRecord), &rec,
+              sizeof(SpanRecord));
+  seq_[slot].store(2 * ticket + 2, std::memory_order_release);
 }
 
 std::vector<SpanRecord> TraceBuffer::snapshot() const {
@@ -34,14 +40,16 @@ std::vector<SpanRecord> TraceBuffer::snapshot() const {
   std::vector<Numbered> taken;
   taken.reserve(std::min<std::uint64_t>(published(), capacity_));
   for (std::size_t i = 0; i < capacity_; ++i) {
-    const Slot& slot = slots_[i];
     // Seqlock reader (I2/I3): acquire-load seq, raw-copy the record (safe
     // even if torn, I4), acquire-load seq again; any change means the copy
-    // may be torn and is discarded.
-    const std::uint64_t before = slot.seq.load(std::memory_order_acquire);
+    // may be torn and is discarded.  An empty slot's bytes are never read
+    // (I6).
+    const std::uint64_t before = seq_[i].load(std::memory_order_acquire);
     if (before == 0 || (before & 1) != 0) continue;  // empty or mid-write
-    SpanRecord copy = slot.rec;
-    const std::uint64_t after = slot.seq.load(std::memory_order_acquire);
+    SpanRecord copy;
+    std::memcpy(&copy, records_.get() + i * sizeof(SpanRecord),
+                sizeof(SpanRecord));
+    const std::uint64_t after = seq_[i].load(std::memory_order_acquire);
     if (after != before) continue;  // overwritten while copying
     taken.push_back({before / 2 - 1, copy});
   }
@@ -64,7 +72,7 @@ void TraceBuffer::clear() noexcept {
   // Single-threaded by contract (I5): relaxed resets, one release on the
   // cursor so a later publisher starting fresh sees the zeroed slots.
   for (std::size_t i = 0; i < capacity_; ++i) {
-    slots_[i].seq.store(0, std::memory_order_relaxed);
+    seq_[i].store(0, std::memory_order_relaxed);
   }
   cursor_.store(0, std::memory_order_release);
 }

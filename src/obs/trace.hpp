@@ -9,8 +9,10 @@
 //
 // Overhead contract: tracing is always compiled in and gated at run time.
 // When not enabled (no CATALYST_TRACE=1, no --trace-out), a Span costs one
-// relaxed atomic load; when enabled, the bench/obs_overhead budget is <2% of
-// pipeline wall time.
+// relaxed atomic load and no record page of the ring is resident: the
+// process pays for the 512 KB of seqlock words alone.  When enabled, record
+// pages fault in as spans reach them, and the bench/obs_overhead budget is
+// <2% of pipeline wall time.
 //
 // Determinism contract: tracing never perturbs results.  Spans touch no
 // RNG, no measurement state, and no fault draws; timestamps come from the
@@ -86,6 +88,18 @@ struct StageTiming {
 ///   I5. clear() is NOT part of the protocol: it is documented single-
 ///       threaded (tests only) and may not run concurrently with
 ///       publishers or readers.
+///   I6. Unwritten record bytes are never read: a reader copies slot i's
+///       record only after it sees an even seq >= 2 there (I2), which a
+///       publish stores after its copy of the record.  This is what lets
+///       the record storage stay uninitialized.
+///
+/// Storage: the seq words live in their own zeroed array (8 bytes a slot);
+/// the records are raw bytes, capacity * sizeof(SpanRecord), that nothing
+/// initializes and that publish()/snapshot() move with std::memcpy.  A
+/// large allocation is a fresh anonymous mapping, so a record page becomes
+/// resident only when a span lands on it: an untraced process never pays
+/// for the 18 MB of a default-capacity ring.  (new SpanRecord[n] would not
+/// do: it runs SpanRecord's default member initializers on every slot.)
 class TraceBuffer {
  public:
   static constexpr std::size_t kDefaultCapacity = 65536;
@@ -108,16 +122,13 @@ class TraceBuffer {
   void clear() noexcept;
 
  private:
-  struct Slot {
-    /// Seqlock word: 0 = never written, odd = write in progress,
-    /// 2*ticket+2 = record for publish ticket `ticket` is complete.
-    /// Full protocol invariants: see the TraceBuffer class comment (I1-I5).
-    std::atomic<std::uint64_t> seq{0};
-    SpanRecord rec{};
-  };
-
   std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
+  /// Seqlock word per slot: 0 = never written, odd = write in progress,
+  /// 2*ticket+2 = record for publish ticket `ticket` is complete.
+  /// Full protocol invariants: see the TraceBuffer class comment (I1-I6).
+  std::unique_ptr<std::atomic<std::uint64_t>[]> seq_;
+  /// capacity_ records of sizeof(SpanRecord) bytes; never initialized (I6).
+  std::unique_ptr<unsigned char[]> records_;
   std::atomic<std::uint64_t> cursor_{0};
 };
 

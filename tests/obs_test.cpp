@@ -5,10 +5,14 @@
 #include "obs/export.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -104,6 +108,118 @@ TEST_F(ObsTest, TraceBufferConcurrentPublishLosesNothing) {
     EXPECT_EQ(std::string(rec.name).rfind("thread", 0), 0u) << rec.name;
     EXPECT_EQ(rec.end_ns, rec.start_ns + 1);
   }
+}
+
+/// This process's resident set in bytes (/proc/self/statm, read only), or 0
+/// where the file does not exist.
+std::size_t resident_bytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long size_pages = 0;
+  unsigned long resident_pages = 0;
+  const int read = std::fscanf(f, "%lu %lu", &size_pages, &resident_pages);
+  std::fclose(f);
+  if (read != 2) return 0;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+// The record storage is never initialized (I6), so a default-capacity ring
+// makes resident only its seq words and the pages its spans land on -- not
+// the 18 MB a value-initialized slot array would write.
+TEST_F(ObsTest, TraceBufferRecordPagesStayUnfaultedUntilSpansLand) {
+  const std::size_t before = resident_bytes();
+  if (before == 0) GTEST_SKIP() << "/proc/self/statm is not readable";
+  auto buf = std::make_unique<TraceBuffer>();
+  for (int i = 0; i < 16; ++i) buf->publish(make_rec("early", i, i + 1));
+  const std::size_t after = resident_bytes();
+  const std::size_t record_bytes =
+      TraceBuffer::kDefaultCapacity * sizeof(SpanRecord);
+  EXPECT_LT(after > before ? after - before : 0, record_bytes / 4)
+      << "resident " << before << " -> " << after << " bytes";
+  EXPECT_EQ(buf->snapshot().size(), 16u);
+}
+
+TEST_F(ObsTest, TraceBufferUnwrittenSlotsNeverSurface) {
+  TraceBuffer buf;
+  ASSERT_EQ(buf.capacity(), TraceBuffer::kDefaultCapacity);
+  buf.publish(make_rec("a", 0, 10));
+  buf.publish(make_rec("b", 10, 20));
+  buf.publish(make_rec("c", 20, 30));
+  auto spans = buf.snapshot();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_STREQ(spans[0].name, "a");
+  EXPECT_STREQ(spans[1].name, "b");
+  EXPECT_STREQ(spans[2].name, "c");
+
+  // clear() zeroes the seq words only; the old record bytes stay behind
+  // and must not come back.
+  buf.clear();
+  EXPECT_TRUE(buf.snapshot().empty());
+
+  const std::size_t cap = buf.capacity();
+  for (std::size_t i = 0; i < cap + 3; ++i) {
+    const auto t = static_cast<std::int64_t>(i);
+    buf.publish(make_rec("wrap", t, t + 1));
+  }
+  EXPECT_EQ(buf.dropped(), 3u);
+  spans = buf.snapshot();
+  ASSERT_EQ(spans.size(), cap);
+  for (std::size_t i = 0; i < cap; ++i) {
+    ASSERT_EQ(spans[i].start_ns, static_cast<std::int64_t>(i + 3)) << i;
+  }
+}
+
+// Writers stay below the capacity, so no slot is written twice: every
+// record the reader copies was published before the even seq it saw, and a
+// reader that sees an empty or mid-write slot skips it (I2, I6).
+TEST_F(ObsTest, TraceBufferSnapshotDuringConcurrentPublishSeesWholeRecords) {
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 4096;
+  static_assert(kWriters * kPerWriter < TraceBuffer::kDefaultCapacity);
+  TraceBuffer buf;
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&buf, &running, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        char name[32];
+        std::snprintf(name, sizeof name, "w%d.%d", w, i);
+        const std::int64_t start = std::int64_t{w} * 1000000 + i;
+        SpanRecord rec = make_rec(name, start, start + 1,
+                                  static_cast<std::uint32_t>(w + 1));
+        std::snprintf(rec.args, sizeof rec.args, "w=%d;i=%d;", w, i);
+        buf.publish(rec);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::size_t checked = 0;
+  const auto check = [&checked](const std::vector<SpanRecord>& spans) {
+    for (const SpanRecord& rec : spans) {
+      int w = -1;
+      int i = -1;
+      int aw = -2;
+      int ai = -2;
+      ASSERT_EQ(std::sscanf(rec.name, "w%d.%d", &w, &i), 2) << rec.name;
+      ASSERT_EQ(std::sscanf(rec.args, "w=%d;i=%d;", &aw, &ai), 2) << rec.args;
+      ASSERT_EQ(aw, w) << rec.name << " / " << rec.args;
+      ASSERT_EQ(ai, i) << rec.name << " / " << rec.args;
+      ASSERT_EQ(rec.start_ns, std::int64_t{w} * 1000000 + i) << rec.name;
+      ASSERT_EQ(rec.end_ns, rec.start_ns + 1) << rec.name;
+      ASSERT_EQ(rec.thread_id, static_cast<std::uint32_t>(w + 1)) << rec.name;
+      ++checked;
+    }
+  };
+  while (running.load() > 0) {
+    check(buf.snapshot());
+    if (HasFatalFailure()) break;
+  }
+  for (auto& t : writers) t.join();
+  const auto all = buf.snapshot();
+  EXPECT_EQ(all.size(), static_cast<std::size_t>(kWriters * kPerWriter));
+  check(all);
+  EXPECT_GE(checked, all.size());
 }
 
 TEST_F(ObsTest, ThisThreadIdIsStablePerThreadAndUniqueAcross) {

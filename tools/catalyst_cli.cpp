@@ -26,6 +26,7 @@
 // refuses all exit 2 naming the flag; the commands read typed values that
 // can no longer fail.
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -86,6 +87,15 @@ constexpr flags::Flag kFlags[] = {
 constexpr const char* kCollectionFlags[] = {
     "reps", "faults", "checkpoint-dir", "resume", "mode", "kernel-span-us",
     "sample-period-us", "strobe-short-us", "no-dither"};
+
+/// The sample-schedule flags: counting mode takes no samples, so without a
+/// sampled --mode they are refused.
+constexpr const char* kScheduleFlags[] = {
+    "kernel-span-us", "sample-period-us", "strobe-short-us", "no-dither"};
+
+/// Stamped first thing in main(): --stats books the wall time up to its
+/// print that no listed row covers as `untraced`.
+std::chrono::nanoseconds main_start{0};
 
 /// --faults [SPEC]: "" / flag alone means the canonical mid-rate plan;
 /// otherwise the spec grammar of faults::parse_fault_plan ("off", "mid",
@@ -148,7 +158,15 @@ void campaign_from_args(const flags::Args& args,
   } catch (const std::invalid_argument& e) {
     throw flags::Error(std::string("--mode: ") + e.what());
   }
-  if (options.collection_mode != vpapi::CollectionMode::counting) {
+  if (options.collection_mode == vpapi::CollectionMode::counting) {
+    for (const char* flag : kScheduleFlags) {
+      if (args.has(flag)) {
+        throw flags::Error(std::string("--") + flag +
+                           ": sets the sample schedule, which needs "
+                           "--mode sampling or --mode strobed");
+      }
+    }
+  } else {
     vpapi::SampleSchedule& schedule = options.sample_schedule;
     // Microseconds in, whole nanoseconds out: a value below 1 ns or at
     // 2^64 ns and above has no uint64_t nanosecond count.
@@ -217,7 +235,8 @@ auto timed(std::vector<obs::StageTiming>& rows, const char* name,
 /// manifest's git_sha comes from CATALYST_GIT_SHA (scripts/run_bench.sh and
 /// scripts/check.sh export it) so the binary never shells out to git.
 /// --stats lists `setup_rows` (the timed() builds) ahead of the pipeline
-/// stages; the manifest's stages are the pipeline's alone.
+/// stages and closes with `untraced`, the wall time since main() that no
+/// row covers; the manifest's stages are the pipeline's alone.
 void write_trace_artifacts(const TraceArgs& t, const std::string& tool,
                            const std::string& category,
                            const std::string& machine_name,
@@ -268,6 +287,12 @@ void write_trace_artifacts(const TraceArgs& t, const std::string& tool,
     std::vector<obs::StageTiming> rows = std::move(setup_rows);
     rows.insert(rows.end(), result.stage_timings.begin(),
                 result.stage_timings.end());
+    std::int64_t listed_ns = 0;
+    for (const obs::StageTiming& row : rows) listed_ns += row.wall_ns;
+    const std::int64_t wall_ns =
+        (faults::RealClock().now() - main_start).count();
+    rows.push_back(
+        {"untraced", std::max<std::int64_t>(wall_ns - listed_ns, 0)});
     std::cout << obs::format_stats(metrics, rows,
                                    tracer.buffer().published(),
                                    tracer.buffer().dropped());
@@ -295,7 +320,9 @@ int usage() {
                "(--reps through --no-dither); collect's --resume defaults\n"
                "the checkpoint dir to OUT.ckpt; SPEC: \"mid\" or\n"
                "\"drop=0.01,...\"; MODE: counting|sampling|strobed, and the\n"
-               "sampling modes exclude --faults/--checkpoint-dir.\n"
+               "sampling modes exclude --faults/--checkpoint-dir; the\n"
+               "schedule flags (--kernel-span-us through --no-dither) need\n"
+               "a sampling mode.\n"
                "categories: cpu_flops | gpu_flops | branch | dcache |\n"
                "            icache | gpu_dcache\n"
                "machines:   saphira | tempest | vesuvio\n";
@@ -556,6 +583,7 @@ int cmd_validate(const flags::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  main_start = faults::RealClock().now();
   try {
     const flags::Args args = flags::parse(kFlags, kCommands, argc, argv);
     if (args.positional.empty()) return usage();
