@@ -25,7 +25,7 @@ using namespace catalyst;
 
 constexpr double kBudgetRatio = 1.02;      // <2% relative overhead
 constexpr double kJitterFloorNs = 2.0e5;   // 200us absolute timer-noise floor
-constexpr int kIterations = 9;             // per mode, min taken
+constexpr int kIterations = 201;           // per mode, min taken
 
 double run_once_ns(const pmu::Machine& machine, const cat::Benchmark& bench,
                    const std::vector<core::MetricSignature>& sigs,

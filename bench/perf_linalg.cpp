@@ -100,6 +100,23 @@ void BM_Lstsq(benchmark::State& state) {
 }
 BENCHMARK(BM_Lstsq)->Arg(16)->Arg(48)->Arg(128)->Arg(512);
 
+// The scale_10k projection: one block solve of a 71 x 64 basis against
+// 11240 right-hand sides (one per event), on 1 and 2 workers.
+void BM_LstsqBlock(benchmark::State& state) {
+  const linalg::Matrix a = linalg::random_gaussian(71, 64, 8);
+  const linalg::Matrix b = linalg::random_gaussian(71, 11240, 9);
+  const auto threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto res = linalg::lstsq(a, b, linalg::kLstsqRcond, threads);
+    benchmark::DoNotOptimize(res.x.data().data());
+  }
+}
+BENCHMARK(BM_LstsqBlock)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_NormTwoEstimate(benchmark::State& state) {
   const linalg::Matrix a = linalg::random_gaussian(48, 16, 7);
   for (auto _ : state) {

@@ -12,19 +12,47 @@ namespace catalyst::linalg {
 
 namespace {
 
-// Solves R x = y in place for the leading k x k block of packed R, setting
+// The block solve runs its columns in panels of kPanelColumns, one lane of
+// a vector-extension value per column: lane l of panel row i is column l's
+// entry i.  Every lane goes through the one-column solve's operations in
+// their order -- QrFactorization::apply_qt's reflectors, then the
+// regularized back-substitution -- so it gets that solve's bits: lane-wise
+// IEEE +, -, *, / round like their scalar forms, no multiply-add is
+// contracted (-ffp-contract=off, src/linalg/CMakeLists.txt), and the only
+// branches, tau == 0 and |R(i,i)| <= tol, read A alone, so lanes never
+// diverge.  Lanes rather than plain `double[8]` loops: the compiler
+// vectorized those across rows, with strided shuffles, and they ran slower
+// than one column at a time.
+constexpr index_t kPanelColumns = 8;
+typedef double Lanes
+    __attribute__((vector_size(kPanelColumns * sizeof(double))));
+
+// y <- Q^T y for the panel's m rows (apply_reflector_vec, lane-wise).
+void apply_qt_panel(const QrFactorization& qr, Lanes* y) {
+  const Matrix& packed = qr.packed();
+  const index_t m = packed.rows();
+  for (index_t j = 0; j < qr.reflectors(); ++j) {
+    const double tau = qr.taus()[static_cast<std::size_t>(j)];
+    if (tau == 0.0) continue;
+    const double* v = packed.col(j).data();  // essential part: v[j+1 .. m)
+    Lanes w = y[j];
+    for (index_t i = j + 1; i < m; ++i) w += v[i] * y[i];
+    w *= tau;
+    y[j] -= w;
+    for (index_t i = j + 1; i < m; ++i) y[i] -= w * v[i];
+  }
+}
+
+// Solves R x = y in place for the leading n x n block of packed R, setting
 // solution components whose diagonal entry is at or below tol to zero
-// (basic solution).
-void solve_upper_regularized(const Matrix& r, std::span<double> x,
-                             double tol) {
-  const auto n = static_cast<index_t>(x.size());
+// (basic solution), lane-wise.
+void solve_upper_regularized_panel(const Matrix& r, Lanes* x, index_t n,
+                                   double tol) {
   for (index_t i = n - 1; i >= 0; --i) {
-    double s = x[static_cast<std::size_t>(i)];
-    for (index_t j = i + 1; j < n; ++j) {
-      s -= r(i, j) * x[static_cast<std::size_t>(j)];
-    }
+    Lanes s = x[i];
+    for (index_t j = i + 1; j < n; ++j) s -= r(i, j) * x[j];
     const double d = r(i, i);
-    x[static_cast<std::size_t>(i)] = std::fabs(d) <= tol ? 0.0 : s / d;
+    x[i] = std::fabs(d) <= tol ? Lanes{} : s / d;
   }
 }
 
@@ -54,39 +82,55 @@ LstsqBlockResult lstsq(const Matrix& a, const Matrix& b, double rcond,
 
   // Every column's arithmetic reads only A's factorization, so the
   // columns run in fixed chunks on the worker pool, each with its own
-  // scratch vectors, and X is the same bytes for any thread count.
-  const auto n = static_cast<std::size_t>(a.cols());
+  // scratch, and X is the same bytes for any thread count.  Within a chunk
+  // the columns go in panels (see kPanelColumns); a short last panel
+  // zero-fills its unused lanes.
+  const index_t m = a.rows();
+  const index_t n = a.cols();
   const auto chunks = static_cast<std::size_t>(
       (b.cols() + kLstsqChunkColumns - 1) / kLstsqChunkColumns);
   core::parallel_for(chunks, threads, [&](std::size_t chunk) {
     const index_t first = static_cast<index_t>(chunk) * kLstsqChunkColumns;
     const index_t last = std::min(b.cols(), first + kLstsqChunkColumns);
-    Vector y(static_cast<std::size_t>(a.rows()));
-    Vector r(y.size());
-    for (index_t j = first; j < last; ++j) {
-      const std::span<const double> bj = b.col(j);
-      const std::span<double> xj = out.x.col(j);
-      std::copy(bj.begin(), bj.end(), y.begin());
-      out.qr.apply_qt(y);
-      std::copy_n(y.begin(), n, xj.begin());
-      solve_upper_regularized(out.qr.packed(), xj, tol);
-
-      // Residual: recompute explicitly (robust even when rank deficient).
-      std::copy(bj.begin(), bj.end(), r.begin());
-      gemv(-1.0, a, xj, 1.0, r);
-      const double rnorm = nrm2(r);
-      // backward_error()'s arithmetic, with ||A||_2 estimated once.
-      const double denom = anorm * nrm2(xj) + nrm2(bj);
-      const double berr =
-          denom == 0.0 ? (rnorm == 0.0 ? 0.0 : 1.0) : rnorm / denom;
-      CATALYST_ENSURE(std::isfinite(rnorm) && rnorm >= 0.0 &&
-                          std::isfinite(berr),
-                      "lstsq: non-finite residual or backward error");
-      if (audit::enabled() && !out.rank_deficient) {
-        audit::check_lstsq_optimal(a, xj, bj);
+    std::vector<Lanes> panel(static_cast<std::size_t>(m));
+    const auto row = [&panel](index_t i) -> Lanes& {
+      return panel[static_cast<std::size_t>(i)];
+    };
+    Vector r(static_cast<std::size_t>(m));
+    for (index_t p = first; p < last; p += kPanelColumns) {
+      const index_t width = std::min(kPanelColumns, last - p);
+      std::fill(panel.begin(), panel.end(), Lanes{});
+      for (index_t l = 0; l < width; ++l) {
+        const double* bl = b.col(p + l).data();
+        for (index_t i = 0; i < m; ++i) row(i)[l] = bl[i];
       }
-      out.residual_norms[static_cast<std::size_t>(j)] = rnorm;
-      out.backward_errors[static_cast<std::size_t>(j)] = berr;
+      apply_qt_panel(out.qr, panel.data());
+      solve_upper_regularized_panel(out.qr.packed(), panel.data(), n, tol);
+      for (index_t l = 0; l < width; ++l) {
+        double* xl = out.x.col(p + l).data();
+        for (index_t i = 0; i < n; ++i) xl[i] = row(i)[l];
+      }
+
+      for (index_t j = p; j < p + width; ++j) {
+        const std::span<const double> bj = b.col(j);
+        const std::span<const double> xj = out.x.col(j);
+        // Residual: recompute explicitly (robust even when rank deficient).
+        std::copy(bj.begin(), bj.end(), r.begin());
+        gemv(-1.0, a, xj, 1.0, r);
+        const double rnorm = nrm2(r);
+        // backward_error()'s arithmetic, with ||A||_2 estimated once.
+        const double denom = anorm * nrm2(xj) + nrm2(bj);
+        const double berr =
+            denom == 0.0 ? (rnorm == 0.0 ? 0.0 : 1.0) : rnorm / denom;
+        CATALYST_ENSURE(std::isfinite(rnorm) && rnorm >= 0.0 &&
+                            std::isfinite(berr),
+                        "lstsq: non-finite residual or backward error");
+        if (audit::enabled() && !out.rank_deficient) {
+          audit::check_lstsq_optimal(a, xj, bj);
+        }
+        out.residual_norms[static_cast<std::size_t>(j)] = rnorm;
+        out.backward_errors[static_cast<std::size_t>(j)] = berr;
+      }
     }
   });
   return out;

@@ -52,13 +52,17 @@ class NoiseRng {
   double normal() noexcept {
     if (have_spare_) {
       have_spare_ = false;
-      return spare_;
+      return spare_r_ * std::sin(kTwoPi * spare_u2_);
     }
     // u1 in (0, 1] keeps the log finite.
     const double u1 = static_cast<double>((next_u64() >> 11) + 1) * 0x1.0p-53;
     const double u2 = uniform();
     const double r = std::sqrt(-2.0 * std::log(u1));
-    spare_ = r * std::sin(kTwoPi * u2);
+    // The spare's sine is drawn only if a second normal is asked for: most
+    // noise models (rel_sigma alone) never use it.  std::sin has the bits of
+    // the sine half of sincos, so a spare reads what an eager draw read.
+    spare_r_ = r;
+    spare_u2_ = u2;
     have_spare_ = true;
     return r * std::cos(kTwoPi * u2);
   }
@@ -66,7 +70,8 @@ class NoiseRng {
  private:
   std::uint64_t key_;
   std::uint64_t ctr_ = 0;
-  double spare_ = 0.0;
+  double spare_r_ = 0.0;
+  double spare_u2_ = 0.0;
   bool have_spare_ = false;
 };
 

@@ -1,6 +1,9 @@
 #include "service/catalog.hpp"
 
+#include <algorithm>
+
 #include "cat/cat.hpp"
+#include "core/contract.hpp"
 #include "core/signatures.hpp"
 #include "pmu/pmu.hpp"
 
@@ -19,55 +22,88 @@ const std::vector<std::string>& machine_names() {
   return names;
 }
 
-std::optional<CategorySetup> category_setup(const std::string& category) {
-  CategorySetup s;
-  if (category == "cpu_flops") {
-    s.benchmark = cat::cpu_flops_benchmark();
-    s.signatures = core::cpu_flops_signatures();
-    s.default_machine = "saphira";
-  } else if (category == "gpu_flops") {
-    s.benchmark = cat::gpu_flops_benchmark();
-    s.signatures = core::gpu_flops_signatures();
-    s.default_machine = "tempest";
-  } else if (category == "branch") {
-    s.benchmark = cat::branch_benchmark();
-    s.signatures = core::branch_signatures();
-    s.default_machine = "saphira";
-  } else if (category == "gpu_dcache") {
-    s.benchmark = cat::gpu_dcache_benchmark();
-    s.signatures = core::gpu_dcache_signatures();
-    s.options.tau = 1e-1;
-    s.options.alpha = 5e-2;
-    s.options.projection_max_error = 1e-1;
-    s.options.fitness_threshold = 5e-2;
-    s.default_machine = "tempest";
-  } else if (category == "icache") {
-    s.benchmark = cat::icache_benchmark();
-    s.signatures = core::icache_signatures();
-    s.options.tau = 1e-1;
-    s.options.alpha = 5e-2;
-    s.options.projection_max_error = 1e-1;
-    s.options.fitness_threshold = 5e-2;
-    s.default_machine = "saphira";
-  } else if (category == "dcache") {
-    cat::DcacheOptions chase;
-    chase.threads = 3;
-    s.benchmark = cat::dcache_benchmark(chase);
-    s.signatures = core::dcache_signatures();
-    s.options.tau = 1e-1;
-    s.options.alpha = 5e-2;
-    s.options.projection_max_error = 1e-1;
-    s.options.fitness_threshold = 5e-2;
-    s.default_machine = "saphira";
-  } else {
-    return std::nullopt;
+bool is_machine_name(const std::string& name) {
+  return std::ranges::find(machine_names(), name) != machine_names().end();
+}
+
+namespace {
+
+/// One catalog entry.  The three cache categories are noisy by nature and
+/// run with looser thresholds (`cache_thresholds`).
+struct CategoryEntry {
+  const char* name;
+  const char* benchmark_name;
+  const char* default_machine;
+  bool cache_thresholds;
+  std::vector<core::MetricSignature> (*signatures)();
+  cat::Benchmark (*build)();
+};
+
+const CategoryEntry kCategories[] = {
+    {"cpu_flops", "cat-cpu-flops", "saphira", false,
+     core::cpu_flops_signatures, [] { return cat::cpu_flops_benchmark(); }},
+    {"gpu_flops", "cat-gpu-flops", "tempest", false,
+     core::gpu_flops_signatures, [] { return cat::gpu_flops_benchmark(); }},
+    {"branch", "cat-branch", "saphira", false, core::branch_signatures,
+     [] { return cat::branch_benchmark(); }},
+    {"dcache", "cat-dcache", "saphira", true, core::dcache_signatures,
+     [] {
+       cat::DcacheOptions chase;
+       chase.threads = 3;
+       return cat::dcache_benchmark(chase);
+     }},
+    {"icache", "cat-icache", "saphira", true, core::icache_signatures,
+     [] { return cat::icache_benchmark(); }},
+    {"gpu_dcache", "cat-gpu-dcache", "tempest", true,
+     core::gpu_dcache_signatures, [] { return cat::gpu_dcache_benchmark(); }},
+};
+
+const CategoryEntry* find_category(const std::string& category) {
+  for (const CategoryEntry& entry : kCategories) {
+    if (category == entry.name) return &entry;
   }
-  return s;
+  return nullptr;
+}
+
+CategoryInfo info_of(const CategoryEntry& entry) {
+  CategoryInfo info;
+  info.benchmark_name = entry.benchmark_name;
+  info.signatures = entry.signatures();
+  if (entry.cache_thresholds) {
+    info.options.tau = 1e-1;
+    info.options.alpha = 5e-2;
+    info.options.projection_max_error = 1e-1;
+    info.options.fitness_threshold = 5e-2;
+  }
+  info.default_machine = entry.default_machine;
+  return info;
+}
+
+}  // namespace
+
+std::optional<CategoryInfo> category_info(const std::string& category) {
+  const CategoryEntry* entry = find_category(category);
+  if (entry == nullptr) return std::nullopt;
+  return info_of(*entry);
+}
+
+std::optional<CategorySetup> category_setup(const std::string& category) {
+  const CategoryEntry* entry = find_category(category);
+  if (entry == nullptr) return std::nullopt;
+  CategorySetup setup{info_of(*entry), entry->build()};
+  CATALYST_ENSURE(setup.benchmark.name == setup.benchmark_name,
+                  "category_setup: '" + category + "' built benchmark '" +
+                      setup.benchmark.name + "', the catalog names '" +
+                      setup.benchmark_name + "'");
+  return setup;
 }
 
 const std::vector<std::string>& category_names() {
-  static const std::vector<std::string> names = {
-      "cpu_flops", "gpu_flops", "branch", "dcache", "icache", "gpu_dcache"};
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const CategoryEntry& entry : kCategories) out.push_back(entry.name);
+    return out;
+  }();
   return names;
 }
 

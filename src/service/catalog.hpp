@@ -31,23 +31,35 @@
 
 namespace catalyst::service {
 
-/// Everything a category implies beyond the machine choice.
-struct CategorySetup {
-  cat::Benchmark benchmark;
+/// What a category implies short of its ground-truth benchmark: enough to
+/// analyze an archive of it, which brings its own readings and basis.
+struct CategoryInfo {
+  std::string benchmark_name;  ///< The name the benchmark build carries.
   std::vector<core::MetricSignature> signatures;
   core::PipelineOptions options;  ///< Category-default thresholds.
   std::string default_machine;
 };
 
+/// Everything a category implies beyond the machine choice.
+struct CategorySetup : CategoryInfo {
+  cat::Benchmark benchmark;
+};
+
 /// The machine registry ("saphira" | "tempest" | "vesuvio").
 std::optional<pmu::Machine> machine_by_name(const std::string& name);
 const std::vector<std::string>& machine_names();
+/// True for a name machine_by_name() builds, without building it.
+bool is_machine_name(const std::string& name);
 
 /// Builds a category's setup from scratch; nullopt for unknown names.
 /// Categories: cpu_flops | gpu_flops | branch | dcache | icache |
 /// gpu_dcache.
 std::optional<CategorySetup> category_setup(const std::string& category);
 const std::vector<std::string>& category_names();
+
+/// category_setup() without the benchmark build (the dcache pointer-chase
+/// simulation especially): the same info, at the cost of the signatures.
+std::optional<CategoryInfo> category_info(const std::string& category);
 
 /// Build-once, share-forever cache of catalog entries.  Returned pointers
 /// are stable for the cache's lifetime and the pointees immutable, so

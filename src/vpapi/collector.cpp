@@ -131,47 +131,18 @@ struct UnitTarget {
   std::span<double> row(std::size_t i) const { return dest.row(rows[i], rep); }
 };
 
-// A clean counting unit: a fresh session measuring the run's events over
-// the full kernel sequence, start/run/stop/read/reset around each kernel,
-// the way CAT instruments its microkernels.  `signals` (kernel k's dense
-// activity) is immutable and shared by every unit (and worker thread) of
-// the collection.
+// A clean counting unit, event-major: each member's row is its clean
+// readings over the kernel sequence (clean_readings, vpapi/sampling.hpp).
+// A session would read the same bits -- Session::read of a raw event is
+// 0.0 + 1.0 * (0.0 + reading) -- so no session is built.  `signals`
+// (kernel k's dense activity) is immutable and shared by every unit (and
+// worker thread) of the collection.
 void run_clean_unit(const pmu::Machine& machine,
                     const std::vector<std::vector<double>>& signals,
                     const UnitTarget& unit) {
-  Session session(machine);
-  const int set = session.create_eventset();
-  for (const auto& name : unit.members) {
-    const Status s = session.add_event(set, name);
-    if (s != Status::ok) {
-      throw std::runtime_error("collect: add_event '" + name +
-                               "' failed: " + to_string(s));
-    }
-  }
-  // Readings arrive kernel by kernel.  A unit-local block takes those
-  // scattered writes and fills each row in one pass at the end: writing
-  // the rows kernel by kernel cost ~5% of a scale_10k op (perfbench A/B).
-  const std::size_t n_kernels = signals.size();
-  std::vector<double> block(unit.members.size() * n_kernels);
-  std::vector<double> vals;
-  for (std::size_t k = 0; k < n_kernels; ++k) {
-    Status s = session.start(set);
-    if (s != Status::ok) {
-      throw std::runtime_error("collect: start failed: " + to_string(s));
-    }
-    session.run_kernel(signals[k], unit.run_id, k);
-    session.stop(set);
-    s = session.read(set, vals);
-    if (s != Status::ok) {
-      throw std::runtime_error("collect: read failed: " + to_string(s));
-    }
-    session.reset(set);
-    for (std::size_t e = 0; e < vals.size(); ++e) {
-      block[e * n_kernels + k] = vals[e];
-    }
-  }
   for (std::size_t e = 0; e < unit.members.size(); ++e) {
-    std::copy_n(block.begin() + e * n_kernels, n_kernels, unit.row(e).begin());
+    clean_readings(machine, unit.indices[e], signals, unit.run_id,
+                   unit.row(e));
   }
 }
 
@@ -396,7 +367,9 @@ Collector::Collector(const pmu::Machine& machine,
   std::unordered_map<std::string, std::size_t> row_of;
   row_of.reserve(events_.size());
   for (std::size_t e = 0; e < events_.size(); ++e) {
-    row_of.emplace(events_[e], e);
+    if (!row_of.emplace(events_[e], e).second) {
+      throw std::invalid_argument("collect: duplicate event " + events_[e]);
+    }
   }
   // Bin-packed, constraint-aware run schedule; identical to the naive
   // chunking when no event carries a slot mask (see vpapi/scheduler.hpp).

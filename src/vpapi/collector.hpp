@@ -17,7 +17,8 @@
 // as many times as the caller likes, into one (event, repetition, slot)
 // Measurements tensor (vpapi/measurements.hpp).  Each (repetition,
 // scheduled run) unit writes its events' rows in place and is one of:
-//   * a clean counting run: start/run/stop/read around every kernel;
+//   * a clean counting run, event by event: each member's readings over
+//     the kernel sequence, the bits a start/run/stop/read session reads;
 //   * a resilient counting run, when an enabled fault plan is armed:
 //     transient failures are retried with capped exponential backoff,
 //     wrapped counters are corrected by width-aware delta decoding, kernels
@@ -151,7 +152,7 @@ struct CollectionResult {
 class Collector {
  public:
   /// Builds the schedule and densifies `activities`, one kernel slot each.
-  /// Throws std::invalid_argument on unknown event names.
+  /// Throws std::invalid_argument on unknown or duplicate event names.
   Collector(const pmu::Machine& machine, std::vector<std::string> event_names,
             const std::vector<pmu::Activity>& activities);
 

@@ -142,6 +142,18 @@ void reconstruct_run_phases(const RunTrace& run, std::uint64_t kernel_span_ns,
   }
 }
 
+void clean_readings(const pmu::Machine& machine, std::size_t event_index,
+                    const std::vector<std::vector<double>>& signals,
+                    std::uint64_t run_id, std::span<double> row) {
+  CATALYST_REQUIRE_AS(row.size() == signals.size(), std::invalid_argument,
+                      "clean_readings: one reading per kernel");
+  const pmu::EventDefinition& event = machine.event(event_index);
+  for (std::size_t k = 0; k < signals.size(); ++k) {
+    row[k] = pmu::measure_from_ideal(
+        machine, event, machine.ideal(event_index, signals[k]), run_id, k);
+  }
+}
+
 RunTrace sample_run(const pmu::Machine& machine,
                     const std::vector<std::string>& events,
                     const std::vector<std::size_t>& event_indices,
@@ -154,20 +166,16 @@ RunTrace sample_run(const pmu::Machine& machine,
   const std::uint64_t total_ns = schedule.kernel_span_ns * kernels;
 
   // Whole-kernel readings at this unit's noise coordinates -- identical to
-  // what a counting-mode session would read -- and their prefix sums over
-  // the kernel sequence.
+  // what a counting-mode run reads -- and their prefix sums over the kernel
+  // sequence.
   std::vector<std::vector<double>> prefix(n);
   std::vector<std::vector<double>> readings(n);
   for (std::size_t e = 0; e < n; ++e) {
-    const std::size_t mi = event_indices[e];
-    const pmu::EventDefinition& event = machine.event(mi);
-    readings[e].reserve(kernels);
+    readings[e].resize(kernels);
+    clean_readings(machine, event_indices[e], signals, run_id, readings[e]);
     prefix[e].assign(kernels + 1, 0.0);
     for (std::size_t k = 0; k < kernels; ++k) {
-      const double r = pmu::measure_from_ideal(
-          machine, event, machine.ideal(mi, signals[k]), run_id, k);
-      readings[e].push_back(r);
-      prefix[e][k + 1] = prefix[e][k] + r;
+      prefix[e][k + 1] = prefix[e][k] + readings[e][k];
     }
   }
 

@@ -41,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -128,6 +129,15 @@ void reconstruct_run_phases(const RunTrace& run, std::uint64_t kernel_span_ns,
                             Measurements& out,
                             const std::vector<std::size_t>& rows,
                             std::size_t repetition);
+
+/// Event `event_index`'s clean whole-kernel readings at noise coordinate
+/// `run_id`: row[k] = pmu::measure_from_ideal(machine, event,
+/// machine.ideal(event_index, signals[k]), run_id, k), the bits a counting
+/// session reads for the event around kernel k.  `row` has one entry per
+/// kernel.  Clean counting units and sample_run both read through it.
+void clean_readings(const pmu::Machine& machine, std::size_t event_index,
+                    const std::vector<std::vector<double>>& signals,
+                    std::uint64_t run_id, std::span<double> row);
 
 /// One sampled (repetition, scheduled run) unit: plays the kernel sequence
 /// on the virtual timeline at noise coordinate `run_id` and returns the

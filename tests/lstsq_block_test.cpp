@@ -115,10 +115,13 @@ std::vector<double> reference_stderr(const Matrix& xhat,
                    std::span<const double>(&b, 1));
 }
 
-/// Every column of the block solve of (a, b) against the reference.
+/// Every column of the block solve of (a, b) on `threads` workers against
+/// the reference.
 void expect_block_matches_reference(const Matrix& a, const Matrix& b,
-                                    const std::string& what) {
-  const linalg::LstsqBlockResult block = linalg::lstsq(a, b);
+                                    const std::string& what,
+                                    int threads = 1) {
+  const linalg::LstsqBlockResult block =
+      linalg::lstsq(a, b, linalg::kLstsqRcond, threads);
   ASSERT_EQ(block.x.rows(), a.cols()) << what;
   ASSERT_EQ(block.x.cols(), b.cols()) << what;
   ASSERT_EQ(block.residual_norms.size(), static_cast<std::size_t>(b.cols()));
@@ -220,6 +223,46 @@ TEST(LstsqBlock, ChunkedSolveMatchesSerialSolve) {
       EXPECT_TRUE(SameBytes(chunked.backward_errors, serial.backward_errors))
           << seed_banner(seed) << "threads=" << threads;
       EXPECT_EQ(chunked.rank_deficient, serial.rank_deficient);
+    }
+  }
+}
+
+TEST(LstsqBlock, PanelAndChunkEdgesMatchPerColumnSolve) {
+  // The solve runs 8-column panels inside 256-column chunks: a lone column,
+  // a short, a whole and a long panel, a chunk short, whole and one over,
+  // and two chunks and a column -- each at 1 and 3 threads.
+  const Matrix a = linalg::random_gaussian(24, 10, 5);
+  for (const index_t width : {1, 7, 8, 9, 255, 256, 257, 513}) {
+    const Matrix b =
+        right_hand_sides(a, width, static_cast<std::uint64_t>(width));
+    for (const int threads : {1, 3}) {
+      expect_block_matches_reference(
+          a, b,
+          "width " + std::to_string(width) + " threads " +
+              std::to_string(threads),
+          threads);
+    }
+  }
+}
+
+TEST(LstsqBlock, DegeneratePanelsMatchPerColumnSolve) {
+  // Column 0 is already (alpha, 0, ..., 0), so its reflector has tau == 0;
+  // column 5 repeats column 2, so R(5,5) is at rounding scale and its
+  // component is regularized to zero.  The right-hand sides add a +0.0 and
+  // a -0.0 column: the sign of every zero must come through.
+  for (std::uint64_t seed : sweep_seeds(1, 4)) {
+    Matrix a = linalg::random_gaussian(30, 8, seed);
+    for (index_t i = 1; i < a.rows(); ++i) a(i, 0) = 0.0;
+    a.set_col(5, a.col(2));
+    ASSERT_EQ(linalg::QrFactorization(a).taus()[0], 0.0) << seed_banner(seed);
+    Matrix b = right_hand_sides(a, 19, seed);
+    b.set_col(3, Vector(30, 0.0));
+    b.set_col(4, Vector(30, -0.0));
+    ASSERT_TRUE(linalg::lstsq(a, b).rank_deficient) << seed_banner(seed);
+    for (const int threads : {1, 3}) {
+      expect_block_matches_reference(
+          a, b, seed_banner(seed) + "threads " + std::to_string(threads),
+          threads);
     }
   }
 }

@@ -4,11 +4,15 @@
 //     (rel_sigma / abs_sigma / spike_prob), so noise-class tests stay
 //     meaningful,
 //   * collection is bit-identical across thread counts,
-//   * exceptions from collector worker threads reach the caller.
+//   * exceptions from collector worker threads reach the caller, and a
+//     duplicate event name is refused before any worker starts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "pmu/pmu.hpp"
 #include "vpapi/collector.hpp"
@@ -146,16 +150,124 @@ TEST(CollectorDeterminism, SingleAndMultiThreadedResultsAreBitIdentical) {
   EXPECT_EQ(serial.measurements, threaded.measurements);
 }
 
+// The clean counting unit as a PAPI-style session runs it, kept as the
+// reference for the collector's event-major units: per (repetition,
+// scheduled run), a fresh session holding the run's events, with
+// start/run/stop/read/reset around every kernel.
+vpapi::Measurements session_reference(
+    const pmu::Machine& machine, const std::vector<std::string>& names,
+    const std::vector<pmu::Activity>& activities, std::size_t repetitions) {
+  const vpapi::EventSetSchedule schedule =
+      vpapi::schedule_event_sets(machine, names);
+  const std::size_t n_runs = schedule.runs.size();
+  std::vector<std::vector<double>> signals;
+  for (const pmu::Activity& act : activities) {
+    signals.push_back(machine.densify(act));
+  }
+  vpapi::Measurements out(names.size(), repetitions, activities.size());
+  for (std::size_t rep = 0; rep < repetitions; ++rep) {
+    for (std::size_t g = 0; g < n_runs; ++g) {
+      const std::vector<std::string>& members = schedule.runs[g].events;
+      vpapi::Session session(machine);
+      const int set = session.create_eventset();
+      for (const std::string& name : members) {
+        EXPECT_EQ(session.add_event(set, name), vpapi::Status::ok) << name;
+      }
+      std::vector<double> vals;
+      for (std::size_t k = 0; k < signals.size(); ++k) {
+        EXPECT_EQ(session.start(set), vpapi::Status::ok);
+        session.run_kernel(signals[k], rep * n_runs + g, k);
+        session.stop(set);
+        EXPECT_EQ(session.read(set, vals), vpapi::Status::ok);
+        session.reset(set);
+        for (std::size_t i = 0; i < members.size(); ++i) {
+          const auto row = static_cast<std::size_t>(
+              std::find(names.begin(), names.end(), members[i]) -
+              names.begin());
+          out.row(row, rep)[k] = vals[i];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(CollectorDeterminism, CleanUnitsReadWhatASessionReads) {
+  // Relative, absolute, spiky and drifting noise, alone and mixed, over
+  // three counters: four runs, the last one short, and one slot-pinned
+  // event for the scheduler to place.
+  pmu::Machine m("diff", 3, 0xD1FF);
+  const pmu::NoiseModel models[] = {
+      pmu::NoiseModel::none(),
+      pmu::NoiseModel::relative(2e-2),
+      pmu::NoiseModel::absolute(25.0),
+      pmu::NoiseModel::spiky(0.2, 1e4),
+      pmu::NoiseModel::drifting(3e-3),
+      pmu::NoiseModel{1e-2, 5.0, 0.1, 100.0, 1e-3},
+  };
+  std::vector<std::string> names;
+  for (std::size_t e = 0; e < 11; ++e) {
+    pmu::EventDefinition event{"E" + std::to_string(e), "",
+                               {{"x", 1.0 + double(e)}, {"y", 0.5}},
+                               models[e % 6]};
+    if (e == 2) event.slot_mask = 0b100;
+    m.add_event(event);
+    names.push_back(event.name);
+  }
+  const std::vector<pmu::Activity> acts{
+      {{"x", 1e6}}, {{"x", 3e5}, {"y", 7e5}}, {{"y", 2e6}}, {{"x", 0.0}}};
+  const vpapi::Measurements reference =
+      session_reference(m, names, acts, 5);
+  for (const int threads : {1, 4}) {
+    const auto got = vpapi::collect(m, names, acts, reps(5, threads));
+    EXPECT_EQ(got.event_names, names);
+    EXPECT_EQ(got.measurements, reference) << "threads=" << threads;
+  }
+}
+
 TEST(CollectorExceptions, WorkerThrowPropagatesToCaller) {
-  // A duplicated event name passes the up-front existence check but makes
-  // add_event fail inside the unit, i.e. inside a worker thread.  The throw
-  // must surface on the calling thread instead of calling std::terminate.
-  pmu::Machine m("dup", 2, 7);
+  // A non-finite kernel activity passes every up-front check but makes the
+  // reading's finite-ideal contract fail inside the unit, i.e. inside a
+  // worker thread.  The throw must surface on the calling thread instead of
+  // calling std::terminate.
+  pmu::Machine m("inf", 2, 7);
   m.add_event({"A", "", {{"x", 1.0}}, {}});
-  const std::vector<pmu::Activity> acts{{{"x", 1.0}}};
+  m.add_event({"B", "", {{"x", 2.0}}, {}});
+  const std::vector<pmu::Activity> acts{{{"x", 1.0}},
+                                        {{"x", HUGE_VAL}}};
   EXPECT_THROW(
-      vpapi::collect(m, {"A", "A"}, acts, reps(8, 4)),
+      vpapi::collect(m, {"A", "B"}, acts, reps(8, 4)),
       std::runtime_error);
+}
+
+TEST(CollectorExceptions, DuplicateEventNamesAreRefusedUpFront) {
+  // A repeated name would be measured twice into one row and leave the
+  // other row unwritten (all zeros), so the collector refuses it when it is
+  // built, naming the event, before any unit runs.
+  pmu::Machine m("dup", 2, 7);
+  for (const char* name : {"A", "B", "C"}) {
+    m.add_event({name, "", {{"x", 1.0}}, {}});
+  }
+  const std::vector<pmu::Activity> acts{{{"x", 1e6}}};
+  for (const std::vector<std::string>& names :
+       {std::vector<std::string>{"A", "A"},
+        std::vector<std::string>{"A", "B", "C", "A"}}) {
+    try {
+      vpapi::Collector collector(m, names, acts);
+      ADD_FAILURE() << "duplicate event accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate event A"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(vpapi::collect(m, names, acts, reps(2, 4)),
+                 std::invalid_argument);
+  }
+  // Distinct names still collect: every row reads its event.
+  const auto ok = vpapi::collect(m, {"A", "B", "C"}, acts, reps(2, 1));
+  for (std::size_t e = 0; e < 3; ++e) {
+    EXPECT_EQ(ok.measurements.row(e, 1)[0], 1e6);
+  }
 }
 
 }  // namespace

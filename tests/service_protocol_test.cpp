@@ -919,6 +919,34 @@ TEST(ServiceCore, CorruptCheckpointIsSkippedNotFatal) {
 // archive, byte for byte.  Both submission encodings are exercised (the
 // packed fast path and the JSON archive path must agree with the CLI and
 // therefore with each other).
+// `analyze --from` reads category_info() instead of category_setup(): it
+// must be the setup short of its benchmark, for every category.
+TEST(ServiceCatalog, CategoryInfoIsTheSetupWithoutItsBenchmark) {
+  for (const std::string& category : category_names()) {
+    SCOPED_TRACE(category);
+    const auto info = category_info(category);
+    const auto setup = category_setup(category);
+    ASSERT_TRUE(info.has_value() && setup.has_value());
+    EXPECT_EQ(info->benchmark_name, setup->benchmark.name);
+    EXPECT_EQ(info->default_machine, setup->default_machine);
+    EXPECT_TRUE(is_machine_name(info->default_machine));
+    EXPECT_EQ(info->options.tau, setup->options.tau);
+    EXPECT_EQ(info->options.alpha, setup->options.alpha);
+    EXPECT_EQ(info->options.projection_max_error,
+              setup->options.projection_max_error);
+    EXPECT_EQ(info->options.fitness_threshold,
+              setup->options.fitness_threshold);
+    ASSERT_EQ(info->signatures.size(), setup->signatures.size());
+    for (std::size_t i = 0; i < info->signatures.size(); ++i) {
+      EXPECT_EQ(info->signatures[i].name, setup->signatures[i].name);
+      EXPECT_EQ(info->signatures[i].coordinates,
+                setup->signatures[i].coordinates);
+    }
+  }
+  EXPECT_FALSE(category_info("no_such_category").has_value());
+  EXPECT_FALSE(is_machine_name("no_such_machine"));
+}
+
 TEST(ServiceByteIdentity, TablesCategoriesMatchCliRendering) {
   faults::FakeClock clock;
   ServiceCore core(sync_core_options(&clock));

@@ -372,39 +372,53 @@ int cmd_signatures(const flags::Args& args) {
 
 int cmd_analyze(const flags::Args& args) {
   if (args.positional.size() < 2) return usage();
+  const std::string& category = args.positional[1];
+  // An archive brings its own readings and basis, so `--from` reads only
+  // the category's catalog info: it builds neither the ground-truth
+  // benchmark nor the machine, whose name it still checks.
+  const bool from_archive = args.has("from");
   std::vector<obs::StageTiming> setup_rows;
-  auto setup = timed(setup_rows, "benchmark_build",
-                     [&] { return category_setup(args.positional[1]); });
-  if (!setup) {
-    std::cerr << "unknown category " << args.positional[1] << "\n";
+  std::optional<service::CategorySetup> setup;
+  std::optional<service::CategoryInfo> archive_info;
+  if (from_archive) {
+    archive_info = service::category_info(category);
+  } else {
+    setup = timed(setup_rows, "benchmark_build",
+                  [&] { return category_setup(category); });
+  }
+  if (!setup && !archive_info) {
+    std::cerr << "unknown category " << category << "\n";
     return 2;
   }
-  const std::string machine_name =
-      args.text("machine", setup->default_machine);
-  const auto machine = timed(setup_rows, "machine_build",
-                             [&] { return machine_by_name(machine_name); });
-  if (!machine) {
+  service::CategoryInfo& info = setup ? *setup : *archive_info;
+  const std::string machine_name = args.text("machine", info.default_machine);
+  if (!service::is_machine_name(machine_name)) {
     std::cerr << "unknown machine " << machine_name << "\n";
     return 2;
   }
-  setup->options.tau = args.real("tau", setup->options.tau);
-  setup->options.alpha = args.real("alpha", setup->options.alpha);
-  if (args.has("detrend")) setup->options.detrend_drifting = true;
+  std::optional<pmu::Machine> machine;
+  if (!from_archive) {
+    machine = timed(setup_rows, "machine_build",
+                    [&] { return machine_by_name(machine_name); });
+  }
+  info.options.tau = args.real("tau", info.options.tau);
+  info.options.alpha = args.real("alpha", info.options.alpha);
+  if (args.has("detrend")) info.options.detrend_drifting = true;
   for (const char* flag : kCollectionFlags) {
-    if (args.has("from") && args.has(flag)) {
+    if (from_archive && args.has(flag)) {
       throw flags::Error(std::string("--") + flag +
                        " is a collection flag; --from analyzes an archive "
                        "that was already collected");
     }
   }
   Campaign campaign;
-  campaign_from_args(args, setup->options, "", campaign);
+  campaign_from_args(args, info.options, "", campaign);
   const core::PipelineOptions& options = campaign.options.pipeline;
   const TraceArgs trace = trace_args_from(args);
 
   core::PipelineResult result;
   std::string source;
-  if (args.has("from")) {
+  if (from_archive) {
     auto archive =
         core::load_archive(core::read_text_file(args.text("from", "")));
     source = "archive " + args.text("from", "") + " (" +
@@ -412,13 +426,13 @@ int cmd_analyze(const flags::Args& args) {
     std::vector<std::string> quarantined = std::move(archive.quarantined);
     std::optional<vpapi::CollectionReport> report =
         std::move(archive.collection_report);
-    result = core::analyze_archive(std::move(archive), setup->signatures,
+    result = core::analyze_archive(std::move(archive), info.signatures,
                                    options);
     result.quarantined_events = std::move(quarantined);
     result.collection = std::move(report);
   } else {
-    result = core::run_campaign(*machine, setup->benchmark,
-                                setup->signatures, campaign.options)
+    result = core::run_campaign(*machine, setup->benchmark, info.signatures,
+                                campaign.options)
                  .result;
     source = "machine " + machine->name();
     if (campaign.plan.has_value()) source += " (faulty)";
@@ -429,9 +443,9 @@ int cmd_analyze(const flags::Args& args) {
   }
   if (args.has("markdown")) {
     std::cout << core::format_markdown_report(
-        source + " / " + setup->benchmark.name, result);
+        source + " / " + info.benchmark_name, result);
   } else {
-    std::cout << source << ", benchmark " << setup->benchmark.name << ": "
+    std::cout << source << ", benchmark " << info.benchmark_name << ": "
               << result.all_event_names.size() << " events -> "
               << result.noise.kept.size() << " after noise filter -> "
               << result.projection.representable.size()
@@ -450,7 +464,7 @@ int cmd_analyze(const flags::Args& args) {
               << (args.has("json") ? core::presets_to_json(presets)
                                    : core::presets_to_table(presets));
   }
-  write_trace_artifacts(trace, "catalyst analyze", args.positional[1],
+  write_trace_artifacts(trace, "catalyst analyze", category,
                         machine_name, options, result, std::move(setup_rows));
   return 0;
 }
